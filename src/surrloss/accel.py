@@ -1,151 +1,25 @@
-"""Hot numeric kernels, numba-compiled when available.
+"""Greedy feedback-arc-set peel for the ranking decoder.
 
-Every kernel here has two implementations: a plain-loop version that numba
-compiles with @njit, and a vectorized pure-numpy fallback.  The numba path is
-the default; set SURRLOSS_NO_NUMBA=1 (or leave numba uninstalled) to force the
-numpy path.  Both paths are deterministic; they may differ in the last ulps
-because summation order differs.
-
-`SURRLOSS_THREADS`, when set, caps the numba thread pool.
+Every other numeric kernel lives in the one module that calls it, with a
+single NumPy implementation.  `fas_peel` would belong in `decoders` too; it
+stays here, together with the constant `USE_NUMBA = False`, because the
+benchmark names both from outside the package: `bench/stages.py` traces
+`accel.fas_peel` and `bench/machine.py` records `accel.USE_NUMBA`.  Both can
+move once the benchmark drops those two names.
 """
-
-import os
 
 import numpy as np
 
-_flag = os.environ.get("SURRLOSS_NO_NUMBA", "").strip().lower()
-USE_NUMBA = _flag not in ("1", "true", "yes")
-
-if USE_NUMBA:
-    try:
-        import numba
-        from numba import njit
-    except ImportError:
-        USE_NUMBA = False
-
-if USE_NUMBA:
-    _threads = os.environ.get("SURRLOSS_THREADS", "").strip()
-    if _threads.isdigit() and int(_threads) >= 1:
-        numba.set_num_threads(min(int(_threads), numba.config.NUMBA_NUM_THREADS))
+USE_NUMBA = False
 
 
-# ---------------------------------------------------------------------------
-# Gaussian Gram matrix, k(x, x') = exp(-||x - x'||^2 / sigma).
-# Built symmetric by construction: only the lower triangle is computed.
+def fas_peel(net):
+    """Peeling order on a tournament with net weights net[i, j] = W[i, j] - W[j, i].
 
-def _gaussian_gram_loop(X, sigma):
-    n = X.shape[0]
-    d = X.shape[1]
-    K = np.empty((n, n))
-    for i in range(n):
-        K[i, i] = 1.0
-        for j in range(i):
-            s = 0.0
-            for t in range(d):
-                diff = X[i, t] - X[j, t]
-                s += diff * diff
-            v = np.exp(-s / sigma)
-            K[i, j] = v
-            K[j, i] = v
-    return K
-
-
-def _gaussian_gram_numpy(X, sigma):
-    sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=-1)
-    K = np.exp(-sq / sigma)
-    lower = np.tril(K)
-    K = lower + np.tril(K, -1).T
-    np.fill_diagonal(K, 1.0)
-    return K
-
-
-# ---------------------------------------------------------------------------
-# Rank-loss machinery.  gains[i, j] = max(0, r_j - r_i) is the cost of
-# ranking item i above item j; ranks is a permutation vector (1 = top).
-
-def _rank_gains_loop(ratings):
-    m = ratings.shape[0]
-    g = np.empty((m, m))
-    for i in range(m):
-        for j in range(m):
-            diff = ratings[j] - ratings[i]
-            g[i, j] = diff if diff > 0.0 else 0.0
-    return g
-
-
-def _rank_gains_numpy(ratings):
-    return np.maximum(ratings[None, :] - ratings[:, None], 0.0)
-
-
-def _rank_pair_sum_loop(gains, ranks):
-    m = ranks.shape[0]
-    total = 0.0
-    for i in range(m):
-        for j in range(m):
-            d = ranks[i] - ranks[j]
-            if d < 0:
-                total += gains[i, j]
-            elif d == 0:
-                total += 0.5 * gains[i, j]
-    return total
-
-
-def _rank_pair_sum_numpy(gains, ranks):
-    step = 0.5 * (1.0 - np.sign(ranks[:, None] - ranks[None, :]))
-    return float((gains * step).sum())
-
-
-def _aggregate_rank_gains_loop(alphas, ratings):
-    t_count = ratings.shape[0]
-    m = ratings.shape[1]
-    W = np.zeros((m, m))
-    for t in range(t_count):
-        a = alphas[t]
-        if a == 0.0:
-            continue
-        for i in range(m):
-            for j in range(m):
-                diff = ratings[t, j] - ratings[t, i]
-                if diff > 0.0:
-                    W[i, j] += a * diff
-    return W
-
-
-def _aggregate_rank_gains_numpy(alphas, ratings):
-    gains = np.maximum(ratings[:, None, :] - ratings[:, :, None], 0.0)
-    return np.einsum("t,tij->ij", alphas, gains)
-
-
-# ---------------------------------------------------------------------------
-# Greedy feedback-arc-set peeling on a tournament with net weights
-# net[i, j] = W[i, j] - W[j, i] (cost of i-above-j minus the reverse).
-# Repeatedly extract the remaining vertex with the largest
-# (incoming - outgoing) net cost, i.e. the one cheapest to rank next;
-# ties go to the lowest index.
-
-def _fas_peel_loop(net):
-    m = net.shape[0]
-    order = np.empty(m, dtype=np.int64)
-    alive = np.ones(m, dtype=np.bool_)
-    for pos in range(m):
-        best = -1
-        best_score = -np.inf
-        for i in range(m):
-            if not alive[i]:
-                continue
-            score = 0.0
-            for j in range(m):
-                if alive[j] and j != i:
-                    score -= net[i, j]
-            if score > best_score:
-                best_score = score
-                best = i
-        order[pos] = best
-        alive[best] = False
-    return order
-
-
-def _fas_peel_numpy(net):
+    W[i, j] is the cost of ranking i above j.  Each step extracts the
+    remaining vertex with the largest (incoming - outgoing) net cost, i.e.
+    the one cheapest to rank next; ties go to the lowest index.
+    """
     m = net.shape[0]
     order = np.empty(m, dtype=np.int64)
     alive = np.ones(m, dtype=bool)
@@ -155,100 +29,3 @@ def _fas_peel_numpy(net):
         order[pos] = best
         alive[best] = False
     return order
-
-
-# ---------------------------------------------------------------------------
-# Weighted scalar-loss objectives F_q = sum_i A[i, q] * loss(points[q], ys[i])
-# used by the grid/golden-section decoder.  A is (n, Q), points is (Q,).
-
-def _cauchy_objective_loop(points, ys, gamma, A):
-    n, q_count = A.shape
-    out = np.empty(q_count)
-    for q in range(q_count):
-        acc = 0.0
-        p = points[q]
-        for i in range(n):
-            d = p - ys[i]
-            acc += A[i, q] * gamma * np.log1p(d * d / gamma)
-        out[q] = acc
-    return out
-
-
-def _cauchy_objective_numpy(points, ys, gamma, A):
-    d = points[None, :] - ys[:, None]
-    return np.einsum("iq,iq->q", A, gamma * np.log1p(d * d / gamma))
-
-
-def _sqerr_objective_loop(points, ys, A):
-    n, q_count = A.shape
-    out = np.empty(q_count)
-    for q in range(q_count):
-        acc = 0.0
-        p = points[q]
-        for i in range(n):
-            d = p - ys[i]
-            acc += A[i, q] * d * d
-        out[q] = acc
-    return out
-
-
-def _sqerr_objective_numpy(points, ys, A):
-    d = points[None, :] - ys[:, None]
-    return np.einsum("iq,iq->q", A, d * d)
-
-
-def _abserr_objective_loop(points, ys, A):
-    n, q_count = A.shape
-    out = np.empty(q_count)
-    for q in range(q_count):
-        acc = 0.0
-        p = points[q]
-        for i in range(n):
-            acc += A[i, q] * abs(p - ys[i])
-        out[q] = acc
-    return out
-
-
-def _abserr_objective_numpy(points, ys, A):
-    d = np.abs(points[None, :] - ys[:, None])
-    return np.einsum("iq,iq->q", A, d)
-
-
-def _cauchy_loss_matrix_loop(points, ys, gamma):
-    g = points.shape[0]
-    n = ys.shape[0]
-    L = np.empty((g, n))
-    for a in range(g):
-        for i in range(n):
-            d = points[a] - ys[i]
-            L[a, i] = gamma * np.log1p(d * d / gamma)
-    return L
-
-
-def _cauchy_loss_matrix_numpy(points, ys, gamma):
-    d = points[:, None] - ys[None, :]
-    return gamma * np.log1p(d * d / gamma)
-
-
-# Serial njit throughout: the workloads are small enough that parallel
-# kernel-launch overhead dominates any gain on typical core counts.
-if USE_NUMBA:
-    gaussian_gram = njit(cache=True)(_gaussian_gram_loop)
-    rank_gains = njit(cache=True)(_rank_gains_loop)
-    rank_pair_sum = njit(cache=True)(_rank_pair_sum_loop)
-    aggregate_rank_gains = njit(cache=True)(_aggregate_rank_gains_loop)
-    fas_peel = njit(cache=True)(_fas_peel_loop)
-    cauchy_objective = njit(cache=True)(_cauchy_objective_loop)
-    sqerr_objective = njit(cache=True)(_sqerr_objective_loop)
-    abserr_objective = njit(cache=True)(_abserr_objective_loop)
-    cauchy_loss_matrix = njit(cache=True)(_cauchy_loss_matrix_loop)
-else:
-    gaussian_gram = _gaussian_gram_numpy
-    rank_gains = _rank_gains_numpy
-    rank_pair_sum = _rank_pair_sum_numpy
-    aggregate_rank_gains = _aggregate_rank_gains_numpy
-    fas_peel = _fas_peel_numpy
-    cauchy_objective = _cauchy_objective_numpy
-    sqerr_objective = _sqerr_objective_numpy
-    abserr_objective = _abserr_objective_numpy
-    cauchy_loss_matrix = _cauchy_loss_matrix_numpy

@@ -5,6 +5,10 @@ check {fisher,comparison,equivalence,consistency}.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 failed check.
 
+`--config PATH` reads a JSON object of option values for the chosen
+subcommand, keyed by option destination (`sigma`, `lam`, ...); flags on the
+command line win over it.
+
 CSV conventions (UTF-8, comma separator, '.' decimal, header row):
 inputs are columns x0..xd; scalar targets a column y; label targets a column
 y; rating profiles columns r0..r{M-1}; histograms columns p0..p{d-1}.
@@ -276,6 +280,7 @@ def build_parser():
     parser = _Parser(prog="surrloss", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("train", help="fit a model from csv data")
     p.add_argument("--in", dest="data", required=True)
@@ -339,17 +344,39 @@ _CHECK_DEFAULT_TRIALS = {"fisher": 50, "comparison": 1000,
 
 
 def _apply_config(argv, parser):
-    if "--config" in argv:
-        i = argv.index("--config")
-        try:
-            path = argv[i + 1]
-        except IndexError:
-            parser.error("--config needs a path")
-        with open(path, encoding="utf-8") as f:
-            defaults = json.load(f)
-        argv = argv[:i] + argv[i + 2:]
-        parser.set_defaults(**defaults)
-    return argv
+    """Replace `--config PATH` by the options of the JSON object in PATH.
+
+    Keys are option destinations of the selected subcommand (`sigma`, `lam`,
+    `grid_points`, ...).  Each becomes its flag, placed right after the
+    subcommand name, so argparse converts and checks the value and any flag
+    given on the command line, which comes later, wins.  A key that is not an
+    option of the subcommand is a usage error.
+    """
+    if "--config" not in argv:
+        return argv
+    i = argv.index("--config")
+    if i + 1 >= len(argv):
+        parser.error("--config needs a path")
+    with open(argv[i + 1], encoding="utf-8") as f:
+        config = json.load(f)
+    argv = argv[:i] + argv[i + 2:]
+    if not isinstance(config, dict):
+        parser.error("--config file must hold a JSON object")
+    pos = next((j for j, a in enumerate(argv) if a in parser.commands), None)
+    if pos is None:
+        parser.error("--config needs a subcommand")
+    sub = parser.commands[argv[pos]]
+    flags = {a.dest: a.option_strings[-1] for a in sub._actions
+             if a.option_strings and a.dest != "help"}
+    unknown = sorted(set(config) - set(flags))
+    if unknown:
+        sub.error(f"config keys that are not options of {argv[pos]!r}: {', '.join(unknown)}")
+    tokens = []
+    for key, value in config.items():
+        if isinstance(value, (list, tuple)):
+            value = ",".join(str(v) for v in value)
+        tokens += [flags[key], str(value)]
+    return argv[:pos + 1] + tokens + argv[pos + 1:]
 
 
 def main(argv=None):

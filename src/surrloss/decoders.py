@@ -84,17 +84,18 @@ def aggregate_pair_costs(alphas, profiles):
     so one M x M matrix carries the whole objective.
     """
     alphas = np.asarray(alphas, dtype=float)
-    profiles = np.asarray(profiles, dtype=float)
+    profiles = np.ascontiguousarray(profiles, dtype=float)
     if profiles.ndim != 2:
         raise ValueError("profiles must be a (T, M) array")
     if profiles.shape[0] != alphas.shape[0]:
         raise ValueError("alpha / profile count mismatch")
-    return accel.aggregate_rank_gains(alphas, np.ascontiguousarray(profiles))
+    gains = np.maximum(profiles[:, None, :] - profiles[:, :, None], 0.0)
+    return np.einsum("t,tij->ij", alphas, gains)
 
 
 def ranking_objective(W, ranks):
     """F(y) evaluated through an aggregated pair-cost matrix."""
-    return float(accel.rank_pair_sum(W, np.asarray(ranks, dtype=np.int64)))
+    return losses.rank_pair_sum(W, np.asarray(ranks, dtype=np.int64))
 
 
 def _order_to_ranks(order):
@@ -136,15 +137,26 @@ def decode_ranking_fas(alphas, profiles, items):
     return best
 
 
+def _pointwise(loss, p, y):
+    """loss(p, y) elementwise over broadcast arrays for the scalar losses with
+    a closed form (Cauchy, squared and absolute error); None for any other."""
+    if isinstance(loss, losses.Cauchy):
+        d = p - y
+        return loss.gamma * np.log1p(d * d / loss.gamma)
+    if isinstance(loss, losses.SquaredError):
+        d = p - y
+        return d * d
+    if isinstance(loss, losses.AbsoluteError):
+        return np.abs(p - y)
+    return None
+
+
 def _objective_batch(points, y_train, loss, A):
     """F at a batch of scalar points for Q queries; A is (n, Q)."""
     points = np.asarray(points, dtype=float)
-    if isinstance(loss, losses.Cauchy):
-        return accel.cauchy_objective(points, y_train, loss.gamma, A)
-    if isinstance(loss, losses.SquaredError):
-        return accel.sqerr_objective(points, y_train, A)
-    if isinstance(loss, losses.AbsoluteError):
-        return accel.abserr_objective(points, y_train, A)
+    L = _pointwise(loss, points[None, :], y_train[:, None])
+    if L is not None:
+        return np.einsum("iq,iq->q", A, L)
     out = np.empty(points.shape[0])
     for q in range(points.shape[0]):
         out[q] = sum(A[i, q] * loss(points[q], y_train[i]) for i in range(len(y_train)))
@@ -153,13 +165,9 @@ def _objective_batch(points, y_train, loss, A):
 
 def _loss_matrix(points, y_train, loss):
     """(G, n) table of loss(point_a, y_i); shared across queries."""
-    if isinstance(loss, losses.Cauchy):
-        return accel.cauchy_loss_matrix(points, y_train, loss.gamma)
-    if isinstance(loss, losses.SquaredError):
-        d = points[:, None] - y_train[None, :]
-        return d * d
-    if isinstance(loss, losses.AbsoluteError):
-        return np.abs(points[:, None] - y_train[None, :])
+    L = _pointwise(loss, points[:, None], y_train[None, :])
+    if L is not None:
+        return L
     L = np.empty((points.shape[0], y_train.shape[0]))
     for a in range(points.shape[0]):
         for i in range(y_train.shape[0]):

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
-from . import accel
-
 # Relative jitter ladder for near-singular Gram matrices, scaled by the
 # largest diagonal entry of the shifted matrix.
 JITTER_LADDER = (1e-12, 1e-10, 1e-8)
@@ -96,11 +94,16 @@ def gram_matrix(spec, X):
         K = spec.matrix[np.ix_(idx, idx)]
         return 0.5 * (K + K.T)
     X = _as_input_matrix(X)
-    if spec.kind == "gaussian":
-        return accel.gaussian_gram(np.ascontiguousarray(X), spec.sigma)
-    K = X @ X.T
+    if spec.kind == "linear":
+        K = X @ X.T
+        lower = np.tril(K)
+        return lower + np.tril(K, -1).T
+    sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=-1)
+    K = np.exp(-sq / spec.sigma)
     lower = np.tril(K)
-    return lower + np.tril(K, -1).T
+    K = lower + np.tril(K, -1).T
+    np.fill_diagonal(K, 1.0)
+    return K
 
 
 def cross_kernel(spec, X, x):

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import accel
-
 SIMPLEX_ATOL = 1e-9
 
 
@@ -87,7 +85,16 @@ def rank_gain_matrix(ratings):
         raise ValueError("rating profile must be a vector of length >= 2")
     if not np.all(np.isfinite(ratings)):
         raise ValueError("ratings must be finite")
-    return accel.rank_gains(ratings)
+    return np.maximum(ratings[None, :] - ratings[:, None], 0.0)
+
+
+def rank_pair_sum(gains, ranks):
+    """sum_ij gains[i, j] * (1 - sign(ranks[i] - ranks[j])) / 2.
+
+    Pairs ranked i above j pay gains[i, j]; tied ranks pay half.
+    """
+    step = 0.5 * (1.0 - np.sign(ranks[:, None] - ranks[None, :]))
+    return float((gains * step).sum())
 
 
 def check_permutation(ranks, m=None):
@@ -106,13 +113,13 @@ def rank_loss(ranks, ratings, normalize=False):
     ratings = np.asarray(ratings, dtype=float)
     ranks = check_permutation(ranks, ratings.shape[0])
     gains = rank_gain_matrix(ratings)
-    total = accel.rank_pair_sum(gains, ranks)
+    total = rank_pair_sum(gains, ranks)
     if not normalize:
-        return float(total)
+        return total
     mass = float(gains.sum())
     if mass == 0.0:
         return 0.0
-    return float(total) / mass
+    return total / mass
 
 
 class Cauchy:

@@ -119,7 +119,7 @@ def _outputs_to_json(Y, output_kind):
     if output_kind == "scalar":
         return [float(y) for y in Y]
     if output_kind == "label":
-        return [y if isinstance(y, str) else int(y) for y in Y]
+        return [y.item() if isinstance(y, np.generic) else y for y in Y]
     return [np.asarray(y, dtype=float).tolist() for y in Y]
 
 

@@ -222,6 +222,26 @@ def test_scalar_batch_matches_single():
             _oracles.weighted_objective(pts[j], A[:, j], loss, y_train), abs=1e-10)
 
 
+@pytest.mark.parametrize("loss", [losses.Cauchy(0.7), losses.SquaredError(),
+                                  losses.AbsoluteError()],
+                         ids=lambda loss: type(loss).__name__)
+def test_scalar_fast_path_matches_generic_loss(loss):
+    # A plain callable is none of the closed-form loss classes, so it takes
+    # the per-call loop that evaluates the loss by its definition.
+    def plain(y, y2):
+        return loss(y, y2)
+
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        n, q = int(rng.integers(2, 12)), 4
+        y_train = rng.uniform(-2.5, 2.5, size=n)
+        A = rng.normal(size=(n, q))
+        pts, vals = decoders.decode_scalar_grid_batch(A, y_train, loss, SPEC)
+        ref_pts, ref_vals = decoders.decode_scalar_grid_batch(A, y_train, plain, SPEC)
+        np.testing.assert_array_equal(pts, ref_pts)
+        np.testing.assert_allclose(vals, ref_vals, rtol=1e-12, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # Simplex Hellinger decoder
 

@@ -221,6 +221,13 @@ def test_model_roundtrip_labels_and_ratings(tmp_path):
     loaded, kind = surrogate.load_model(tmp_path / "m1.json")
     assert kind == "label" and loaded.Y == ["a", "b", "a", "c"]
 
+    # numbers keep their own value and type; NumPy scalars become Python ones
+    m3 = surrogate.fit(X, [1.5, np.int64(2), 1.5, 3], kernels.linear(), 0.5)
+    surrogate.save_model(m3, tmp_path / "m3.json", "label")
+    loaded3, _ = surrogate.load_model(tmp_path / "m3.json")
+    assert loaded3.Y == [1.5, 2, 1.5, 3]
+    assert [type(y) for y in loaded3.Y] == [float, int, float, int]
+
     R = rng.integers(1, 6, size=(4, 3)).astype(float)
     m2 = surrogate.fit(X, R, kernels.gaussian(1.0), 0.5)
     surrogate.save_model(m2, tmp_path / "m2.json", "ratings")
