@@ -55,13 +55,6 @@ def gen_robust_data(n, seed):
     return RobustDataset(x=x[:, None], y=clean + eps + zeta, clean=clean)
 
 
-def krr_baseline(X, y, kernel, lam, x):
-    """Kernel ridge prediction sum_i alpha_i(x) y_i at a single query."""
-    model = surrogate.fit(X, np.asarray(y, dtype=float), kernel, lam)
-    a = surrogate.alpha_weights(model, x).weights
-    return float(a @ np.asarray(y, dtype=float))
-
-
 def krr_predict_batch(model, Xq):
     A = surrogate.alpha_weights_batch(model, Xq)
     return np.asarray(model.Y, dtype=float) @ A
@@ -70,15 +63,17 @@ def krr_predict_batch(model, Xq):
 def _robust_cv(X, y, sigmas, lambdas, gammas, folds, seed, cv_decoder):
     """One CV sweep selecting hyperparameters for both methods.
 
-    Held-out ridge weights depend only on (sigma, lambda, fold); the Gram
-    matrix, factorization and solved weights are computed once per such
-    triple and shared by the gamma grid and the KRR baseline (whose fold
-    prediction is just y_train @ A).  The Cauchy decoder is scored with
-    absolute error, which stays comparable across gamma (raw Cauchy values
-    scale with it); KRR is scored with squared error, its own criterion --
-    an outlier-robust scoring rule here would hand the baseline exactly the
-    robustness it is supposed to lack.  Ties prefer larger lambda, then
-    grid order.
+    Held-out ridge weights depend only on (sigma, lambda, fold).  For each
+    (sigma, fold) the Gram matrix and cross kernel are built once, and every
+    lambda's weights A come from one eigendecomposition of the Gram matrix
+    (`kernels.ridge_path`); each A is shared by the gamma grid and the KRR
+    baseline (whose fold prediction is just y_train @ A).  The Cauchy decoder
+    is scored with absolute error, which stays comparable across gamma (raw
+    Cauchy values scale with it); KRR is scored with squared error, its own
+    criterion -- an outlier-robust scoring rule here would hand the baseline
+    exactly the robustness it is supposed to lack.  Selection follows
+    `model_selection.select_best`, the decoder's grid in (gamma, sigma,
+    lambda) order and KRR's in (sigma, lambda) order.
 
     Returns ((kernel, lambda, gamma) for the decoder, (kernel, lambda) for
     KRR).
@@ -100,32 +95,24 @@ def _robust_cv(X, y, sigmas, lambdas, gammas, folds, seed, cv_decoder):
         for fi, (tr, va) in enumerate(splits):
             K = kernels.gram_matrix(kernel, X[tr])
             KX = kernels.cross_kernel_batch(kernel, X[tr], X[va])
-            for li, lam in enumerate(lambdas):
-                factor = kernels.factor_shifted(K, tr.size * lam)
-                A = kernels.solve_spd(factor, KX)
+            path = kernels.ridge_path(K, KX, [tr.size * lam for lam in lambdas])
+            for li, A in enumerate(path):
                 krr_scores[si, li] += float(np.mean((y[tr] @ A - y[va]) ** 2)) / folds
                 for gi, gamma in enumerate(gammas):
                     pred, _ = decoders.decode_scalar_grid_batch(
                         A, y[tr], losses.Cauchy(gamma), cv_decoder,
                         loss_grid=loss_grids[fi][gi])
                     alg_scores[si, li, gi] += float(np.mean(np.abs(pred - y[va]))) / folds
-    alg_best = None
-    for gi, gamma in enumerate(gammas):
-        for si, sigma in enumerate(sigmas):
-            for li, lam in enumerate(lambdas):
-                mean = alg_scores[si, li, gi]
-                if alg_best is None or mean < alg_best[0] or (
-                        mean == alg_best[0] and lam > alg_best[3]):
-                    alg_best = (mean, gamma, sigma, lam)
-    krr_best = None
-    for si, sigma in enumerate(sigmas):
-        for li, lam in enumerate(lambdas):
-            mean = krr_scores[si, li]
-            if krr_best is None or mean < krr_best[0] or (
-                    mean == krr_best[0] and lam > krr_best[2]):
-                krr_best = (mean, sigma, lam)
-    return ((kernels.gaussian(alg_best[2]), alg_best[3], alg_best[1]),
-            (kernels.gaussian(krr_best[1]), krr_best[2]))
+    sigma, lam, gamma = model_selection.select_best(
+        (alg_scores[si, li, gi], lam, (sigma, lam, gamma))
+        for gi, gamma in enumerate(gammas)
+        for si, sigma in enumerate(sigmas)
+        for li, lam in enumerate(lambdas))
+    k_sigma, k_lam = model_selection.select_best(
+        (krr_scores[si, li], lam, (sigma, lam))
+        for si, sigma in enumerate(sigmas)
+        for li, lam in enumerate(lambdas))
+    return ((kernels.gaussian(sigma), lam, gamma), (kernels.gaussian(k_sigma), k_lam))
 
 
 # Model selection scores folds with a trimmed decoder; the final predictor
@@ -279,28 +266,40 @@ def _mean_gauss_loss(preds, truth, sigma_y):
     return float(np.mean(2.0 - 2.0 * np.exp(-d / sigma_y)))
 
 
-def _histogram_cv(Xtr, Ytr, sigmas, lambdas, folds, seed, method, sigma_y):
+def _histogram_cv(Xtr, Ytr, sigmas, lambdas, folds, seed, sigma_y):
+    """One CV sweep selecting (sigma, lambda) for both histogram methods.
+
+    For each (sigma, fold) the Gram matrix and cross kernel are built once and
+    every lambda's held-out weights come from `kernels.ridge_path`; each A is
+    decoded and scored by both methods: the Hellinger decoder under squared
+    Hellinger, the KDE decode under the Gaussian output-kernel loss.
+    Selection follows `model_selection.select_best` in (sigma, lambda) order.
+
+    Returns {"hellinger": (sigma, lambda), "kde": (sigma, lambda)}.
+    """
     fold_idx = model_selection.kfold_split(Xtr.shape[0], folds, seed)
     all_idx = np.arange(Xtr.shape[0])
-    best = None
-    for sigma in sigmas:
+    scores = {method: np.zeros((len(sigmas), len(lambdas), folds))
+              for method in ("hellinger", "kde")}
+    for si, sigma in enumerate(sigmas):
         kernel = kernels.gaussian(sigma)
-        for lam in lambdas:
-            scores = []
-            for va in fold_idx:
-                tr = np.setdiff1d(all_idx, va)
-                model = surrogate.fit(Xtr[tr], Ytr[tr], kernel, lam)
-                A = surrogate.alpha_weights_batch(model, Xtr[va])
-                if method == "hellinger":
-                    preds = decoders.decode_simplex_hellinger_batch(A, Ytr[tr])
-                    scores.append(_mean_hellinger(preds, Ytr[va]))
-                else:
-                    preds = _kde_decode_batch(A, Ytr[tr], sigma_y)
-                    scores.append(_mean_gauss_loss(preds, Ytr[va], sigma_y))
-            mean = float(np.mean(scores))
-            if best is None or mean < best[0] or (mean == best[0] and lam > best[2]):
-                best = (mean, sigma, lam)
-    return best[1], best[2]
+        for fi, va in enumerate(fold_idx):
+            tr = np.setdiff1d(all_idx, va)
+            K = kernels.gram_matrix(kernel, Xtr[tr])
+            KX = kernels.cross_kernel_batch(kernel, Xtr[tr], Xtr[va])
+            path = kernels.ridge_path(K, KX, [tr.size * lam for lam in lambdas])
+            for li, A in enumerate(path):
+                preds = decoders.decode_simplex_hellinger_batch(A, Ytr[tr])
+                scores["hellinger"][si, li, fi] = _mean_hellinger(preds, Ytr[va])
+                preds = _kde_decode_batch(A, Ytr[tr], sigma_y)
+                scores["kde"][si, li, fi] = _mean_gauss_loss(preds, Ytr[va], sigma_y)
+    return {
+        method: model_selection.select_best(
+            (float(np.mean(s[si, li])), lam, (sigma, lam))
+            for si, sigma in enumerate(sigmas)
+            for li, lam in enumerate(lambdas))
+        for method, s in scores.items()
+    }
 
 
 def run_histogram_experiment(dim=8, n_train=120, n_test=60, repetitions=5, seed0=0,
@@ -323,9 +322,9 @@ def run_histogram_experiment(dim=8, n_train=120, n_test=60, repetitions=5, seed0
         Ytr, Yte = Y[:n_train], Y[n_train:]
         sigma_y = median_sq_dist(Ytr)
 
+        selected = _histogram_cv(Xtr, Ytr, sigmas, lambdas, folds, seed, sigma_y)
         for name, method in (("alg1_hellinger", "hellinger"), ("kde_gaussian", "kde")):
-            sigma, lam = _histogram_cv(Xtr, Ytr, sigmas, lambdas, folds, seed,
-                                       method, sigma_y)
+            sigma, lam = selected[method]
             model = surrogate.fit(Xtr, Ytr, kernels.gaussian(sigma), lam)
             A = surrogate.alpha_weights_batch(model, Xte)
             if method == "hellinger":

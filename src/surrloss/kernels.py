@@ -1,5 +1,9 @@
 """Input kernels, Gram matrices, and SPD solves for the ridge system.
 
+A fitted model holds one Cholesky factor of K + shift*I (`factor_shifted`,
+`solve_spd`).  Cross-validation, which needs the same K at many shifts, takes
+them all from one eigendecomposition instead (`ridge_path`).
+
 Convention: the Gaussian kernel is exp(-||x - x'||^2 / sigma) -- sigma divides
 the *squared* distance and there is no factor 2.  This differs from several
 common parameterizations, so all bandwidth grids in this package use it.
@@ -184,4 +188,35 @@ def solve_spd(factor, b):
     b = np.asarray(b, dtype=float)
     if b.shape[0] != factor.order:
         raise ValueError(f"rhs length {b.shape[0]} != factor order {factor.order}")
-    return cho_solve((factor.lower, True), b, check_finite=False)
+    # L^T of the C-ordered factor is Fortran-ordered: LAPACK takes it as the
+    # upper factor without copying n^2 entries on every call.
+    return cho_solve((factor.lower.T, False), b, check_finite=False)
+
+
+def ridge_path(K, KX, shifts):
+    """Iterator over (K + shift*I)^-1 KX for each shift, in order.
+
+    Rifkin & Lippert's spectral path ("Notes on Regularized Least Squares",
+    MIT-CSAIL-TR-2007-025): K = U diag(s) U^T is decomposed once, eigenvalues
+    below 0 (rounding on a positive semidefinite K) are clamped to 0, and U^T KX
+    is formed once; each shift then costs a diagonal rescale and one
+    (n, n) @ (n, Q) product, U diag(1 / (s + shift)) U^T KX.  Everything stays
+    in NumPy's BLAS.  With every shift > 0 the clamped system is positive
+    definite, so no jitter is needed.
+
+    K is (n, n) and symmetric, KX is (n, Q).  Raises ValueError for a
+    non-square K, a KX without n rows, or a shift <= 0.
+    """
+    K = np.asarray(K, dtype=float)
+    KX = np.asarray(KX, dtype=float)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError("K must be square")
+    if KX.ndim != 2 or KX.shape[0] != K.shape[0]:
+        raise ValueError(f"KX must have {K.shape[0]} rows, got shape {KX.shape}")
+    shifts = [float(s) for s in shifts]
+    if not all(s > 0 for s in shifts):
+        raise ValueError("shifts must be positive")
+    evals, U = np.linalg.eigh(K)
+    np.maximum(evals, 0.0, out=evals)
+    UtKX = U.T @ KX
+    return (U @ (UtKX / (evals + s)[:, None]) for s in shifts)

@@ -1,9 +1,10 @@
 """Deterministic k-fold cross-validation over kernel and lambda grids.
 
-Scoring uses the task loss on held-out folds.  Selection takes the minimal
-mean validation loss; exact ties prefer the largest lambda (most regularized),
-then kernel-grid order.  Folds and grid points may be evaluated in any order;
-aggregation is by index, so the report is independent of execution order.
+Scoring uses the task loss on held-out folds.  Selection (`select_best`) takes
+the minimal mean validation loss; exact ties prefer the largest lambda (most
+regularized), then kernel-grid order.  Folds and grid points may be evaluated
+in any order; aggregation is by index, so the report is independent of
+execution order.
 """
 
 from dataclasses import dataclass
@@ -103,14 +104,14 @@ def cross_validate(X, Y, plan, decoder, loss):
             scores = np.asarray(scores)
             rows.append(CvRow(kernel=kernel, lam=float(lam),
                               mean=float(scores.mean()), std=float(scores.std())))
-    return CvReport(rows=rows, selected=_select(rows))
+    return CvReport(rows=rows, selected=select_best((r.mean, r.lam, r) for r in rows))
 
 
-def _select(rows):
-    best = rows[0]
-    for row in rows[1:]:
-        if row.mean < best.mean:
-            best = row
-        elif row.mean == best.mean and row.lam > best.lam:
-            best = row
-    return best
+def select_best(points):
+    """The choice of lowest mean; exact ties prefer the larger lambda (most
+    regularized), then the earlier point.
+
+    `points` yields (mean, lambda, choice) in the caller's grid order, which
+    settles full ties.  Every CV sweep in the package selects through here.
+    """
+    return min(points, key=lambda p: (p[0], -p[1]))[2]

@@ -162,3 +162,45 @@ def dense_grid_min_cauchy(alphas, y_train, gamma, bound, points=1_000_000):
         vals += a * (gamma * np.log(1.0 + d * d / gamma))
     i = int(np.argmin(vals))
     return float(grid[i]), float(vals[i])
+
+
+def gaussian_kernel_matrix(A_rows, B_rows, sigma):
+    """K[i, j] = exp(-||a_i - b_j||^2 / sigma), straight from the definition."""
+    d = ((A_rows[:, None, :] - B_rows[None, :, :]) ** 2).sum(axis=-1)
+    return np.exp(-d / sigma)
+
+
+def brute_force_cv_means(X, sigmas, lambdas, splits, score):
+    """Mean held-out score at every (sigma, lambda) of a Gaussian-kernel sweep.
+
+    Each (sigma, lambda, fold) builds its own kernel matrices and solves
+    (K + n_tr * lambda * I) A = K_x with a dense ``np.linalg.solve``; no
+    decomposition is shared between grid points.  ``splits`` lists
+    (train, validation) index arrays; ``score(A, tr, va)`` returns one score
+    or a vector of them.  The result has shape
+    (len(sigmas), len(lambdas)) + the shape of a score.
+    """
+    X = np.asarray(X, dtype=float)
+    means = []
+    for sigma in sigmas:
+        row = []
+        for lam in lambdas:
+            fold_scores = []
+            for tr, va in splits:
+                K = gaussian_kernel_matrix(X[tr], X[tr], sigma)
+                Kx = gaussian_kernel_matrix(X[tr], X[va], sigma)
+                A = np.linalg.solve(K + tr.size * lam * np.eye(tr.size), Kx)
+                fold_scores.append(np.asarray(score(A, tr, va), dtype=float))
+            row.append(np.mean(fold_scores, axis=0))
+        means.append(row)
+    return np.array(means)
+
+
+def lowest_mean_then_larger_lambda(points):
+    """Scan (mean, lambda, choice) triples in order; keep the lowest mean, on
+    an exact tie the larger lambda, on a full tie the earlier point."""
+    best = None
+    for mean, lam, choice in points:
+        if best is None or mean < best[0] or (mean == best[0] and lam > best[1]):
+            best = (mean, lam, choice)
+    return best[2]

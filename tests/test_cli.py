@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from surrloss import cli
+from surrloss import cli, surrogate
 
 
 def _write_csv(path, header, rows):
@@ -109,3 +109,41 @@ def test_command_line_flag_overrides_config(tmp_path):
 def test_config_rejects_unknown_key(tmp_path):
     code, _ = _train_with_config(tmp_path, {"sigma": 7.5, "gamma": 2.0})
     assert code == cli.EXIT_USAGE
+
+
+def _refuse_fit(*args, **kwargs):
+    raise np.linalg.LinAlgError("not positive definite")
+
+
+def test_train_numerical_failure_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setattr(surrogate, "fit", _refuse_fit)
+    _write_csv(tmp_path / "train.csv", ["x0", "y"], [[0.0, 1.0], [1.0, 2.0]])
+    code = cli.main(["train", "--in", str(tmp_path / "train.csv"),
+                     "--out", str(tmp_path / "model.json"), "--kind", "scalar"])
+    assert code == cli.EXIT_NUMERICAL
+
+
+def test_cv_numerical_failure_exits_2(tmp_path, monkeypatch):
+    # cross_validate re-raises a fold's failure as a RuntimeError caused by it
+    monkeypatch.setattr(surrogate, "fit", _refuse_fit)
+    rng = np.random.default_rng(5)
+    _write_csv(tmp_path / "train.csv", ["x0", "y"], rng.uniform(-1, 1, size=(10, 2)).tolist())
+    code = cli.main(["cv", "--in", str(tmp_path / "train.csv"), "--kind", "scalar",
+                     "--out", str(tmp_path / "cv.json")])
+    assert code == cli.EXIT_NUMERICAL
+
+
+def test_check_consistency_fails_with_two_trials(tmp_path):
+    # with two seeds per sample size the median excess risk rises from n=25 to
+    # n=50 (0.058 to 0.067), so the non-increasing trend check fails
+    out = tmp_path / "report.json"
+    code = cli.main(["check", "consistency", "--trials", "2", "--seed", "0",
+                     "--out", str(out)])
+    assert code == cli.EXIT_CHECK_FAILED
+    assert json.loads(out.read_text(encoding="utf-8"))["pass"] is False
+
+
+def test_check_consistency_passes_at_default_trials(tmp_path):
+    out = tmp_path / "report.json"
+    assert cli.main(["check", "consistency", "--out", str(out)]) == cli.EXIT_OK
+    assert json.loads(out.read_text(encoding="utf-8"))["pass"] is True

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,21 @@ def test_solve_rejects_length_mismatch():
         kernels.solve_spd(f, np.ones(2))
 
 
+def test_solve_does_not_copy_the_factor():
+    n = 400
+    X = np.random.default_rng(9).normal(size=(n, 2))
+    f = kernels.factor_shifted(kernels.gram_matrix(kernels.gaussian(1.0), X), n * 1e-3)
+    b = np.ones(n)
+    kernels.solve_spd(f, b)
+    tracemalloc.start()
+    try:
+        kernels.solve_spd(f, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4
+
+
 def test_solve_residual_bound_random_systems():
     # 1000 random SPD systems of order <= 50
     rng = np.random.default_rng(7)
@@ -207,3 +224,36 @@ def test_gaussian_gram_spd_without_jitter():
             K = kernels.gram_matrix(kernels.gaussian(sigma), X)
             f = kernels.factor_shifted(K, 0.0)
             assert f.jitter == 0.0, f"jitter engaged at sigma={sigma}, n={n}"
+
+
+# ---------------------------------------------------------------------------
+# Spectral lambda-path
+
+def _ridge_path_problems():
+    """(K, KX) for Gaussian Grams over a bandwidth range and a rank-3 linear
+    Gram of order 40, on whose null space eigh returns eigenvalues just below 0."""
+    rng = np.random.default_rng(10)
+    specs = [kernels.gaussian(s) for s in (0.05, 0.5, 5.0)] + [kernels.linear()]
+    for spec in specs:
+        X, Xq = rng.normal(size=(40, 3)), rng.normal(size=(12, 3))
+        yield spec, kernels.gram_matrix(spec, X), kernels.cross_kernel_batch(spec, X, Xq)
+
+
+def test_ridge_path_matches_factor_and_solve():
+    for spec, K, KX in _ridge_path_problems():
+        n = K.shape[0]
+        shifts = [n * r for r in (1e-4, 1e-2, 1.0)]
+        path = list(kernels.ridge_path(K, KX, shifts))
+        assert len(path) == len(shifts)
+        for shift, A in zip(shifts, path):
+            ref = kernels.solve_spd(kernels.factor_shifted(K, shift), KX)
+            assert np.max(np.abs(A - ref)) <= 1e-9 * np.max(np.abs(ref)), (spec, shift)
+
+
+def test_ridge_path_rejects_bad_input():
+    K = np.eye(3)
+    for shifts in ([1.0, 0.0], [-1.0], [np.nan]):
+        with pytest.raises(ValueError):
+            list(kernels.ridge_path(K, np.ones((3, 2)), shifts))
+    with pytest.raises(ValueError):
+        list(kernels.ridge_path(np.ones((3, 2)), np.ones((3, 2)), [1.0]))
