@@ -1,14 +1,19 @@
 """Prediction step: minimize F(y) = sum_i alpha_i(x) * loss(y, y_i).
 
 Four output spaces are supported:
-  * Exhaustive       -- scan an explicit candidate list (finite sets).
+  * Exhaustive       -- finite candidate sets through one loss table: the
+                        loss is called once per (candidate, distinct training
+                        output) pair, and F for a whole batch of queries is
+                        one (C, U) @ (U, Q) product.
   * RankingFas       -- permutations, greedy feedback-arc-set heuristic.
   * ScalarGrid       -- bounded reals, uniform grid + golden-section polish.
   * SimplexHellinger -- histograms, closed-form square-root barycenter.
 
-Ties everywhere break to the lowest index so results are reproducible.
-All decoders are pure functions; batching over queries is embarrassingly
-parallel with per-query-deterministic results.
+Ties break to the lowest index.  All decoders are pure functions.  The
+batched routes sum F in a different order than the single-query ones (a
+matrix product instead of a running sum), so `predict_batch` and `predict`
+agree exactly except where two candidates' objectives lie within rounding
+of each other.
 """
 
 from dataclasses import dataclass
@@ -58,23 +63,43 @@ class SimplexHellinger:
     pass
 
 
-def decode_exhaustive(candidates, alphas, loss, y_train):
-    """Scan candidates for the minimizer of F; returns (candidate, F value)."""
+def decode_exhaustive_batch(candidates, A, loss, y_train):
+    """Minimize F over a finite candidate list for Q queries at once.
+
+    A is the (n, Q) matrix of per-query weights.  The training outputs are
+    grouped by value (keyed by `losses._hashable`); the loss is called once
+    per (candidate, distinct output) pair to fill a (C, U) table L, and A's
+    rows are summed per distinct output into B (U, Q), so F = L @ B.
+    Returns (indices (Q,), F values (Q,)); ties go to the lowest index.
+    """
     if len(candidates) == 0:
         raise ValueError("candidate list must be non-empty")
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.shape[0] != len(y_train):
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != len(y_train):
         raise ValueError("alpha / training-output length mismatch")
-    best_idx = 0
-    best_val = np.inf
+    slot, distinct, group = {}, [], []
+    for y in y_train:
+        key = losses._hashable(y)
+        if key not in slot:
+            slot[key] = len(distinct)
+            distinct.append(y)
+        group.append(slot[key])
+    L = np.empty((len(candidates), len(distinct)))
     for c_idx, cand in enumerate(candidates):
-        val = 0.0
-        for a, yi in zip(alphas, y_train):
-            val += a * loss(cand, yi)
-        if val < best_val:
-            best_val = val
-            best_idx = c_idx
-    return candidates[best_idx], float(best_val)
+        for u, y in enumerate(distinct):
+            L[c_idx, u] = loss(cand, y)
+    B = np.zeros((len(distinct), A.shape[1]))
+    np.add.at(B, np.asarray(group, dtype=np.intp), A)
+    F = L @ B
+    best = np.argmin(F, axis=0)
+    return best, F[best, np.arange(F.shape[1])]
+
+
+def decode_exhaustive(candidates, alphas, loss, y_train):
+    """Single-query exhaustive decode; returns (candidate, F value)."""
+    A = np.asarray(alphas, dtype=float)[:, None]
+    best, vals = decode_exhaustive_batch(candidates, A, loss, y_train)
+    return candidates[best[0]], float(vals[0])
 
 
 def aggregate_pair_costs(alphas, profiles):
@@ -307,8 +332,12 @@ def _decode_one(model, decoder, loss, a):
 
 
 def predict_batch(model, decoder, loss, Xq):
-    """Batched predict; identical per-query results to `predict`."""
+    """Batched predict; per-query results equal `predict`'s up to the
+    summation order of F (see the module docstring)."""
     A = surrogate.alpha_weights_batch(model, Xq)
+    if isinstance(decoder, Exhaustive):
+        best, _ = decode_exhaustive_batch(decoder.candidates, A, loss, model.Y)
+        return [decoder.candidates[c] for c in best]
     if isinstance(decoder, ScalarGrid):
         y = np.asarray(model.Y, dtype=float)
         pts, _ = decode_scalar_grid_batch(A, y, loss, decoder)

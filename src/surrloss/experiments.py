@@ -236,21 +236,25 @@ def gen_histogram_data(dim, n, seed, components=3, noise=0.05):
 
 
 def median_sq_dist(Y):
-    d = ((Y[:, None, :] - Y[None, :, :]) ** 2).sum(-1)
+    d = kernels.sq_distances(Y)
     vals = d[np.triu_indices_from(d, k=1)]
     med = float(np.median(vals))
     return med if med > 0 else 1.0
 
 
-def _gauss_output_kernel_matrix(A_rows, B_rows, sigma_y):
-    d = ((A_rows[:, None, :] - B_rows[None, :, :]) ** 2).sum(-1)
-    return np.exp(-d / sigma_y)
+def _gauss_output_kernel_matrix(Y, sigma_y):
+    return np.exp(-kernels.sq_distances(Y) / sigma_y)
 
 
-def _kde_decode_batch(A, Ytr, sigma_y):
+def _kde_decode_batch(A, Ytr, sigma_y, H=None):
     """Eq.-7-style decode over the training outputs: with a normalized output
-    kernel, argmin_c F(c) = argmax_c sum_i alpha_i h(c, y_i)."""
-    H = _gauss_output_kernel_matrix(Ytr, Ytr, sigma_y)
+    kernel, argmin_c F(c) = argmax_c sum_i alpha_i h(c, y_i).
+
+    H, when given, must be `_gauss_output_kernel_matrix(Ytr, sigma_y)`; it
+    depends only on the training outputs, so a CV fold builds it once.
+    """
+    if H is None:
+        H = _gauss_output_kernel_matrix(Ytr, sigma_y)
     scores = H @ A  # (candidates, Q)
     return Ytr[np.argmax(scores, axis=0)]
 
@@ -272,26 +276,29 @@ def _histogram_cv(Xtr, Ytr, sigmas, lambdas, folds, seed, sigma_y):
     For each (sigma, fold) the Gram matrix and cross kernel are built once and
     every lambda's held-out weights come from `kernels.ridge_path`; each A is
     decoded and scored by both methods: the Hellinger decoder under squared
-    Hellinger, the KDE decode under the Gaussian output-kernel loss.
+    Hellinger, the KDE decode under the Gaussian output-kernel loss.  The KDE
+    decode's output-kernel matrix depends only on the fold, so it is built
+    once per fold.
     Selection follows `model_selection.select_best` in (sigma, lambda) order.
 
     Returns {"hellinger": (sigma, lambda), "kde": (sigma, lambda)}.
     """
     fold_idx = model_selection.kfold_split(Xtr.shape[0], folds, seed)
     all_idx = np.arange(Xtr.shape[0])
+    splits = [(np.setdiff1d(all_idx, va), va) for va in fold_idx]
+    output_grams = [_gauss_output_kernel_matrix(Ytr[tr], sigma_y) for tr, _ in splits]
     scores = {method: np.zeros((len(sigmas), len(lambdas), folds))
               for method in ("hellinger", "kde")}
     for si, sigma in enumerate(sigmas):
         kernel = kernels.gaussian(sigma)
-        for fi, va in enumerate(fold_idx):
-            tr = np.setdiff1d(all_idx, va)
+        for fi, (tr, va) in enumerate(splits):
             K = kernels.gram_matrix(kernel, Xtr[tr])
             KX = kernels.cross_kernel_batch(kernel, Xtr[tr], Xtr[va])
             path = kernels.ridge_path(K, KX, [tr.size * lam for lam in lambdas])
             for li, A in enumerate(path):
                 preds = decoders.decode_simplex_hellinger_batch(A, Ytr[tr])
                 scores["hellinger"][si, li, fi] = _mean_hellinger(preds, Ytr[va])
-                preds = _kde_decode_batch(A, Ytr[tr], sigma_y)
+                preds = _kde_decode_batch(A, Ytr[tr], sigma_y, H=output_grams[fi])
                 scores["kde"][si, li, fi] = _mean_gauss_loss(preds, Ytr[va], sigma_y)
     return {
         method: model_selection.select_best(

@@ -89,6 +89,35 @@ def _as_input_matrix(X):
     return X
 
 
+def sq_distances(X, Z=None):
+    """(n, m) matrix of ||x_i - z_j||^2 for the rows of X (n, d) and Z (m, d).
+
+    Computed in the GEMM form ||x||^2 + ||z||^2 - 2 X Z^T and clamped at 0, so
+    memory stays O(n m): no (n, m, d) difference tensor.  With Z omitted,
+    Z = X and the diagonal is exactly 0.
+    """
+    X = np.asarray(X, dtype=float)
+    xx = np.einsum("ij,ij->i", X, X)
+    if Z is None:
+        D, zz = X @ X.T, xx
+    else:
+        Z = np.asarray(Z, dtype=float)
+        D, zz = X @ Z.T, np.einsum("ij,ij->i", Z, Z)
+    D *= -2.0
+    D += xx[:, None]
+    D += zz[None, :]
+    np.maximum(D, 0.0, out=D)
+    if Z is None:
+        np.fill_diagonal(D, 0.0)
+    return D
+
+
+def _mirror_lower(K):
+    """Copy K's lower triangle onto its upper one, in place: exactly symmetric."""
+    np.copyto(K, K.T, where=np.tri(K.shape[0], k=-1, dtype=bool).T)
+    return K
+
+
 def gram_matrix(spec, X):
     """n x n matrix K[i, j] = k(x_i, x_j), exactly symmetric by construction."""
     if spec.kind == "precomputed":
@@ -99,15 +128,11 @@ def gram_matrix(spec, X):
         return 0.5 * (K + K.T)
     X = _as_input_matrix(X)
     if spec.kind == "linear":
-        K = X @ X.T
-        lower = np.tril(K)
-        return lower + np.tril(K, -1).T
-    sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=-1)
-    K = np.exp(-sq / spec.sigma)
-    lower = np.tril(K)
-    K = lower + np.tril(K, -1).T
-    np.fill_diagonal(K, 1.0)
-    return K
+        return _mirror_lower(X @ X.T)
+    # The zero diagonal of sq_distances makes the unit diagonal exact: exp(-0) = 1.
+    K = sq_distances(X)
+    K /= -spec.sigma
+    return _mirror_lower(np.exp(K, out=K))
 
 
 def cross_kernel(spec, X, x):
@@ -137,8 +162,9 @@ def cross_kernel_batch(spec, X, Xq):
         raise ValueError(f"query dimension {Xq.shape[1]} != training dimension {X.shape[1]}")
     if spec.kind == "linear":
         return X @ Xq.T
-    sq = ((X[:, None, :] - Xq[None, :, :]) ** 2).sum(axis=-1)
-    return np.exp(-sq / spec.sigma)
+    K = sq_distances(X, Xq)
+    K /= -spec.sigma
+    return np.exp(K, out=K)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,84 @@ def test_exhaustive_rejects_empty():
         decoders.decode_exhaustive([], np.array([1.0]), losses.ZeroOne(), [0])
 
 
+def _table_decode_problems(rng):
+    """(candidates, loss, y_train) with duplicated training outputs and
+    candidates absent from training: labels, then simplex rows (arrays)."""
+    labels = list(range(7))
+    y_train = [int(v) for v in rng.integers(0, 4, size=30)]
+    yield labels, losses.ZeroOne(), y_train
+    pool = rng.dirichlet(np.ones(4), size=5)
+    y_rows = pool[rng.integers(0, 3, size=20)]
+    yield [pool[k] for k in range(5)], losses.SquaredHellinger(), y_rows
+
+
+@pytest.mark.parametrize("queries", [1, 7])
+def test_exhaustive_batch_matches_scan_oracle_per_column(queries):
+    rng = np.random.default_rng(30 + queries)
+    for _ in range(10):
+        for candidates, loss, y_train in _table_decode_problems(rng):
+            A = rng.normal(size=(len(y_train), queries))
+            best, vals = decoders.decode_exhaustive_batch(candidates, A, loss, y_train)
+            assert best.shape == vals.shape == (queries,)
+            for q in range(queries):
+                idx, val = _oracles.scan_minimum(candidates, A[:, q], loss, y_train)
+                assert best[q] == idx
+                assert vals[q] == pytest.approx(val, abs=1e-12)
+
+
+def test_exhaustive_batch_ties_go_to_lowest_index():
+    # "b" and "c" never occur in training, so they tie with every other absent label
+    A = np.array([[1.0, 1.0], [1.0, -1.0]])
+    best, vals = decoders.decode_exhaustive_batch(["c", "b", "a"], A, losses.ZeroOne(),
+                                                  ["a", "a"])
+    np.testing.assert_array_equal(best, [2, 0])
+    np.testing.assert_array_equal(vals, [0.0, 0.0])
+    # equal weight on two present labels: an exact tie between them
+    for cands in (["x", "y"], ["y", "x"]):
+        best, _ = decoders.decode_exhaustive_batch(cands, np.ones((2, 1)), losses.ZeroOne(),
+                                                   ["x", "y"])
+        assert best[0] == 0
+
+
+def test_exhaustive_batch_validating_loss_still_raises():
+    loss = losses.ZeroOne(["a", "b"])
+    A = np.ones((3, 2))
+    with pytest.raises(ValueError):
+        decoders.decode_exhaustive_batch(["a", "b"], A, loss, ["a", "z", "b"])
+    with pytest.raises(ValueError):
+        decoders.decode_exhaustive_batch(["a", "q"], A, loss, ["a", "a", "b"])
+    with pytest.raises(ValueError):
+        decoders.decode_exhaustive_batch(["a", "b"], np.ones((2, 2)), loss, ["a", "a", "b"])
+    with pytest.raises(ValueError):
+        decoders.decode_exhaustive_batch([], A, loss, ["a", "a", "b"])
+
+
+def test_exhaustive_batch_calls_the_loss_once_per_distinct_pair():
+    calls = []
+
+    def counting(y, y2):
+        calls.append((y, y2))
+        return losses.zero_one(y, y2)
+
+    rng = np.random.default_rng(33)
+    y_train = [int(v) for v in rng.integers(0, 4, size=50)]
+    candidates = list(range(6))
+    decoders.decode_exhaustive_batch(candidates, rng.normal(size=(50, 5)), counting, y_train)
+    assert len(calls) == len(candidates) * len(set(y_train))
+    assert len(set(calls)) == len(calls)
+
+
+def test_predict_batch_matches_predict_exhaustive():
+    rng = np.random.default_rng(34)
+    X = rng.normal(size=(40, 3))
+    Y = [f"c{k}" for k in rng.integers(0, 4, size=40)]
+    model = surrogate.fit(X, Y, kernels.gaussian(2.0), 1e-2)
+    dec = decoders.Exhaustive(sorted(set(Y)) + ["never"])
+    Q = rng.normal(size=(25, 3))
+    batch = decoders.predict_batch(model, dec, losses.ZeroOne(), Q)
+    assert batch == [decoders.predict(model, dec, losses.ZeroOne(), x) for x in Q]
+
+
 # ---------------------------------------------------------------------------
 # FAS ranking decoder
 

@@ -125,6 +125,54 @@ def test_cross_kernel_batch_matches_single():
                                        atol=1e-15)
 
 
+def _offset_rows_with_duplicates(rng, n, d):
+    """Rows far from the origin, every third one repeated, so the GEMM form
+    cancels large norms and rounds below 0 before the clamp."""
+    X = 1e3 + rng.normal(size=(n, d))
+    X[::3] = X[0]
+    return X
+
+
+def test_sq_distances_nonnegative_and_match_direct_differences():
+    rng = np.random.default_rng(40)
+    Xo = _offset_rows_with_duplicates(rng, 20, 8)
+    for X, Z in ((_offset_rows_with_duplicates(rng, 30, 4), None),
+                 (rng.normal(size=(25, 5)), rng.normal(size=(9, 5))),
+                 (Xo, Xo[::2].copy())):
+        D = kernels.sq_distances(X, Z)
+        Zr = X if Z is None else Z
+        direct = ((X[:, None, :] - Zr[None, :, :]) ** 2).sum(axis=-1)
+        scale = (X * X).sum(axis=1)[:, None] + (Zr * Zr).sum(axis=1)[None, :]
+        assert D.shape == direct.shape
+        assert np.all(D >= 0.0)
+        assert np.all(np.abs(D - direct) <= 1e-12 * scale)
+    np.testing.assert_array_equal(np.diag(kernels.sq_distances(Xo)), np.zeros(20))
+
+
+def test_gram_of_near_duplicate_rows_stays_symmetric_with_unit_diagonal():
+    X = _offset_rows_with_duplicates(np.random.default_rng(41), 40, 3)
+    for spec in (kernels.gaussian(0.5), kernels.gaussian(50.0)):
+        K = kernels.gram_matrix(spec, X)
+        assert np.array_equal(K, K.T)
+        np.testing.assert_array_equal(np.diag(K), np.ones(40))
+        assert np.all((K > 0.0) & (K <= 1.0))
+
+
+def test_gaussian_gram_builds_no_difference_tensor():
+    n, d = 400, 64
+    X = np.random.default_rng(42).normal(size=(n, d))
+    spec = kernels.gaussian(float(d))
+    kernels.gram_matrix(spec, X)
+    tracemalloc.start()
+    try:
+        kernels.gram_matrix(spec, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (n, n, d) difference tensor alone would be n * n * d * 8 = 82 MB
+    assert peak < 4 * n * n * 8
+
+
 # ---------------------------------------------------------------------------
 # SPD factorization and solves
 
