@@ -5,11 +5,17 @@ Four output spaces are supported:
                         loss is called once per (candidate, distinct training
                         output) pair, and F for a whole batch of queries is
                         one (C, U) @ (U, Q) product.
-  * RankingFas       -- permutations, greedy feedback-arc-set heuristic.
+  * RankingFas       -- permutations, greedy feedback-arc-set peel, guarded
+                        by the rating sorts of the training profiles: the
+                        peel and the T sorts are scored in one (T+1, M*M)
+                        product with the aggregated pair costs.
   * ScalarGrid       -- bounded reals, uniform grid + golden-section polish.
   * SimplexHellinger -- histograms, closed-form square-root barycenter.
 
-Ties break to the lowest index.  All decoders are pure functions.  The
+Ties break to the lowest index (for RankingFas: the peel first, then the
+lowest training index).  All decoders are pure functions.  RankingFas and
+SimplexHellinger minimise one fixed loss in closed form, so `predict` and
+`predict_batch` reject any other loss given with them.  The
 batched routes sum F in a different order than the single-query ones (a
 matrix product instead of a running sum), so `predict_batch` and `predict`
 agree exactly except where two candidates' objectives lie within rounding
@@ -114,8 +120,7 @@ def aggregate_pair_costs(alphas, profiles):
         raise ValueError("profiles must be a (T, M) array")
     if profiles.shape[0] != alphas.shape[0]:
         raise ValueError("alpha / profile count mismatch")
-    gains = np.maximum(profiles[:, None, :] - profiles[:, :, None], 0.0)
-    return np.einsum("t,tij->ij", alphas, gains)
+    return np.einsum("t,tij->ij", alphas, losses.rank_gain_matrix(profiles))
 
 
 def ranking_objective(W, ranks):
@@ -124,42 +129,41 @@ def ranking_objective(W, ranks):
 
 
 def _order_to_ranks(order):
-    m = order.shape[0]
-    ranks = np.empty(m, dtype=np.int64)
-    ranks[order] = np.arange(1, m + 1)
+    """Rank vectors (1 = first) of the orders along the last axis."""
+    order = np.asarray(order)
+    ranks = np.empty(order.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, np.arange(1, order.shape[-1] + 1), axis=-1)
     return ranks
 
 
 def profile_sort_ranks(ratings):
-    """Rank vector of the descending rating sort (stable, low index on ties)."""
-    order = np.argsort(-np.asarray(ratings, dtype=float), kind="stable")
+    """Rank vector of the descending rating sort (stable, low index on ties);
+    for a (T, M) stack of profiles, the (T, M) rank vectors of their sorts."""
+    order = np.argsort(-np.asarray(ratings, dtype=float), axis=-1, kind="stable")
     return _order_to_ranks(order)
 
 
 def decode_ranking_fas(alphas, profiles, items):
-    """Greedy source/sink peeling on the net-cost tournament.
+    """Greedy source/sink peeling on the net-cost tournament, guarded by the
+    rating sorts of the training profiles.
 
     The peel extracts, among remaining items, the one whose net cost of being
-    ranked next is lowest (lowest index on ties).  The heuristic result is
-    guarded against the rating sort of every training profile: the returned
-    permutation is the best of those candidates, so its objective never
-    exceeds the best single training profile's sort.
+    ranked next is lowest (lowest index on ties).  The guard scores the peel
+    and the sort of every training profile at once: row c of the
+    (T+1, M*M) step-matrix stack (`losses.rank_step_rows`), the peel in
+    row 0, times the flattened pair costs W, summed along the row.  That sum
+    is `ranking_objective`'s, bit for bit, so the first minimum wins exactly
+    as in a sequential strict-< scan: the peel on exact ties, then the lowest
+    training index.  The objective never exceeds the best training sort's.
     """
     profiles = np.asarray(profiles, dtype=float)
     if profiles.ndim != 2 or profiles.shape[1] != items:
         raise ValueError(f"profiles must be (T, {items})")
     W = aggregate_pair_costs(alphas, profiles)
-    net = W - W.T
-    order = accel.fas_peel(net)
-    best = _order_to_ranks(np.asarray(order))
-    best_val = ranking_objective(W, best)
-    for t in range(profiles.shape[0]):
-        cand = profile_sort_ranks(profiles[t])
-        val = ranking_objective(W, cand)
-        if val < best_val:
-            best_val = val
-            best = cand
-    return best
+    order = accel.fas_peel(W - W.T)
+    cands = np.vstack([_order_to_ranks(order), profile_sort_ranks(profiles)])
+    F = (losses.rank_step_rows(cands) * W.ravel()).sum(axis=1)
+    return cands[int(np.argmin(F))]
 
 
 def _pointwise(loss, p, y):
@@ -303,8 +307,21 @@ def decode_simplex_hellinger_batch(A, y_train):
     return out
 
 
+def _check_loss(decoder, loss):
+    """RankingFas and SimplexHellinger never call the loss: each minimises one
+    fixed loss in closed form, so any other loss is rejected, not ignored."""
+    if isinstance(decoder, RankingFas) and not (
+            isinstance(loss, losses.RankLoss) and not loss.normalize):
+        raise ValueError("the ranking decoder minimises RankLoss(normalize=False), "
+                         f"not {type(loss).__name__}")
+    if isinstance(decoder, SimplexHellinger) and not isinstance(loss, losses.SquaredHellinger):
+        raise ValueError("the simplex decoder minimises SquaredHellinger, "
+                         f"not {type(loss).__name__}")
+
+
 def predict(model, decoder, loss, x):
     """Compose alpha weights with the decoder matching the output space."""
+    _check_loss(decoder, loss)
     a = surrogate.alpha_weights(model, x).weights
     return _decode_one(model, decoder, loss, a)
 
@@ -334,6 +351,7 @@ def _decode_one(model, decoder, loss, a):
 def predict_batch(model, decoder, loss, Xq):
     """Batched predict; per-query results equal `predict`'s up to the
     summation order of F (see the module docstring)."""
+    _check_loss(decoder, loss)
     A = surrogate.alpha_weights_batch(model, Xq)
     if isinstance(decoder, Exhaustive):
         best, _ = decode_exhaustive_batch(decoder.candidates, A, loss, model.Y)

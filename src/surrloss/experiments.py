@@ -169,16 +169,15 @@ def gen_ranking_data(items, n, seed, dim=4, noise=0.5):
 
 
 def _best_training_sort(train_profiles):
-    """The single training profile whose rating sort has the lowest mean
-    normalized rank loss over the training profiles."""
-    best_ranks, best_val = None, np.inf
-    for t in range(train_profiles.shape[0]):
-        ranks = decoders.profile_sort_ranks(train_profiles[t])
-        val = np.mean([losses.rank_loss(ranks, pr, normalize=True)
-                       for pr in train_profiles])
-        if val < best_val:
-            best_val, best_ranks = val, ranks
-    return best_ranks
+    """The rating sort of a training profile with the lowest mean normalized
+    rank loss over the training profiles; exact ties go to the lowest index.
+
+    Every sort is scored against every profile in one (T, T) table
+    (`losses.rank_loss_matrix`), whose row means are the candidates' scores.
+    """
+    sorts = decoders.profile_sort_ranks(train_profiles)
+    means = losses.rank_loss_matrix(sorts, train_profiles, normalize=True).mean(axis=1)
+    return sorts[int(np.argmin(means))]
 
 
 def run_ranking_experiment(items=8, n_train=80, n_test=40, repetitions=5, seed0=0,
@@ -203,8 +202,8 @@ def run_ranking_experiment(items=8, n_train=80, n_test=40, repetitions=5, seed0=
         alg_vals.append(float(np.mean([losses.rank_loss(pr, true, normalize=True)
                                        for pr, true in zip(preds, Rte)])))
         base = _best_training_sort(Rtr)
-        base_vals.append(float(np.mean([losses.rank_loss(base, true, normalize=True)
-                                        for true in Rte])))
+        base_vals.append(float(np.mean(
+            losses.rank_loss_matrix(base[None], Rte, normalize=True)[0])))
     elapsed = time.perf_counter() - t0
     return [
         ExperimentResult("alg1_fas", n_train, float(np.mean(alg_vals)),
@@ -260,8 +259,7 @@ def _kde_decode_batch(A, Ytr, sigma_y, H=None):
 
 
 def _mean_hellinger(preds, truth):
-    hell = losses.SquaredHellinger()
-    return float(np.mean([hell(p, t) for p, t in zip(preds, truth)]))
+    return float(np.mean(losses.squared_hellinger_rows(preds, truth)))
 
 
 def _mean_gauss_loss(preds, truth, sigma_y):

@@ -3,7 +3,9 @@
 Every loss here admits a bilinear form <psi(y), V psi(y')> over some embedding
 of the output space; for finite output sets that embedding is explicit
 (canonical basis, V = pairwise loss table) and `build_finite_embedding`
-constructs it.
+constructs it.  For the rank loss psi(y) is the flattened step matrix of a
+rank vector (`rank_step_rows`), paired with a profile's flattened gains, so
+`rank_loss_matrix` tabulates C rank vectors against T profiles as one product.
 
 Rank-loss conventions (the literature leaves both open):
   * ranks: y[i] is the rank of item i, 1 = best; sign(0) = 0, so tied ranks
@@ -36,6 +38,21 @@ def _check_simplex(y, name):
     return y / s
 
 
+def _check_simplex_rows(Y, name):
+    """`_check_simplex` for every row of a (Q, d) array at once."""
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2:
+        raise ValueError(f"{name} must be a (Q, d) array")
+    if np.any(Y < 0):
+        raise ValueError(f"{name} has negative entries")
+    s = Y.sum(axis=1)
+    off = np.abs(s - 1.0) > SIMPLEX_ATOL
+    if np.any(off):
+        q = int(np.argmax(off))
+        raise ValueError(f"{name} row {q} sums to {s[q]}, not 1 within {SIMPLEX_ATOL}")
+    return Y / s[:, None]
+
+
 def squared_hellinger(y, y2):
     """sum_i (sqrt(y_i) - sqrt(y2_i))^2 on the simplex; range [0, 2]."""
     y = _check_simplex(y, "y")
@@ -43,6 +60,16 @@ def squared_hellinger(y, y2):
     if y.shape != y2.shape:
         raise ValueError("histogram dimensions differ")
     return float(((np.sqrt(y) - np.sqrt(y2)) ** 2).sum())
+
+
+def squared_hellinger_rows(P, Y):
+    """squared_hellinger(P[q], Y[q]) for every row pair of two (Q, d) arrays,
+    as one (Q,) vector; each row is checked and renormalised as there."""
+    P = _check_simplex_rows(P, "predictions")
+    Y = _check_simplex_rows(Y, "targets")
+    if P.shape != Y.shape:
+        raise ValueError("histogram arrays differ in shape")
+    return ((np.sqrt(P) - np.sqrt(Y)) ** 2).sum(axis=1)
 
 
 def chi_square(y, y2):
@@ -79,13 +106,14 @@ def kde_loss(h, y, y2):
 
 
 def rank_gain_matrix(ratings):
-    """gains[i, j] = max(0, r_j - r_i) for a rating profile r."""
+    """gains[t, i, j] = max(0, r_tj - r_ti) for a (T, M) stack of rating
+    profiles r_t."""
     ratings = np.asarray(ratings, dtype=float)
-    if ratings.ndim != 1 or ratings.shape[0] < 2:
-        raise ValueError("rating profile must be a vector of length >= 2")
+    if ratings.ndim != 2 or ratings.shape[1] < 2:
+        raise ValueError("rating profiles must be a (T, M) array with M >= 2")
     if not np.all(np.isfinite(ratings)):
         raise ValueError("ratings must be finite")
-    return np.maximum(ratings[None, :] - ratings[:, None], 0.0)
+    return np.maximum(ratings[:, None, :] - ratings[:, :, None], 0.0)
 
 
 def rank_pair_sum(gains, ranks):
@@ -93,33 +121,56 @@ def rank_pair_sum(gains, ranks):
 
     Pairs ranked i above j pay gains[i, j]; tied ranks pay half.
     """
-    step = 0.5 * (1.0 - np.sign(ranks[:, None] - ranks[None, :]))
-    return float((gains * step).sum())
+    return float((np.ravel(gains) * rank_step_rows(ranks[None])[0]).sum())
 
 
-def check_permutation(ranks, m=None):
+def rank_step_rows(ranks):
+    """The step matrices (1 - sign(r_i - r_j)) / 2 of a (C, M) stack of rank
+    vectors, each flattened to a row of the (C, M*M) result.
+
+    This is the embedding psi of the rank loss: the loss of rank vector c
+    against a profile is the inner product of its row with the profile's
+    flattened gains.
+    """
     ranks = np.asarray(ranks, dtype=np.int64)
-    if ranks.ndim != 1:
-        raise ValueError("rank vector must be 1-d")
-    if m is not None and ranks.shape[0] != m:
-        raise ValueError(f"rank vector has length {ranks.shape[0]}, expected {m}")
-    if not np.array_equal(np.sort(ranks), np.arange(1, ranks.shape[0] + 1)):
-        raise ValueError("rank vector is not a permutation of 1..M")
-    return ranks
+    step = 0.5 * (1.0 - np.sign(ranks[:, :, None] - ranks[:, None, :]))
+    return step.reshape(ranks.shape[0], ranks.shape[1] ** 2)
 
 
 def rank_loss(ranks, ratings, normalize=False):
     """Pairwise ranking loss of a rank vector against a rating profile."""
+    ranks = np.asarray(ranks)
     ratings = np.asarray(ratings, dtype=float)
-    ranks = check_permutation(ranks, ratings.shape[0])
-    gains = rank_gain_matrix(ratings)
-    total = rank_pair_sum(gains, ranks)
+    if ranks.ndim != 1 or ratings.ndim != 1:
+        raise ValueError("rank vector and rating profile must be 1-d")
+    return float(rank_loss_matrix(ranks[None], ratings[None], normalize)[0, 0])
+
+
+def rank_loss_matrix(ranks, ratings, normalize=False):
+    """(C, T) table of the rank loss of rank vector ranks[c] against rating
+    profile ratings[t]; `rank_loss` is its 1 x 1 case.
+
+    One GEMM of the flattened step matrices of the C rank vectors against the
+    flattened gains of the T profiles; the normalized form divides column t
+    by profile t's gain mass (0/0 -> 0).  Every row of `ranks` must be a
+    permutation of 1..M, the ratings finite and M >= 2.  With integer
+    ratings every entry is exact.
+    """
+    ranks = np.asarray(ranks, dtype=np.int64)
+    ratings = np.asarray(ratings, dtype=float)
+    if ranks.ndim != 2 or ratings.ndim != 2:
+        raise ValueError("ranks must be a (C, M) and ratings a (T, M) array")
+    m = ratings.shape[1]
+    gains = rank_gain_matrix(ratings).reshape(ratings.shape[0], m * m)
+    if ranks.shape[1] != m:
+        raise ValueError(f"rank vectors have length {ranks.shape[1]}, expected {m}")
+    if not (np.sort(ranks, axis=1) == np.arange(1, m + 1)).all():
+        raise ValueError("a rank vector is not a permutation of 1..M")
+    table = rank_step_rows(ranks) @ gains.T
     if not normalize:
-        return total
-    mass = float(gains.sum())
-    if mass == 0.0:
-        return 0.0
-    return total / mass
+        return table
+    mass = gains.sum(axis=1)
+    return np.divide(table, mass, out=np.zeros_like(table), where=mass > 0.0)
 
 
 class Cauchy:

@@ -145,11 +145,6 @@ def check_comparison(p, loss, g, tol=1e-9):
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs + tol)}
 
 
-def enumerate_all_predictors(p):
-    """Every map X -> Y; exponential, for tiny problems only."""
-    return itertools.product(p.ys, repeat=len(p.xs))
-
-
 # ---------------------------------------------------------------------------
 # Classification equivalence: the least-squares classifier argmax_i ghat_i(x)
 # equals the decoded predictor for the misclassification loss (V = ones - I),
@@ -235,14 +230,9 @@ def rank_loss_table(items):
     """The ranking loss restricted to all permutations of `items` items,
     tabulated as a finite loss; the second argument's ratings are read off
     its ranks (rank 1 -> rating `items`)."""
-    perms = [tuple(pm) for pm in itertools.permutations(range(1, items + 1))]
-    rl = losses.RankLoss()
-    table = np.empty((len(perms), len(perms)))
-    for j, target in enumerate(perms):
-        ratings = np.array([items + 1 - r for r in target], dtype=float)
-        for i, cand in enumerate(perms):
-            table[i, j] = rl(np.array(cand), ratings)
-    return losses.FiniteTable(perms, table)
+    perms = np.array(list(itertools.permutations(range(1, items + 1))), dtype=np.int64)
+    table = losses.rank_loss_matrix(perms, items + 1 - perms)
+    return losses.FiniteTable([tuple(pm) for pm in perms.tolist()], table)
 
 
 def random_table_loss(rng, labels):

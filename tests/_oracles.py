@@ -48,6 +48,32 @@ def rank_loss_double_loop(ranks, ratings):
     return total
 
 
+def descending_sort_ranks(ratings):
+    """Ranks (1 = best) of the stable descending sort: equal ratings keep
+    their index order."""
+    order = sorted(range(len(ratings)), key=lambda i: -ratings[i])
+    ranks = [0] * len(ratings)
+    for pos, i in enumerate(order):
+        ranks[i] = pos + 1
+    return np.array(ranks, dtype=np.int64)
+
+
+def guarded_ranking_scan(peel_ranks, alphas, profiles):
+    """The guarded ranking rule by sequential scan: start from the peel, then
+    take a training profile's sort only if its objective
+    sum_t alpha_t * rank_loss_double_loop(., profile_t) is strictly lower."""
+    def objective(ranks):
+        return sum(a * rank_loss_double_loop(ranks, pr) for a, pr in zip(alphas, profiles))
+
+    best, best_val = np.asarray(peel_ranks), objective(peel_ranks)
+    for pr in profiles:
+        cand = descending_sort_ranks(pr)
+        val = objective(cand)
+        if val < best_val:
+            best, best_val = cand, val
+    return best
+
+
 def weighted_objective(y, alphas, loss, y_train):
     return sum(a * loss(y, yt) for a, yt in zip(alphas, y_train))
 

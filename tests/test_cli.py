@@ -147,3 +147,20 @@ def test_check_consistency_passes_at_default_trials(tmp_path):
     out = tmp_path / "report.json"
     assert cli.main(["check", "consistency", "--out", str(out)]) == cli.EXIT_OK
     assert json.loads(out.read_text(encoding="utf-8"))["pass"] is True
+
+
+@pytest.mark.parametrize("kind, loss", [("ratings", "squared"), ("ratings", "absolute"),
+                                        ("simplex", "squared")])
+def test_predict_with_a_loss_the_decoder_ignores_is_usage_error(tmp_path, kind, loss):
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(10, 2))
+    t_header, t_rows = _targets(kind, rng, 8)
+    _write_csv(tmp_path / "train.csv", ["x0", "x1"] + t_header,
+               [list(x) + t for x, t in zip(X[:8].tolist(), t_rows)])
+    _write_csv(tmp_path / "query.csv", ["x0", "x1"], X[8:].tolist())
+    model, preds = tmp_path / "model.json", tmp_path / "preds.csv"
+    assert cli.main(["train", "--in", str(tmp_path / "train.csv"), "--out", str(model),
+                     "--kind", kind]) == cli.EXIT_OK
+    assert cli.main(["predict", "--model", str(model), "--in", str(tmp_path / "query.csv"),
+                     "--out", str(preds), "--loss", loss]) == cli.EXIT_USAGE
+    assert not preds.exists()

@@ -207,6 +207,111 @@ def test_fas_rejects_inconsistent_items():
         decoders.decode_ranking_fas(np.array([1.0]), np.array([[1.0, 2.0]]), 3)
 
 
+def _ranking_instances(rng, count, integer):
+    for _ in range(count):
+        m = int(rng.integers(2, 9))
+        t = int(rng.integers(1, 13))
+        if integer:
+            profiles = rng.integers(1, 6, size=(t, m)).astype(float)
+            alphas = rng.integers(-3, 4, size=t).astype(float)
+        else:
+            profiles = rng.uniform(1, 5, size=(t, m))
+            alphas = rng.normal(size=t)
+        yield alphas, profiles, m
+
+
+def _peel_ranks(order):
+    ranks = np.empty(len(order), dtype=np.int64)
+    ranks[np.asarray(order)] = np.arange(1, len(order) + 1)
+    return ranks
+
+
+def _patch_peel(monkeypatch, peel):
+    """Make the decoder's peel return `peel(net)`; returns the list of the
+    orders it handed out."""
+    seen = []
+
+    def patched(net):
+        seen.append(np.asarray(peel(net), dtype=np.int64))
+        return seen[-1]
+
+    monkeypatch.setattr(decoders.accel, "fas_peel", patched)
+    return seen
+
+
+def test_fas_guard_replaces_a_poor_peel_by_the_first_best_training_sort(monkeypatch):
+    # The real peel has never lost to a training sort in random instances, so
+    # the guard is exercised by handing the decoder the reversed peel.  Integer
+    # ratings and weights keep every objective exact on both sides.
+    real = decoders.accel.fas_peel
+    seen = _patch_peel(monkeypatch, lambda net: real(net)[::-1].copy())
+    rng = np.random.default_rng(40)
+    guard_wins = 0
+    for alphas, profiles, m in _ranking_instances(rng, 150, integer=True):
+        got = decoders.decode_ranking_fas(alphas, profiles, m)
+        peel = _peel_ranks(seen[-1])
+        np.testing.assert_array_equal(
+            got, _oracles.guarded_ranking_scan(peel, alphas, profiles))
+        guard_wins += not np.array_equal(got, peel)
+    assert guard_wins > 50
+
+
+def test_fas_guard_peel_wins_exact_ties(monkeypatch):
+    # Items 0 and 1 share a rating, so ranking them either way costs the same:
+    # the peel [2, 1, 3] ties with the profile's sort [1, 2, 3] and is kept.
+    profiles = np.array([[5.0, 5.0, 1.0]])
+    _patch_peel(monkeypatch, lambda net: [1, 0, 2])
+    np.testing.assert_array_equal(
+        decoders.decode_ranking_fas(np.array([1.0]), profiles, 3), [2, 1, 3])
+    # A peel equal to a training sort comes back unchanged.
+    _patch_peel(monkeypatch, lambda net: [0, 1, 2])
+    np.testing.assert_array_equal(
+        decoders.decode_ranking_fas(np.array([1.0]), profiles, 3), [1, 2, 3])
+
+
+def test_fas_guard_ties_between_training_sorts_go_to_the_lowest_index(monkeypatch):
+    # Both profiles' sorts, [1, 2, 3] and [2, 1, 3], cost 0 under the weighted
+    # objective (only profile 0 has weight); the peel [3, 2, 1] costs more.
+    profiles = np.array([[5.0, 5.0, 1.0], [4.0, 5.0, 1.0]])
+    _patch_peel(monkeypatch, lambda net: [2, 1, 0])
+    got = decoders.decode_ranking_fas(np.array([1.0, 0.0]), profiles, 3)
+    np.testing.assert_array_equal(got, [1, 2, 3])
+
+
+def _sequential_guard(alphas, profiles, peel_order):
+    """The guard as a per-profile loop over `ranking_objective`."""
+    W = decoders.aggregate_pair_costs(alphas, profiles)
+    best = _peel_ranks(peel_order)
+    best_val = decoders.ranking_objective(W, best)
+    for t in range(profiles.shape[0]):
+        cand = decoders.profile_sort_ranks(profiles[t])
+        val = decoders.ranking_objective(W, cand)
+        if val < best_val:
+            best, best_val = cand, val
+    return best
+
+
+@pytest.mark.parametrize("integer", [True, False])
+@pytest.mark.parametrize("reverse_peel", [False, True])
+def test_fas_guard_matches_a_sequential_objective_scan(monkeypatch, integer, reverse_peel):
+    real = decoders.accel.fas_peel
+    peel = (lambda net: real(net)[::-1].copy()) if reverse_peel else real
+    seen = _patch_peel(monkeypatch, peel)
+    rng = np.random.default_rng(41 + 2 * integer + reverse_peel)
+    for alphas, profiles, m in _ranking_instances(rng, 300, integer):
+        got = decoders.decode_ranking_fas(alphas, profiles, m)
+        np.testing.assert_array_equal(got, _sequential_guard(alphas, profiles, seen[-1]))
+
+
+def test_profile_sort_ranks_of_a_stack_are_the_rows_sorts():
+    rng = np.random.default_rng(42)
+    profiles = rng.integers(1, 4, size=(20, 6)).astype(float)
+    stacked = decoders.profile_sort_ranks(profiles)
+    for t in range(20):
+        np.testing.assert_array_equal(stacked[t], decoders.profile_sort_ranks(profiles[t]))
+        np.testing.assert_array_equal(stacked[t], _oracles.descending_sort_ranks(profiles[t]))
+
+
 # ---------------------------------------------------------------------------
 # Scalar grid decoder
 
@@ -460,6 +565,26 @@ def test_predict_mismatched_decoder_errors():
     with pytest.raises(ValueError):
         decoders.predict(model2, decoders.RankingFas(items=3), losses.RankLoss(),
                          rng.normal(size=2))
+
+
+@pytest.mark.parametrize("decoder, loss, outputs", [
+    (decoders.RankingFas(items=3), losses.SquaredError(), "ratings"),
+    (decoders.RankingFas(items=3), losses.RankLoss(normalize=True), "ratings"),
+    (decoders.SimplexHellinger(), losses.ChiSquare(), "simplex"),
+    (decoders.SimplexHellinger(), losses.AbsoluteError(), "simplex"),
+])
+def test_predict_rejects_a_loss_the_decoder_does_not_minimise(decoder, loss, outputs):
+    rng = np.random.default_rng(18)
+    X = rng.normal(size=(6, 2))
+    if outputs == "ratings":
+        Y = rng.integers(1, 6, size=(6, 3)).astype(float)
+    else:
+        Y = rng.dirichlet(np.ones(3), size=6)
+    model = surrogate.fit(X, Y, kernels.gaussian(1.0), 0.1)
+    with pytest.raises(ValueError, match="minimises"):
+        decoders.predict(model, decoder, loss, X[0])
+    with pytest.raises(ValueError, match="minimises"):
+        decoders.predict_batch(model, decoder, loss, X)
 
 
 def test_predict_batch_matches_predict():

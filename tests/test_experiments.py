@@ -99,3 +99,32 @@ def test_select_best_prefers_lowest_mean_then_larger_lambda_then_order():
               (0.3, 1.0, "e")]
     assert model_selection.select_best(points) == "c"
     assert model_selection.select_best(points) == _oracles.lowest_mean_then_larger_lambda(points)
+
+
+def _best_sort_by_scan(profiles):
+    """First profile sort of least mean normalized rank loss, by a strict-<
+    scan over per-pair `losses.rank_loss` calls."""
+    best, best_val = None, np.inf
+    for t in range(profiles.shape[0]):
+        ranks = _oracles.descending_sort_ranks(profiles[t])
+        val = np.mean([losses.rank_loss(ranks, pr, normalize=True) for pr in profiles])
+        if val < best_val:
+            best, best_val = ranks, val
+    return best
+
+
+def test_best_training_sort_matches_a_per_pair_scan():
+    rng = np.random.default_rng(50)
+    for _ in range(40):
+        m = int(rng.integers(2, 9))
+        profiles = rng.integers(1, 6, size=(int(rng.integers(1, 30)), m)).astype(float)
+        np.testing.assert_array_equal(experiments._best_training_sort(profiles),
+                                      _best_sort_by_scan(profiles))
+
+
+def test_best_training_sort_ties_go_to_the_first_profile():
+    # Opposite profiles: each sort inverts every pair of the other profile, so
+    # both distinct sorts have mean normalized loss 1/2.
+    profiles = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
+    np.testing.assert_array_equal(experiments._best_training_sort(profiles), [3, 2, 1])
+    np.testing.assert_array_equal(experiments._best_training_sort(profiles[::-1]), [1, 2, 3])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from surrloss import losses
+from surrloss import losses, oracle
 
 
 def test_zero_one_basics():
@@ -203,3 +203,90 @@ def test_embedding_unknown_label_lookup():
     emb = losses.build_finite_embedding(losses.ZeroOne(), [0, 1])
     with pytest.raises(ValueError):
         emb.index_of(5)
+
+
+# ---------------------------------------------------------------------------
+# Tables and row-wise forms
+
+def test_rank_loss_matrix_matches_double_loop_oracle():
+    rng = np.random.default_rng(30)
+    for trial in range(60):
+        m = int(rng.integers(2, 7))
+        ranks = np.array([rng.permutation(m) + 1 for _ in range(int(rng.integers(1, 9)))])
+        integer = trial % 2 == 0
+        if integer:
+            ratings = rng.integers(1, 6, size=(int(rng.integers(1, 9)), m)).astype(float)
+        else:
+            ratings = rng.uniform(1, 5, size=(int(rng.integers(1, 9)), m))
+        table = losses.rank_loss_matrix(ranks, ratings)
+        assert table.shape == (ranks.shape[0], ratings.shape[0])
+        for c, r in enumerate(ranks):
+            for t, pr in enumerate(ratings):
+                expected = _oracles.rank_loss_double_loop(r, pr)
+                if integer:
+                    assert table[c, t] == expected
+                else:
+                    assert table[c, t] == pytest.approx(expected, rel=1e-12)
+
+
+def test_rank_loss_matrix_normalized_divides_by_the_gain_mass():
+    rng = np.random.default_rng(31)
+    ranks = np.array([rng.permutation(5) + 1 for _ in range(7)])
+    ratings = rng.integers(1, 6, size=(9, 5)).astype(float)
+    ratings[3] = 2.0  # zero gain mass
+    table = losses.rank_loss_matrix(ranks, ratings, normalize=True)
+    for t, pr in enumerate(ratings):
+        mass = sum(max(0.0, b - a) for a in pr for b in pr)
+        for c, r in enumerate(ranks):
+            expected = _oracles.rank_loss_double_loop(r, pr) / mass if mass else 0.0
+            assert table[c, t] == expected
+    assert np.all(table[:, 3] == 0.0)
+
+
+def test_rank_loss_matrix_rejects_bad_inputs():
+    ratings = np.array([[3.0, 2.0, 1.0]])
+    with pytest.raises(ValueError, match="permutation"):
+        losses.rank_loss_matrix(np.array([[1, 2, 3], [1, 1, 3]]), ratings)
+    with pytest.raises(ValueError, match="permutation"):
+        losses.rank_loss_matrix(np.array([[0, 1, 2]]), ratings)
+    with pytest.raises(ValueError, match="finite"):
+        losses.rank_loss_matrix(np.array([[1, 2, 3]]), np.array([[3.0, np.nan, 1.0]]))
+    with pytest.raises(ValueError, match="M >= 2"):
+        losses.rank_loss_matrix(np.array([[1]]), np.array([[1.0]]))
+    with pytest.raises(ValueError, match="expected 3"):
+        losses.rank_loss_matrix(np.array([[1, 2]]), ratings)
+    with pytest.raises(ValueError):
+        losses.rank_loss_matrix(np.array([1, 2, 3]), ratings)
+
+
+def test_rank_loss_table_of_the_oracle_matches_a_double_loop():
+    for items in (2, 3, 4):
+        loss = oracle.rank_loss_table(items)
+        for i, cand in enumerate(loss.labels):
+            for j, target in enumerate(loss.labels):
+                ratings = [items + 1 - r for r in target]
+                assert loss.table[i, j] == _oracles.rank_loss_double_loop(cand, ratings)
+
+
+def test_squared_hellinger_rows_equals_the_pairwise_loss():
+    rng = np.random.default_rng(32)
+    P = rng.dirichlet(np.ones(8), size=50)
+    Y = rng.dirichlet(np.ones(8), size=50) * (1.0 + 1e-10)  # renormalised per row
+    rows = losses.squared_hellinger_rows(P, Y)
+    assert rows.shape == (50,)
+    for q in range(50):
+        assert rows[q] == losses.squared_hellinger(P[q], Y[q])
+
+
+def test_squared_hellinger_rows_rejects_bad_inputs():
+    good = np.array([[0.5, 0.5], [0.2, 0.8]])
+    with pytest.raises(ValueError, match="negative"):
+        losses.squared_hellinger_rows(np.array([[0.5, 0.5], [-0.1, 1.1]]), good)
+    with pytest.raises(ValueError, match="row 1 sums to"):
+        losses.squared_hellinger_rows(good, np.array([[0.5, 0.5], [0.5, 0.6]]))
+    with pytest.raises(ValueError, match="shape"):
+        losses.squared_hellinger_rows(good, good[:1])
+    with pytest.raises(ValueError, match="shape"):
+        losses.squared_hellinger_rows(good, np.full((2, 4), 0.25))
+    with pytest.raises(ValueError, match=r"\(Q, d\)"):
+        losses.squared_hellinger_rows(good[0], good[0])
