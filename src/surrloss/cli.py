@@ -46,6 +46,13 @@ def _int_list(text):
     return tuple(int(t) for t in text.split(",") if t.strip())
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # CSV I/O
 
@@ -56,10 +63,21 @@ def _numbered(header, prefix):
 
 
 def read_dataset(path, kind):
-    """Returns (X, Y); Y is None when the file only carries inputs."""
+    """Returns (X, Y); Y is None when the file only carries inputs.
+
+    Blank lines are skipped; a data row with fewer fields than the header is
+    a ValueError naming the file and its 1-based line.
+    """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
-        rows = [row for row in reader if row]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if rows and len(row) < len(rows[0]):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} fields, "
+                                 f"the header has {len(rows[0])}")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: empty csv")
     header, data = rows[0], rows[1:]
@@ -334,7 +352,7 @@ def build_parser():
     p.add_argument("which", choices=("fisher", "comparison", "equivalence", "consistency"))
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=_positive_int, default=None)
     p.set_defaults(func=cmd_check)
     return parser
 

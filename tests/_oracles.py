@@ -230,3 +230,21 @@ def lowest_mean_then_larger_lambda(points):
         if best is None or mean < best[0] or (mean == best[0] and lam > best[1]):
             best = (mean, lam, choice)
     return best[2]
+
+
+def brute_force_cross_validate(X, sigmas, lambdas, splits, decode, score):
+    """Rows and selection of a Gaussian-kernel k-fold sweep, by brute force.
+
+    Every (sigma, lambda, fold) builds its own kernel matrices and runs one
+    dense solve (``brute_force_cv_means``).  ``decode(A, tr)`` turns the
+    (n_tr, n_va) weights into the validation predictions and
+    ``score(preds, va)`` into the fold's mean loss.  Rows are in grid order,
+    sigma outer, lambda inner, as (sigma, lambda, mean); the selection is
+    the (sigma, lambda) that ``lowest_mean_then_larger_lambda`` picks.
+    """
+    means = brute_force_cv_means(X, sigmas, lambdas, splits,
+                                 lambda A, tr, va: score(decode(A, tr), va))
+    rows = [(sigma, lam, float(means[si, li]))
+            for si, sigma in enumerate(sigmas) for li, lam in enumerate(lambdas)]
+    selected = lowest_mean_then_larger_lambda((m, lam, (sigma, lam)) for sigma, lam, m in rows)
+    return rows, selected

@@ -164,3 +164,43 @@ def test_predict_with_a_loss_the_decoder_ignores_is_usage_error(tmp_path, kind, 
     assert cli.main(["predict", "--model", str(model), "--in", str(tmp_path / "query.csv"),
                      "--out", str(preds), "--loss", loss]) == cli.EXIT_USAGE
     assert not preds.exists()
+
+
+@pytest.mark.parametrize("which", ["fisher", "comparison", "equivalence", "consistency"])
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_check_rejects_fewer_than_one_trial(tmp_path, capsys, which, trials):
+    # a battery that ran no trial has checked nothing, so it must not pass
+    out = tmp_path / "report.json"
+    code = cli.main(["check", which, "--trials", trials, "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_on_ragged_csv_is_usage_error(tmp_path, capsys):
+    # line 3 (the second data row) lacks its y field
+    (tmp_path / "train.csv").write_text("x0,x1,y\n0.1,0.2,1.0\n0.3,0.4\n0.5,0.6,2.0\n",
+                                        encoding="utf-8")
+    code = cli.main(["train", "--in", str(tmp_path / "train.csv"),
+                     "--out", str(tmp_path / "model.json"), "--kind", "scalar"])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "train.csv: line 3" in err
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_predict_on_ragged_csv_is_usage_error(tmp_path, capsys):
+    _write_csv(tmp_path / "train.csv", ["x0", "x1", "y"],
+               [[0.1, 0.2, 1.0], [0.3, 0.4, -1.0], [0.5, 0.6, 2.0]])
+    model = tmp_path / "model.json"
+    assert cli.main(["train", "--in", str(tmp_path / "train.csv"), "--out", str(model),
+                     "--kind", "scalar"]) == cli.EXIT_OK
+    # the query file has blank lines; line numbers still count them
+    (tmp_path / "query.csv").write_text("x0,x1\n\n0.1,0.2\n0.3\n", encoding="utf-8")
+    capsys.readouterr()
+    code = cli.main(["predict", "--model", str(model), "--in", str(tmp_path / "query.csv"),
+                     "--out", str(tmp_path / "preds.csv")])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "query.csv: line 4" in err
+    assert not (tmp_path / "preds.csv").exists()

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -260,6 +263,57 @@ def test_solve_residual_bound_random_systems():
         sol = kernels.solve_spd(f, b)
         resid = (K + (shift + f.jitter) * np.eye(n)) @ sol - b
         assert np.max(np.abs(resid)) <= 1e-8 * (1.0 + np.max(np.abs(b)))
+
+
+# unit roundoff of float64
+U = np.finfo(float).eps / 2
+BLOCK = kernels.SOLVE_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_solve_matches_dense_solve_at_block_boundaries(n):
+    # The tolerance is solve_spd's stated bound n * u * cond^1.5, with
+    # cond(K + shift*I) <= 1 + lambda_max(K) / shift; here about 1e-12.
+    rng = np.random.default_rng(n)
+    K = kernels.gram_matrix(kernels.gaussian(1.0), rng.normal(size=(n, 3)))
+    shift = n * 1e-2
+    f = kernels.factor_shifted(K, shift)
+    A = K + (shift + f.jitter) * np.eye(n)
+    tol = n * U * (1.0 + np.linalg.eigvalsh(K)[-1] / shift) ** 1.5
+    for b in (rng.normal(size=n), rng.normal(size=(n, 5))):
+        sol = kernels.solve_spd(f, b)
+        ref = np.linalg.solve(A, b)
+        assert sol.shape == b.shape
+        assert np.max(np.abs(sol - ref)) <= tol * np.max(np.abs(ref))
+
+
+def test_solve_with_jitter_solves_the_jittered_system():
+    # ones((n, n)) is rank 1, so the ladder engages and the factor spans two
+    # blocks.  cond(A) is about 1e14, so the forward error against a dense
+    # solve is held to the Cholesky bound n * u * cond(A); the normwise
+    # backward error |A sol - b| / (|A| |sol| + |b|) must stay below n * u.
+    n = BLOCK + 1
+    f = kernels.factor_shifted(np.ones((n, n)), 0.0)
+    assert f.jitter > 0.0
+    A = np.ones((n, n)) + f.jitter * np.eye(n)
+    b = np.random.default_rng(11).normal(size=(n, 3))
+    sol = kernels.solve_spd(f, b)
+    ref = np.linalg.solve(A, b)
+    assert np.max(np.abs(sol - ref)) <= n * U * np.linalg.cond(A) * np.max(np.abs(ref))
+    backward = np.max(np.abs(A @ sol - b)) / (
+        np.max(np.abs(A).sum(axis=1)) * np.max(np.abs(sol)) + np.max(np.abs(b)))
+    assert backward <= n * U
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kernels.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, surrloss; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_gaussian_gram_spd_without_jitter():
