@@ -14,12 +14,18 @@ Four output spaces are supported:
 
 Ties break to the lowest index (for RankingFas: the peel first, then the
 lowest training index).  All decoders are pure functions.  RankingFas and
-SimplexHellinger minimise one fixed loss in closed form, so `predict` and
-`predict_batch` reject any other loss given with them.  The
-batched routes sum F in a different order than the single-query ones (a
-matrix product instead of a running sum), so `predict_batch` and `predict`
-agree exactly except where two candidates' objectives lie within rounding
-of each other.
+SimplexHellinger minimise one fixed loss in closed form, so every route
+rejects any other loss given with them.
+
+`decode_batch` is the one decode from an (n, Q) weight matrix: prediction
+and cross-validation both dispatch through it.  `predict` is a batch of one,
+the query's weight column through `decode_batch`; only Exhaustive goes
+through `decode_exhaustive`, the same one-column table decode, because the
+benchmark's stage map (`bench/stages.py`) traces the single-query
+exhaustive decode by that name.  BLAS may sum a one-column product in
+another order than a Q-column one, so `predict` and `predict_batch` agree
+exactly except where two candidates' objectives lie within rounding of each
+other.
 """
 
 from dataclasses import dataclass
@@ -319,47 +325,43 @@ def _check_loss(decoder, loss):
                          f"not {type(loss).__name__}")
 
 
-def predict(model, decoder, loss, x):
-    """Compose alpha weights with the decoder matching the output space."""
+def decode_batch(decoder, loss, y_train, A):
+    """Decode Q queries from their (n, Q) weights A with the decoder matching
+    the output space: a list of candidates (Exhaustive) or rank vectors
+    (RankingFas), or an array of points (ScalarGrid, (Q,)) or histograms
+    (SimplexHellinger, (Q, d)).  Every decode from weights dispatches here.
+    """
     _check_loss(decoder, loss)
-    a = surrogate.alpha_weights(model, x).weights
-    return _decode_one(model, decoder, loss, a)
-
-
-def _decode_one(model, decoder, loss, a):
+    A = np.asarray(A, dtype=float)
     if isinstance(decoder, Exhaustive):
-        y, _ = decode_exhaustive(decoder.candidates, a, loss, model.Y)
-        return y
+        best, _ = decode_exhaustive_batch(decoder.candidates, A, loss, y_train)
+        return [decoder.candidates[c] for c in best]
+    Y = np.asarray(y_train, dtype=float)
     if isinstance(decoder, RankingFas):
-        profiles = np.asarray(model.Y, dtype=float)
-        if profiles.ndim != 2 or profiles.shape[1] != decoder.items:
+        if Y.ndim != 2 or Y.shape[1] != decoder.items:
             raise ValueError("ranking decoder needs (T, M) rating profiles as training outputs")
-        return decode_ranking_fas(a, profiles, decoder.items)
+        return [decode_ranking_fas(A[:, q], Y, decoder.items) for q in range(A.shape[1])]
     if isinstance(decoder, ScalarGrid):
-        y = np.asarray(model.Y, dtype=float)
-        if y.ndim != 1:
+        if Y.ndim != 1:
             raise ValueError("scalar decoder needs scalar training outputs")
-        return decode_scalar_grid(a, y, loss, decoder)
+        return decode_scalar_grid_batch(A, Y, loss, decoder)[0]
     if isinstance(decoder, SimplexHellinger):
-        Y = np.asarray(model.Y, dtype=float)
         if Y.ndim != 2:
             raise ValueError("simplex decoder needs histogram training outputs")
-        return decode_simplex_hellinger(a, Y)
+        return decode_simplex_hellinger_batch(A, Y)
     raise ValueError(f"unknown decoder {decoder!r}")
 
 
-def predict_batch(model, decoder, loss, Xq):
-    """Batched predict; per-query results equal `predict`'s up to the
-    summation order of F (see the module docstring)."""
-    _check_loss(decoder, loss)
-    A = surrogate.alpha_weights_batch(model, Xq)
+def predict(model, decoder, loss, x):
+    """Decode one query: `decode_batch` on its one weight column, except that
+    Exhaustive goes through `decode_exhaustive` (see the module docstring)."""
+    a = surrogate.alpha_weights(model, x).weights
     if isinstance(decoder, Exhaustive):
-        best, _ = decode_exhaustive_batch(decoder.candidates, A, loss, model.Y)
-        return [decoder.candidates[c] for c in best]
-    if isinstance(decoder, ScalarGrid):
-        y = np.asarray(model.Y, dtype=float)
-        pts, _ = decode_scalar_grid_batch(A, y, loss, decoder)
-        return pts
-    if isinstance(decoder, SimplexHellinger):
-        return decode_simplex_hellinger_batch(A, np.asarray(model.Y, dtype=float))
-    return [_decode_one(model, decoder, loss, A[:, q]) for q in range(A.shape[1])]
+        return decode_exhaustive(decoder.candidates, a, loss, model.Y)[0]
+    y = decode_batch(decoder, loss, model.Y, a[:, None])[0]
+    return float(y) if isinstance(decoder, ScalarGrid) else y
+
+
+def predict_batch(model, decoder, loss, Xq):
+    """Decode a batch of queries: `alpha_weights_batch`, then `decode_batch`."""
+    return decode_batch(decoder, loss, model.Y, surrogate.alpha_weights_batch(model, Xq))

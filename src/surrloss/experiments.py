@@ -61,55 +61,42 @@ def krr_predict_batch(model, Xq):
 
 
 def _robust_cv(X, y, sigmas, lambdas, gammas, folds, seed, cv_decoder):
-    """One CV sweep selecting hyperparameters for both methods.
+    """Hyperparameters for both methods from one `model_selection.sweep`.
 
-    Held-out ridge weights depend only on (sigma, lambda, fold).  For each
-    (sigma, fold) the Gram matrix and cross kernel are built once, and every
-    lambda's weights A come from one eigendecomposition of the Gram matrix
-    (`kernels.ridge_path`); each A is shared by the gamma grid and the KRR
-    baseline (whose fold prediction is just y_train @ A).  The Cauchy decoder
-    is scored with absolute error, which stays comparable across gamma (raw
-    Cauchy values scale with it); KRR is scored with squared error, its own
-    criterion -- an outlier-robust scoring rule here would hand the baseline
-    exactly the robustness it is supposed to lack.  Selection follows
-    `model_selection.select_best`, the decoder's grid in (gamma, sigma,
-    lambda) order and KRR's in (sigma, lambda) order.
+    Every held-out weight matrix A is scored by the Cauchy decoder at each
+    gamma and by the KRR baseline, whose prediction is y_train @ A.  The
+    decoder is scored with absolute error, which stays comparable across
+    gamma (raw Cauchy values scale with it); KRR is scored with squared
+    error, its own criterion -- an outlier-robust scoring rule here would
+    hand the baseline exactly the robustness it is supposed to lack.
+    Selection follows `model_selection.select_best`, the decoder's grid in
+    (gamma, sigma, lambda) order and KRR's in (sigma, lambda) order.
 
     Returns ((kernel, lambda, gamma) for the decoder, (kernel, lambda) for
     KRR).
     """
-    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = X.shape[0]
-    fold_idx = model_selection.kfold_split(n, folds, seed)
-    all_idx = np.arange(n)
-    splits = [(np.setdiff1d(all_idx, va), va) for va in fold_idx]
-    loss_grids = [
-        [decoders.scalar_loss_grid(cv_decoder, y[tr], losses.Cauchy(g)) for g in gammas]
-        for tr, _ in splits
-    ]
-    alg_scores = np.zeros((len(sigmas), len(lambdas), len(gammas)))
-    krr_scores = np.zeros((len(sigmas), len(lambdas)))
-    for si, sigma in enumerate(sigmas):
-        kernel = kernels.gaussian(sigma)
-        for fi, (tr, va) in enumerate(splits):
-            K = kernels.gram_matrix(kernel, X[tr])
-            KX = kernels.cross_kernel_batch(kernel, X[tr], X[va])
-            path = kernels.ridge_path(K, KX, [tr.size * lam for lam in lambdas])
-            for li, A in enumerate(path):
-                krr_scores[si, li] += float(np.mean((y[tr] @ A - y[va]) ** 2)) / folds
-                for gi, gamma in enumerate(gammas):
-                    pred, _ = decoders.decode_scalar_grid_batch(
-                        A, y[tr], losses.Cauchy(gamma), cv_decoder,
-                        loss_grid=loss_grids[fi][gi])
-                    alg_scores[si, li, gi] += float(np.mean(np.abs(pred - y[va]))) / folds
+    # The decoder's grid/training loss table depends only on the fold and gamma.
+    loss_grids = [[decoders.scalar_loss_grid(cv_decoder, y[tr], losses.Cauchy(g)) for g in gammas]
+                  for tr, _ in model_selection.fold_splits(y.size, folds, seed)]
+
+    def score(fold, tr, va, A):
+        out = [np.mean((y[tr] @ A - y[va]) ** 2)]
+        for gamma, grid in zip(gammas, loss_grids[fold]):
+            pred, _ = decoders.decode_scalar_grid_batch(A, y[tr], losses.Cauchy(gamma),
+                                                        cv_decoder, loss_grid=grid)
+            out.append(np.mean(np.abs(pred - y[va])))
+        return out
+
+    means = model_selection.sweep(X, [kernels.gaussian(s) for s in sigmas], lambdas,
+                                  folds, seed, score).mean(axis=2)
     sigma, lam, gamma = model_selection.select_best(
-        (alg_scores[si, li, gi], lam, (sigma, lam, gamma))
+        (means[si, li, 1 + gi], lam, (sigma, lam, gamma))
         for gi, gamma in enumerate(gammas)
         for si, sigma in enumerate(sigmas)
         for li, lam in enumerate(lambdas))
     k_sigma, k_lam = model_selection.select_best(
-        (krr_scores[si, li], lam, (sigma, lam))
+        (means[si, li, 0], lam, (sigma, lam))
         for si, sigma in enumerate(sigmas)
         for li, lam in enumerate(lambdas))
     return ((kernels.gaussian(sigma), lam, gamma), (kernels.gaussian(k_sigma), k_lam))
@@ -269,41 +256,32 @@ def _mean_gauss_loss(preds, truth, sigma_y):
 
 
 def _histogram_cv(Xtr, Ytr, sigmas, lambdas, folds, seed, sigma_y):
-    """One CV sweep selecting (sigma, lambda) for both histogram methods.
+    """(sigma, lambda) for both histogram methods from one
+    `model_selection.sweep`.
 
-    For each (sigma, fold) the Gram matrix and cross kernel are built once and
-    every lambda's held-out weights come from `kernels.ridge_path`; each A is
-    decoded and scored by both methods: the Hellinger decoder under squared
-    Hellinger, the KDE decode under the Gaussian output-kernel loss.  The KDE
-    decode's output-kernel matrix depends only on the fold, so it is built
-    once per fold.
-    Selection follows `model_selection.select_best` in (sigma, lambda) order.
+    The Hellinger decoder is scored under squared Hellinger, the KDE decode
+    under the Gaussian output-kernel loss.  Selection follows
+    `model_selection.select_best` in (sigma, lambda) order.
 
     Returns {"hellinger": (sigma, lambda), "kde": (sigma, lambda)}.
     """
-    fold_idx = model_selection.kfold_split(Xtr.shape[0], folds, seed)
-    all_idx = np.arange(Xtr.shape[0])
-    splits = [(np.setdiff1d(all_idx, va), va) for va in fold_idx]
-    output_grams = [_gauss_output_kernel_matrix(Ytr[tr], sigma_y) for tr, _ in splits]
-    scores = {method: np.zeros((len(sigmas), len(lambdas), folds))
-              for method in ("hellinger", "kde")}
-    for si, sigma in enumerate(sigmas):
-        kernel = kernels.gaussian(sigma)
-        for fi, (tr, va) in enumerate(splits):
-            K = kernels.gram_matrix(kernel, Xtr[tr])
-            KX = kernels.cross_kernel_batch(kernel, Xtr[tr], Xtr[va])
-            path = kernels.ridge_path(K, KX, [tr.size * lam for lam in lambdas])
-            for li, A in enumerate(path):
-                preds = decoders.decode_simplex_hellinger_batch(A, Ytr[tr])
-                scores["hellinger"][si, li, fi] = _mean_hellinger(preds, Ytr[va])
-                preds = _kde_decode_batch(A, Ytr[tr], sigma_y, H=output_grams[fi])
-                scores["kde"][si, li, fi] = _mean_gauss_loss(preds, Ytr[va], sigma_y)
+    # The KDE decode's output-kernel matrix depends only on the fold.
+    output_grams = [_gauss_output_kernel_matrix(Ytr[tr], sigma_y)
+                    for tr, _ in model_selection.fold_splits(len(Ytr), folds, seed)]
+
+    def score(fold, tr, va, A):
+        hellinger = decoders.decode_simplex_hellinger_batch(A, Ytr[tr])
+        kde = _kde_decode_batch(A, Ytr[tr], sigma_y, H=output_grams[fold])
+        return [_mean_hellinger(hellinger, Ytr[va]), _mean_gauss_loss(kde, Ytr[va], sigma_y)]
+
+    means = model_selection.sweep(Xtr, [kernels.gaussian(s) for s in sigmas], lambdas,
+                                  folds, seed, score).mean(axis=2)
     return {
         method: model_selection.select_best(
-            (float(np.mean(s[si, li])), lam, (sigma, lam))
+            (means[si, li, mi], lam, (sigma, lam))
             for si, sigma in enumerate(sigmas)
             for li, lam in enumerate(lambdas))
-        for method, s in scores.items()
+        for mi, method in enumerate(("hellinger", "kde"))
     }
 
 

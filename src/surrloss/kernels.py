@@ -281,7 +281,7 @@ def ridge_path(K, KX, shifts):
     definite, so no jitter is needed.
 
     K is (n, n) and symmetric, KX is (n, Q).  Raises ValueError for a
-    non-square K, a KX without n rows, or a shift <= 0.
+    non-square K, a KX without n rows, or a shift that is not in (0, inf).
     """
     K = np.asarray(K, dtype=float)
     KX = np.asarray(KX, dtype=float)
@@ -290,8 +290,8 @@ def ridge_path(K, KX, shifts):
     if KX.ndim != 2 or KX.shape[0] != K.shape[0]:
         raise ValueError(f"KX must have {K.shape[0]} rows, got shape {KX.shape}")
     shifts = [float(s) for s in shifts]
-    if not all(s > 0 for s in shifts):
-        raise ValueError("shifts must be positive")
+    if not all(0 < s < np.inf for s in shifts):
+        raise ValueError("shifts must be positive and finite")
     evals, U = np.linalg.eigh(K)
     np.maximum(evals, 0.0, out=evals)
     UtKX = U.T @ KX

@@ -1,17 +1,21 @@
 """Deterministic k-fold cross-validation over kernel and lambda grids.
 
-Scoring uses the task loss on held-out folds.  Selection (`select_best`) takes
-the minimal mean validation loss; exact ties prefer the largest lambda (most
-regularized), then kernel-grid order.  Folds and grid points may be evaluated
-in any order; aggregation is by index, so the report is independent of
-execution order.
+There is one CV engine, `sweep`.  The held-out weights
+A = (K + n_tr*lambda*I)^-1 K_x depend only on (kernel, lambda, fold), not on
+the loss or the decoder, so for each (kernel, fold) the sweep builds the Gram
+and cross-kernel matrices once and takes every lambda's A from one `eigh`
+(`kernels.ridge_path`).  A caller's `score` closure decodes each A and
+returns one fold score per method, so one sweep serves every method that
+shares the grid.  Selection (`select_best`) takes the minimal mean validation
+loss; exact ties prefer the largest lambda (most regularized), then grid
+order.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import decoders, surrogate
+from . import decoders, kernels
 
 
 @dataclass(frozen=True)
@@ -27,8 +31,8 @@ class CvPlan:
             raise ValueError("need at least 2 folds")
         if len(self.lambda_grid) == 0 or len(self.kernel_grid) == 0:
             raise ValueError("grids must be non-empty")
-        if any(l <= 0 for l in self.lambda_grid):
-            raise ValueError("lambdas must be positive")
+        if not all(0 < l < np.inf for l in self.lambda_grid):
+            raise ValueError("lambdas must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -53,17 +57,42 @@ def kfold_split(n, k, seed):
     return [np.sort(part) for part in np.array_split(perm, k)]
 
 
-def _score_fold(Xtr, Ytr, Xva, Yva, kernel, lam, decoder, loss, scoring):
-    model = surrogate.fit(Xtr, Ytr, kernel, lam)
-    preds = decoders.predict_batch(model, decoder, loss, Xva)
-    vals = [scoring(pred, yv) for pred, yv in zip(preds, _iter_outputs(Yva))]
-    return float(np.mean(vals))
+def fold_splits(n, k, seed):
+    """(train, validation) sorted index arrays for each of `kfold_split`'s folds."""
+    all_idx = np.arange(n)
+    return [(np.setdiff1d(all_idx, va), va) for va in kfold_split(n, k, seed)]
 
 
-def _iter_outputs(Y):
-    if isinstance(Y, np.ndarray) and Y.ndim == 2:
-        return [Y[i] for i in range(Y.shape[0])]
-    return list(Y)
+def sweep(X, kernel_grid, lambdas, folds, seed, score):
+    """Fold scores at every (kernel, lambda, fold) of a k-fold sweep.
+
+    `score(fold, tr, va, A)` gets the fold's index, its train and validation
+    index arrays and the (n_tr, n_va) held-out weights for one lambda, and
+    returns one score per method.  A caller that needs per-fold tables (which
+    depend on the fold's outputs only) builds them up front from
+    `fold_splits(n, folds, seed)` and indexes them by `fold`.  Returns a
+    (kernels, lambdas, folds, methods) array.  Any failure is re-raised as a
+    RuntimeError naming its grid point and caused by the original exception.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    splits = fold_splits(X.shape[0], folds, seed)
+    scores = []
+    for kernel in kernel_grid:
+        for fi, (tr, va) in enumerate(splits):
+            at = f"kernel={kernel}, fold={fi}"
+            try:
+                K = kernels.gram_matrix(kernel, X[tr])
+                KX = kernels.cross_kernel_batch(kernel, X[tr], X[va])
+                path = kernels.ridge_path(K, KX, [tr.size * lam for lam in lambdas])
+                for lam, A in zip(lambdas, path):
+                    at = f"kernel={kernel}, lambda={lam}, fold={fi}"
+                    scores.append(np.ravel(score(fi, tr, va, A)))
+            except Exception as e:
+                raise RuntimeError(f"cv failure at {at}: {e}") from e
+    shape = (len(kernel_grid), len(splits), len(lambdas), -1)
+    return np.array(scores, dtype=float).reshape(shape).transpose(0, 2, 1, 3)
 
 
 def _take_outputs(Y, idx):
@@ -77,33 +106,16 @@ def cross_validate(X, Y, plan, decoder, loss):
 
     `loss` parameterizes the decoder (it is what `predict` minimizes);
     `plan.scoring` is the loss used to score validation predictions.
-    Any fit failure propagates annotated with its grid point.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    n = X.shape[0]
-    folds = kfold_split(n, plan.folds, plan.seed)
-    all_idx = np.arange(n)
-    rows = []
-    for kernel in plan.kernel_grid:
-        for lam in plan.lambda_grid:
-            scores = []
-            for f, va in enumerate(folds):
-                tr = np.setdiff1d(all_idx, va)
-                try:
-                    s = _score_fold(
-                        X[tr], _take_outputs(Y, tr), X[va], _take_outputs(Y, va),
-                        kernel, lam, decoder, loss, plan.scoring,
-                    )
-                except Exception as e:
-                    raise RuntimeError(
-                        f"cv failure at kernel={kernel}, lambda={lam}, fold={f}: {e}"
-                    ) from e
-                scores.append(s)
-            scores = np.asarray(scores)
-            rows.append(CvRow(kernel=kernel, lam=float(lam),
-                              mean=float(scores.mean()), std=float(scores.std())))
+    def score(fold, tr, va, A):
+        preds = decoders.decode_batch(decoder, loss, _take_outputs(Y, tr), A)
+        return np.mean([plan.scoring(p, Y[i]) for p, i in zip(preds, va)])
+
+    s = sweep(X, plan.kernel_grid, plan.lambda_grid, plan.folds, plan.seed, score)[..., 0]
+    rows = [CvRow(kernel=kernel, lam=float(lam), mean=float(s[ki, li].mean()),
+                  std=float(s[ki, li].std()))
+            for ki, kernel in enumerate(plan.kernel_grid)
+            for li, lam in enumerate(plan.lambda_grid)]
     return CvReport(rows=rows, selected=select_best((r.mean, r.lam, r) for r in rows))
 
 

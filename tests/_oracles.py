@@ -196,12 +196,14 @@ def gaussian_kernel_matrix(A_rows, B_rows, sigma):
     return np.exp(-d / sigma)
 
 
-def brute_force_cv_means(X, sigmas, lambdas, splits, score):
-    """Mean held-out score at every (sigma, lambda) of a Gaussian-kernel sweep.
+def brute_force_cv_means(X, sigmas, lambdas, splits, score,
+                         kernel_matrix=gaussian_kernel_matrix):
+    """Mean held-out score at every (sigma, lambda) of a kernel sweep.
 
-    Each (sigma, lambda, fold) builds its own kernel matrices and solves
-    (K + n_tr * lambda * I) A = K_x with a dense ``np.linalg.solve``; no
-    decomposition is shared between grid points.  ``splits`` lists
+    Each (sigma, lambda, fold) builds its own kernel matrices with
+    ``kernel_matrix(A_rows, B_rows, sigma)``, the Gaussian one by default, and
+    solves (K + n_tr * lambda * I) A = K_x with a dense ``np.linalg.solve``;
+    no decomposition is shared between grid points.  ``splits`` lists
     (train, validation) index arrays; ``score(A, tr, va)`` returns one score
     or a vector of them.  The result has shape
     (len(sigmas), len(lambdas)) + the shape of a score.
@@ -213,8 +215,8 @@ def brute_force_cv_means(X, sigmas, lambdas, splits, score):
         for lam in lambdas:
             fold_scores = []
             for tr, va in splits:
-                K = gaussian_kernel_matrix(X[tr], X[tr], sigma)
-                Kx = gaussian_kernel_matrix(X[tr], X[va], sigma)
+                K = kernel_matrix(X[tr], X[tr], sigma)
+                Kx = kernel_matrix(X[tr], X[va], sigma)
                 A = np.linalg.solve(K + tr.size * lam * np.eye(tr.size), Kx)
                 fold_scores.append(np.asarray(score(A, tr, va), dtype=float))
             row.append(np.mean(fold_scores, axis=0))

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from surrloss import cli, surrogate
+from surrloss import cli, kernels, surrogate
 
 
 def _write_csv(path, header, rows):
@@ -124,13 +124,22 @@ def test_train_numerical_failure_exits_2(tmp_path, monkeypatch):
 
 
 def test_cv_numerical_failure_exits_2(tmp_path, monkeypatch):
-    # cross_validate re-raises a fold's failure as a RuntimeError caused by it
-    monkeypatch.setattr(surrogate, "fit", _refuse_fit)
+    # the CV sweep re-raises a fold's failure as a RuntimeError caused by it
+    monkeypatch.setattr(kernels, "ridge_path", _refuse_fit)
     rng = np.random.default_rng(5)
     _write_csv(tmp_path / "train.csv", ["x0", "y"], rng.uniform(-1, 1, size=(10, 2)).tolist())
     code = cli.main(["cv", "--in", str(tmp_path / "train.csv"), "--kind", "scalar",
                      "--out", str(tmp_path / "cv.json")])
     assert code == cli.EXIT_NUMERICAL
+
+
+@pytest.mark.parametrize("lam", ["inf", "nan"])
+def test_cv_rejects_a_non_finite_lambda(tmp_path, lam):
+    rng = np.random.default_rng(5)
+    _write_csv(tmp_path / "train.csv", ["x0", "y"], rng.uniform(-1, 1, size=(10, 2)).tolist())
+    code = cli.main(["cv", "--in", str(tmp_path / "train.csv"), "--kind", "scalar",
+                     "--lambdas", lam, "--out", str(tmp_path / "cv.json")])
+    assert code == cli.EXIT_USAGE
 
 
 def test_check_consistency_fails_with_two_trials(tmp_path):

@@ -597,3 +597,22 @@ def test_predict_batch_matches_predict():
     batch = decoders.predict_batch(model, spec, losses.Cauchy(1.0), Q)
     for j in range(6):
         assert batch[j] == decoders.predict(model, spec, losses.Cauchy(1.0), Q[j])
+
+
+@pytest.mark.parametrize("outputs", ["ratings", "simplex"])
+def test_predict_matches_predict_batch_for_the_closed_form_decoders(outputs):
+    rng = np.random.default_rng(19)
+    X = rng.normal(size=(20, 2))
+    if outputs == "ratings":
+        Y = rng.integers(1, 6, size=(20, 4)).astype(float)
+        decoder, loss = decoders.RankingFas(items=4), losses.RankLoss()
+    else:
+        Y = rng.dirichlet(np.ones(3), size=20)
+        decoder, loss = decoders.SimplexHellinger(), losses.SquaredHellinger()
+    model = surrogate.fit(X, Y, kernels.gaussian(1.0), 0.05)
+    Q = rng.normal(size=(6, 2))
+    batch = decoders.predict_batch(model, decoder, loss, Q)
+    for q in range(6):
+        one = decoders.predict(model, decoder, loss, Q[q])
+        assert np.shape(one) == np.shape(batch[q])
+        np.testing.assert_allclose(one, batch[q], rtol=1e-12, atol=0.0)

@@ -92,6 +92,13 @@ def test_cv_sweeps_use_neither_cholesky_nor_triangular_solves(monkeypatch):
     selected = experiments._histogram_cv(X, Y, HIST_SIGMAS, HIST_LAMBDAS, FOLDS, 0,
                                          experiments.median_sq_dist(Y))
     assert set(selected) == {"hellinger", "kde"}
+    U, R = experiments.gen_ranking_data(5, 30, 0)
+    plan = model_selection.CvPlan(folds=FOLDS, seed=0, lambda_grid=HIST_LAMBDAS,
+                                  kernel_grid=(kernels.linear(),),
+                                  scoring=losses.RankLoss(normalize=True))
+    report = model_selection.cross_validate(U, R, plan, decoders.RankingFas(items=5),
+                                            losses.RankLoss(normalize=False))
+    assert len(report.rows) == len(HIST_LAMBDAS)
 
 
 def test_select_best_prefers_lowest_mean_then_larger_lambda_then_order():

@@ -354,7 +354,7 @@ def test_ridge_path_matches_factor_and_solve():
 
 def test_ridge_path_rejects_bad_input():
     K = np.eye(3)
-    for shifts in ([1.0, 0.0], [-1.0], [np.nan]):
+    for shifts in ([1.0, 0.0], [-1.0], [np.nan], [1.0, np.inf]):
         with pytest.raises(ValueError):
             list(kernels.ridge_path(K, np.ones((3, 2)), shifts))
     with pytest.raises(ValueError):

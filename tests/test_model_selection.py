@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import _oracles
-from surrloss import decoders, kernels, losses, model_selection
+from surrloss import decoders, experiments, kernels, losses, model_selection
 
 SIGMAS = (0.3, 1.0, 4.0)
 LAMBDAS = (1e-3, 1e-2, 1e-1)
@@ -20,10 +20,10 @@ FOLDS = 3
 MEAN_RTOL = 1e-12
 
 
-def _splits(n, seed):
+def _splits(n, seed, folds=FOLDS):
     all_idx = np.arange(n)
     return [(np.setdiff1d(all_idx, va), va)
-            for va in model_selection.kfold_split(n, FOLDS, seed)]
+            for va in model_selection.kfold_split(n, folds, seed)]
 
 
 def _plan(seed, scoring):
@@ -88,3 +88,30 @@ def test_cross_validate_scalar_targets_match_a_brute_force_sweep(seed):
     report = model_selection.cross_validate(X, y, _plan(seed, losses.AbsoluteError()),
                                             spec, losses.Cauchy(gamma))
     _assert_report_matches(report, rows, selected)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cross_validate_on_a_rank_deficient_gram_matches_a_brute_force_sweep(seed):
+    # A linear kernel on d = 4 inputs gives a Gram matrix of rank 4 on 64
+    # training points, whose null-space eigenvalues the spectral path clamps
+    # to 0.  Both sides decode with the library's ranking decoder, so the
+    # comparison is between the held-out weights.
+    U, R = experiments.gen_ranking_data(8, 80, seed)
+    lambdas = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+
+    def score(A, tr, va):
+        return np.mean([losses.rank_loss(decoders.decode_ranking_fas(A[:, q], R[tr], 8),
+                                         R[i], normalize=True)
+                        for q, i in enumerate(va)])
+
+    means = _oracles.brute_force_cv_means(U, (None,), lambdas, _splits(80, seed, folds=5),
+                                          score, kernel_matrix=lambda A, B, _: A @ B.T)[0]
+    plan = model_selection.CvPlan(folds=5, seed=seed, lambda_grid=lambdas,
+                                  kernel_grid=(kernels.linear(),),
+                                  scoring=losses.RankLoss(normalize=True))
+    report = model_selection.cross_validate(U, R, plan, decoders.RankingFas(items=8),
+                                            losses.RankLoss(normalize=False))
+    for row, want in zip(report.rows, means):
+        assert row.mean == pytest.approx(want, rel=MEAN_RTOL, abs=0.0)
+    assert report.selected.lam == _oracles.lowest_mean_then_larger_lambda(
+        zip(means, lambdas, lambdas))
