@@ -20,9 +20,7 @@ from .kernels import KernelSpec, eval_kernel, cross_kernel, factor_shifted, gaus
 from .losses import (
     AbsoluteError,
     Cauchy,
-    ChiSquare,
     FiniteTable,
-    KdeInduced,
     RankLoss,
     SquaredError,
     SquaredHellinger,

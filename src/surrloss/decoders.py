@@ -9,7 +9,8 @@ Four output spaces are supported:
                         by the rating sorts of the training profiles: the
                         peel and the T sorts are scored in one (T+1, M*M)
                         product with the aggregated pair costs.
-  * ScalarGrid       -- bounded reals, uniform grid + golden-section polish.
+  * ScalarGrid       -- bounded reals, uniform grid + golden-section polish,
+                        SCALAR_CHUNK query columns at a time.
   * SimplexHellinger -- histograms, closed-form square-root barycenter.
 
 Ties break to the lowest index (for RankingFas: the peel first, then the
@@ -26,6 +27,10 @@ exhaustive decode by that name.  BLAS may sum a one-column product in
 another order than a Q-column one, so `predict` and `predict_batch` agree
 exactly except where two candidates' objectives lie within rounding of each
 other.
+
+Exhaustive and ScalarGrid read every loss value from `losses.loss_table`.
+`_loss_matrix`, a bare `loss_table` call, stays only because the stage map
+traces it by that name (`decoders.scalar.table`).
 """
 
 from dataclasses import dataclass
@@ -35,6 +40,7 @@ import numpy as np
 from . import accel, losses, surrogate
 
 INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+SCALAR_CHUNK = 256  # query columns per scalar decode step
 
 
 @dataclass(frozen=True)
@@ -96,10 +102,7 @@ def decode_exhaustive_batch(candidates, A, loss, y_train):
             slot[key] = len(distinct)
             distinct.append(y)
         group.append(slot[key])
-    L = np.empty((len(candidates), len(distinct)))
-    for c_idx, cand in enumerate(candidates):
-        for u, y in enumerate(distinct):
-            L[c_idx, u] = loss(cand, y)
+    L = losses.loss_table(loss, candidates, distinct)
     B = np.zeros((len(distinct), A.shape[1]))
     np.add.at(B, np.asarray(group, dtype=np.intp), A)
     F = L @ B
@@ -172,42 +175,14 @@ def decode_ranking_fas(alphas, profiles, items):
     return cands[int(np.argmin(F))]
 
 
-def _pointwise(loss, p, y):
-    """loss(p, y) elementwise over broadcast arrays for the scalar losses with
-    a closed form (Cauchy, squared and absolute error); None for any other."""
-    if isinstance(loss, losses.Cauchy):
-        d = p - y
-        return loss.gamma * np.log1p(d * d / loss.gamma)
-    if isinstance(loss, losses.SquaredError):
-        d = p - y
-        return d * d
-    if isinstance(loss, losses.AbsoluteError):
-        return np.abs(p - y)
-    return None
-
-
 def _objective_batch(points, y_train, loss, A):
     """F at a batch of scalar points for Q queries; A is (n, Q)."""
-    points = np.asarray(points, dtype=float)
-    L = _pointwise(loss, points[None, :], y_train[:, None])
-    if L is not None:
-        return np.einsum("iq,iq->q", A, L)
-    out = np.empty(points.shape[0])
-    for q in range(points.shape[0]):
-        out[q] = sum(A[i, q] * loss(points[q], y_train[i]) for i in range(len(y_train)))
-    return out
+    return np.einsum("iq,qi->q", A, losses.loss_table(loss, points, y_train))
 
 
 def _loss_matrix(points, y_train, loss):
     """(G, n) table of loss(point_a, y_i); shared across queries."""
-    L = _pointwise(loss, points[:, None], y_train[None, :])
-    if L is not None:
-        return L
-    L = np.empty((points.shape[0], y_train.shape[0]))
-    for a in range(points.shape[0]):
-        for i in range(y_train.shape[0]):
-            L[a, i] = loss(points[a], y_train[i])
-    return L
+    return losses.loss_table(loss, points, y_train)
 
 
 def scalar_loss_grid(spec, y_train, loss):
@@ -226,7 +201,10 @@ def decode_scalar_grid_batch(A, y_train, loss, spec, loss_grid=None):
 
     loss_grid, when given, must be the (G, n) table of loss values between
     the spec's uniform grid and y_train (it only depends on those, so callers
-    sweeping hyperparameters can precompute it once).
+    sweeping hyperparameters can precompute it once).  Queries are decoded
+    SCALAR_CHUNK columns at a time, which bounds the (G, Q) and (n, Q)
+    working tables; as with any batch width, BLAS may round a column's grid
+    objectives differently.
     """
     y_train = np.asarray(y_train, dtype=float).ravel()
     A = np.asarray(A, dtype=float)
@@ -234,11 +212,21 @@ def decode_scalar_grid_batch(A, y_train, loss, spec, loss_grid=None):
         raise ValueError("weights must be (n, Q)")
     grid = np.linspace(-spec.bound, spec.bound, spec.grid_points)
     L = _loss_matrix(grid, y_train, loss) if loss_grid is None else loss_grid
+    points, values = np.empty(A.shape[1]), np.empty(A.shape[1])
+    for start in range(0, A.shape[1], SCALAR_CHUNK):
+        cols = slice(start, start + SCALAR_CHUNK)
+        points[cols], values[cols] = _decode_scalar_chunk(A[:, cols], y_train, loss, spec,
+                                                          grid, L)
+    return points, values
+
+
+def _decode_scalar_chunk(A, y_train, loss, spec, grid, L):
+    """`decode_scalar_grid_batch` on the (n, Q) weights A, given the grid and
+    its (G, n) loss table L."""
     F = L @ A  # (G, Q)
     best = np.argmin(F, axis=0)
-    q_count = A.shape[1]
     best_x = grid[best]
-    best_f = F[best, np.arange(q_count)]
+    best_f = F[best, np.arange(A.shape[1])]
 
     if spec.refine_iters > 0:
         a = grid[np.maximum(best - 1, 0)].astype(float)

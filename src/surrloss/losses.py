@@ -7,6 +7,14 @@ constructs it.  For the rank loss psi(y) is the flattened step matrix of a
 rank vector (`rank_step_rows`), paired with a profile's flattened gains, so
 `rank_loss_matrix` tabulates C rank vectors against T profiles as one product.
 
+`loss_table` is the one tabulation of every other loss: decoding, the finite
+embedding's V and the oracle risks all read their values from it.  It has
+closed forms only for the scalar losses.  Squared Hellinger has none: the
+benchmark (`bench/stages.py`) counts the per-pair `squared_hellinger` calls
+of the simplex decoder's fallback, which a closed form would remove.  Rank
+losses tabulate through `rank_loss_matrix`, whose rows are permutations and
+whose columns are rating profiles, not elements of one output set.
+
 Rank-loss conventions (the literature leaves both open):
   * ranks: y[i] is the rank of item i, 1 = best; sign(0) = 0, so tied ranks
     pay half a pair cost.
@@ -72,18 +80,6 @@ def squared_hellinger_rows(P, Y):
     return ((np.sqrt(P) - np.sqrt(Y)) ** 2).sum(axis=1)
 
 
-def chi_square(y, y2):
-    """sum_i (y_i - y2_i)^2 / (y_i + y2_i), zero-denominator terms contribute 0."""
-    y = _check_simplex(y, "y")
-    y2 = _check_simplex(y2, "y'")
-    if y.shape != y2.shape:
-        raise ValueError("histogram dimensions differ")
-    num = (y - y2) ** 2
-    den = y + y2
-    mask = den > 0
-    return float((num[mask] / den[mask]).sum())
-
-
 def cauchy(y, y2, gamma):
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -98,11 +94,6 @@ def absolute_error(y, y2):
 def squared_error(y, y2):
     d = float(y) - float(y2)
     return d * d
-
-
-def kde_loss(h, y, y2):
-    """Loss induced by an output kernel h: h(y,y) - 2h(y,y') + h(y',y')."""
-    return h(y, y) - 2.0 * h(y, y2) + h(y2, y2)
 
 
 def rank_gain_matrix(ratings):
@@ -214,21 +205,6 @@ class SquaredHellinger:
         return squared_hellinger(y, y2)
 
 
-class ChiSquare:
-    def __call__(self, y, y2):
-        return chi_square(y, y2)
-
-
-class KdeInduced:
-    """Loss from a symmetric PSD output kernel h via h(y,y) - 2h(y,y') + h(y',y')."""
-
-    def __init__(self, h):
-        self.h = h
-
-    def __call__(self, y, y2):
-        return kde_loss(self.h, y, y2)
-
-
 class RankLoss:
     """Ranking loss; the second argument carries the rating profile."""
 
@@ -256,6 +232,26 @@ class FiniteTable:
             return float(self.table[self._index[y], self._index[y2]])
         except KeyError as e:
             raise ValueError(f"unknown label {e.args[0]!r}") from None
+
+
+def loss_table(loss, rows, cols):
+    """(R, C) table of loss(rows[a], cols[b]).
+
+    Cauchy, squared and absolute error take their elementwise closed forms
+    over the scalar arrays rows[:, None] - cols[None, :].  Any other loss is
+    called once per pair, row by row, so a validating loss raises at the
+    first pair it rejects.
+    """
+    if isinstance(loss, (Cauchy, SquaredError, AbsoluteError)):
+        d = np.asarray(rows, dtype=float)[:, None] - np.asarray(cols, dtype=float)[None, :]
+        if isinstance(loss, Cauchy):
+            return loss.gamma * np.log1p(d * d / loss.gamma)
+        return d * d if isinstance(loss, SquaredError) else np.abs(d)
+    table = np.empty((len(rows), len(cols)))
+    for a, y in enumerate(rows):
+        for b, y2 in enumerate(cols):
+            table[a, b] = loss(y, y2)
+    return table
 
 
 @dataclass(frozen=True)
@@ -290,11 +286,7 @@ def build_finite_embedding(loss, labels):
         raise ValueError("need at least one label")
     if len(set(map(_hashable, labels))) != len(labels):
         raise ValueError("duplicate labels")
-    n = len(labels)
-    V = np.empty((n, n))
-    for i, a in enumerate(labels):
-        for j, b in enumerate(labels):
-            V[i, j] = loss(a, b)
+    V = loss_table(loss, labels, labels)
     c = float(np.linalg.norm(V, 2))
     index = {_hashable(lab): i for i, lab in enumerate(labels)}
     return FiniteLossEmbedding(labels=labels, V=V, c_delta=c, _index=index)

@@ -8,6 +8,12 @@ the excess structured risk must stay under 2 c_delta sqrt(excess surrogate
 risk), the least-squares classifier must match the decoded predictor on
 classification problems, and excess risk must shrink with the sample size
 under the n^(-1/4) regularization schedule.
+
+Every structured risk is read off a loss table (`losses.loss_table`), and every fitted
+predictor decodes all its inputs at once through the batch route
+(`decoders.decode_batch` / `predict_batch`).  `bayes_optimal` tabulates the
+loss itself rather than reading an embedding's V, so the Fisher check still
+compares two routes to the same minimiser.
 """
 
 import itertools
@@ -66,32 +72,14 @@ def structured_risk(p, loss, f):
     """E(f) = sum_{x,y} rho[x, y] * loss(f(x), y); f is indexed like p.xs."""
     if len(f) != len(p.xs):
         raise ValueError("f must assign an output to every x")
-    total = 0.0
-    for ix in range(len(p.xs)):
-        fx = f[ix]
-        for iy, y in enumerate(p.ys):
-            total += p.rho[ix, iy] * loss(fx, y)
-    return float(total)
-
-
-def conditional_risks(p, loss):
-    """(|X|, |Y|) table: risk of predicting candidate y at input x."""
-    cond = p.conditionals
-    ny = len(p.ys)
-    table = np.empty((len(p.xs), ny))
-    lmat = np.empty((ny, ny))
-    for i, a in enumerate(p.ys):
-        for j, b in enumerate(p.ys):
-            lmat[i, j] = loss(a, b)
-    for ix in range(len(p.xs)):
-        table[ix] = lmat @ cond[ix]
-    return table
+    return float((p.rho * losses.loss_table(loss, f, p.ys)).sum())
 
 
 def bayes_optimal(p, loss):
-    """Per-input conditional-risk argmin (lowest index) and its risk."""
-    table = conditional_risks(p, loss)
-    f = [p.ys[int(np.argmin(table[ix]))] for ix in range(len(p.xs))]
+    """Per-input argmin (lowest index) of the conditional risks
+    P(y | x) @ table.T, from the problem's own loss table, and its risk."""
+    risks = p.conditionals @ losses.loss_table(loss, p.ys, p.ys).T
+    f = [p.ys[int(i)] for i in np.argmin(risks, axis=1)]
     return f, structured_risk(p, loss, f)
 
 
@@ -103,17 +91,12 @@ def gstar_embedding(p, embedding):
 
 
 def surrogate_risk(p, embedding, g):
-    """R(g) = sum_{x,y} rho[x, y] ||g(x) - psi(y)||^2."""
+    """R(g) = sum_{x,y} rho[x, y] ||g(x) - psi(y)||^2, with psi(y) = e_y."""
     g = np.asarray(g, dtype=float)
     if g.shape != (len(p.xs), len(p.ys)):
         raise ValueError("g must be (|X|, |Y|)")
-    total = 0.0
-    for ix in range(len(p.xs)):
-        for iy in range(len(p.ys)):
-            diff = g[ix].copy()
-            diff[iy] -= 1.0
-            total += p.rho[ix, iy] * float(diff @ diff)
-    return total
+    diff = g[:, None, :] - np.eye(len(p.ys))  # diff[x, y] = g(x) - e_y
+    return float((p.rho * (diff * diff).sum(axis=2)).sum())
 
 
 def decode_tabular(g, embedding, p):
@@ -160,22 +143,17 @@ def sample_classification_dataset(rng, n, n_labels, dim=2, spread=2.0):
 def check_ls_equivalence(X, Y, kernel, lam, X_test=None):
     """Exact agreement of argmax ghat and the decoded classifier."""
     label_set = sorted(set(Y))
-    emb = losses.build_finite_embedding(losses.ZeroOne(label_set), label_set)
+    loss = losses.ZeroOne(label_set)
+    emb = losses.build_finite_embedding(loss, label_set)
     model = surrogate.fit(X, Y, kernel, lam)
     if X_test is None:
         X_test = model.X
-    loss = losses.ZeroOne(label_set)
-    mismatches = 0
-    checked = 0
-    for x in np.asarray(X_test, dtype=float):
-        g = surrogate.explicit_g_hat(model, emb, x)
-        c_hat = label_set[int(np.argmax(g))]
-        a = surrogate.alpha_weights(model, x).weights
-        f_hat, _ = decoders.decode_exhaustive(label_set, a, loss, model.Y)
-        checked += 1
-        if c_hat != f_hat:
-            mismatches += 1
-    return {"checked": checked, "mismatches": mismatches, "ok": mismatches == 0}
+    A = surrogate.alpha_weights_batch(model, X_test)
+    G = surrogate.explicit_g_hat(A, model.Y, emb)
+    c_hat = [label_set[i] for i in np.argmax(G, axis=1)]
+    f_hat = decoders.decode_batch(decoders.Exhaustive(label_set), loss, model.Y, A)
+    mismatches = sum(c != f for c, f in zip(c_hat, f_hat))
+    return {"checked": len(f_hat), "mismatches": mismatches, "ok": mismatches == 0}
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +172,7 @@ def sample_from_problem(p, rng, n, x_embed):
 def empirical_excess_risk(p, loss, x_embed, X, Y, lam, kernel):
     """Fit on a sample, decode at every x in the domain, excess risk exactly."""
     model = surrogate.fit(X, Y, kernel, lam)
-    f = []
-    for ix in range(len(p.xs)):
-        a = surrogate.alpha_weights(model, x_embed[ix]).weights
-        y, _ = decoders.decode_exhaustive(p.ys, a, loss, model.Y)
-        f.append(y)
+    f = decoders.predict_batch(model, decoders.Exhaustive(p.ys), loss, x_embed)
     _, bayes = bayes_optimal(p, loss)
     return structured_risk(p, loss, f) - bayes
 

@@ -65,28 +65,15 @@ def alpha_weights_batch(model, Xq):
     return kernels.solve_spd(model.factor, KX)
 
 
-def explicit_g_hat(model, embedding, x):
-    """ghat(x) = sum_i alpha_i(x) psi(y_i) in canonical coordinates."""
-    a = alpha_weights(model, x).weights
-    return group_alpha(a, model.Y, embedding)
-
-
-def group_alpha(weights, Y, embedding):
-    g = np.zeros(len(embedding.labels))
-    for ai, yi in zip(weights, Y):
-        g[embedding.index_of(yi)] += ai
-    return g
-
-
-def surrogate_empirical_risk(model, embedding):
-    """(1/n) sum_i ||ghat(x_i) - psi(y_i)||^2 over the training set."""
-    n = model.n
-    total = 0.0
-    for i in range(n):
-        g = explicit_g_hat(model, embedding, model.X[i])
-        g[embedding.index_of(model.Y[i])] -= 1.0
-        total += float(g @ g)
-    return total / n
+def explicit_g_hat(A, Y, embedding):
+    """(Q, |Y|) rows ghat(x_q) = sum_i A[i, q] psi(y_i) in canonical
+    coordinates, for the (n, Q) weights A of Q queries."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != len(Y):
+        raise ValueError("weights must be (n, Q)")
+    G = np.zeros((len(embedding.labels), A.shape[1]))
+    np.add.at(G, [embedding.index_of(y) for y in Y], A)
+    return G.T
 
 
 # ---------------------------------------------------------------------------

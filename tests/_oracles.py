@@ -178,6 +178,20 @@ def structured_risk_double_loop(rho, loss_table, f_idx):
     return total
 
 
+def surrogate_risk_double_loop(rho, g):
+    """R(g) = sum_{x,y} rho[x, y] ||g[x] - e_y||^2 by literal loops over x, y
+    and the coordinates k of g[x]."""
+    total = 0.0
+    for ix in range(rho.shape[0]):
+        for iy in range(rho.shape[1]):
+            sq = 0.0
+            for k in range(g.shape[1]):
+                d = g[ix, k] - (1.0 if k == iy else 0.0)
+                sq += d * d
+            total += rho[ix, iy] * sq
+    return total
+
+
 def dense_grid_min_cauchy(alphas, y_train, gamma, bound, points=1_000_000):
     """Dense-grid minimum of the weighted Cauchy objective (np.log route,
     deliberately not the library's log1p)."""

@@ -392,17 +392,20 @@ def test_scalar_grid_validation():
 
 
 def test_scalar_batch_matches_single():
+    # 257 queries cross the boundary of the decoder's SCALAR_CHUNK = 256 columns
     rng = np.random.default_rng(8)
-    n, q = 6, 5
+    n = 6
     y_train = rng.uniform(-2, 2, size=n)
-    A = rng.normal(size=(n, q))
     loss = losses.Cauchy(1.0)
-    pts, vals = decoders.decode_scalar_grid_batch(A, y_train, loss, SPEC)
-    for j in range(q):
-        single = decoders.decode_scalar_grid(A[:, j], y_train, loss, SPEC)
-        assert pts[j] == single
-        assert vals[j] == pytest.approx(
-            _oracles.weighted_objective(pts[j], A[:, j], loss, y_train), abs=1e-10)
+    for q in (5, decoders.SCALAR_CHUNK + 1):
+        A = rng.normal(size=(n, q))
+        pts, vals = decoders.decode_scalar_grid_batch(A, y_train, loss, SPEC)
+        assert pts.shape == vals.shape == (q,)
+        for j in range(q):
+            single = decoders.decode_scalar_grid(A[:, j], y_train, loss, SPEC)
+            assert pts[j] == single
+            assert vals[j] == pytest.approx(
+                _oracles.weighted_objective(pts[j], A[:, j], loss, y_train), abs=1e-10)
 
 
 @pytest.mark.parametrize("loss", [losses.Cauchy(0.7), losses.SquaredError(),
@@ -570,7 +573,7 @@ def test_predict_mismatched_decoder_errors():
 @pytest.mark.parametrize("decoder, loss, outputs", [
     (decoders.RankingFas(items=3), losses.SquaredError(), "ratings"),
     (decoders.RankingFas(items=3), losses.RankLoss(normalize=True), "ratings"),
-    (decoders.SimplexHellinger(), losses.ChiSquare(), "simplex"),
+    (decoders.SimplexHellinger(), losses.SquaredError(), "simplex"),
     (decoders.SimplexHellinger(), losses.AbsoluteError(), "simplex"),
 ])
 def test_predict_rejects_a_loss_the_decoder_does_not_minimise(decoder, loss, outputs):

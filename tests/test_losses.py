@@ -57,24 +57,6 @@ def test_squared_hellinger_mass_property():
         assert 0.0 <= v <= 2.0 + 1e-12
 
 
-def test_chi_square_examples():
-    assert losses.chi_square([0.3, 0.7], [0.3, 0.7]) == 0.0
-    assert losses.chi_square([1.0, 0.0], [0.0, 1.0]) == pytest.approx(2.0)
-
-
-def test_chi_square_zero_denominator_convention():
-    v = losses.chi_square([0.5, 0.5, 0.0], [0.5, 0.5, 0.0])
-    assert v == 0.0
-
-
-def test_chi_square_matches_coordinate_sum():
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        y, y2 = rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(5))
-        direct = sum((a - b) ** 2 / (a + b) for a, b in zip(y, y2) if a + b > 0)
-        assert losses.chi_square(y, y2) == pytest.approx(direct, abs=1e-12)
-
-
 def test_cauchy_examples():
     assert losses.cauchy(0.7, 0.7, 1.0) == 0.0
     assert losses.cauchy(1.0, 0.0, 1.0) == pytest.approx(np.log(2.0))
@@ -89,17 +71,6 @@ def test_cauchy_monotone_in_distance(gamma, seed):
     ds = np.sort(rng.uniform(0, 10, size=20))
     vals = [losses.cauchy(d, 0.0, gamma) for d in ds]
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
-
-
-def test_kde_loss_identity_and_normalized_form():
-    h = lambda a, b: float(np.exp(-((np.asarray(a) - np.asarray(b)) ** 2).sum()))
-    y, y2 = np.array([0.1, 0.2]), np.array([1.2, -0.3])
-    assert losses.kde_loss(h, y, y) == 0.0
-    v = losses.kde_loss(h, y, y2)
-    assert v == pytest.approx(2.0 - 2.0 * h(y, y2), abs=1e-12)
-    # a kernel that vanishes across points gives exactly 2
-    h0 = lambda a, b: 1.0 if np.array_equal(a, b) else 0.0
-    assert losses.kde_loss(h0, y, y2) == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +178,59 @@ def test_embedding_unknown_label_lookup():
 
 # ---------------------------------------------------------------------------
 # Tables and row-wise forms
+
+def _loss_table_cases():
+    """(loss, rows, cols) for every loss class; rows and cols overlap."""
+    rng = np.random.default_rng(40)
+    xs = rng.uniform(-3, 3, size=7)
+    labels = ["a", "b", "c", "d"]
+    hists = rng.dirichlet(np.ones(3), size=5)
+    perms = np.array([rng.permutation(4) + 1 for _ in range(5)])
+    ratings = rng.integers(1, 6, size=(3, 4)).astype(float)
+    return [
+        (losses.Cauchy(0.7), xs[:4], xs[2:]),
+        (losses.SquaredError(), xs[:4], xs[2:]),
+        (losses.AbsoluteError(), xs[:4], xs[2:]),
+        (losses.ZeroOne(labels), labels[:3], labels),
+        (losses.FiniteTable(labels, rng.uniform(0, 1, size=(4, 4))), labels, labels[1:]),
+        (losses.SquaredHellinger(), hists[:3], list(hists)),
+        (losses.RankLoss(normalize=True), perms, ratings),
+    ]
+
+
+LOSS_TABLE_CASES = _loss_table_cases()
+
+
+@pytest.mark.parametrize("loss, rows, cols", LOSS_TABLE_CASES,
+                         ids=[type(case[0]).__name__ for case in LOSS_TABLE_CASES])
+def test_loss_table_equals_per_pair_calls(loss, rows, cols):
+    # the closed forms (Cauchy, squared, absolute error) and the per-pair loop
+    # both reproduce the loss's own calls exactly
+    table = losses.loss_table(loss, rows, cols)
+    assert table.shape == (len(rows), len(cols))
+    np.testing.assert_array_equal(table, [[loss(r, c) for c in cols] for r in rows])
+
+
+def test_loss_table_calls_any_other_loss_once_per_pair_row_by_row():
+    calls = []
+
+    def counting(y, y2):
+        calls.append((y, y2))
+        return float(y != y2)
+
+    rows, cols = [3, 1, 4], [1, 5, 9, 2, 6]
+    table = losses.loss_table(counting, rows, cols)
+    assert calls == [(r, c) for r in rows for c in cols]
+    np.testing.assert_array_equal(table, [[float(r != c) for c in cols] for r in rows])
+
+
+def test_loss_table_validating_loss_raises_on_an_unknown_label():
+    loss = losses.ZeroOne(["a", "b"])
+    with pytest.raises(ValueError, match="unknown label"):
+        losses.loss_table(loss, ["a", "b"], ["a", "z"])
+    with pytest.raises(ValueError, match="unknown label"):
+        losses.loss_table(loss, ["q"], ["a"])
+
 
 def test_rank_loss_matrix_matches_double_loop_oracle():
     rng = np.random.default_rng(30)

@@ -122,22 +122,34 @@ def _toy_model(rng, n=8, n_labels=3, lam=0.1):
     return model, emb, labels
 
 
+def _ghat_rows(model, emb, Xq):
+    return surrogate.explicit_g_hat(surrogate.alpha_weights_batch(model, Xq), model.Y, emb)
+
+
+def _training_risk(model, emb):
+    """(1/n) sum_i ||ghat(x_i) - psi(y_i)||^2 from the batch ghat rows."""
+    G = _ghat_rows(model, emb, model.X)
+    E = np.array([emb.psi(y) for y in model.Y])
+    return float(((G - E) ** 2).sum(axis=1).mean())
+
+
 def test_ghat_single_point():
     m = surrogate.fit([[0.0]], ["b"], kernels.gaussian(1.0), 1.0)
     emb = losses.build_finite_embedding(losses.ZeroOne(), ["a", "b"])
-    g = surrogate.explicit_g_hat(m, emb, np.array([0.0]))
-    np.testing.assert_allclose(g, [0.0, 0.5], atol=1e-15)
+    g = _ghat_rows(m, emb, np.array([[0.0]]))
+    np.testing.assert_allclose(g, [[0.0, 0.5]], atol=1e-15)
 
 
 def test_ghat_groups_same_label():
     X = [[0.0, 0.0], [1.0, 1.0]]
     m = surrogate.fit(X, ["a", "a"], kernels.gaussian(1.0), 0.5)
     emb = losses.build_finite_embedding(losses.ZeroOne(), ["a", "b"])
-    q = np.array([0.3, 0.3])
-    a = surrogate.alpha_weights(m, q).weights
-    g = surrogate.explicit_g_hat(m, emb, q)
-    assert g[emb.index_of("a")] == pytest.approx(a.sum(), abs=1e-15)
-    assert g[emb.index_of("b")] == 0.0
+    Q = np.array([[0.3, 0.3], [-1.0, 2.0]])
+    A = surrogate.alpha_weights_batch(m, Q)
+    G = surrogate.explicit_g_hat(A, m.Y, emb)
+    assert G.shape == (2, 2)
+    np.testing.assert_allclose(G[:, emb.index_of("a")], A.sum(axis=0), atol=1e-15)
+    np.testing.assert_array_equal(G[:, emb.index_of("b")], 0.0)
 
 
 def test_loss_trick_identity():
@@ -145,19 +157,20 @@ def test_loss_trick_identity():
     rng = np.random.default_rng(6)
     for _ in range(25):
         model, emb, labels = _toy_model(rng)
-        x = rng.normal(size=2)
-        a = surrogate.alpha_weights(model, x).weights
-        g = surrogate.explicit_g_hat(model, emb, x)
-        for y in labels:
-            lhs = float(emb.psi(y) @ emb.V @ g)
-            rhs = _oracles.weighted_objective(y, a, losses.zero_one, model.Y)
-            assert abs(lhs - rhs) <= 1e-10
+        Q = rng.normal(size=(3, 2))
+        A = surrogate.alpha_weights_batch(model, Q)
+        G = surrogate.explicit_g_hat(A, model.Y, emb)
+        for q in range(3):
+            for y in labels:
+                lhs = float(emb.psi(y) @ emb.V @ G[q])
+                rhs = _oracles.weighted_objective(y, A[:, q], losses.zero_one, model.Y)
+                assert abs(lhs - rhs) <= 1e-10
 
 
 def test_empirical_risk_interpolation_limit():
     m = surrogate.fit([[0.0]], ["a"], kernels.gaussian(1.0), 1e-12)
     emb = losses.build_finite_embedding(losses.ZeroOne(), ["a", "b"])
-    assert surrogate.surrogate_empirical_risk(m, emb) <= 1e-10
+    assert _training_risk(m, emb) <= 1e-10
 
 
 def test_empirical_risk_contradictory_duplicates():
@@ -168,29 +181,41 @@ def test_empirical_risk_contradictory_duplicates():
     m = surrogate.fit(X, ["a", "b"], kernels.gaussian(1.0), lam)
     emb = losses.build_finite_embedding(losses.ZeroOne(), ["a", "b"])
     c = 1.0 / (2.0 + 2.0 * lam)
+    np.testing.assert_allclose(_ghat_rows(m, emb, m.X), np.full((2, 2), c), atol=1e-12)
     expected = (c - 1.0) ** 2 + c ** 2
-    got = surrogate.surrogate_empirical_risk(m, emb)
+    got = _training_risk(m, emb)
     assert got == pytest.approx(expected, abs=1e-10)
     assert got >= 0.5 - 1e-12
 
 
 def test_empirical_risk_matches_direct_formula():
+    # the batch ghat rows against sum_j alpha_j(x_i) psi(y_j), one query and
+    # one training point at a time
     rng = np.random.default_rng(7)
     model, emb, _ = _toy_model(rng, n=10)
     direct = 0.0
     for i in range(10):
-        g = surrogate.explicit_g_hat(model, emb, model.X[i])
+        a = surrogate.alpha_weights(model, model.X[i]).weights
+        g = sum(a[j] * emb.psi(model.Y[j]) for j in range(10))
         e = emb.psi(model.Y[i])
         direct += float((g - e) @ (g - e))
     direct /= 10
-    assert surrogate.surrogate_empirical_risk(model, emb) == pytest.approx(direct, abs=1e-12)
+    assert _training_risk(model, emb) == pytest.approx(direct, abs=1e-12)
 
 
 def test_empirical_risk_unknown_label_error():
     m = surrogate.fit([[0.0]], ["z"], kernels.gaussian(1.0), 1.0)
     emb = losses.build_finite_embedding(losses.ZeroOne(), ["a", "b"])
     with pytest.raises(ValueError):
-        surrogate.surrogate_empirical_risk(m, emb)
+        _training_risk(m, emb)
+
+
+def test_ghat_rejects_weights_of_the_wrong_shape():
+    emb = losses.build_finite_embedding(losses.ZeroOne(), ["a", "b"])
+    with pytest.raises(ValueError):
+        surrogate.explicit_g_hat(np.ones(2), ["a", "b"], emb)
+    with pytest.raises(ValueError):
+        surrogate.explicit_g_hat(np.ones((3, 1)), ["a", "b"], emb)
 
 
 # ---------------------------------------------------------------------------
