@@ -176,6 +176,12 @@ _DEFAULT_LOSS = {"scalar": "cauchy", "label": "zero_one",
 
 def _decoder_from_outputs(Y, kind, args):
     if kind == "scalar":
+        # The grid spans [-bound, bound]; a target outside it would be
+        # predicted as the clipped bound, without a word.
+        top = float(np.max(np.abs(Y)))
+        if top > args.bound:
+            raise ValueError(f"scalar targets reach max |y| = {top:g}, outside "
+                             f"--bound {args.bound:g}; set --bound to at least {top:g}")
         return decoders.ScalarGrid(bound=args.bound, grid_points=args.grid_points,
                                    refine_iters=args.refine_iters)
     if kind == "label":

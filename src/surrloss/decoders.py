@@ -9,8 +9,10 @@ Four output spaces are supported:
                         by the rating sorts of the training profiles: the
                         peel and the T sorts are scored in one (T+1, M*M)
                         product with the aggregated pair costs.
-  * ScalarGrid       -- bounded reals, uniform grid + golden-section polish,
-                        SCALAR_CHUNK query columns at a time.
+  * ScalarGrid       -- bounded reals, uniform grid + a polish of the grid
+                        best: safeguarded Newton on F' for Cauchy, golden
+                        section for any other loss; SCALAR_CHUNK query
+                        columns at a time.
   * SimplexHellinger -- histograms, closed-form square-root barycenter.
 
 Ties break to the lowest index (for RankingFas: the peel first, then the
@@ -41,6 +43,8 @@ from . import accel, losses, surrogate
 
 INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 SCALAR_CHUNK = 256  # query columns per scalar decode step
+STEP_TOL = 1e-12  # Cauchy Newton stops once |step| <= STEP_TOL * max(1, |p|)
+NEWTON_SNAP = 36  # Cauchy Newton points snap to multiples of 2**-36 (1.5e-11)
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,12 @@ class RankingFas:
 
 @dataclass(frozen=True)
 class ScalarGrid:
+    """Decode on [-bound, bound]: scan `grid_points` uniform points, then
+    polish the best one within its two neighbours by at most `refine_iters`
+    steps (Newton steps for Cauchy, which stop early once converged; golden-
+    section steps otherwise).  refine_iters = 0 is a plain grid scan.  Points
+    are never decoded outside the bound, whatever the training outputs."""
+
     bound: float = 3.0
     grid_points: int = 512
     refine_iters: int = 40
@@ -192,12 +202,13 @@ def scalar_loss_grid(spec, y_train, loss):
 
 
 def decode_scalar_grid_batch(A, y_train, loss, spec, loss_grid=None):
-    """Grid scan + golden-section polish for Q queries at once.
+    """Grid scan + polish for Q queries at once.
 
     A is the (n, Q) matrix of per-query weights.  Each query gets the best
-    grid point, then `refine_iters` golden-section steps on the bracketing
-    sub-interval; the polished point is kept only if it does not lose to the
-    grid best.  Returns (points (Q,), objectives (Q,)).
+    grid point, then at most `refine_iters` polish steps on the bracketing
+    sub-interval (`_cauchy_newton` for Cauchy, `_golden_section` otherwise);
+    the polished point is kept only if its objective is below the grid
+    best's.  Returns (points (Q,), objectives (Q,)).
 
     loss_grid, when given, must be the (G, n) table of loss values between
     the spec's uniform grid and y_train (it only depends on those, so callers
@@ -229,29 +240,76 @@ def _decode_scalar_chunk(A, y_train, loss, spec, grid, L):
     best_f = F[best, np.arange(A.shape[1])]
 
     if spec.refine_iters > 0:
-        a = grid[np.maximum(best - 1, 0)].astype(float)
-        b = grid[np.minimum(best + 1, spec.grid_points - 1)].astype(float)
-        c = b - INV_PHI * (b - a)
-        d = a + INV_PHI * (b - a)
-        fc = _objective_batch(c, y_train, loss, A)
-        fd = _objective_batch(d, y_train, loss, A)
-        for _ in range(spec.refine_iters):
-            take = fc < fd
-            a2 = np.where(take, a, c)
-            b2 = np.where(take, d, b)
-            fresh = np.where(take, b2 - INV_PHI * (b2 - a2), a2 + INV_PHI * (b2 - a2))
-            c2 = np.where(take, fresh, d)
-            d2 = np.where(take, c, fresh)
-            f_fresh = _objective_batch(fresh, y_train, loss, A)
-            fc2 = np.where(take, f_fresh, fd)
-            fd2 = np.where(take, fc, f_fresh)
-            a, b, c, d, fc, fd = a2, b2, c2, d2, fc2, fd2
-        refined = np.where(fc < fd, c, d)
+        lo = grid[np.maximum(best - 1, 0)]
+        hi = grid[np.minimum(best + 1, spec.grid_points - 1)]
+        if isinstance(loss, losses.Cauchy):
+            refined = _cauchy_newton(A, y_train, loss.gamma, best_x, lo, hi, spec.refine_iters)
+            # the snap may step past a bound that is no multiple of 2**-NEWTON_SNAP
+            refined = np.clip(refined, grid[0], grid[-1])
+        else:
+            refined = _golden_section(A, y_train, loss, lo, hi, spec.refine_iters)
         f_ref = _objective_batch(refined, y_train, loss, A)
         improve = f_ref < best_f
         best_x = np.where(improve, refined, best_x)
         best_f = np.where(improve, f_ref, best_f)
     return best_x, best_f
+
+
+def _golden_section(A, y_train, loss, a, b, iters):
+    """`iters` golden-section steps on each column's bracket [a, b]."""
+    c = b - INV_PHI * (b - a)
+    d = a + INV_PHI * (b - a)
+    fc = _objective_batch(c, y_train, loss, A)
+    fd = _objective_batch(d, y_train, loss, A)
+    for _ in range(iters):
+        take = fc < fd
+        a2 = np.where(take, a, c)
+        b2 = np.where(take, d, b)
+        fresh = np.where(take, b2 - INV_PHI * (b2 - a2), a2 + INV_PHI * (b2 - a2))
+        c2 = np.where(take, fresh, d)
+        d2 = np.where(take, c, fresh)
+        f_fresh = _objective_batch(fresh, y_train, loss, A)
+        fc2 = np.where(take, f_fresh, fd)
+        fd2 = np.where(take, fc, f_fresh)
+        a, b, c, d, fc, fd = a2, b2, c2, d2, fc2, fd2
+    return np.where(fc < fd, c, d)
+
+
+def _cauchy_newton(A, y_train, gamma, start, lo, hi, iters):
+    """Safeguarded Newton on F' of the Cauchy objective (`rtsafe`, Numerical
+    Recipes 9.4), at most `iters` steps per column from `start` in [lo, hi].
+
+    With d = p - y_i and v = gamma + d^2, F'/2gamma = sum a d/v and
+    F''/2gamma = 2gamma sum a/v^2 - sum a/v: no log1p.  The sign of F' at
+    each iterate shrinks the bracket; a step is Newton's when F'' > 0 and it
+    lands inside the bracket, else a bisection.  A column stops once its step
+    is at most STEP_TOL * max(1, |p|).  The sums run along the rows of the
+    (Q, n) transpose, one row per column, so a column's answer does not
+    depend on the batch around it; the answer is snapped to multiples of
+    2**-NEWTON_SNAP, so weights that differ in the last bits (a GEMV's against
+    a GEMM's) give the same point.
+    """
+    At = np.ascontiguousarray(A.T)
+    p, lo, hi = start.astype(float), lo.astype(float), hi.astype(float)
+    active = np.arange(At.shape[0])
+    for _ in range(iters):
+        if active.size == 0:
+            break
+        x = p[active]
+        d = x[:, None] - y_train
+        r = 1.0 / (gamma + d * d)
+        w = At[active] * r
+        slope = (w * d).sum(axis=1)
+        curv = 2.0 * gamma * (w * r).sum(axis=1) - w.sum(axis=1)
+        a = np.where(slope < 0.0, x, lo[active])  # the minimum lies right of x
+        b = np.where(slope > 0.0, x, hi[active])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - slope / curv
+        step_in = (curv > 0.0) & (newton >= a) & (newton <= b)
+        nxt = np.where(step_in, newton, 0.5 * (a + b))
+        lo[active], hi[active], p[active] = a, b, nxt
+        active = active[np.abs(nxt - x) > STEP_TOL * np.maximum(1.0, np.abs(x))]
+    return np.ldexp(np.rint(np.ldexp(p, NEWTON_SNAP)), -NEWTON_SNAP)
 
 
 def decode_scalar_grid(alphas, y_train, loss, spec):

@@ -117,15 +117,21 @@ def check_fisher(p, loss):
 
 
 def check_comparison(p, loss, g, tol=1e-9):
-    """Both sides of E(d.g) - E(f*) <= 2 c_delta sqrt(R(g) - R(g*))."""
+    """Both sides of E(d.g) - E(f*) <= 2 c_delta sqrt(R(g) - R(g*)).
+
+    The excess surrogate risk is taken from the identity R(g) - R(g*) =
+    sum_x rho_X(x) ||g(x) - g*(x)||^2, not as a difference of two O(1)
+    risks, which would cancel when g is close to g*.
+    """
     emb = losses.build_finite_embedding(loss, p.ys)
-    gstar = gstar_embedding(p, emb)
-    decoded = decode_tabular(np.asarray(g, dtype=float), emb, p)
+    g = np.asarray(g, dtype=float)
+    diff = g - gstar_embedding(p, emb)
+    decoded = decode_tabular(g, emb, p)
     _, bayes = bayes_optimal(p, loss)
     lhs = structured_risk(p, loss, decoded) - bayes
-    excess = surrogate_risk(p, emb, g) - surrogate_risk(p, emb, gstar)
-    rhs = 2.0 * emb.c_delta * np.sqrt(max(0.0, excess))
-    return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs + tol)}
+    excess = float(p.marginal_x @ (diff * diff).sum(axis=1))
+    rhs = 2.0 * emb.c_delta * np.sqrt(excess)
+    return {"lhs": lhs, "rhs": rhs, "excess": excess, "holds": bool(lhs <= rhs + tol)}
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,16 @@ def dense_grid_min_cauchy(alphas, y_train, gamma, bound, points=1_000_000):
     return float(grid[i]), float(vals[i])
 
 
+def cauchy_slope(p, alphas, y_train, gamma):
+    """F'(p) of the weighted Cauchy objective, term by term from
+    d/dp gamma * log(1 + d^2 / gamma) = 2 d / (1 + d^2 / gamma)."""
+    total = 0.0
+    for a, yt in zip(alphas, y_train):
+        d = p - yt
+        total += a * 2.0 * d / (1.0 + d * d / gamma)
+    return total
+
+
 def gaussian_kernel_matrix(A_rows, B_rows, sigma):
     """K[i, j] = exp(-||a_i - b_j||^2 / sigma), straight from the definition."""
     d = ((A_rows[:, None, :] - B_rows[None, :, :]) ** 2).sum(axis=-1)

@@ -213,3 +213,27 @@ def test_predict_on_ragged_csv_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "query.csv: line 4" in err
     assert not (tmp_path / "preds.csv").exists()
+
+
+def test_scalar_targets_outside_the_bound_are_usage_errors(tmp_path, capsys):
+    # the decoder's grid spans [-bound, bound]: with every target at 10 and
+    # the default --bound 3 it would write 3.0 for every query
+    X = np.linspace(-1, 1, 8)[:, None]
+    _write_csv(tmp_path / "train.csv", ["x0", "y"], [[x, 10.0] for x in X[:, 0]])
+    _write_csv(tmp_path / "query.csv", ["x0"], [[0.25], [0.5]])
+    model, preds = tmp_path / "model.json", tmp_path / "preds.csv"
+    assert cli.main(["train", "--in", str(tmp_path / "train.csv"), "--out", str(model),
+                     "--kind", "scalar"]) == cli.EXIT_OK
+    capsys.readouterr()
+    for argv in (["predict", "--model", str(model), "--in", str(tmp_path / "query.csv"),
+                  "--out", str(preds)],
+                 ["cv", "--in", str(tmp_path / "train.csv"), "--kind", "scalar",
+                  "--folds", "2", "--out", str(tmp_path / "cv.json")]):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "max |y| = 10" in err and "--bound 3" in err
+    assert not preds.exists() and not (tmp_path / "cv.json").exists()
+    assert cli.main(["predict", "--model", str(model), "--in", str(tmp_path / "query.csv"),
+                     "--out", str(preds), "--bound", "12"]) == cli.EXIT_OK
+    _, rows = _read_csv(preds)
+    assert [float(r[0]) for r in rows] == pytest.approx([10.0, 10.0], abs=1e-6)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -413,19 +415,131 @@ def test_scalar_batch_matches_single():
                          ids=lambda loss: type(loss).__name__)
 def test_scalar_fast_path_matches_generic_loss(loss):
     # A plain callable is none of the closed-form loss classes, so it takes
-    # the per-call loop that evaluates the loss by its definition.
+    # the per-call loop that evaluates the loss by its definition, and the
+    # golden-section polish.  Cauchy is polished by Newton instead: its grid
+    # scan must agree exactly, and its polished point must be no worse than
+    # golden section's in objective and in slope.
     def plain(y, y2):
         return loss(y, y2)
 
+    scan = dataclasses.replace(SPEC, refine_iters=0)
     rng = np.random.default_rng(12)
     for _ in range(5):
         n, q = int(rng.integers(2, 12)), 4
         y_train = rng.uniform(-2.5, 2.5, size=n)
         A = rng.normal(size=(n, q))
-        pts, vals = decoders.decode_scalar_grid_batch(A, y_train, loss, SPEC)
-        ref_pts, ref_vals = decoders.decode_scalar_grid_batch(A, y_train, plain, SPEC)
-        np.testing.assert_array_equal(pts, ref_pts)
-        np.testing.assert_allclose(vals, ref_vals, rtol=1e-12, atol=0)
+        for spec in (scan, SPEC):
+            pts, vals = decoders.decode_scalar_grid_batch(A, y_train, loss, spec)
+            ref_pts, ref_vals = decoders.decode_scalar_grid_batch(A, y_train, plain, spec)
+            if spec is scan or not isinstance(loss, losses.Cauchy):
+                np.testing.assert_array_equal(pts, ref_pts)
+                np.testing.assert_allclose(vals, ref_vals, rtol=1e-12, atol=0)
+                continue
+            for j in range(q):
+                f = _oracles.weighted_objective(pts[j], A[:, j], loss, y_train)
+                f_ref = _oracles.weighted_objective(ref_pts[j], A[:, j], loss, y_train)
+                assert f <= f_ref + 1e-12 * abs(f_ref)
+                slope = _oracles.cauchy_slope(pts[j], A[:, j], y_train, loss.gamma)
+                ref_slope = _oracles.cauchy_slope(ref_pts[j], A[:, j], y_train, loss.gamma)
+                assert abs(slope) <= abs(ref_slope)
+
+
+# Oracle checks of the Cauchy Newton polish.  The dense oracle scans 10^6
+# points on [-3, 3] (spacing 6e-6), so a decode in the oracle's basin lies
+# within two spacings of its point and its objective is no higher than the
+# oracle's, up to 1e-12 for the two evaluation routes' rounding.
+DENSE_STEP = 6.0 / (1_000_000 - 1)
+
+
+def _assert_matches_dense_oracle(got, alphas, y_train, gamma):
+    loss = losses.Cauchy(gamma)
+    x, val = _oracles.dense_grid_min_cauchy(alphas, y_train, gamma, SPEC.bound)
+    assert abs(got - x) <= 2 * DENSE_STEP
+    assert _oracles.weighted_objective(got, alphas, loss, y_train) <= val + 1e-12
+
+
+def test_scalar_cauchy_newton_with_negative_weights_matches_dense_grid():
+    rng = np.random.default_rng(9)
+    interior = 0
+    for _ in range(10):
+        n = int(rng.integers(3, 12))
+        y_train = rng.uniform(-2.5, 2.5, size=n)
+        alphas = rng.normal(size=n)
+        got = decoders.decode_scalar_grid(alphas, y_train, losses.Cauchy(0.7), SPEC)
+        _assert_matches_dense_oracle(got, alphas, y_train, 0.7)
+        interior += abs(got) < SPEC.bound
+    assert interior >= 5  # most of these minima are polished, not clipped
+
+
+def test_scalar_cauchy_newton_between_two_close_minima():
+    # gamma = 1e-5 gives each of the two nearby training points its own
+    # minimum, 0.5 to 2 grid cells apart.  The decoder is a grid scan plus a
+    # local polish, so it may keep the basin of the grid best where the
+    # other minimum is deeper; its objective is then within the scan's own
+    # error, h^2/8 * sup F'' (F'' <= 2 per unit weight), of the dense minimum.
+    # Where it keeps the dense minimum's basin it matches that minimum.
+    h = 2 * SPEC.bound / (SPEC.grid_points - 1)
+    gamma = 1e-5
+    loss = losses.Cauchy(gamma)
+    rng = np.random.default_rng(3)
+    same_basin = 0
+    for _ in range(20):
+        y0 = rng.uniform(-2, 2)
+        y_train = np.array([y0, y0 + rng.uniform(0.5, 2.0) * h, rng.uniform(-2.5, 2.5)])
+        alphas = np.array([1.0, rng.uniform(0.6, 0.95), 0.3])
+        got = decoders.decode_scalar_grid(alphas, y_train, loss, SPEC)
+        got_val = _oracles.weighted_objective(got, alphas, loss, y_train)
+        x, val = _oracles.dense_grid_min_cauchy(alphas, y_train, gamma, SPEC.bound)
+        assert got_val <= val + h * h / 8 * 2 * alphas.sum()
+        if abs(got - x) <= 2 * DENSE_STEP:
+            same_basin += 1
+            assert got_val <= val + 1e-12
+    assert same_basin >= 18
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_scalar_cauchy_newton_returns_the_boundary_grid_point(side):
+    # every target lies beyond the bound, so F falls all the way to it
+    rng = np.random.default_rng(10)
+    y_train = side * rng.uniform(3.5, 6.0, size=7)
+    alphas = rng.uniform(0.1, 1.0, size=7)
+    for iters in (10, 40):
+        spec = dataclasses.replace(SPEC, refine_iters=iters)
+        got = decoders.decode_scalar_grid(alphas, y_train, losses.Cauchy(0.7), spec)
+        assert got == side * SPEC.bound
+        _assert_matches_dense_oracle(got, alphas, y_train, 0.7)
+
+
+def test_scalar_cauchy_newton_converges_within_a_few_steps():
+    # Newton converges quadratically from the grid best, so a cap of 6 steps
+    # does not bind: the points equal those of the 40-step cap
+    rng = np.random.default_rng(13)
+    n = 40
+    y_train = rng.uniform(-2.5, 2.5, size=n)
+    A = np.abs(rng.normal(size=(n, 200))) / n
+    loss = losses.Cauchy(0.7)
+    few = decoders.decode_scalar_grid_batch(A, y_train, loss,
+                                            dataclasses.replace(SPEC, refine_iters=6))[0]
+    np.testing.assert_array_equal(few, decoders.decode_scalar_grid_batch(A, y_train, loss,
+                                                                         SPEC)[0])
+
+
+def test_scalar_cauchy_newton_wide_batch_equals_column_decodes():
+    # Points must agree bit for bit; an objective read from the grid scan's
+    # product may differ in the last bits, as BLAS rounds a one-column
+    # product differently.
+    rng = np.random.default_rng(11)
+    n, q = 9, 2 * decoders.SCALAR_CHUNK + 3
+    y_train = rng.uniform(-2.5, 2.5, size=n)
+    A = rng.normal(size=(n, q))
+    loss = losses.Cauchy(0.7)
+    pts, vals = decoders.decode_scalar_grid_batch(A, y_train, loss, SPEC)
+    for j in range(q):
+        one, one_val = decoders.decode_scalar_grid_batch(A[:, j:j + 1], y_train, loss, SPEC)
+        assert pts[j] == one[0]
+        assert vals[j] == pytest.approx(one_val[0], rel=1e-12)
+    for j in range(0, q, 64):
+        _assert_matches_dense_oracle(pts[j], A[:, j], y_train, 0.7)
 
 
 # ---------------------------------------------------------------------------

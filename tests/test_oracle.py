@@ -63,6 +63,22 @@ def test_surrogate_risk_matches_the_double_loop_oracle():
                                         rel=1e-12, abs=0)
 
 
+def test_comparison_excess_has_no_cancellation_near_gstar():
+    # g = g* + eps E with eps = 1e-7: the excess surrogate risk is
+    # eps^2 sum_x rho_X(x) ||E(x)||^2, about 1e-14, far below the rounding
+    # of a difference of two O(1) risks
+    rng = np.random.default_rng(6)
+    eps = 1e-7
+    for p, loss in _problems(2, trials=9):
+        E = rng.normal(size=p.rho.shape)
+        g = p.conditionals + eps * E
+        want = eps * eps * float((p.rho.sum(axis=1) * (E * E).sum(axis=1)).sum())
+        rep = oracle.check_comparison(p, loss, g)
+        assert rep["excess"] == pytest.approx(want, rel=1e-9, abs=0)
+        c_delta = losses.build_finite_embedding(loss, p.ys).c_delta
+        assert rep["rhs"] == pytest.approx(2.0 * c_delta * np.sqrt(want), rel=1e-9, abs=0)
+
+
 def test_check_ls_equivalence_checks_every_test_point():
     rng = np.random.default_rng(5)
     X, Y = oracle.sample_classification_dataset(rng, 30, 4)
