@@ -3,7 +3,7 @@ loss-weighted decoding, with brute-force theory oracles."""
 
 __version__ = "0.1.0"
 
-from . import accel, decoders, experiments, kernels, losses, model_selection, oracle, surrogate
+from . import decoders, experiments, kernels, losses, model_selection, oracle, surrogate
 from .decoders import (
     Exhaustive,
     RankingFas,
@@ -16,7 +16,7 @@ from .decoders import (
     predict,
     predict_batch,
 )
-from .kernels import KernelSpec, eval_kernel, cross_kernel, factor_shifted, gaussian, gram_matrix, linear, solve_spd
+from .kernels import KernelSpec, cross_kernel, factor_shifted, gaussian, gram_matrix, linear, solve_spd
 from .losses import (
     AbsoluteError,
     Cauchy,

@@ -1,11 +1,10 @@
-"""Greedy feedback-arc-set peel for the ranking decoder.
+"""Greedy feedback-arc-set peel, kept only for the benchmark's stage map.
 
-Every other numeric kernel lives in the one module that calls it, with a
-single NumPy implementation.  `fas_peel` would belong in `decoders` too; it
-stays here, together with the constant `USE_NUMBA = False`, because the
-benchmark names both from outside the package: `bench/stages.py` traces
-`accel.fas_peel` and `bench/machine.py` records `accel.USE_NUMBA`.  Both can
-move once the benchmark drops those two names.
+`fas_peel` has no library caller: the ranking decoder is the exact sort of
+s = A^T R (`decoders.decode_ranking_fas`).  The peel and the constant
+`USE_NUMBA = False` stay only because the benchmark names both from outside
+the package: `bench/stages.py` traces `accel.fas_peel` and `bench/machine.py`
+records `accel.USE_NUMBA`.  The module goes once the benchmark drops them.
 """
 
 import numpy as np

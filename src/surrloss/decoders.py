@@ -5,20 +5,18 @@ Four output spaces are supported:
                         loss is called once per (candidate, distinct training
                         output) pair, and F for a whole batch of queries is
                         one (C, U) @ (U, Q) product.
-  * RankingFas       -- permutations, greedy feedback-arc-set peel, guarded
-                        by the rating sorts of the training profiles: the
-                        peel and the T sorts are scored in one (T+1, M*M)
-                        product with the aggregated pair costs.
+  * RankingFas       -- permutations, exact sort of s = A^T R: the weighted
+                        rating of each item, one product per batch of
+                        queries, then a stable descending argsort per row.
   * ScalarGrid       -- bounded reals, uniform grid + a polish of the grid
                         best: safeguarded Newton on F' for Cauchy, golden
                         section for any other loss; SCALAR_CHUNK query
                         columns at a time.
   * SimplexHellinger -- histograms, closed-form square-root barycenter.
 
-Ties break to the lowest index (for RankingFas: the peel first, then the
-lowest training index).  All decoders are pure functions.  RankingFas and
-SimplexHellinger minimise one fixed loss in closed form, so every route
-rejects any other loss given with them.
+Ties break to the lowest index.  All decoders are pure functions.
+RankingFas and SimplexHellinger minimise one fixed loss in closed form, so
+every route rejects any other loss given with them.
 
 `decode_batch` is the one decode from an (n, Q) weight matrix: prediction
 and cross-validation both dispatch through it.  `predict` is a batch of one,
@@ -32,14 +30,16 @@ other.
 
 Exhaustive and ScalarGrid read every loss value from `losses.loss_table`.
 `_loss_matrix`, a bare `loss_table` call, stays only because the stage map
-traces it by that name (`decoders.scalar.table`).
+traces it by that name (`decoders.scalar.table`); so do `aggregate_pair_costs`
+and `ranking_objective`, the ranking objective's pair-cost form, which no
+decode calls.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import accel, losses, surrogate
+from . import losses, surrogate
 
 INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 SCALAR_CHUNK = 256  # query columns per scalar decode step
@@ -58,6 +58,10 @@ class Exhaustive:
 
 @dataclass(frozen=True)
 class RankingFas:
+    """Rankings of `items` items, decoded by the exact sort of s = A^T R
+    (`decode_ranking_fas`).  The name, from the feedback-arc-set view of the
+    general pairwise problem, stays for API and report stability."""
+
     items: int
 
     def __post_init__(self):
@@ -131,7 +135,9 @@ def aggregate_pair_costs(alphas, profiles):
     """W[i, j] = sum_t alpha_t * gains(profile_t)[i, j].
 
     Exchanging the sums turns F(y) into sum_ij W_ij (1 - sign(y_i - y_j)) / 2,
-    so one M x M matrix carries the whole objective.
+    so one M x M matrix carries the whole objective.  The decoder does not
+    need it (see `decode_ranking_fas`); it stays with `ranking_objective` as
+    the objective's pair-cost form, which the benchmark's stage map names.
     """
     alphas = np.asarray(alphas, dtype=float)
     profiles = np.ascontiguousarray(profiles, dtype=float)
@@ -162,27 +168,26 @@ def profile_sort_ranks(ratings):
     return _order_to_ranks(order)
 
 
-def decode_ranking_fas(alphas, profiles, items):
-    """Greedy source/sink peeling on the net-cost tournament, guarded by the
-    rating sorts of the training profiles.
+def decode_ranking_fas(A, profiles, items):
+    """Exact sort of s = A^T R: the stable descending sort of the weighted
+    item ratings minimises F(y) = sum_t a_t rank_loss(y, r_t) exactly.
 
-    The peel extracts, among remaining items, the one whose net cost of being
-    ranked next is lowest (lowest index on ties).  The guard scores the peel
-    and the sort of every training profile at once: row c of the
-    (T+1, M*M) step-matrix stack (`losses.rank_step_rows`), the peel in
-    row 0, times the flattened pair costs W, summed along the row.  That sum
-    is `ranking_objective`'s, bit for bit, so the first minimum wins exactly
-    as in a sequential strict-< scan: the peel on exact ties, then the lowest
-    training index.  The objective never exceeds the best training sort's.
+    With gains max(0, r_tj - r_ti) the aggregated pair costs satisfy
+    W_ij - W_ji = s_j - s_i, so ranking i above j is the cheaper side of the
+    pair exactly when s_i >= s_j, and the sort takes the cheaper side of
+    every pair at once, for any sign of the weights.  Exact ties in s cost
+    the same either way round and go to the lowest index; BLAS may round the
+    s of two copied item columns apart, which leaves the objective unchanged
+    up to rounding.  A is one weight vector (T,) or a batch of columns
+    (T, Q); the result is (M,) or (Q, M).
     """
     profiles = np.asarray(profiles, dtype=float)
     if profiles.ndim != 2 or profiles.shape[1] != items:
-        raise ValueError(f"profiles must be (T, {items})")
-    W = aggregate_pair_costs(alphas, profiles)
-    order = accel.fas_peel(W - W.T)
-    cands = np.vstack([_order_to_ranks(order), profile_sort_ranks(profiles)])
-    F = (losses.rank_step_rows(cands) * W.ravel()).sum(axis=1)
-    return cands[int(np.argmin(F))]
+        raise ValueError(f"ranking decoder needs (T, {items}) rating profiles")
+    A = np.asarray(A, dtype=float)
+    if A.shape[0] != profiles.shape[0]:
+        raise ValueError("weight / profile count mismatch")
+    return profile_sort_ranks(np.tensordot(A, profiles, axes=(0, 0)))
 
 
 def _objective_batch(points, y_train, loss, A):
@@ -373,8 +378,8 @@ def _check_loss(decoder, loss):
 
 def decode_batch(decoder, loss, y_train, A):
     """Decode Q queries from their (n, Q) weights A with the decoder matching
-    the output space: a list of candidates (Exhaustive) or rank vectors
-    (RankingFas), or an array of points (ScalarGrid, (Q,)) or histograms
+    the output space: a list of candidates (Exhaustive), or an array of rank
+    vectors (RankingFas, (Q, M)), points (ScalarGrid, (Q,)) or histograms
     (SimplexHellinger, (Q, d)).  Every decode from weights dispatches here.
     """
     _check_loss(decoder, loss)
@@ -384,9 +389,7 @@ def decode_batch(decoder, loss, y_train, A):
         return [decoder.candidates[c] for c in best]
     Y = np.asarray(y_train, dtype=float)
     if isinstance(decoder, RankingFas):
-        if Y.ndim != 2 or Y.shape[1] != decoder.items:
-            raise ValueError("ranking decoder needs (T, M) rating profiles as training outputs")
-        return [decode_ranking_fas(A[:, q], Y, decoder.items) for q in range(A.shape[1])]
+        return decode_ranking_fas(A, Y, decoder.items)
     if isinstance(decoder, ScalarGrid):
         if Y.ndim != 1:
             raise ValueError("scalar decoder needs scalar training outputs")

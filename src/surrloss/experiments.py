@@ -169,7 +169,9 @@ def _best_training_sort(train_profiles):
 
 def run_ranking_experiment(items=8, n_train=80, n_test=40, repetitions=5, seed0=0,
                            lambdas=(1e-4, 1e-3, 1e-2, 1e-1, 1.0), folds=5):
-    """Mean normalized rank loss: FAS-decoded predictor vs constant baseline."""
+    """Mean normalized rank loss: the SELF predictor, decoded by the exact sort
+    of s = A^T R (`decoders.RankingFas`, reported as "alg1_fas"), vs the
+    constant best-training-sort baseline."""
     decoder = decoders.RankingFas(items=items)
     loss = losses.RankLoss(normalize=False)
     scoring = losses.RankLoss(normalize=True)

@@ -72,20 +72,6 @@ def _check_vector(x, name):
     return x
 
 
-def eval_kernel(spec, x, x2):
-    """k(x, x') for a single pair.  Gaussian values lie in (0, 1]."""
-    if spec.kind == "precomputed":
-        return float(spec.matrix[int(x), int(x2)])
-    x = _check_vector(x, "x")
-    x2 = _check_vector(x2, "x'")
-    if x.shape != x2.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {x2.shape}")
-    if spec.kind == "linear":
-        return float(np.dot(x, x2))
-    d = x - x2
-    return float(np.exp(-np.dot(d, d) / spec.sigma))
-
-
 def _as_input_matrix(X):
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -197,6 +183,13 @@ def _block_inverses(L):
                  for s in range(0, L.shape[0], SOLVE_BLOCK))
 
 
+def _plus_diagonal(M, value):
+    """M + value*I as a new array, without an (n, n) identity temporary."""
+    out = M.copy()
+    out.flat[::M.shape[0] + 1] += value
+    return out
+
+
 def factor_shifted(K, shift):
     """Cholesky-factor K + shift*I, walking a jitter ladder on failure.
 
@@ -210,14 +203,15 @@ def factor_shifted(K, shift):
     if shift < 0:
         raise ValueError("shift must be non-negative")
     n = K.shape[0]
-    A = K + shift * np.eye(n)
+    A = _plus_diagonal(K, shift)
+    del K  # a Gram the caller no longer holds is freed before L is allocated
     scale = float(np.max(np.diag(A))) if n else 1.0
     if scale <= 0:
         scale = 1.0
     for rel in (0.0,) + JITTER_LADDER:
         jitter = rel * scale
         try:
-            L = np.linalg.cholesky(A + jitter * np.eye(n) if jitter else A)
+            L = np.linalg.cholesky(_plus_diagonal(A, jitter) if jitter else A)
         except np.linalg.LinAlgError:
             continue
         return SpdFactor(order=n, lower=L, shift=float(shift), jitter=float(jitter),

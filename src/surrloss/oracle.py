@@ -90,15 +90,6 @@ def gstar_embedding(p, embedding):
     return p.conditionals.copy()
 
 
-def surrogate_risk(p, embedding, g):
-    """R(g) = sum_{x,y} rho[x, y] ||g(x) - psi(y)||^2, with psi(y) = e_y."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (len(p.xs), len(p.ys)):
-        raise ValueError("g must be (|X|, |Y|)")
-    diff = g[:, None, :] - np.eye(len(p.ys))  # diff[x, y] = g(x) - e_y
-    return float((p.rho * (diff * diff).sum(axis=2)).sum())
-
-
 def decode_tabular(g, embedding, p):
     """d(g(x)) = argmin_y (V g(x))[q(y)], lowest index on ties."""
     g = np.asarray(g, dtype=float)
@@ -117,7 +108,8 @@ def check_fisher(p, loss):
 
 
 def check_comparison(p, loss, g, tol=1e-9):
-    """Both sides of E(d.g) - E(f*) <= 2 c_delta sqrt(R(g) - R(g*)).
+    """Both sides of E(d.g) - E(f*) <= 2 c_delta sqrt(R(g) - R(g*)), where
+    R(g) = sum_{x,y} rho[x, y] ||g(x) - e_y||^2 is the surrogate risk.
 
     The excess surrogate risk is taken from the identity R(g) - R(g*) =
     sum_x rho_X(x) ||g(x) - g*(x)||^2, not as a difference of two O(1)

@@ -47,8 +47,7 @@ def fit(X, Y, kernel, lam):
     n = X.shape[0]
     if n < 1 or len(Y) != n:
         raise ValueError(f"need |X| = |Y| >= 1, got {n} and {len(Y)}")
-    K = kernels.gram_matrix(kernel, X)
-    factor = kernels.factor_shifted(K, n * lam)
+    factor = kernels.factor_shifted(kernels.gram_matrix(kernel, X), n * lam)
     return TrainedSurrogate(X=X, Y=Y, kernel=kernel, lam=float(lam), factor=factor)
 
 

@@ -58,20 +58,17 @@ def descending_sort_ranks(ratings):
     return np.array(ranks, dtype=np.int64)
 
 
-def guarded_ranking_scan(peel_ranks, alphas, profiles):
-    """The guarded ranking rule by sequential scan: start from the peel, then
-    take a training profile's sort only if its objective
-    sum_t alpha_t * rank_loss_double_loop(., profile_t) is strictly lower."""
-    def objective(ranks):
-        return sum(a * rank_loss_double_loop(ranks, pr) for a, pr in zip(alphas, profiles))
-
-    best, best_val = np.asarray(peel_ranks), objective(peel_ranks)
-    for pr in profiles:
-        cand = descending_sort_ranks(pr)
-        val = objective(cand)
-        if val < best_val:
-            best, best_val = cand, val
-    return best
+def eval_kernel(spec, x, x2):
+    """k(x, x') for a single pair, from the definition of `spec.kind`:
+    matrix[x, x'] (precomputed), <x, x'> (linear) or
+    exp(-||x - x'||^2 / sigma) (gaussian)."""
+    if spec.kind == "precomputed":
+        return float(spec.matrix[int(x), int(x2)])
+    x, x2 = np.asarray(x, dtype=float), np.asarray(x2, dtype=float)
+    if spec.kind == "linear":
+        return float(np.dot(x, x2))
+    d = x - x2
+    return float(np.exp(-np.dot(d, d) / spec.sigma))
 
 
 def weighted_objective(y, alphas, loss, y_train):
@@ -87,6 +84,25 @@ def scan_minimum(candidates, alphas, loss, y_train):
 
 def all_permutations(m):
     return [np.array(p, dtype=np.int64) for p in itertools.permutations(range(1, m + 1))]
+
+
+def _pair_gains(profiles):
+    """gains[t, i, j] = max(0, r_tj - r_ti), the cost of ranking i above j."""
+    R = np.asarray(profiles, dtype=float)
+    return np.maximum(0.0, R[:, None, :] - R[:, :, None])
+
+
+def ranking_objectives(perms, alphas, profiles):
+    """F(p) = sum_t alpha_t sum_ij gains_t[i, j] (1 - sign(p_i - p_j)) / 2 for
+    every rank vector p in the (P, M) array `perms`."""
+    P = np.asarray(perms)
+    step = (1.0 - np.sign(P[:, :, None] - P[:, None, :])) / 2.0
+    return np.einsum("pij,tij,t->p", step, _pair_gains(profiles), np.asarray(alphas, float))
+
+
+def ranking_objective_scale(alphas, profiles):
+    """sum_t |alpha_t| * (gain mass of profile t), a bound on |F|."""
+    return float(np.abs(alphas) @ _pair_gains(profiles).sum(axis=(1, 2)))
 
 
 def hellinger_objective(p, alphas, Y):
@@ -176,6 +192,12 @@ def structured_risk_double_loop(rho, loss_table, f_idx):
         for iy in range(rho.shape[1]):
             total += rho[ix, iy] * loss_table[f_idx[ix], iy]
     return total
+
+
+def surrogate_risk(rho, g):
+    """R(g) = sum_{x,y} rho[x, y] ||g[x] - e_y||^2, vectorized over (x, y)."""
+    diff = np.asarray(g, dtype=float)[:, None, :] - np.eye(rho.shape[1])
+    return float((rho * (diff * diff).sum(axis=2)).sum())
 
 
 def surrogate_risk_double_loop(rho, g):

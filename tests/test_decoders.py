@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import _oracles
-from surrloss import decoders, kernels, losses, surrogate
+from surrloss import decoders, experiments, kernels, losses, surrogate
 
 
 # ---------------------------------------------------------------------------
@@ -207,102 +207,110 @@ def test_fas_never_worse_than_best_profile_sort():
 def test_fas_rejects_inconsistent_items():
     with pytest.raises(ValueError):
         decoders.decode_ranking_fas(np.array([1.0]), np.array([[1.0, 2.0]]), 3)
+    with pytest.raises(ValueError, match="mismatch"):
+        decoders.decode_ranking_fas(np.ones((3, 2)), np.ones((4, 3)), 3)
 
 
-def _ranking_instances(rng, count, integer):
-    for _ in range(count):
-        m = int(rng.integers(2, 9))
-        t = int(rng.integers(1, 13))
+def test_fas_guard_ties_between_training_sorts_go_to_the_lowest_index():
+    # Only profile 0 has weight, so s = [5, 5, 1]: items 0 and 1 tie, both
+    # training sorts [1, 2, 3] and [2, 1, 3] cost 0, and the lowest index
+    # goes first.
+    profiles = np.array([[5.0, 5.0, 1.0], [4.0, 5.0, 1.0]])
+    got = decoders.decode_ranking_fas(np.array([1.0, 0.0]), profiles, 3)
+    np.testing.assert_array_equal(got, [1, 2, 3])
+
+
+def _ranking_instances(rng, count, integer, max_items=7, copies=True):
+    """Random (alphas, profiles, M) with signed weights; with `copies`, a third
+    of them have item columns that copy others, which forces ties in s."""
+    for k in range(count):
+        m = int(rng.integers(2, max_items + 1))
+        t = int(rng.integers(1, 12))
         if integer:
             profiles = rng.integers(1, 6, size=(t, m)).astype(float)
             alphas = rng.integers(-3, 4, size=t).astype(float)
         else:
             profiles = rng.uniform(1, 5, size=(t, m))
             alphas = rng.normal(size=t)
+        if copies and k % 3 == 0:
+            profiles = profiles[:, rng.integers(0, m, size=m)]
         yield alphas, profiles, m
 
 
-def _peel_ranks(order):
-    ranks = np.empty(len(order), dtype=np.int64)
-    ranks[np.asarray(order)] = np.arange(1, len(order) + 1)
-    return ranks
-
-
-def _patch_peel(monkeypatch, peel):
-    """Make the decoder's peel return `peel(net)`; returns the list of the
-    orders it handed out."""
-    seen = []
-
-    def patched(net):
-        seen.append(np.asarray(peel(net), dtype=np.int64))
-        return seen[-1]
-
-    monkeypatch.setattr(decoders.accel, "fas_peel", patched)
-    return seen
-
-
-def test_fas_guard_replaces_a_poor_peel_by_the_first_best_training_sort(monkeypatch):
-    # The real peel has never lost to a training sort in random instances, so
-    # the guard is exercised by handing the decoder the reversed peel.  Integer
-    # ratings and weights keep every objective exact on both sides.
-    real = decoders.accel.fas_peel
-    seen = _patch_peel(monkeypatch, lambda net: real(net)[::-1].copy())
-    rng = np.random.default_rng(40)
-    guard_wins = 0
-    for alphas, profiles, m in _ranking_instances(rng, 150, integer=True):
-        got = decoders.decode_ranking_fas(alphas, profiles, m)
-        peel = _peel_ranks(seen[-1])
-        np.testing.assert_array_equal(
-            got, _oracles.guarded_ranking_scan(peel, alphas, profiles))
-        guard_wins += not np.array_equal(got, peel)
-    assert guard_wins > 50
-
-
-def test_fas_guard_peel_wins_exact_ties(monkeypatch):
-    # Items 0 and 1 share a rating, so ranking them either way costs the same:
-    # the peel [2, 1, 3] ties with the profile's sort [1, 2, 3] and is kept.
-    profiles = np.array([[5.0, 5.0, 1.0]])
-    _patch_peel(monkeypatch, lambda net: [1, 0, 2])
-    np.testing.assert_array_equal(
-        decoders.decode_ranking_fas(np.array([1.0]), profiles, 3), [2, 1, 3])
-    # A peel equal to a training sort comes back unchanged.
-    _patch_peel(monkeypatch, lambda net: [0, 1, 2])
-    np.testing.assert_array_equal(
-        decoders.decode_ranking_fas(np.array([1.0]), profiles, 3), [1, 2, 3])
-
-
-def test_fas_guard_ties_between_training_sorts_go_to_the_lowest_index(monkeypatch):
-    # Both profiles' sorts, [1, 2, 3] and [2, 1, 3], cost 0 under the weighted
-    # objective (only profile 0 has weight); the peel [3, 2, 1] costs more.
-    profiles = np.array([[5.0, 5.0, 1.0], [4.0, 5.0, 1.0]])
-    _patch_peel(monkeypatch, lambda net: [2, 1, 0])
-    got = decoders.decode_ranking_fas(np.array([1.0, 0.0]), profiles, 3)
-    np.testing.assert_array_equal(got, [1, 2, 3])
-
-
-def _sequential_guard(alphas, profiles, peel_order):
-    """The guard as a per-profile loop over `ranking_objective`."""
-    W = decoders.aggregate_pair_costs(alphas, profiles)
-    best = _peel_ranks(peel_order)
-    best_val = decoders.ranking_objective(W, best)
-    for t in range(profiles.shape[0]):
-        cand = decoders.profile_sort_ranks(profiles[t])
-        val = decoders.ranking_objective(W, cand)
-        if val < best_val:
-            best, best_val = cand, val
-    return best
-
-
 @pytest.mark.parametrize("integer", [True, False])
-@pytest.mark.parametrize("reverse_peel", [False, True])
-def test_fas_guard_matches_a_sequential_objective_scan(monkeypatch, integer, reverse_peel):
-    real = decoders.accel.fas_peel
-    peel = (lambda net: real(net)[::-1].copy()) if reverse_peel else real
-    seen = _patch_peel(monkeypatch, peel)
-    rng = np.random.default_rng(41 + 2 * integer + reverse_peel)
+def test_fas_sort_matches_a_brute_force_permutation_scan(integer):
+    # Every permutation of M <= 7 items is scored.  The decoded ranking's
+    # objective equals the scan's minimum within 1e-12 of the objective's
+    # scale sum_t |alpha_t| * (gain mass of profile t).  With integer ratings
+    # and weights every objective is exact, so the tie rule is checked too:
+    # among the minimisers, the one whose order lists the lowest index first.
+    rng = np.random.default_rng(40 + integer)
     for alphas, profiles, m in _ranking_instances(rng, 300, integer):
         got = decoders.decode_ranking_fas(alphas, profiles, m)
-        np.testing.assert_array_equal(got, _sequential_guard(alphas, profiles, seen[-1]))
+        perms = np.array(_oracles.all_permutations(m))
+        F = _oracles.ranking_objectives(perms, alphas, profiles)
+        scale = _oracles.ranking_objective_scale(alphas, profiles)
+        f_got = _oracles.ranking_objectives(got[None], alphas, profiles)[0]
+        assert abs(f_got - F.min()) <= 1e-12 * scale
+        if integer:
+            orders = [tuple(np.argsort(p)) for p in perms[F == F.min()]]
+            assert tuple(np.argsort(got)) == min(orders)
+
+
+def test_fas_batch_rows_equal_single_query_decodes():
+    # No copied item columns: with real weights, BLAS may round the s of two
+    # copies in a different order in a one-column and a Q-column product.
+    rng = np.random.default_rng(43)
+    for integer in (True, False):
+        for alphas, profiles, m in _ranking_instances(rng, 40, integer, 9, copies=False):
+            A = rng.normal(size=(profiles.shape[0], 7))
+            A[:, 0] = alphas
+            batch = decoders.decode_ranking_fas(A, profiles, m)
+            assert batch.shape == (7, m)
+            for q in range(7):
+                np.testing.assert_array_equal(
+                    batch[q], decoders.decode_ranking_fas(A[:, q], profiles, m))
+
+
+def test_fas_batch_ties_go_to_the_lowest_index():
+    # Integer weights and ratings make s exact, so copied item columns tie
+    # exactly in every row of the batch.
+    rng = np.random.default_rng(44)
+    for _ in range(50):
+        m, t = int(rng.integers(3, 9)), int(rng.integers(1, 12))
+        profiles = rng.integers(1, 6, size=(t, m)).astype(float)[:, rng.integers(0, m, size=m)]
+        A = rng.integers(-3, 4, size=(t, 6)).astype(float)
+        batch = decoders.decode_ranking_fas(A, profiles, m)
+        for q in range(6):
+            s = [sum(A[k, q] * profiles[k, j] for k in range(t)) for j in range(m)]
+            np.testing.assert_array_equal(batch[q], _oracles.descending_sort_ranks(s))
+
+
+def test_decode_batch_decodes_a_ranking_batch_in_one_call(monkeypatch):
+    calls = []
+    real = decoders.decode_ranking_fas
+
+    def counted(A, profiles, items):
+        calls.append(np.shape(A))
+        return real(A, profiles, items)
+
+    monkeypatch.setattr(decoders, "decode_ranking_fas", counted)
+    rng = np.random.default_rng(45)
+    R = rng.integers(1, 6, size=(10, 4)).astype(float)
+    out = decoders.decode_batch(decoders.RankingFas(items=4), losses.RankLoss(), R,
+                                rng.normal(size=(10, 6)))
+    assert calls == [(10, 6)] and out.shape == (6, 4)
+
+
+def test_ranking_predict_equals_predict_batch_on_a_fitted_model():
+    X, R = experiments.gen_ranking_data(8, 100, seed=5)
+    model = surrogate.fit(X[:60], R[:60], kernels.linear(), 1e-2)
+    decoder, loss = decoders.RankingFas(items=8), losses.RankLoss()
+    batch = decoders.predict_batch(model, decoder, loss, X[60:])
+    assert batch.shape == (40, 8)
+    for q in range(40):
+        np.testing.assert_array_equal(decoders.predict(model, decoder, loss, X[60 + q]),
+                                      batch[q])
 
 
 def test_profile_sort_ranks_of_a_stack_are_the_rows_sorts():

@@ -53,14 +53,19 @@ def test_bayes_optimal_attains_the_lowest_risk_over_all_predictors():
 
 
 def test_surrogate_risk_matches_the_double_loop_oracle():
-    # g mixes g* and raw noise; terms are O(10), so rel 1e-12 is generous
+    # g mixes g* and raw noise; terms are O(10), so rel 1e-12 is generous.
+    # Far from g* the difference of two risks does not cancel, so
+    # `check_comparison`'s excess must equal it.
     rng = np.random.default_rng(3)
     for p, loss in _problems(4):
-        for g in (p.conditionals, rng.normal(scale=2.0, size=p.rho.shape)):
-            emb = losses.build_finite_embedding(loss, p.ys)
-            got = oracle.surrogate_risk(p, emb, g)
-            assert got == pytest.approx(_oracles.surrogate_risk_double_loop(p.rho, g),
-                                        rel=1e-12, abs=0)
+        g = rng.normal(scale=2.0, size=p.rho.shape)
+        for h in (p.conditionals, g):
+            assert _oracles.surrogate_risk(p.rho, h) == pytest.approx(
+                _oracles.surrogate_risk_double_loop(p.rho, h), rel=1e-12, abs=0)
+        excess = (_oracles.surrogate_risk(p.rho, g)
+                  - _oracles.surrogate_risk(p.rho, p.conditionals))
+        assert oracle.check_comparison(p, loss, g)["excess"] == pytest.approx(
+            excess, rel=1e-12, abs=0)
 
 
 def test_comparison_excess_has_no_cancellation_near_gstar():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,22 @@ def test_fit_reproduces_system_matrix():
     target = K + 3 * lam * np.eye(3)
     rebuilt = m.factor.lower @ m.factor.lower.T
     assert np.max(np.abs(rebuilt - target)) <= 1e-10
+
+
+def test_fit_holds_at_most_two_gram_sized_arrays():
+    # K + n*lambda*I is built without an (n, n) identity, and the Gram is
+    # freed before the Cholesky factor is allocated: the shifted copy and the
+    # factor are the only (n, n) arrays alive at once (three before).
+    n = 600
+    X = np.random.default_rng(7).normal(size=(n, 3))
+    surrogate.fit(X, np.zeros(n), kernels.gaussian(3.0), 1e-3)
+    tracemalloc.start()
+    try:
+        surrogate.fit(X, np.zeros(n), kernels.gaussian(3.0), 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * n * 8
 
 
 def test_fit_rejects_bad_lambda_and_sizes():
