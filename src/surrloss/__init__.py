@@ -11,7 +11,6 @@ from .decoders import (
     SimplexHellinger,
     decode_exhaustive,
     decode_ranking_fas,
-    decode_scalar_grid,
     decode_simplex_hellinger,
     predict,
     predict_batch,

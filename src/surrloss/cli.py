@@ -154,20 +154,12 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _loss_from_args(args):
-    if args.loss == "cauchy":
-        return losses.Cauchy(args.gamma)
-    if args.loss == "squared":
-        return losses.SquaredError()
-    if args.loss == "absolute":
-        return losses.AbsoluteError()
-    if args.loss == "zero_one":
-        return losses.ZeroOne()
-    if args.loss == "hellinger":
-        return losses.SquaredHellinger()
-    if args.loss == "rank":
-        return losses.RankLoss()
-    raise ValueError(f"unknown loss {args.loss!r}")
+_LOSSES = {"cauchy": lambda args: losses.Cauchy(args.gamma),
+           "squared": lambda args: losses.SquaredError(),
+           "absolute": lambda args: losses.AbsoluteError(),
+           "zero_one": lambda args: losses.ZeroOne(),
+           "hellinger": lambda args: losses.SquaredHellinger(),
+           "rank": lambda args: losses.RankLoss()}
 
 
 _DEFAULT_LOSS = {"scalar": "cauchy", "label": "zero_one",
@@ -196,7 +188,7 @@ def cmd_predict(args):
     X, _ = read_dataset(args.data, kind)
     if args.loss is None:
         args.loss = _DEFAULT_LOSS[kind]
-    loss = _loss_from_args(args)
+    loss = _LOSSES[args.loss](args)
     decoder = _decoder_from_outputs(model.Y, kind, args)
     preds = decoders.predict_batch(model, decoder, loss, X)
     write_predictions(args.out, preds, kind)
@@ -210,7 +202,7 @@ def cmd_cv(args):
         raise ValueError("cv csv has no target columns")
     if args.loss is None:
         args.loss = _DEFAULT_LOSS[args.kind]
-    loss = _loss_from_args(args)
+    loss = _LOSSES[args.loss](args)
     scoring = losses.AbsoluteError() if args.kind == "scalar" else loss
     if args.kind == "ratings":
         scoring = losses.RankLoss(normalize=True)
@@ -300,6 +292,15 @@ def cmd_check(args):
 
 # ---------------------------------------------------------------------------
 
+def _add_decode_options(p):
+    """The loss and scalar-grid options shared by `predict` and `cv`."""
+    p.add_argument("--loss", choices=tuple(_LOSSES), default=None)
+    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--bound", type=float, default=3.0)
+    p.add_argument("--grid-points", type=int, default=512)
+    p.add_argument("--refine-iters", type=int, default=40)
+
+
 def build_parser():
     parser = _Parser(prog="surrloss", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -319,12 +320,7 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--loss", choices=("cauchy", "squared", "absolute", "zero_one",
-                                      "hellinger", "rank"), default=None)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--bound", type=float, default=3.0)
-    p.add_argument("--grid-points", type=int, default=512)
-    p.add_argument("--refine-iters", type=int, default=40)
+    _add_decode_options(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("cv", help="cross-validate a hyperparameter grid")
@@ -336,11 +332,7 @@ def build_parser():
     p.add_argument("--lambdas", type=_float_list, default=(1e-4, 1e-2, 1.0))
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--loss", default=None)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--bound", type=float, default=3.0)
-    p.add_argument("--grid-points", type=int, default=512)
-    p.add_argument("--refine-iters", type=int, default=40)
+    _add_decode_options(p)
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("experiment", help="run a synthetic experiment")

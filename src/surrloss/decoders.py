@@ -8,15 +8,16 @@ Four output spaces are supported:
   * RankingFas       -- permutations, exact sort of s = A^T R: the weighted
                         rating of each item, one product per batch of
                         queries, then a stable descending argsort per row.
-  * ScalarGrid       -- bounded reals, uniform grid + a polish of the grid
-                        best: safeguarded Newton on F' for Cauchy, golden
-                        section for any other loss; SCALAR_CHUNK query
-                        columns at a time.
+  * ScalarGrid       -- bounded reals, uniform grid + one polish of the grid
+                        best, safeguarded Newton on F' (bisection where F''
+                        is not positive), for Cauchy, squared or absolute
+                        error; SCALAR_CHUNK query columns at a time.
   * SimplexHellinger -- histograms, closed-form square-root barycenter.
 
 Ties break to the lowest index.  All decoders are pure functions.
-RankingFas and SimplexHellinger minimise one fixed loss in closed form, so
-every route rejects any other loss given with them.
+RankingFas and SimplexHellinger minimise one fixed loss in closed form and
+ScalarGrid polishes with the derivatives of its three losses, so every route
+rejects any other loss given with them (`check_loss`).
 
 `decode_batch` is the one decode from an (n, Q) weight matrix: prediction
 and cross-validation both dispatch through it.  `predict` is a batch of one,
@@ -41,10 +42,10 @@ import numpy as np
 
 from . import losses, surrogate
 
-INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 SCALAR_CHUNK = 256  # query columns per scalar decode step
-STEP_TOL = 1e-12  # Cauchy Newton stops once |step| <= STEP_TOL * max(1, |p|)
-NEWTON_SNAP = 36  # Cauchy Newton points snap to multiples of 2**-36 (1.5e-11)
+STEP_TOL = 1e-12  # the scalar polish stops once |step| <= STEP_TOL * max(1, |p|)
+NEWTON_SNAP = 36  # polished points snap to multiples of 2**-36 (1.5e-11)
+SCALAR_LOSSES = (losses.Cauchy, losses.SquaredError, losses.AbsoluteError)
 
 
 @dataclass(frozen=True)
@@ -71,11 +72,12 @@ class RankingFas:
 
 @dataclass(frozen=True)
 class ScalarGrid:
-    """Decode on [-bound, bound]: scan `grid_points` uniform points, then
-    polish the best one within its two neighbours by at most `refine_iters`
-    steps (Newton steps for Cauchy, which stop early once converged; golden-
-    section steps otherwise).  refine_iters = 0 is a plain grid scan.  Points
-    are never decoded outside the bound, whatever the training outputs."""
+    """Decode on [-bound, bound] for Cauchy, squared or absolute error: scan
+    `grid_points` uniform points, then polish the best one within its two
+    neighbours by at most `refine_iters` safeguarded Newton or bisection
+    steps, which stop early once converged.  refine_iters = 0 is a plain grid
+    scan.  Points are never decoded outside the bound, whatever the training
+    outputs."""
 
     bound: float = 3.0
     grid_points: int = 512
@@ -209,9 +211,9 @@ def scalar_loss_grid(spec, y_train, loss):
 def decode_scalar_grid_batch(A, y_train, loss, spec, loss_grid=None):
     """Grid scan + polish for Q queries at once.
 
-    A is the (n, Q) matrix of per-query weights.  Each query gets the best
-    grid point, then at most `refine_iters` polish steps on the bracketing
-    sub-interval (`_cauchy_newton` for Cauchy, `_golden_section` otherwise);
+    A is the (n, Q) matrix of per-query weights and `loss` one of
+    SCALAR_LOSSES.  Each query gets the best grid point, then at most
+    `refine_iters` steps of `_newton_polish` on the bracketing sub-interval;
     the polished point is kept only if its objective is below the grid
     best's.  Returns (points (Q,), objectives (Q,)).
 
@@ -222,6 +224,7 @@ def decode_scalar_grid_batch(A, y_train, loss, spec, loss_grid=None):
     working tables; as with any batch width, BLAS may round a column's grid
     objectives differently.
     """
+    check_loss(spec, loss)
     y_train = np.asarray(y_train, dtype=float).ravel()
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != y_train.shape[0]:
@@ -247,12 +250,9 @@ def _decode_scalar_chunk(A, y_train, loss, spec, grid, L):
     if spec.refine_iters > 0:
         lo = grid[np.maximum(best - 1, 0)]
         hi = grid[np.minimum(best + 1, spec.grid_points - 1)]
-        if isinstance(loss, losses.Cauchy):
-            refined = _cauchy_newton(A, y_train, loss.gamma, best_x, lo, hi, spec.refine_iters)
-            # the snap may step past a bound that is no multiple of 2**-NEWTON_SNAP
-            refined = np.clip(refined, grid[0], grid[-1])
-        else:
-            refined = _golden_section(A, y_train, loss, lo, hi, spec.refine_iters)
+        refined = _newton_polish(A, y_train, loss, best_x, lo, hi, spec.refine_iters)
+        # the snap may step past a bound that is no multiple of 2**-NEWTON_SNAP
+        refined = np.clip(refined, grid[0], grid[-1])
         f_ref = _objective_batch(refined, y_train, loss, A)
         improve = f_ref < best_f
         best_x = np.where(improve, refined, best_x)
@@ -260,39 +260,37 @@ def _decode_scalar_chunk(A, y_train, loss, spec, grid, L):
     return best_x, best_f
 
 
-def _golden_section(A, y_train, loss, a, b, iters):
-    """`iters` golden-section steps on each column's bracket [a, b]."""
-    c = b - INV_PHI * (b - a)
-    d = a + INV_PHI * (b - a)
-    fc = _objective_batch(c, y_train, loss, A)
-    fd = _objective_batch(d, y_train, loss, A)
-    for _ in range(iters):
-        take = fc < fd
-        a2 = np.where(take, a, c)
-        b2 = np.where(take, d, b)
-        fresh = np.where(take, b2 - INV_PHI * (b2 - a2), a2 + INV_PHI * (b2 - a2))
-        c2 = np.where(take, fresh, d)
-        d2 = np.where(take, c, fresh)
-        f_fresh = _objective_batch(fresh, y_train, loss, A)
-        fc2 = np.where(take, f_fresh, fd)
-        fd2 = np.where(take, fc, f_fresh)
-        a, b, c, d, fc, fd = a2, b2, c2, d2, fc2, fd2
-    return np.where(fc < fd, c, d)
+def _slope_curvature(loss, a, d):
+    """F' and F'' up to one positive factor, per row, of F(p) = sum_i a_i
+    loss(p, y_i) at d = p - y_i; a and d are (Q, n).
+
+    Cauchy: d/dp gamma log(1 + d^2/gamma) = 2gamma d/v with v = gamma + d^2,
+    so F'/2gamma = sum a d/v and F''/2gamma = 2gamma sum a/v^2 - sum a/v: no
+    log1p.  Squared error: sum a d and sum a.  Absolute error: sum a sign(d)
+    and 0, so every step is a bisection.
+    """
+    if isinstance(loss, losses.Cauchy):
+        r = 1.0 / (loss.gamma + d * d)
+        w = a * r
+        return (w * d).sum(axis=1), 2.0 * loss.gamma * (w * r).sum(axis=1) - w.sum(axis=1)
+    if isinstance(loss, losses.SquaredError):
+        return (a * d).sum(axis=1), a.sum(axis=1)
+    return (a * np.sign(d)).sum(axis=1), np.zeros(d.shape[0])
 
 
-def _cauchy_newton(A, y_train, gamma, start, lo, hi, iters):
-    """Safeguarded Newton on F' of the Cauchy objective (`rtsafe`, Numerical
-    Recipes 9.4), at most `iters` steps per column from `start` in [lo, hi].
+def _newton_polish(A, y_train, loss, start, lo, hi, iters):
+    """Safeguarded Newton on F' (`rtsafe`, Numerical Recipes 9.4), at most
+    `iters` steps per column from `start` in [lo, hi].
 
-    With d = p - y_i and v = gamma + d^2, F'/2gamma = sum a d/v and
-    F''/2gamma = 2gamma sum a/v^2 - sum a/v: no log1p.  The sign of F' at
-    each iterate shrinks the bracket; a step is Newton's when F'' > 0 and it
-    lands inside the bracket, else a bisection.  A column stops once its step
-    is at most STEP_TOL * max(1, |p|).  The sums run along the rows of the
-    (Q, n) transpose, one row per column, so a column's answer does not
-    depend on the batch around it; the answer is snapped to multiples of
-    2**-NEWTON_SNAP, so weights that differ in the last bits (a GEMV's against
-    a GEMM's) give the same point.
+    The sign of F' at each iterate shrinks the bracket; a step is Newton's
+    when F'' > 0 and it lands inside the bracket, else a bisection.  One
+    Newton step reaches the weighted mean of squared error; absolute error
+    has F'' = 0 and bisects to the kink where F' changes sign.  A column
+    stops once its step is at most STEP_TOL * max(1, |p|).  The sums run
+    along the rows of the (Q, n) transpose, one row per column, so a column's
+    answer does not depend on the batch around it; the answer is snapped to
+    multiples of 2**-NEWTON_SNAP, so weights that differ in the last bits (a
+    GEMV's against a GEMM's) give the same point.
     """
     At = np.ascontiguousarray(A.T)
     p, lo, hi = start.astype(float), lo.astype(float), hi.astype(float)
@@ -301,11 +299,7 @@ def _cauchy_newton(A, y_train, gamma, start, lo, hi, iters):
         if active.size == 0:
             break
         x = p[active]
-        d = x[:, None] - y_train
-        r = 1.0 / (gamma + d * d)
-        w = At[active] * r
-        slope = (w * d).sum(axis=1)
-        curv = 2.0 * gamma * (w * r).sum(axis=1) - w.sum(axis=1)
+        slope, curv = _slope_curvature(loss, At[active], x[:, None] - y_train)
         a = np.where(slope < 0.0, x, lo[active])  # the minimum lies right of x
         b = np.where(slope > 0.0, x, hi[active])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -315,13 +309,6 @@ def _cauchy_newton(A, y_train, gamma, start, lo, hi, iters):
         lo[active], hi[active], p[active] = a, b, nxt
         active = active[np.abs(nxt - x) > STEP_TOL * np.maximum(1.0, np.abs(x))]
     return np.ldexp(np.rint(np.ldexp(p, NEWTON_SNAP)), -NEWTON_SNAP)
-
-
-def decode_scalar_grid(alphas, y_train, loss, spec):
-    """Single-query scalar decode; returns the refined minimizer."""
-    A = np.asarray(alphas, dtype=float)[:, None]
-    pts, _ = decode_scalar_grid_batch(A, y_train, loss, spec)
-    return float(pts[0])
 
 
 def decode_simplex_hellinger(alphas, y_train):
@@ -364,9 +351,11 @@ def decode_simplex_hellinger_batch(A, y_train):
     return out
 
 
-def _check_loss(decoder, loss):
-    """RankingFas and SimplexHellinger never call the loss: each minimises one
-    fixed loss in closed form, so any other loss is rejected, not ignored."""
+def check_loss(decoder, loss):
+    """Reject a loss the decoder does not minimise.  RankingFas and
+    SimplexHellinger never call the loss: each minimises one fixed loss in
+    closed form, so any other loss is rejected, not ignored.  ScalarGrid
+    polishes with the derivatives of SCALAR_LOSSES only."""
     if isinstance(decoder, RankingFas) and not (
             isinstance(loss, losses.RankLoss) and not loss.normalize):
         raise ValueError("the ranking decoder minimises RankLoss(normalize=False), "
@@ -374,6 +363,9 @@ def _check_loss(decoder, loss):
     if isinstance(decoder, SimplexHellinger) and not isinstance(loss, losses.SquaredHellinger):
         raise ValueError("the simplex decoder minimises SquaredHellinger, "
                          f"not {type(loss).__name__}")
+    if isinstance(decoder, ScalarGrid) and not isinstance(loss, SCALAR_LOSSES):
+        raise ValueError("the scalar decoder minimises Cauchy, SquaredError or "
+                         f"AbsoluteError, not {type(loss).__name__}")
 
 
 def decode_batch(decoder, loss, y_train, A):
@@ -382,7 +374,7 @@ def decode_batch(decoder, loss, y_train, A):
     vectors (RankingFas, (Q, M)), points (ScalarGrid, (Q,)) or histograms
     (SimplexHellinger, (Q, d)).  Every decode from weights dispatches here.
     """
-    _check_loss(decoder, loss)
+    check_loss(decoder, loss)
     A = np.asarray(A, dtype=float)
     if isinstance(decoder, Exhaustive):
         best, _ = decode_exhaustive_batch(decoder.candidates, A, loss, y_train)

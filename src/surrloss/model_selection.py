@@ -105,8 +105,11 @@ def cross_validate(X, Y, plan, decoder, loss):
     """Mean/std held-out loss for every (kernel, lambda) grid point.
 
     `loss` parameterizes the decoder (it is what `predict` minimizes);
-    `plan.scoring` is the loss used to score validation predictions.
+    `plan.scoring` is the loss used to score validation predictions.  A loss
+    the decoder does not minimise is a ValueError before any fold is fit.
     """
+    decoders.check_loss(decoder, loss)
+
     def score(fold, tr, va, A):
         preds = decoders.decode_batch(decoder, loss, _take_outputs(Y, tr), A)
         return np.mean([plan.scoring(p, Y[i]) for p, i in zip(preds, va)])

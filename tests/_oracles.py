@@ -214,26 +214,22 @@ def surrogate_risk_double_loop(rho, g):
     return total
 
 
-def dense_grid_min_cauchy(alphas, y_train, gamma, bound, points=1_000_000):
-    """Dense-grid minimum of the weighted Cauchy objective (np.log route,
-    deliberately not the library's log1p)."""
+def dense_grid_min(alphas, y_train, loss, bound, points=1_000_000):
+    """Dense-grid minimum of sum_i alphas_i loss(p, y_i) on [-bound, bound].
+
+    `loss` is a Cauchy, SquaredError or AbsoluteError instance, recognised by
+    its class name; each term is written from the loss's definition (the
+    Cauchy one through np.log, deliberately not the library's log1p).
+    """
+    term = {"Cauchy": lambda d: loss.gamma * np.log(1.0 + d * d / loss.gamma),
+            "SquaredError": lambda d: d * d,
+            "AbsoluteError": np.abs}[type(loss).__name__]
     grid = np.linspace(-bound, bound, points)
     vals = np.zeros(points)
     for a, yt in zip(alphas, y_train):
-        d = grid - yt
-        vals += a * (gamma * np.log(1.0 + d * d / gamma))
+        vals += a * term(grid - yt)
     i = int(np.argmin(vals))
     return float(grid[i]), float(vals[i])
-
-
-def cauchy_slope(p, alphas, y_train, gamma):
-    """F'(p) of the weighted Cauchy objective, term by term from
-    d/dp gamma * log(1 + d^2 / gamma) = 2 d / (1 + d^2 / gamma)."""
-    total = 0.0
-    for a, yt in zip(alphas, y_train):
-        d = p - yt
-        total += a * 2.0 * d / (1.0 + d * d / gamma)
-    return total
 
 
 def gaussian_kernel_matrix(A_rows, B_rows, sigma):

@@ -158,8 +158,12 @@ def test_check_consistency_passes_at_default_trials(tmp_path):
     assert json.loads(out.read_text(encoding="utf-8"))["pass"] is True
 
 
-@pytest.mark.parametrize("kind, loss", [("ratings", "squared"), ("ratings", "absolute"),
-                                        ("simplex", "squared")])
+LOSSES_THE_DECODER_IGNORES = [("ratings", "squared"), ("ratings", "absolute"),
+                              ("simplex", "squared"), ("scalar", "zero_one"),
+                              ("scalar", "hellinger")]
+
+
+@pytest.mark.parametrize("kind, loss", LOSSES_THE_DECODER_IGNORES)
 def test_predict_with_a_loss_the_decoder_ignores_is_usage_error(tmp_path, kind, loss):
     rng = np.random.default_rng(4)
     X = rng.normal(size=(10, 2))
@@ -173,6 +177,34 @@ def test_predict_with_a_loss_the_decoder_ignores_is_usage_error(tmp_path, kind, 
     assert cli.main(["predict", "--model", str(model), "--in", str(tmp_path / "query.csv"),
                      "--out", str(preds), "--loss", loss]) == cli.EXIT_USAGE
     assert not preds.exists()
+
+
+@pytest.mark.parametrize("kind, loss", LOSSES_THE_DECODER_IGNORES + [("ratings", "zero_one")])
+def test_cv_with_a_loss_the_decoder_ignores_is_usage_error(tmp_path, capsys, kind, loss):
+    # rejected before the sweep, so the message names the decoder and the
+    # loss, not a grid point
+    rng = np.random.default_rng(4)
+    t_header, t_rows = _targets(kind, rng, 10)
+    _write_csv(tmp_path / "train.csv", ["x0", "x1"] + t_header,
+               [list(x) + t for x, t in zip(rng.normal(size=(10, 2)).tolist(), t_rows)])
+    out = tmp_path / "cv.json"
+    assert cli.main(["cv", "--in", str(tmp_path / "train.csv"), "--kind", kind,
+                     "--loss", loss, "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    decoder = {"ratings": "ranking", "simplex": "simplex", "scalar": "scalar"}[kind]
+    named = {"squared": "SquaredError", "absolute": "AbsoluteError",
+             "zero_one": "ZeroOne", "hellinger": "SquaredHellinger"}[loss]
+    assert f"the {decoder} decoder minimises" in err and f"not {named}" in err
+    assert "cv failure" not in err
+    assert not out.exists()
+
+
+def test_cv_loss_choices_are_the_predict_loss_choices(capsys):
+    # an unknown loss is an argparse usage error for both subcommands
+    for argv in (["cv", "--in", "x.csv", "--kind", "scalar"],
+                 ["predict", "--model", "m.json", "--in", "x.csv", "--out", "p.csv"]):
+        assert cli.main(argv + ["--loss", "huber"]) == cli.EXIT_USAGE
+        assert "invalid choice: 'huber'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("which", ["fisher", "comparison", "equivalence", "consistency"])

@@ -326,12 +326,17 @@ def test_profile_sort_ranks_of_a_stack_are_the_rows_sorts():
 # Scalar grid decoder
 
 SPEC = decoders.ScalarGrid(bound=3.0, grid_points=512, refine_iters=40)
+SCALAR_LOSSES = [losses.Cauchy(0.7), losses.SquaredError(), losses.AbsoluteError()]
+
+
+def _decode_one(alphas, y_train, loss, spec=SPEC):
+    """The scalar decode of one query: a batch of one through `decode_batch`."""
+    return float(decoders.decode_batch(spec, loss, y_train, np.asarray(alphas)[:, None])[0])
 
 
 def test_scalar_single_training_point():
     y1 = 0.8317
-    got = decoders.decode_scalar_grid(np.array([1.0]), np.array([y1]),
-                                      losses.Cauchy(1.0), SPEC)
+    got = _decode_one(np.array([1.0]), np.array([y1]), losses.Cauchy(1.0))
     assert got == pytest.approx(y1, abs=1e-6)
 
 
@@ -340,9 +345,9 @@ def test_scalar_symmetric_cauchy_matches_dense_grid():
     alphas = np.array([1.0, 1.0])
     y_train = np.array([-a, a])
     loss = losses.Cauchy(1.0)
-    got = decoders.decode_scalar_grid(alphas, y_train, loss, SPEC)
+    got = _decode_one(alphas, y_train, loss)
     got_val = _oracles.weighted_objective(got, alphas, loss, y_train)
-    _, dense_val = _oracles.dense_grid_min_cauchy(alphas, y_train, 1.0, 3.0)
+    _, dense_val = _oracles.dense_grid_min(alphas, y_train, loss, 3.0)
     assert abs(got_val - dense_val) <= 1e-6
 
 
@@ -353,10 +358,9 @@ def test_scalar_random_cauchy_matches_dense_grid():
         n = int(rng.integers(2, 12))
         y_train = rng.uniform(-2.5, 2.5, size=n)
         alphas = np.abs(rng.normal(size=n))
-        got = decoders.decode_scalar_grid(alphas, y_train, loss, SPEC)
+        got = _decode_one(alphas, y_train, loss)
         got_val = _oracles.weighted_objective(got, alphas, loss, y_train)
-        _, dense_val = _oracles.dense_grid_min_cauchy(alphas, y_train, 0.7, 3.0,
-                                                      points=200_000)
+        _, dense_val = _oracles.dense_grid_min(alphas, y_train, loss, 3.0, points=200_000)
         assert got_val <= dense_val + 1e-6
 
 
@@ -366,7 +370,7 @@ def test_scalar_squared_error_weighted_mean():
         n = int(rng.integers(2, 10))
         y_train = rng.uniform(-2, 2, size=n)
         alphas = np.abs(rng.normal(size=n)) + 0.05
-        got = decoders.decode_scalar_grid(alphas, y_train, losses.SquaredError(), SPEC)
+        got = _decode_one(alphas, y_train, losses.SquaredError())
         assert got == pytest.approx(float(alphas @ y_train / alphas.sum()), abs=1e-6)
 
 
@@ -377,18 +381,16 @@ def test_scalar_deterministic_and_grid_monotone():
         n = int(rng.integers(2, 10))
         y_train = rng.uniform(-2.5, 2.5, size=n)
         alphas = rng.normal(size=n)
-        a = decoders.decode_scalar_grid(alphas, y_train, loss, SPEC)
-        b = decoders.decode_scalar_grid(alphas, y_train, loss, SPEC)
+        a = _decode_one(alphas, y_train, loss)
+        b = _decode_one(alphas, y_train, loss)
         assert a == b
         # a nested (doubled) grid never returns a worse objective
         coarse = decoders.ScalarGrid(bound=3.0, grid_points=129, refine_iters=12)
         fine = decoders.ScalarGrid(bound=3.0, grid_points=257, refine_iters=12)
-        fa = _oracles.weighted_objective(
-            decoders.decode_scalar_grid(alphas, y_train, loss, coarse),
-            alphas, loss, y_train)
-        fb = _oracles.weighted_objective(
-            decoders.decode_scalar_grid(alphas, y_train, loss, fine),
-            alphas, loss, y_train)
+        fa = _oracles.weighted_objective(_decode_one(alphas, y_train, loss, coarse),
+                                         alphas, loss, y_train)
+        fb = _oracles.weighted_objective(_decode_one(alphas, y_train, loss, fine),
+                                         alphas, loss, y_train)
         assert fb <= fa + 1e-9
 
 
@@ -401,67 +403,86 @@ def test_scalar_grid_validation():
         decoders.ScalarGrid(refine_iters=-1)
 
 
-def test_scalar_batch_matches_single():
+@pytest.mark.parametrize("loss", SCALAR_LOSSES, ids=lambda loss: type(loss).__name__)
+def test_scalar_batch_matches_single(loss):
     # 257 queries cross the boundary of the decoder's SCALAR_CHUNK = 256 columns
     rng = np.random.default_rng(8)
     n = 6
     y_train = rng.uniform(-2, 2, size=n)
-    loss = losses.Cauchy(1.0)
     for q in (5, decoders.SCALAR_CHUNK + 1):
         A = rng.normal(size=(n, q))
         pts, vals = decoders.decode_scalar_grid_batch(A, y_train, loss, SPEC)
         assert pts.shape == vals.shape == (q,)
         for j in range(q):
-            single = decoders.decode_scalar_grid(A[:, j], y_train, loss, SPEC)
-            assert pts[j] == single
+            single = decoders.decode_scalar_grid_batch(A[:, j:j + 1], y_train, loss, SPEC)[0]
+            assert pts[j] == single[0]
             assert vals[j] == pytest.approx(
                 _oracles.weighted_objective(pts[j], A[:, j], loss, y_train), abs=1e-10)
 
 
-@pytest.mark.parametrize("loss", [losses.Cauchy(0.7), losses.SquaredError(),
-                                  losses.AbsoluteError()],
-                         ids=lambda loss: type(loss).__name__)
-def test_scalar_fast_path_matches_generic_loss(loss):
-    # A plain callable is none of the closed-form loss classes, so it takes
-    # the per-call loop that evaluates the loss by its definition, and the
-    # golden-section polish.  Cauchy is polished by Newton instead: its grid
-    # scan must agree exactly, and its polished point must be no worse than
-    # golden section's in objective and in slope.
-    def plain(y, y2):
-        return loss(y, y2)
-
-    scan = dataclasses.replace(SPEC, refine_iters=0)
-    rng = np.random.default_rng(12)
-    for _ in range(5):
-        n, q = int(rng.integers(2, 12)), 4
-        y_train = rng.uniform(-2.5, 2.5, size=n)
-        A = rng.normal(size=(n, q))
-        for spec in (scan, SPEC):
-            pts, vals = decoders.decode_scalar_grid_batch(A, y_train, loss, spec)
-            ref_pts, ref_vals = decoders.decode_scalar_grid_batch(A, y_train, plain, spec)
-            if spec is scan or not isinstance(loss, losses.Cauchy):
-                np.testing.assert_array_equal(pts, ref_pts)
-                np.testing.assert_allclose(vals, ref_vals, rtol=1e-12, atol=0)
-                continue
-            for j in range(q):
-                f = _oracles.weighted_objective(pts[j], A[:, j], loss, y_train)
-                f_ref = _oracles.weighted_objective(ref_pts[j], A[:, j], loss, y_train)
-                assert f <= f_ref + 1e-12 * abs(f_ref)
-                slope = _oracles.cauchy_slope(pts[j], A[:, j], y_train, loss.gamma)
-                ref_slope = _oracles.cauchy_slope(ref_pts[j], A[:, j], y_train, loss.gamma)
-                assert abs(slope) <= abs(ref_slope)
-
-
-# Oracle checks of the Cauchy Newton polish.  The dense oracle scans 10^6
+# Oracle checks of the Newton polish.  The dense oracle scans 10^6
 # points on [-3, 3] (spacing 6e-6), so a decode in the oracle's basin lies
 # within two spacings of its point and its objective is no higher than the
 # oracle's, up to 1e-12 for the two evaluation routes' rounding.
 DENSE_STEP = 6.0 / (1_000_000 - 1)
 
 
+def _weights(rng, n, sign):
+    """Positive, mixed-sign, or mixed-sign weights with sum <= 0."""
+    if sign == "positive":
+        return np.abs(rng.normal(size=n)) + 0.05
+    alphas = rng.normal(size=n)
+    if sign == "sum<=0":
+        alphas -= alphas.mean() + rng.uniform(0.0, 0.3)
+    return alphas
+
+
+@pytest.mark.parametrize("sign", ["positive", "mixed", "sum<=0"])
+@pytest.mark.parametrize("loss", SCALAR_LOSSES, ids=lambda loss: type(loss).__name__)
+def test_scalar_polish_matches_dense_grid_oracle(loss, sign):
+    # The oracle scans 10^6 points of [-3, 3] from each loss's definition, so
+    # its value is no lower than the true minimum: a decode that found the
+    # global minimum scores no higher, up to rounding, and lies within two of
+    # its spacings.  Squared error also has a closed form: the clipped
+    # weighted mean when sum(alpha) > 0, else the better bound.
+    rng = np.random.default_rng(12)
+    for _ in range(8):
+        n = int(rng.integers(2, 12))
+        y_train = rng.uniform(-2.5, 2.5, size=n)
+        alphas = _weights(rng, n, sign)
+        got = _decode_one(alphas, y_train, loss)
+        x, val = _oracles.dense_grid_min(alphas, y_train, loss, SPEC.bound)
+        f = _oracles.weighted_objective(got, alphas, loss, y_train)
+        assert f <= val + 1e-12 * max(1.0, abs(val))
+        assert abs(got - x) <= 2 * DENSE_STEP
+        if isinstance(loss, losses.SquaredError):
+            mass = alphas.sum()
+            if mass > 0:
+                exact = float(np.clip(alphas @ y_train / mass, -SPEC.bound, SPEC.bound))
+            else:
+                exact = min((-SPEC.bound, SPEC.bound),
+                            key=lambda p: _oracles.weighted_objective(p, alphas, loss, y_train))
+            assert abs(got - exact) <= 2.0 ** -decoders.NEWTON_SNAP
+
+
+@pytest.mark.parametrize("refine_iters", [0, 40])
+def test_scalar_decode_rejects_a_loss_it_does_not_polish(refine_iters):
+    spec = dataclasses.replace(SPEC, refine_iters=refine_iters)
+    y_train, A = np.array([-0.5, 0.25, 1.0]), np.ones((3, 2))
+
+    def plain(y, y2):
+        return abs(y - y2)
+
+    for loss in (plain, losses.ZeroOne(), losses.SquaredHellinger()):
+        with pytest.raises(ValueError, match="scalar decoder minimises"):
+            decoders.decode_scalar_grid_batch(A, y_train, loss, spec)
+        with pytest.raises(ValueError, match="scalar decoder minimises"):
+            decoders.decode_batch(spec, loss, y_train, A)
+
+
 def _assert_matches_dense_oracle(got, alphas, y_train, gamma):
     loss = losses.Cauchy(gamma)
-    x, val = _oracles.dense_grid_min_cauchy(alphas, y_train, gamma, SPEC.bound)
+    x, val = _oracles.dense_grid_min(alphas, y_train, loss, SPEC.bound)
     assert abs(got - x) <= 2 * DENSE_STEP
     assert _oracles.weighted_objective(got, alphas, loss, y_train) <= val + 1e-12
 
@@ -473,7 +494,7 @@ def test_scalar_cauchy_newton_with_negative_weights_matches_dense_grid():
         n = int(rng.integers(3, 12))
         y_train = rng.uniform(-2.5, 2.5, size=n)
         alphas = rng.normal(size=n)
-        got = decoders.decode_scalar_grid(alphas, y_train, losses.Cauchy(0.7), SPEC)
+        got = _decode_one(alphas, y_train, losses.Cauchy(0.7))
         _assert_matches_dense_oracle(got, alphas, y_train, 0.7)
         interior += abs(got) < SPEC.bound
     assert interior >= 5  # most of these minima are polished, not clipped
@@ -495,9 +516,9 @@ def test_scalar_cauchy_newton_between_two_close_minima():
         y0 = rng.uniform(-2, 2)
         y_train = np.array([y0, y0 + rng.uniform(0.5, 2.0) * h, rng.uniform(-2.5, 2.5)])
         alphas = np.array([1.0, rng.uniform(0.6, 0.95), 0.3])
-        got = decoders.decode_scalar_grid(alphas, y_train, loss, SPEC)
+        got = _decode_one(alphas, y_train, loss)
         got_val = _oracles.weighted_objective(got, alphas, loss, y_train)
-        x, val = _oracles.dense_grid_min_cauchy(alphas, y_train, gamma, SPEC.bound)
+        x, val = _oracles.dense_grid_min(alphas, y_train, loss, SPEC.bound)
         assert got_val <= val + h * h / 8 * 2 * alphas.sum()
         if abs(got - x) <= 2 * DENSE_STEP:
             same_basin += 1
@@ -513,7 +534,7 @@ def test_scalar_cauchy_newton_returns_the_boundary_grid_point(side):
     alphas = rng.uniform(0.1, 1.0, size=7)
     for iters in (10, 40):
         spec = dataclasses.replace(SPEC, refine_iters=iters)
-        got = decoders.decode_scalar_grid(alphas, y_train, losses.Cauchy(0.7), spec)
+        got = _decode_one(alphas, y_train, losses.Cauchy(0.7), spec)
         assert got == side * SPEC.bound
         _assert_matches_dense_oracle(got, alphas, y_train, 0.7)
 

@@ -76,8 +76,8 @@ def test_cross_validate_scalar_targets_match_a_brute_force_sweep(seed):
     gamma = 0.5
 
     def decode(A, tr):
-        return np.array([_oracles.dense_grid_min_cauchy(A[:, q], y[tr], gamma, spec.bound,
-                                                        spec.grid_points)[0]
+        return np.array([_oracles.dense_grid_min(A[:, q], y[tr], losses.Cauchy(gamma),
+                                                 spec.bound, spec.grid_points)[0]
                          for q in range(A.shape[1])])
 
     def score(preds, va):
