@@ -213,7 +213,7 @@ def cmd_cv(args):
                                   kernel_grid=kernel_grid, scoring=scoring)
     decoder = _decoder_from_outputs(Y, args.kind, args)
     report = model_selection.cross_validate(X, Y, plan, decoder, loss)
-    rows = [{"kernel": _kernel_desc(r.kernel), "lambda": r.lam,
+    rows = [{"kernel": surrogate.kernel_to_json(r.kernel), "lambda": r.lam,
              "mean": r.mean, "std": r.std} for r in report.rows]
     sel = report.selected
     _report(args.out, {
@@ -221,16 +221,10 @@ def cmd_cv(args):
         "config": {"kind": args.kind, "folds": args.folds, "seed": args.seed,
                    "loss": args.loss, "lambdas": list(args.lambdas)},
         "rows": rows,
-        "selected": {"kernel": _kernel_desc(sel.kernel), "lambda": sel.lam,
+        "selected": {"kernel": surrogate.kernel_to_json(sel.kernel), "lambda": sel.lam,
                      "mean": sel.mean, "std": sel.std},
     })
     return EXIT_OK
-
-
-def _kernel_desc(spec):
-    if spec.kind == "gaussian":
-        return {"kind": "gaussian", "sigma": spec.sigma}
-    return {"kind": spec.kind}
 
 
 def _result_json(results):
@@ -239,26 +233,39 @@ def _result_json(results):
              "per_seed": r.per_seed} for r in results]
 
 
+# Each experiment's own size option; the runner's default applies when unset.
+_EXPERIMENT_SIZE = {"robust": "n_grid", "ranking": "items", "histogram": "dim"}
+
+
+def _experiment_metadata(which):
+    folds = experiments.FOLDS
+    if which == "robust":
+        return {"metric": "mean |f(x) - sin(6 pi x)| on a uniform "
+                          f"{experiments.ROBUST_TEST_POINTS}-point grid",
+                "cv": {"sigmas": list(experiments.ROBUST_SIGMAS),
+                       "lambdas": list(experiments.ROBUST_LAMBDAS),
+                       "gammas": list(experiments.ROBUST_GAMMAS), "folds": folds}}
+    if which == "ranking":
+        return {"metric": "mean normalized rank loss on held-out profiles",
+                "cv": {"lambdas": list(experiments.RANKING_LAMBDAS), "folds": folds}}
+    return {"metric": "mean squared Hellinger (dH) and Gaussian-kernel (dG) test losses",
+            "cv": {"sigmas": list(experiments.HISTOGRAM_SIGMAS),
+                   "lambdas": list(experiments.HISTOGRAM_LAMBDAS), "folds": folds}}
+
+
 def cmd_experiment(args):
-    if args.which == "robust":
-        results = experiments.run_robust_experiment(
-            n_grid=args.n_grid, repetitions=args.reps, seed0=args.seed)
-        metadata = {"metric": "mean |f(x) - sin(6 pi x)| on a uniform 1000-point grid",
-                    "cv": {"sigmas": list(experiments.ROBUST_SIGMAS),
-                           "lambdas": list(experiments.ROBUST_LAMBDAS),
-                           "gammas": list(experiments.ROBUST_GAMMAS)}}
-    elif args.which == "ranking":
-        results = experiments.run_ranking_experiment(
-            items=args.items, repetitions=args.reps, seed0=args.seed)
-        metadata = {"metric": "mean normalized rank loss on held-out profiles"}
-    else:
-        results = experiments.run_histogram_experiment(
-            dim=args.dim, repetitions=args.reps, seed0=args.seed)
-        metadata = {"metric": "mean squared Hellinger (dH) and Gaussian-kernel (dG) test losses"}
+    stray = [f"--{dest.replace('_', '-')}" for which, dest in _EXPERIMENT_SIZE.items()
+             if which != args.which and getattr(args, dest) is not None]
+    if stray:
+        raise ValueError(f"experiment {args.which} takes no {' or '.join(stray)}")
+    dest = _EXPERIMENT_SIZE[args.which]
+    size = {} if getattr(args, dest) is None else {dest: getattr(args, dest)}
+    run = getattr(experiments, f"run_{args.which}_experiment")
+    results = run(repetitions=args.reps, seed0=args.seed, **size)
     payload = {
         "command": f"experiment {args.which}",
-        "config": {"seed": args.seed, "reps": args.reps},
-        "metadata": metadata,
+        "config": {"seed": args.seed, "reps": args.reps, **size},
+        "metadata": _experiment_metadata(args.which),
         "results": _result_json(results),
     }
     _report(args.out, payload)
@@ -267,7 +274,14 @@ def cmd_experiment(args):
     return EXIT_OK
 
 
+# Trials per battery when --trials is not given; the batteries take no default.
+_CHECK_DEFAULT_TRIALS = {"fisher": 50, "comparison": 1000,
+                         "equivalence": 100, "consistency": 20}
+
+
 def cmd_check(args):
+    if args.trials is None:
+        args.trials = _CHECK_DEFAULT_TRIALS[args.which]
     if args.which == "fisher":
         rep = oracle.fisher_battery(trials_per_family=args.trials, seed=args.seed)
         ok = rep["max_abs_gap"] <= 1e-10
@@ -280,8 +294,7 @@ def cmd_check(args):
     else:  # consistency
         problem = oracle.default_trend_problem()
         loss = losses.ZeroOne(problem.ys)
-        rep = oracle.check_consistency_trend(problem, loss, seeds=args.trials,
-                                             seed0=args.seed)
+        rep = oracle.check_consistency_trend(problem, loss, args.trials, seed0=args.seed)
         rep = {"n_grid": rep["n_grid"], "medians": rep["medians"]}
         ok = oracle.trend_non_increasing(rep["medians"])
     _report(args.out, {"command": f"check {args.which}",
@@ -341,9 +354,9 @@ def build_parser():
     p.add_argument("--curve", default=None, help="csv path for the learning curve")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--n-grid", type=_int_list, default=(50, 100, 200, 500))
-    p.add_argument("--items", type=int, default=8)
-    p.add_argument("--dim", type=int, default=8)
+    p.add_argument("--n-grid", type=_int_list, default=None, help="robust only")
+    p.add_argument("--items", type=int, default=None, help="ranking only")
+    p.add_argument("--dim", type=int, default=None, help="histogram only")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("check", help="run a theory check battery")
@@ -353,10 +366,6 @@ def build_parser():
     p.add_argument("--trials", type=_positive_int, default=None)
     p.set_defaults(func=cmd_check)
     return parser
-
-
-_CHECK_DEFAULT_TRIALS = {"fisher": 50, "comparison": 1000,
-                         "equivalence": 100, "consistency": 20}
 
 
 def _apply_config(argv, parser):
@@ -401,8 +410,6 @@ def main(argv=None):
     try:
         argv = _apply_config(argv, parser)
         args = parser.parse_args(argv)
-        if getattr(args, "trials", 0) is None:
-            args.trials = _CHECK_DEFAULT_TRIALS[args.which]
         return args.func(args)
     except SystemExit as e:
         return e.code if e.code is not None else EXIT_OK

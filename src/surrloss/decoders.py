@@ -45,7 +45,6 @@ from . import losses, surrogate
 SCALAR_CHUNK = 256  # query columns per scalar decode step
 STEP_TOL = 1e-12  # the scalar polish stops once |step| <= STEP_TOL * max(1, |p|)
 NEWTON_SNAP = 36  # polished points snap to multiples of 2**-36 (1.5e-11)
-SCALAR_LOSSES = (losses.Cauchy, losses.SquaredError, losses.AbsoluteError)
 
 
 @dataclass(frozen=True)
@@ -212,7 +211,7 @@ def decode_scalar_grid_batch(A, y_train, loss, spec, loss_grid=None):
     """Grid scan + polish for Q queries at once.
 
     A is the (n, Q) matrix of per-query weights and `loss` one of
-    SCALAR_LOSSES.  Each query gets the best grid point, then at most
+    losses.SCALAR_LOSSES.  Each query gets the best grid point, then at most
     `refine_iters` steps of `_newton_polish` on the bracketing sub-interval;
     the polished point is kept only if its objective is below the grid
     best's.  Returns (points (Q,), objectives (Q,)).
@@ -355,7 +354,7 @@ def check_loss(decoder, loss):
     """Reject a loss the decoder does not minimise.  RankingFas and
     SimplexHellinger never call the loss: each minimises one fixed loss in
     closed form, so any other loss is rejected, not ignored.  ScalarGrid
-    polishes with the derivatives of SCALAR_LOSSES only."""
+    polishes with the derivatives of losses.SCALAR_LOSSES only."""
     if isinstance(decoder, RankingFas) and not (
             isinstance(loss, losses.RankLoss) and not loss.normalize):
         raise ValueError("the ranking decoder minimises RankLoss(normalize=False), "
@@ -363,7 +362,7 @@ def check_loss(decoder, loss):
     if isinstance(decoder, SimplexHellinger) and not isinstance(loss, losses.SquaredHellinger):
         raise ValueError("the simplex decoder minimises SquaredHellinger, "
                          f"not {type(loss).__name__}")
-    if isinstance(decoder, ScalarGrid) and not isinstance(loss, SCALAR_LOSSES):
+    if isinstance(decoder, ScalarGrid) and not isinstance(loss, losses.SCALAR_LOSSES):
         raise ValueError("the scalar decoder minimises Cauchy, SquaredError or "
                          f"AbsoluteError, not {type(loss).__name__}")
 

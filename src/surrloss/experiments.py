@@ -1,13 +1,21 @@
 """Synthetic data generators, experiment runners, and baselines.
 
-The robust-regression runner reproduces the sin(6 pi x) + noise + outliers
-setup at desk scale: Gaussian-kernel weights, Cauchy-loss grid decoding with
-cross-validated (sigma, lambda, gamma), against a kernel ridge regression
-baseline.  The reported metric is the mean absolute distance to the clean
-function on a uniform 1000-point test grid; this choice is recorded in the
-report metadata so alternates can be compared.
+Three experiments, each against a baseline:
+  * robust regression -- the sin(6 pi x) + noise + outliers setup at desk
+    scale: Gaussian-kernel weights, Cauchy-loss grid decoding with
+    cross-validated (sigma, lambda, gamma), against kernel ridge regression.
+    The metric is the mean absolute distance to the clean function on a
+    uniform ROBUST_TEST_POINTS-point test grid.
+  * ranking -- latent-utility rating profiles, linear kernel with
+    cross-validated lambda, against the best constant training sort.
+  * histograms -- the complementary half of a Dirichlet-mixture histogram,
+    Hellinger decoding against a KDE-style decode, both with
+    cross-validated (sigma, lambda).
 
-All generators are pure functions of (parameters, seed).
+The CV grids, the fold count and the decoders are the module constants
+below; a runner's arguments set only the sizes, repetitions and seed.  The
+CLI records the grids in its report metadata.  All generators are pure
+functions of (parameters, seed).
 """
 
 import time
@@ -17,10 +25,20 @@ import numpy as np
 
 from . import decoders, kernels, losses, model_selection, surrogate
 
+FOLDS = 5  # every experiment's cross-validation
 ROBUST_SIGMAS = (0.01, 0.05, 0.1, 0.5)
 ROBUST_LAMBDAS = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 ROBUST_GAMMAS = (0.5, 1.0, 2.0)
+ROBUST_TEST_POINTS = 1000
 ROBUST_DECODER = decoders.ScalarGrid(bound=3.0, grid_points=512, refine_iters=40)
+# Model selection scores folds with a trimmed decoder; the final predictor
+# always decodes at full fidelity.
+CV_DECODER = decoders.ScalarGrid(bound=3.0, grid_points=256, refine_iters=10)
+RANKING_LAMBDAS = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+RANKING_FEATURES = 4  # dimension of the latent user and item vectors
+HISTOGRAM_SIGMAS = (0.1, 1.0, 10.0)
+HISTOGRAM_LAMBDAS = (1e-4, 1e-2, 1.0)
+HISTOGRAM_COMPONENTS = 3  # Dirichlet mixture components
 
 
 @dataclass(frozen=True)
@@ -102,17 +120,9 @@ def _robust_cv(X, y, sigmas, lambdas, gammas, folds, seed, cv_decoder):
     return ((kernels.gaussian(sigma), lam, gamma), (kernels.gaussian(k_sigma), k_lam))
 
 
-# Model selection scores folds with a trimmed decoder; the final predictor
-# always decodes at full fidelity.
-CV_DECODER = decoders.ScalarGrid(bound=3.0, grid_points=256, refine_iters=10)
-
-
-def run_robust_experiment(n_grid=(50, 100, 200, 500), repetitions=20, seed0=0,
-                          sigmas=ROBUST_SIGMAS, lambdas=ROBUST_LAMBDAS,
-                          gammas=ROBUST_GAMMAS, folds=5, test_points=1000,
-                          decoder=ROBUST_DECODER, cv_decoder=CV_DECODER):
+def run_robust_experiment(n_grid=(50, 100, 200, 500), repetitions=20, seed0=0):
     """Learning curves for the Cauchy-loss decoder vs the KRR baseline."""
-    x_test = np.linspace(-1.0, 1.0, test_points)[:, None]
+    x_test = np.linspace(-1.0, 1.0, ROBUST_TEST_POINTS)[:, None]
     target = np.sin(6.0 * np.pi * x_test[:, 0])
     results = []
     for n in n_grid:
@@ -124,9 +134,10 @@ def run_robust_experiment(n_grid=(50, 100, 200, 500), repetitions=20, seed0=0,
             ds = gen_robust_data(n, seed)
 
             (kernel, lam, gamma), (k_kernel, k_lam) = _robust_cv(
-                ds.x, ds.y, sigmas, lambdas, gammas, folds, seed, cv_decoder)
+                ds.x, ds.y, ROBUST_SIGMAS, ROBUST_LAMBDAS, ROBUST_GAMMAS, FOLDS, seed,
+                CV_DECODER)
             model = surrogate.fit(ds.x, ds.y, kernel, lam)
-            pred = decoders.predict_batch(model, decoder, losses.Cauchy(gamma), x_test)
+            pred = decoders.predict_batch(model, ROBUST_DECODER, losses.Cauchy(gamma), x_test)
             alg_vals.append(float(np.mean(np.abs(np.asarray(pred) - target))))
 
             k_model = surrogate.fit(ds.x, ds.y, k_kernel, k_lam)
@@ -142,15 +153,16 @@ def run_robust_experiment(n_grid=(50, 100, 200, 500), repetitions=20, seed0=0,
 
 # ---------------------------------------------------------------------------
 # Ranking: latent-utility stand-in for the movie-rating task.  Each user is a
-# feature vector u; item ratings are clip(round(3 + u.z_j + noise), 1, 5).
+# feature vector u; item ratings are clip(round(3 + 1.5 u.z_j + 0.5 e), 1, 5)
+# with e ~ N(0, 1).
 
-def gen_ranking_data(items, n, seed, dim=4, noise=0.5):
+def gen_ranking_data(items, n, seed):
     if items < 2 or n < 1:
         raise ValueError("need items >= 2 and n >= 1")
     rng = np.random.default_rng(seed)
-    Z = rng.normal(size=(items, dim)) / np.sqrt(dim)
-    U = rng.normal(size=(n, dim))
-    raw = 3.0 + 1.5 * (U @ Z.T) + noise * rng.normal(size=(n, items))
+    Z = rng.normal(size=(items, RANKING_FEATURES)) / np.sqrt(RANKING_FEATURES)
+    U = rng.normal(size=(n, RANKING_FEATURES))
+    raw = 3.0 + 1.5 * (U @ Z.T) + 0.5 * rng.normal(size=(n, items))
     ratings = np.clip(np.rint(raw), 1.0, 5.0)
     return U, ratings
 
@@ -167,8 +179,7 @@ def _best_training_sort(train_profiles):
     return sorts[int(np.argmin(means))]
 
 
-def run_ranking_experiment(items=8, n_train=80, n_test=40, repetitions=5, seed0=0,
-                           lambdas=(1e-4, 1e-3, 1e-2, 1e-1, 1.0), folds=5):
+def run_ranking_experiment(items=8, n_train=80, n_test=40, repetitions=5, seed0=0):
     """Mean normalized rank loss: the SELF predictor, decoded by the exact sort
     of s = A^T R (`decoders.RankingFas`, reported as "alg1_fas"), vs the
     constant best-training-sort baseline."""
@@ -183,7 +194,7 @@ def run_ranking_experiment(items=8, n_train=80, n_test=40, repetitions=5, seed0=
         X, R = gen_ranking_data(items, n_train + n_test, seed)
         Xtr, Xte = X[:n_train], X[n_train:]
         Rtr, Rte = R[:n_train], R[n_train:]
-        plan = model_selection.CvPlan(folds=folds, seed=seed, lambda_grid=tuple(lambdas),
+        plan = model_selection.CvPlan(folds=FOLDS, seed=seed, lambda_grid=RANKING_LAMBDAS,
                                       kernel_grid=(kernels.linear(),), scoring=scoring)
         report = model_selection.cross_validate(Xtr, Rtr, plan, decoder, loss)
         model = surrogate.fit(Xtr, Rtr, report.selected.kernel, report.selected.lam)
@@ -204,20 +215,20 @@ def run_ranking_experiment(items=8, n_train=80, n_test=40, repetitions=5, seed0=
 
 # ---------------------------------------------------------------------------
 # Histograms: predict the complementary half of a Dirichlet-mixture histogram
-# from a noisy observation of the first half.
+# from an observation of the first half with N(0, 0.05^2) noise.
 
-def gen_histogram_data(dim, n, seed, components=3, noise=0.05):
+def gen_histogram_data(dim, n, seed):
     if dim < 2 or n < 1:
         raise ValueError("need dim >= 2 and n >= 1")
     rng = np.random.default_rng(seed)
-    conc = rng.gamma(2.0, 2.0, size=(components, 2 * dim)) + 0.5
-    comp = rng.integers(0, components, size=n)
+    conc = rng.gamma(2.0, 2.0, size=(HISTOGRAM_COMPONENTS, 2 * dim)) + 0.5
+    comp = rng.integers(0, HISTOGRAM_COMPONENTS, size=n)
     X = np.empty((n, dim))
     Y = np.empty((n, dim))
     for i in range(n):
         full = rng.dirichlet(conc[comp[i]])
         front, back = full[:dim], full[dim:]
-        X[i] = front + noise * rng.normal(size=dim)
+        X[i] = front + 0.05 * rng.normal(size=dim)
         back = back + 1e-9
         Y[i] = back / back.sum()
     return X, Y
@@ -287,8 +298,7 @@ def _histogram_cv(Xtr, Ytr, sigmas, lambdas, folds, seed, sigma_y):
     }
 
 
-def run_histogram_experiment(dim=8, n_train=120, n_test=60, repetitions=5, seed0=0,
-                             sigmas=(0.1, 1.0, 10.0), lambdas=(1e-4, 1e-2, 1.0), folds=5):
+def run_histogram_experiment(dim=8, n_train=120, n_test=60, repetitions=5, seed0=0):
     """Hellinger-decoded predictor vs KDE-style decoding over training outputs.
 
     Both methods share the surrogate machinery; each cross-validates
@@ -307,7 +317,8 @@ def run_histogram_experiment(dim=8, n_train=120, n_test=60, repetitions=5, seed0
         Ytr, Yte = Y[:n_train], Y[n_train:]
         sigma_y = median_sq_dist(Ytr)
 
-        selected = _histogram_cv(Xtr, Ytr, sigmas, lambdas, folds, seed, sigma_y)
+        selected = _histogram_cv(Xtr, Ytr, HISTOGRAM_SIGMAS, HISTOGRAM_LAMBDAS, FOLDS, seed,
+                                 sigma_y)
         for name, method in (("alg1_hellinger", "hellinger"), ("kde_gaussian", "kde")):
             sigma, lam = selected[method]
             model = surrogate.fit(Xtr, Ytr, kernels.gaussian(sigma), lam)

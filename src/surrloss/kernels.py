@@ -1,5 +1,9 @@
 """Input kernels, Gram matrices, and SPD solves for the ridge system.
 
+Two kernels act on feature vectors, the rows of an (n, d) input array:
+Gaussian and linear (`KernelSpec`).  Every input array, in fitting and in
+cross-validation alike, is shaped and checked by `_as_input_matrix`.
+
 A fitted model holds one Cholesky factor L of K + shift*I and the inverses of
 L's diagonal blocks (`factor_shifted`).  `solve_spd` runs the forward and back
 substitutions block by block: each diagonal block is one product with its
@@ -32,23 +36,19 @@ SOLVE_BLOCK = 128
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A kernel choice: 'gaussian' (with bandwidth sigma), 'linear', or
-    'precomputed' (inputs are integer indices into `matrix`)."""
+    """A kernel on feature vectors: 'gaussian' (with bandwidth sigma) or
+    'linear'.  Inputs are the rows of a (n, d) array; a 1-d array is n
+    one-dimensional inputs (`_as_input_matrix`)."""
 
     kind: str
     sigma: float = None
-    matrix: np.ndarray = None
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "linear", "precomputed"):
+        if self.kind not in ("gaussian", "linear"):
             raise ValueError(f"unknown kernel kind: {self.kind!r}")
         if self.kind == "gaussian":
             if self.sigma is None or not np.isfinite(self.sigma) or self.sigma <= 0:
                 raise ValueError("gaussian kernel needs sigma > 0")
-        if self.kind == "precomputed":
-            m = self.matrix
-            if m is None or np.ndim(m) != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError("precomputed kernel needs a square matrix")
 
 
 def gaussian(sigma):
@@ -57,10 +57,6 @@ def gaussian(sigma):
 
 def linear():
     return KernelSpec("linear")
-
-
-def precomputed(matrix):
-    return KernelSpec("precomputed", matrix=np.asarray(matrix, dtype=float))
 
 
 def _check_vector(x, name):
@@ -114,12 +110,6 @@ def _mirror_lower(K):
 
 def gram_matrix(spec, X):
     """n x n matrix K[i, j] = k(x_i, x_j), exactly symmetric by construction."""
-    if spec.kind == "precomputed":
-        idx = np.asarray(X, dtype=int).ravel()
-        if idx.size < 1:
-            raise ValueError("X must be non-empty")
-        K = spec.matrix[np.ix_(idx, idx)]
-        return 0.5 * (K + K.T)
     X = _as_input_matrix(X)
     if spec.kind == "linear":
         return _mirror_lower(X @ X.T)
@@ -131,9 +121,6 @@ def gram_matrix(spec, X):
 
 def cross_kernel(spec, X, x):
     """Length-n vector with entries k(x, x_i)."""
-    if spec.kind == "precomputed":
-        idx = np.asarray(X, dtype=int).ravel()
-        return spec.matrix[int(x), idx].astype(float)
     X = _as_input_matrix(X)
     x = _check_vector(x, "query")
     if x.shape[0] != X.shape[1]:
@@ -146,10 +133,6 @@ def cross_kernel(spec, X, x):
 
 def cross_kernel_batch(spec, X, Xq):
     """(n, Q) matrix of k(x_q, x_i) for a batch of Q queries."""
-    if spec.kind == "precomputed":
-        idx = np.asarray(X, dtype=int).ravel()
-        qidx = np.asarray(Xq, dtype=int).ravel()
-        return spec.matrix[np.ix_(idx, qidx)].astype(float)
     X = _as_input_matrix(X)
     Xq = _as_input_matrix(Xq)
     if Xq.shape[1] != X.shape[1]:

@@ -9,7 +9,8 @@ rank vector (`rank_step_rows`), paired with a profile's flattened gains, so
 
 `loss_table` is the one tabulation of every other loss: decoding, the finite
 embedding's V and the oracle risks all read their values from it.  It has
-closed forms only for the scalar losses.  Squared Hellinger has none: the
+closed forms only for the SCALAR_LOSSES, each the one `of_difference`
+formula that the loss's own call applies too.  Squared Hellinger has none: the
 benchmark (`bench/stages.py`) counts the per-pair `squared_hellinger` calls
 of the simplex decoder's fallback, which a closed form would remove.  Rank
 losses tabulate through `rank_loss_matrix`, whose rows are permutations and
@@ -80,22 +81,6 @@ def squared_hellinger_rows(P, Y):
     return ((np.sqrt(P) - np.sqrt(Y)) ** 2).sum(axis=1)
 
 
-def cauchy(y, y2, gamma):
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    d = float(y) - float(y2)
-    return gamma * np.log1p(d * d / gamma)
-
-
-def absolute_error(y, y2):
-    return abs(float(y) - float(y2))
-
-
-def squared_error(y, y2):
-    d = float(y) - float(y2)
-    return d * d
-
-
 def rank_gain_matrix(ratings):
     """gains[t, i, j] = max(0, r_tj - r_ti) for a (T, M) stack of rating
     profiles r_t."""
@@ -164,7 +149,15 @@ def rank_loss_matrix(ranks, ratings, normalize=False):
     return np.divide(table, mass, out=np.zeros_like(table), where=mass > 0.0)
 
 
-class Cauchy:
+class _ScalarLoss:
+    """A loss of the difference d = y - y' alone.  `of_difference` is its one
+    formula: a call applies it to a float, `loss_table` to an array."""
+
+    def __call__(self, y, y2):
+        return self.of_difference(float(y) - float(y2))
+
+
+class Cauchy(_ScalarLoss):
     """Robust scalar loss gamma * log(1 + (y - y')^2 / gamma)."""
 
     def __init__(self, gamma):
@@ -172,18 +165,21 @@ class Cauchy:
             raise ValueError("gamma must be positive")
         self.gamma = float(gamma)
 
-    def __call__(self, y, y2):
-        return cauchy(y, y2, self.gamma)
+    def of_difference(self, d):
+        return self.gamma * np.log1p(d * d / self.gamma)
 
 
-class SquaredError:
-    def __call__(self, y, y2):
-        return squared_error(y, y2)
+class SquaredError(_ScalarLoss):
+    def of_difference(self, d):
+        return d * d
 
 
-class AbsoluteError:
-    def __call__(self, y, y2):
-        return absolute_error(y, y2)
+class AbsoluteError(_ScalarLoss):
+    def of_difference(self, d):
+        return np.abs(d)
+
+
+SCALAR_LOSSES = (Cauchy, SquaredError, AbsoluteError)
 
 
 class ZeroOne:
@@ -237,16 +233,13 @@ class FiniteTable:
 def loss_table(loss, rows, cols):
     """(R, C) table of loss(rows[a], cols[b]).
 
-    Cauchy, squared and absolute error take their elementwise closed forms
-    over the scalar arrays rows[:, None] - cols[None, :].  Any other loss is
-    called once per pair, row by row, so a validating loss raises at the
-    first pair it rejects.
+    The SCALAR_LOSSES apply their formula to the whole difference array
+    rows[:, None] - cols[None, :].  Any other loss is called once per pair,
+    row by row, so a validating loss raises at the first pair it rejects.
     """
-    if isinstance(loss, (Cauchy, SquaredError, AbsoluteError)):
-        d = np.asarray(rows, dtype=float)[:, None] - np.asarray(cols, dtype=float)[None, :]
-        if isinstance(loss, Cauchy):
-            return loss.gamma * np.log1p(d * d / loss.gamma)
-        return d * d if isinstance(loss, SquaredError) else np.abs(d)
+    if isinstance(loss, SCALAR_LOSSES):
+        return loss.of_difference(np.asarray(rows, dtype=float)[:, None]
+                                  - np.asarray(cols, dtype=float)[None, :])
     table = np.empty((len(rows), len(cols)))
     for a, y in enumerate(rows):
         for b, y2 in enumerate(cols):

@@ -74,9 +74,7 @@ def sweep(X, kernel_grid, lambdas, folds, seed, score):
     (kernels, lambdas, folds, methods) array.  Any failure is re-raised as a
     RuntimeError naming its grid point and caused by the original exception.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = kernels._as_input_matrix(X)
     splits = fold_splits(X.shape[0], folds, seed)
     scores = []
     for kernel in kernel_grid:

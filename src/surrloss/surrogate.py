@@ -38,15 +38,10 @@ def fit(X, Y, kernel, lam):
     """Factor K + n*lambda*I for the training set; deterministic."""
     if lam <= 0 or not np.isfinite(lam):
         raise ValueError("lambda must be positive")
-    if kernel.kind == "precomputed":
-        X = np.asarray(X, dtype=int).ravel()
-    else:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
+    X = kernels._as_input_matrix(X)
     n = X.shape[0]
-    if n < 1 or len(Y) != n:
-        raise ValueError(f"need |X| = |Y| >= 1, got {n} and {len(Y)}")
+    if len(Y) != n:
+        raise ValueError(f"need |X| = |Y|, got {n} and {len(Y)}")
     factor = kernels.factor_shifted(kernels.gram_matrix(kernel, X), n * lam)
     return TrainedSurrogate(X=X, Y=Y, kernel=kernel, lam=float(lam), factor=factor)
 
@@ -85,12 +80,11 @@ FORMAT_VERSION = 1
 OUTPUT_KINDS = ("scalar", "label", "simplex", "ratings")
 
 
-def _kernel_to_json(spec):
+def kernel_to_json(spec):
+    """The kernel as the model blob and the CLI's reports write it."""
     if spec.kind == "gaussian":
         return {"kind": "gaussian", "sigma": spec.sigma}
-    if spec.kind == "linear":
-        return {"kind": "linear"}
-    raise ValueError("precomputed kernels cannot be serialized")
+    return {"kind": spec.kind}
 
 
 def _kernel_from_json(obj):
@@ -123,9 +117,9 @@ def save_model(model, path, output_kind):
     blob = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "kernel": _kernel_to_json(model.kernel),
+        "kernel": kernel_to_json(model.kernel),
         "lambda": model.lam,
-        "x": np.asarray(model.X, dtype=float).tolist(),
+        "x": model.X.tolist(),
         "y": {"kind": output_kind, "values": _outputs_to_json(model.Y, output_kind)},
     }
     with open(path, "w", encoding="utf-8") as f:

@@ -60,10 +60,7 @@ def descending_sort_ranks(ratings):
 
 def eval_kernel(spec, x, x2):
     """k(x, x') for a single pair, from the definition of `spec.kind`:
-    matrix[x, x'] (precomputed), <x, x'> (linear) or
-    exp(-||x - x'||^2 / sigma) (gaussian)."""
-    if spec.kind == "precomputed":
-        return float(spec.matrix[int(x), int(x2)])
+    <x, x'> (linear) or exp(-||x - x'||^2 / sigma) (gaussian)."""
     x, x2 = np.asarray(x, dtype=float), np.asarray(x2, dtype=float)
     if spec.kind == "linear":
         return float(np.dot(x, x2))

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from surrloss import cli, kernels, surrogate
+from surrloss import cli, experiments, kernels, surrogate
 
 
 def _write_csv(path, header, rows):
@@ -269,3 +269,63 @@ def test_scalar_targets_outside_the_bound_are_usage_errors(tmp_path, capsys):
                      "--out", str(preds), "--bound", "12"]) == cli.EXIT_OK
     _, rows = _read_csv(preds)
     assert [float(r[0]) for r in rows] == pytest.approx([10.0, 10.0], abs=1e-6)
+
+
+EXPERIMENT_CV = {
+    "robust": {"sigmas": list(experiments.ROBUST_SIGMAS),
+               "lambdas": list(experiments.ROBUST_LAMBDAS),
+               "gammas": list(experiments.ROBUST_GAMMAS), "folds": experiments.FOLDS},
+    "ranking": {"lambdas": list(experiments.RANKING_LAMBDAS), "folds": experiments.FOLDS},
+    "histogram": {"sigmas": list(experiments.HISTOGRAM_SIGMAS),
+                  "lambdas": list(experiments.HISTOGRAM_LAMBDAS),
+                  "folds": experiments.FOLDS},
+}
+# Each experiment's own size option at a tiny value, as given on the command
+# line and as the report's config records it.
+EXPERIMENT_SIZE = {"robust": (["--n-grid", "20,30"], {"n_grid": [20, 30]}),
+                   "ranking": (["--items", "4"], {"items": 4}),
+                   "histogram": (["--dim", "3"], {"dim": 3})}
+
+
+@pytest.mark.parametrize("which", ["robust", "ranking", "histogram"])
+def test_experiment_reports_its_constants_and_writes_the_curve(tmp_path, which):
+    flags, size = EXPERIMENT_SIZE[which]
+    out, curve = tmp_path / "report.json", tmp_path / "curve.csv"
+    assert cli.main(["experiment", which, *flags, "--reps", "1", "--seed", "3",
+                     "--out", str(out), "--curve", str(curve)]) == cli.EXIT_OK
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["config"] == {"seed": 3, "reps": 1, **size}
+    assert report["metadata"]["cv"] == EXPERIMENT_CV[which]
+    if which == "robust":
+        assert f"uniform {experiments.ROBUST_TEST_POINTS}-point grid" in \
+            report["metadata"]["metric"]
+    header, rows = _read_csv(curve)
+    assert header == ["n", "method", "mean", "std"]
+    points = [(int(row[0]), row[1]) for row in rows]
+    assert len(set(points)) == len(points)
+    assert points == [(r["n"], r["method"]) for r in report["results"]]
+    if which == "robust":
+        assert sorted({n for n, _ in points}) == [20, 30]
+        assert len(points) == 4
+
+
+@pytest.mark.parametrize("which, flags", [
+    ("ranking", ["--n-grid", "7"]), ("histogram", ["--n-grid", "7"]),
+    ("robust", ["--items", "4"]), ("histogram", ["--items", "4"]),
+    ("robust", ["--dim", "3"]), ("ranking", ["--dim", "3"])])
+def test_experiment_rejects_another_experiments_option(tmp_path, capsys, which, flags):
+    # an option the experiment does not read would be dropped without a word
+    out = tmp_path / "report.json"
+    assert cli.main(["experiment", which, *flags, "--out", str(out)]) == cli.EXIT_USAGE
+    assert f"experiment {which} takes no {flags[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_rejects_another_experiments_option_from_config(tmp_path, capsys):
+    (tmp_path / "config.json").write_text(json.dumps({"n_grid": [7], "dim": 3}),
+                                          encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert cli.main(["experiment", "ranking", "--config", str(tmp_path / "config.json"),
+                     "--out", str(out)]) == cli.EXIT_USAGE
+    assert "experiment ranking takes no --n-grid or --dim" in capsys.readouterr().err
+    assert not out.exists()

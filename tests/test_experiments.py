@@ -51,8 +51,8 @@ def test_robust_cv_selects_what_a_dense_solve_sweep_selects(seed):
     assert (k_kernel.sigma, k_lam) == krr
 
 
-HIST_SIGMAS = (0.1, 1.0, 10.0)
-HIST_LAMBDAS = (1e-4, 1e-2, 1.0)
+HIST_SIGMAS = experiments.HISTOGRAM_SIGMAS
+HIST_LAMBDAS = experiments.HISTOGRAM_LAMBDAS
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -105,15 +105,6 @@ def test_gram_rejects_empty():
         kernels.gram_matrix(kernels.gaussian(1.0), np.empty((0, 2)))
 
 
-def test_precomputed_kernel_by_indices():
-    M = np.array([[1.0, 0.2, 0.1], [0.2, 1.0, 0.3], [0.1, 0.3, 1.0]])
-    spec = kernels.precomputed(M)
-    assert kernels.cross_kernel(spec, [2], 0)[0] == 0.1
-    K = kernels.gram_matrix(spec, [2, 0])
-    np.testing.assert_array_equal(K, [[1.0, 0.1], [0.1, 1.0]])
-    np.testing.assert_array_equal(kernels.cross_kernel(spec, [0, 1, 2], 1), M[1])
-
-
 def test_cross_kernel_first_entry_unit():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(4, 2))

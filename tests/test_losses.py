@@ -58,10 +58,10 @@ def test_squared_hellinger_mass_property():
 
 
 def test_cauchy_examples():
-    assert losses.cauchy(0.7, 0.7, 1.0) == 0.0
-    assert losses.cauchy(1.0, 0.0, 1.0) == pytest.approx(np.log(2.0))
-    assert losses.cauchy(4.0, 1.0, 2.0) == pytest.approx(2.0 * np.log(1.0 + 9.0 / 2.0))
-    assert losses.cauchy(4.0, 1.0, 2.0) == pytest.approx(3.4094961844768505)
+    assert losses.Cauchy(1.0)(0.7, 0.7) == 0.0
+    assert losses.Cauchy(1.0)(1.0, 0.0) == pytest.approx(np.log(2.0))
+    assert losses.Cauchy(2.0)(4.0, 1.0) == pytest.approx(2.0 * np.log(1.0 + 9.0 / 2.0))
+    assert losses.Cauchy(2.0)(4.0, 1.0) == pytest.approx(3.4094961844768505)
 
 
 @settings(max_examples=100, deadline=None)
@@ -69,7 +69,7 @@ def test_cauchy_examples():
 def test_cauchy_monotone_in_distance(gamma, seed):
     rng = np.random.default_rng(seed)
     ds = np.sort(rng.uniform(0, 10, size=20))
-    vals = [losses.cauchy(d, 0.0, gamma) for d in ds]
+    vals = [losses.Cauchy(gamma)(d, 0.0) for d in ds]
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
 

@@ -70,14 +70,13 @@ def test_alpha_large_lambda_shrinks_to_zero():
 
 
 def test_alpha_hand_solved_2x2():
-    # training entries K = [[1, .5], [.5, 1]], n*lambda = .5, query row (1, .5):
-    # (K + .5 I)^-1 K_x = (0.625, 0.125)
-    K3 = np.array([[1.0, 0.5, 1.0],
-                   [0.5, 1.0, 0.5],
-                   [1.0, 0.5, 1.0]])
-    m = surrogate.fit([0, 1], ["p", "q"], kernels.precomputed(K3), 0.25)
-    a = surrogate.alpha_weights(m, 2)
-    np.testing.assert_allclose(a.weights, [0.625, 0.125], atol=1e-14)
+    # linear kernel on x1 = (0, 1), x2 = (1, 2): K = [[1, 2], [2, 5]], and
+    # n*lambda = 1; the query (1, .5) has K_x = (.5, 2), so
+    # alpha = [[2, 2], [2, 6]]^-1 (.5, 2) = [[6, -2], [-2, 2]] (.5, 2) / 8
+    #       = (-1/8, 3/8)
+    m = surrogate.fit([[0.0, 1.0], [1.0, 2.0]], ["p", "q"], kernels.linear(), 0.5)
+    a = surrogate.alpha_weights(m, [1.0, 0.5])
+    np.testing.assert_allclose(a.weights, [-0.125, 0.375], atol=1e-14)
 
 
 def test_alpha_residual_invariant():
@@ -278,9 +277,3 @@ def test_model_roundtrip_labels_and_ratings(tmp_path):
     assert kind2 == "ratings"
     np.testing.assert_allclose(loaded2.Y, R)
 
-
-def test_save_model_rejects_precomputed(tmp_path):
-    spec = kernels.precomputed(np.eye(2))
-    m = surrogate.fit([0, 1], [0.0, 1.0], spec, 0.5)
-    with pytest.raises(ValueError):
-        surrogate.save_model(m, tmp_path / "m.json", "scalar")
