@@ -21,13 +21,18 @@ rejects any other loss given with them (`check_loss`).
 
 `decode_batch` is the one decode from an (n, Q) weight matrix: prediction
 and cross-validation both dispatch through it.  `predict` is a batch of one,
-the query's weight column through `decode_batch`; only Exhaustive goes
-through `decode_exhaustive`, the same one-column table decode, because the
-benchmark's stage map (`bench/stages.py`) traces the single-query
-exhaustive decode by that name.  BLAS may sum a one-column product in
-another order than a Q-column one, so `predict` and `predict_batch` agree
-exactly except where two candidates' objectives lie within rounding of each
-other.
+the query's weight column through `decode_batch`, except for Exhaustive: a
+single Exhaustive query reads ghat(x) = C^T k_x from the model's cached
+coefficients (`TrainedSurrogate.output_coefficients`), with no solve and no
+regroup of the n training outputs, and `decode_exhaustive` scores the
+candidates against the U distinct outputs weighted by ghat.  The objective
+is the same, sum_u ghat_u loss(c, y_u) = sum_i alpha_i loss(c, y_i), at C*U
+loss calls.  `predict_batch` stays on the (n, Q) weights, which
+cross-validation decodes from, because the benchmark's stage map
+(`bench/stages.py`) counts the weight solve (`surrogate.alpha_weights_batch`)
+on the label workload.  The two routes round differently, so `predict` and
+`predict_batch` agree exactly except where two candidates' objectives lie
+within rounding of each other.
 
 Exhaustive and ScalarGrid read every loss value from `losses.loss_table`.
 `_loss_matrix`, a bare `loss_table` call, stays only because the stage map
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import losses, surrogate
+from . import kernels, losses, surrogate
 
 SCALAR_CHUNK = 256  # query columns per scalar decode step
 STEP_TOL = 1e-12  # the scalar polish stops once |step| <= STEP_TOL * max(1, |p|)
@@ -100,7 +105,7 @@ def decode_exhaustive_batch(candidates, A, loss, y_train):
     """Minimize F over a finite candidate list for Q queries at once.
 
     A is the (n, Q) matrix of per-query weights.  The training outputs are
-    grouped by value (keyed by `losses._hashable`); the loss is called once
+    grouped by value (`losses.group_outputs`); the loss is called once
     per (candidate, distinct output) pair to fill a (C, U) table L, and A's
     rows are summed per distinct output into B (U, Q), so F = L @ B.
     Returns (indices (Q,), F values (Q,)); ties go to the lowest index.
@@ -110,16 +115,10 @@ def decode_exhaustive_batch(candidates, A, loss, y_train):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != len(y_train):
         raise ValueError("alpha / training-output length mismatch")
-    slot, distinct, group = {}, [], []
-    for y in y_train:
-        key = losses._hashable(y)
-        if key not in slot:
-            slot[key] = len(distinct)
-            distinct.append(y)
-        group.append(slot[key])
+    distinct, group = losses.group_outputs(y_train)
     L = losses.loss_table(loss, candidates, distinct)
     B = np.zeros((len(distinct), A.shape[1]))
-    np.add.at(B, np.asarray(group, dtype=np.intp), A)
+    np.add.at(B, group, A)
     F = L @ B
     best = np.argmin(F, axis=0)
     return best, F[best, np.arange(F.shape[1])]
@@ -394,10 +393,13 @@ def decode_batch(decoder, loss, y_train, A):
 
 def predict(model, decoder, loss, x):
     """Decode one query: `decode_batch` on its one weight column, except that
-    Exhaustive goes through `decode_exhaustive` (see the module docstring)."""
-    a = surrogate.alpha_weights(model, x).weights
+    Exhaustive decodes ghat(x) = C^T k_x over the distinct training outputs
+    from the model's cached coefficients (see the module docstring)."""
     if isinstance(decoder, Exhaustive):
-        return decode_exhaustive(decoder.candidates, a, loss, model.Y)[0]
+        distinct, C = model.output_coefficients
+        g = C.T @ kernels.cross_kernel(model.kernel, model.X, x)
+        return decode_exhaustive(decoder.candidates, g, loss, distinct)[0]
+    a = surrogate.alpha_weights(model, x).weights
     y = decode_batch(decoder, loss, model.Y, a[:, None])[0]
     return float(y) if isinstance(decoder, ScalarGrid) else y
 

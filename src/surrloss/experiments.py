@@ -13,9 +13,10 @@ Three experiments, each against a baseline:
     cross-validated (sigma, lambda).
 
 The CV grids, the fold count and the decoders are the module constants
-below; a runner's arguments set only the sizes, repetitions and seed.  The
-CLI records the grids in its report metadata.  All generators are pure
-functions of (parameters, seed).
+below; a runner's arguments set only the sizes, repetitions and seed.
+`repetitions` has no default here: the CLI's `--reps` (20) is the one
+default.  The CLI records the grids in its report metadata.  All generators
+are pure functions of (parameters, seed).
 """
 
 import time
@@ -120,7 +121,7 @@ def _robust_cv(X, y, sigmas, lambdas, gammas, folds, seed, cv_decoder):
     return ((kernels.gaussian(sigma), lam, gamma), (kernels.gaussian(k_sigma), k_lam))
 
 
-def run_robust_experiment(n_grid=(50, 100, 200, 500), repetitions=20, seed0=0):
+def run_robust_experiment(n_grid=(50, 100, 200, 500), *, repetitions, seed0=0):
     """Learning curves for the Cauchy-loss decoder vs the KRR baseline."""
     x_test = np.linspace(-1.0, 1.0, ROBUST_TEST_POINTS)[:, None]
     target = np.sin(6.0 * np.pi * x_test[:, 0])
@@ -179,7 +180,7 @@ def _best_training_sort(train_profiles):
     return sorts[int(np.argmin(means))]
 
 
-def run_ranking_experiment(items=8, n_train=80, n_test=40, repetitions=5, seed0=0):
+def run_ranking_experiment(items=8, n_train=80, n_test=40, *, repetitions, seed0=0):
     """Mean normalized rank loss: the SELF predictor, decoded by the exact sort
     of s = A^T R (`decoders.RankingFas`, reported as "alg1_fas"), vs the
     constant best-training-sort baseline."""
@@ -298,7 +299,7 @@ def _histogram_cv(Xtr, Ytr, sigmas, lambdas, folds, seed, sigma_y):
     }
 
 
-def run_histogram_experiment(dim=8, n_train=120, n_test=60, repetitions=5, seed0=0):
+def run_histogram_experiment(dim=8, n_train=120, n_test=60, *, repetitions, seed0=0):
     """Hellinger-decoded predictor vs KDE-style decoding over training outputs.
 
     Both methods share the surrogate machinery; each cross-validates

@@ -103,8 +103,19 @@ def sq_distances(X, Z=None):
 
 
 def _mirror_lower(K):
-    """Copy K's lower triangle onto its upper one, in place: exactly symmetric."""
-    np.copyto(K, K.T, where=np.tri(K.shape[0], k=-1, dtype=bool).T)
+    """Copy K's lower triangle onto its upper one, in place: exactly symmetric.
+
+    One SOLVE_BLOCK-wide panel at a time: the diagonal block through a
+    block-sized mask, the rest as the transposed panel below it.  A whole-K
+    masked copy would buffer all of K (source and target overlap) and build
+    an (n, n) mask.
+    """
+    n = K.shape[0]
+    for s in range(0, n, SOLVE_BLOCK):
+        e = min(s + SOLVE_BLOCK, n)
+        D = K[s:e, s:e]
+        np.copyto(D, D.T, where=np.tri(e - s, k=-1, dtype=bool).T)
+        K[s:e, e:] = K[e:, s:e].T
     return K
 
 

@@ -291,3 +291,16 @@ def _hashable(label):
     if isinstance(label, list):
         return tuple(label)
     return label
+
+
+def group_outputs(outputs):
+    """(distinct, group): the distinct outputs in order of first appearance,
+    keyed by `_hashable`, and the (n,) index into `distinct` of each output."""
+    slot, distinct, group = {}, [], []
+    for y in outputs:
+        key = _hashable(y)
+        if key not in slot:
+            slot[key] = len(distinct)
+            distinct.append(y)
+        group.append(slot[key])
+    return distinct, np.asarray(group, dtype=np.intp)

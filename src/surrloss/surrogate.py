@@ -5,14 +5,24 @@ so values are not comparable with the K + lambda*I convention used elsewhere.
 
 The factorization happens once at fit time and is reused (read-only) for every
 query; TrainedSurrogate is immutable and safe to share across threads.
+
+For a finite output set with canonical psi, ghat(x) = G^T alpha(x) =
+C^T k_x with G the (n, U) one-hot matrix of the U distinct training outputs
+and C = (K + n*lambda*I)^-1 G.  `TrainedSurrogate.output_coefficients` solves
+for C once per model, on first use, and keeps it: a query then needs only
+k_x and one (U, n) @ (n,) product, no solve.  The cache takes O(n*U) memory,
+which U <= n keeps O(n^2).  It is a pure function of the frozen fields, so it
+is thread-safe: two threads that race on first use at worst both compute the
+same C, and every reader sees a complete value.
 """
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import kernels
+from . import kernels, losses
 
 
 @dataclass(frozen=True)
@@ -26,6 +36,17 @@ class TrainedSurrogate:
     @property
     def n(self):
         return self.factor.order
+
+    @cached_property
+    def output_coefficients(self):
+        """(distinct, C): the U distinct training outputs
+        (`losses.group_outputs`) and the (n, U) coefficients
+        C = (K + n*lambda*I)^-1 G, so that ghat(x) = C^T k_x weighs
+        distinct[u] by the summed alpha_i(x) of the outputs equal to it."""
+        distinct, group = losses.group_outputs(self.Y)
+        G = np.zeros((self.n, len(distinct)))
+        G[np.arange(self.n), group] = 1.0
+        return distinct, kernels.solve_spd(self.factor, G)
 
 
 @dataclass(frozen=True)
@@ -123,7 +144,7 @@ def save_model(model, path, output_kind):
         "y": {"kind": output_kind, "values": _outputs_to_json(model.Y, output_kind)},
     }
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(blob, f)
+        f.write(json.dumps(blob))  # the C encoder; json.dump streams in Python
 
 
 def load_model(path):

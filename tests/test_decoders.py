@@ -127,6 +127,55 @@ def test_predict_batch_matches_predict_exhaustive():
     assert batch == [decoders.predict(model, dec, losses.ZeroOne(), x) for x in Q]
 
 
+def test_single_exhaustive_predicts_solve_once_per_model(monkeypatch):
+    factors = []
+    solve = kernels.solve_spd
+
+    def counting(factor, b):
+        factors.append(factor)
+        return solve(factor, b)
+
+    monkeypatch.setattr(kernels, "solve_spd", counting)
+    rng = np.random.default_rng(35)
+    X = rng.normal(size=(30, 2))
+    Y = [f"c{k}" for k in rng.integers(0, 3, size=30)]
+    dec = decoders.Exhaustive(sorted(set(Y)))
+    model = surrogate.fit(X, Y, kernels.gaussian(1.0), 1e-2)
+    for x in rng.normal(size=(10, 2)):
+        decoders.predict(model, dec, losses.ZeroOne(), x)
+    assert len(factors) == 1 and factors[0] is model.factor
+    other = surrogate.fit(X[::-1], Y[::-1], kernels.gaussian(1.0), 1e-2)
+    decoders.predict(other, dec, losses.ZeroOne(), X[0])
+    assert len(factors) == 2 and factors[1] is other.factor
+    assert not np.array_equal(other.output_coefficients[1], model.output_coefficients[1])
+
+
+@pytest.mark.parametrize("case", ["all_distinct", "mixed_int_types", "unseen_candidates"])
+def test_single_exhaustive_predict_matches_the_weight_route_oracle(case):
+    rng = np.random.default_rng(36)
+    n = 24
+    X = rng.normal(size=(n, 3))
+    loss = losses.ZeroOne()
+    if case == "all_distinct":  # U = n
+        Y = candidates = list(range(n))
+    elif case == "mixed_int_types":  # np.int64(k) and k are one output
+        Y = [np.int64(k) if i % 2 else int(k) for i, k in enumerate(rng.integers(0, 4, size=n))]
+        candidates = [0, 1, 2, 3]
+    else:  # the half-integers never occur in training, and win under squared error
+        Y = [int(k) for k in rng.integers(0, 3, size=n)]
+        candidates, loss = [0, 0.5, 1, 1.5, 2], losses.SquaredError()
+    model = surrogate.fit(X, Y, kernels.gaussian(2.0), 1e-2)
+    dec = decoders.Exhaustive(candidates)
+    got = []
+    for x in rng.normal(size=(15, 3)):
+        idx, _ = _oracles.scan_minimum(candidates, surrogate.alpha_weights(model, x).weights,
+                                       loss, Y)
+        got.append(decoders.predict(model, dec, loss, x))
+        assert got[-1] == candidates[idx]
+    if case == "unseen_candidates":
+        assert {0.5, 1.5} & set(got)
+
+
 # ---------------------------------------------------------------------------
 # FAS ranking decoder
 

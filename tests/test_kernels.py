@@ -100,6 +100,17 @@ def test_gram_exactly_symmetric_unit_diagonal():
     assert np.array_equal(Kl, Kl.T)
 
 
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+def test_gram_panel_mirror_equals_the_whole_matrix_mask_copy(n):
+    X = np.random.default_rng(n).normal(size=(n, 4))
+    for spec in (kernels.gaussian(4.0), kernels.linear()):
+        raw = X @ X.T if spec.kind == "linear" else np.exp(kernels.sq_distances(X) / -spec.sigma)
+        np.copyto(raw, raw.T, where=np.tri(n, k=-1, dtype=bool).T)
+        K = kernels.gram_matrix(spec, X)
+        assert np.array_equal(K, raw)
+        assert np.array_equal(K, K.T)
+
+
 def test_gram_rejects_empty():
     with pytest.raises(ValueError):
         kernels.gram_matrix(kernels.gaussian(1.0), np.empty((0, 2)))

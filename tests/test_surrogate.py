@@ -227,6 +227,22 @@ def test_empirical_risk_unknown_label_error():
         _training_risk(m, emb)
 
 
+def test_output_coefficients_give_ghat_over_the_distinct_outputs():
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(30, 2))
+    Y = ["b", "a", "b", "c"] * 7 + ["a", "a"]
+    m = surrogate.fit(X, Y, kernels.gaussian(1.0), 1e-2)
+    distinct, C = m.output_coefficients
+    assert distinct == ["b", "a", "c"] and C.shape == (30, 3)
+    assert m.output_coefficients[1] is C
+    emb = losses.build_finite_embedding(losses.ZeroOne(), distinct)
+    Q = rng.normal(size=(5, 2))
+    np.testing.assert_allclose(
+        C.T @ kernels.cross_kernel_batch(m.kernel, X, Q),
+        surrogate.explicit_g_hat(surrogate.alpha_weights_batch(m, Q), Y, emb).T,
+        rtol=0.0, atol=1e-12)
+
+
 def test_ghat_rejects_weights_of_the_wrong_shape():
     emb = losses.build_finite_embedding(losses.ZeroOne(), ["a", "b"])
     with pytest.raises(ValueError):
