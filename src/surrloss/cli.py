@@ -43,7 +43,10 @@ def _float_list(text):
 
 
 def _int_list(text):
-    return tuple(int(t) for t in text.split(",") if t.strip())
+    values = tuple(int(t) for t in text.split(",") if t.strip())
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    return values
 
 
 def _positive_int(text):
@@ -107,13 +110,10 @@ def write_predictions(path, preds, kind):
             writer.writerow(["y"])
             for p in preds:
                 writer.writerow([p])
-        elif kind == "simplex":
-            preds = np.asarray(preds, dtype=float)
-            writer.writerow([f"p{j}" for j in range(preds.shape[1])])
-            writer.writerows(preds.tolist())
-        else:  # rankings
-            preds = np.asarray(preds, dtype=int)
-            writer.writerow([f"rank{j}" for j in range(preds.shape[1])])
+        else:  # simplex histograms or rankings
+            prefix, dtype = ("p", float) if kind == "simplex" else ("rank", int)
+            preds = np.asarray(preds, dtype=dtype)
+            writer.writerow([f"{prefix}{j}" for j in range(preds.shape[1])])
             writer.writerows(preds.tolist())
 
 
@@ -274,29 +274,19 @@ def cmd_experiment(args):
     return EXIT_OK
 
 
-# Trials per battery when --trials is not given; the batteries take no default.
-_CHECK_DEFAULT_TRIALS = {"fisher": 50, "comparison": 1000,
-                         "equivalence": 100, "consistency": 20}
+# Each check's battery, which returns (report, passed), and its trials when
+# --trials is not given; the batteries take no default.
+_CHECKS = {"fisher": (oracle.fisher_battery, 50),
+           "comparison": (oracle.comparison_battery, 1000),
+           "equivalence": (oracle.equivalence_battery, 100),
+           "consistency": (oracle.consistency_battery, 20)}
 
 
 def cmd_check(args):
+    battery, default_trials = _CHECKS[args.which]
     if args.trials is None:
-        args.trials = _CHECK_DEFAULT_TRIALS[args.which]
-    if args.which == "fisher":
-        rep = oracle.fisher_battery(trials_per_family=args.trials, seed=args.seed)
-        ok = rep["max_abs_gap"] <= 1e-10
-    elif args.which == "comparison":
-        rep = oracle.comparison_battery(trials=args.trials, seed=args.seed)
-        ok = rep["violations"] == 0
-    elif args.which == "equivalence":
-        rep = oracle.equivalence_battery(trials=args.trials, seed=args.seed)
-        ok = rep["mismatches"] == 0
-    else:  # consistency
-        problem = oracle.default_trend_problem()
-        loss = losses.ZeroOne(problem.ys)
-        rep = oracle.check_consistency_trend(problem, loss, args.trials, seed0=args.seed)
-        rep = {"n_grid": rep["n_grid"], "medians": rep["medians"]}
-        ok = oracle.trend_non_increasing(rep["medians"])
+        args.trials = default_trials
+    rep, ok = battery(args.trials, seed=args.seed)
     _report(args.out, {"command": f"check {args.which}",
                        "config": {"trials": args.trials, "seed": args.seed},
                        "result": rep, "pass": bool(ok)})
@@ -353,14 +343,14 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.add_argument("--curve", default=None, help="csv path for the learning curve")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reps", type=int, default=20)
+    p.add_argument("--reps", type=_positive_int, default=20)
     p.add_argument("--n-grid", type=_int_list, default=None, help="robust only")
     p.add_argument("--items", type=int, default=None, help="ranking only")
     p.add_argument("--dim", type=int, default=None, help="histogram only")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("check", help="run a theory check battery")
-    p.add_argument("which", choices=("fisher", "comparison", "equivalence", "consistency"))
+    p.add_argument("which", choices=tuple(_CHECKS))
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive_int, default=None)

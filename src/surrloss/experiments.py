@@ -53,11 +53,17 @@ class RobustDataset:
 class ExperimentResult:
     method: str
     n: int
-    metric_mean: float
-    metric_std: float
     seeds: list
     wall_time: float
     per_seed: list
+
+    @property
+    def metric_mean(self):
+        return float(np.mean(self.per_seed))
+
+    @property
+    def metric_std(self):
+        return float(np.std(self.per_seed))
 
 
 def gen_robust_data(n, seed):
@@ -145,10 +151,8 @@ def run_robust_experiment(n_grid=(50, 100, 200, 500), *, repetitions, seed0=0):
             k_pred = krr_predict_batch(k_model, x_test)
             krr_vals.append(float(np.mean(np.abs(k_pred - target))))
         elapsed = time.perf_counter() - t0
-        results.append(ExperimentResult("alg1_cauchy", n, float(np.mean(alg_vals)),
-                                        float(np.std(alg_vals)), seeds, elapsed, alg_vals))
-        results.append(ExperimentResult("krr", n, float(np.mean(krr_vals)),
-                                        float(np.std(krr_vals)), seeds, elapsed, krr_vals))
+        results.append(ExperimentResult("alg1_cauchy", n, seeds, elapsed, alg_vals))
+        results.append(ExperimentResult("krr", n, seeds, elapsed, krr_vals))
     return results
 
 
@@ -207,10 +211,8 @@ def run_ranking_experiment(items=8, n_train=80, n_test=40, *, repetitions, seed0
             losses.rank_loss_matrix(base[None], Rte, normalize=True)[0])))
     elapsed = time.perf_counter() - t0
     return [
-        ExperimentResult("alg1_fas", n_train, float(np.mean(alg_vals)),
-                         float(np.std(alg_vals)), seeds, elapsed, alg_vals),
-        ExperimentResult("best_train_sort", n_train, float(np.mean(base_vals)),
-                         float(np.std(base_vals)), seeds, elapsed, base_vals),
+        ExperimentResult("alg1_fas", n_train, seeds, elapsed, alg_vals),
+        ExperimentResult("best_train_sort", n_train, seeds, elapsed, base_vals),
     ]
 
 
@@ -334,7 +336,6 @@ def run_histogram_experiment(dim=8, n_train=120, n_test=60, *, repetitions, seed
     out = []
     for name, metrics in rows.items():
         for metric_name, vals in metrics.items():
-            out.append(ExperimentResult(f"{name}:{metric_name}", n_train,
-                                        float(np.mean(vals)), float(np.std(vals)),
-                                        seeds, elapsed, vals))
+            out.append(ExperimentResult(f"{name}:{metric_name}", n_train, seeds, elapsed,
+                                        vals))
     return out

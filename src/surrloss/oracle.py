@@ -3,17 +3,17 @@
 A FiniteProblem stores the whole joint table rho[x, y], so expected risks,
 the Bayes predictor, the surrogate minimizer g*, and both sides of the
 surrogate comparison inequality are computable exactly (up to rounding).
-These power the `check` battery: decoding g* must attain the Bayes risk,
+These power the `check` batteries: decoding g* must attain the Bayes risk,
 the excess structured risk must stay under 2 c_delta sqrt(excess surrogate
 risk), the least-squares classifier must match the decoded predictor on
 classification problems, and excess risk must shrink with the sample size
 under the n^(-1/4) regularization schedule.
 
-Every structured risk is read off a loss table (`losses.loss_table`), and every fitted
-predictor decodes all its inputs at once through the batch route
-(`decoders.decode_batch` / `predict_batch`).  `bayes_optimal` tabulates the
-loss itself rather than reading an embedding's V, so the Fisher check still
-compares two routes to the same minimiser.
+The Fisher and comparison checks decode g (g* is the table P(y | x)) with
+the library's decoder, `decoders.decode_exhaustive_batch` over p.ys, and
+compare it with `bayes_optimal`, the argmin of the conditional risks.  Every
+structured risk is read off a loss table (`losses.loss_table`), and every
+fitted predictor decodes all its inputs at once through the batch route.
 """
 
 import itertools
@@ -24,6 +24,7 @@ import numpy as np
 from . import decoders, kernels, losses, surrogate
 
 MASS_ATOL = 1e-12
+FISHER_TOL = 1e-10  # largest |risk gap| the Fisher battery passes
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,9 @@ class FiniteProblem:
             raise ValueError("joint table must sum to 1")
         if np.any(rho.sum(axis=1) <= 0):
             raise ValueError("every listed x needs positive marginal mass")
+        # the finite decoder would merge the columns of equal outputs
+        if len(losses.group_outputs(self.ys)[0]) != len(self.ys):
+            raise ValueError("duplicate ys")
 
     @property
     def marginal_x(self):
@@ -83,27 +87,17 @@ def bayes_optimal(p, loss):
     return f, structured_risk(p, loss, f)
 
 
-def gstar_embedding(p, embedding):
-    """g*(x) = conditional distribution of y given x, in canonical coordinates."""
-    if list(map(embedding.index_of, p.ys)) != list(range(len(p.ys))):
-        raise ValueError("embedding labels must enumerate p.ys in order")
-    return p.conditionals.copy()
-
-
-def decode_tabular(g, embedding, p):
-    """d(g(x)) = argmin_y (V g(x))[q(y)], lowest index on ties."""
-    g = np.asarray(g, dtype=float)
-    scores = g @ embedding.V.T  # scores[ix, i] = <e_i, V g(x)>
-    return [p.ys[int(np.argmin(scores[ix]))] for ix in range(len(p.xs))]
+def _decode(p, loss, g):
+    """d(g)(x) = argmin_y sum_j g[x, j] loss(y, p.ys[j]) at every x, by the
+    library's finite decoder over the candidates p.ys."""
+    best, _ = decoders.decode_exhaustive_batch(p.ys, np.asarray(g, dtype=float).T, loss, p.ys)
+    return [p.ys[int(i)] for i in best]
 
 
 def check_fisher(p, loss):
     """Gap between the risk of decoding g* and the Bayes risk (expect ~0)."""
-    emb = losses.build_finite_embedding(loss, p.ys)
-    gstar = gstar_embedding(p, emb)
-    decoded = decode_tabular(gstar, emb, p)
     _, bayes = bayes_optimal(p, loss)
-    gap = structured_risk(p, loss, decoded) - bayes
+    gap = structured_risk(p, loss, _decode(p, loss, p.conditionals)) - bayes
     return {"gap": gap, "bayes_risk": bayes}
 
 
@@ -116,14 +110,13 @@ def check_comparison(p, loss, g):
     sum_x rho_X(x) ||g(x) - g*(x)||^2, not as a difference of two O(1)
     risks, which would cancel when g is close to g*.
     """
-    emb = losses.build_finite_embedding(loss, p.ys)
     g = np.asarray(g, dtype=float)
-    diff = g - gstar_embedding(p, emb)
-    decoded = decode_tabular(g, emb, p)
+    diff = g - p.conditionals
     _, bayes = bayes_optimal(p, loss)
-    lhs = structured_risk(p, loss, decoded) - bayes
+    lhs = structured_risk(p, loss, _decode(p, loss, g)) - bayes
     excess = float(p.marginal_x @ (diff * diff).sum(axis=1))
-    rhs = 2.0 * emb.c_delta * np.sqrt(excess)
+    c_delta = losses.build_finite_embedding(loss, p.ys).c_delta
+    rhs = 2.0 * c_delta * np.sqrt(excess)
     return {"lhs": lhs, "rhs": rhs, "excess": excess, "holds": bool(lhs <= rhs + 1e-9)}
 
 
@@ -186,7 +179,6 @@ def check_consistency_trend(p, loss, seeds, seed0=0):
     kernel = kernels.gaussian(1.0)
     x_embed = np.arange(len(p.xs), dtype=float)[:, None]
     medians = []
-    per_n = []
     for n in TREND_N_GRID:
         lam = float(n) ** -0.25
         vals = []
@@ -194,13 +186,12 @@ def check_consistency_trend(p, loss, seeds, seed0=0):
             rng = np.random.default_rng(seed0 + 1000 * s + n)
             X, Y = sample_from_problem(p, rng, n, x_embed)
             vals.append(empirical_excess_risk(p, loss, x_embed, X, Y, lam, kernel))
-        per_n.append(vals)
         medians.append(float(np.median(vals)))
-    return {"n_grid": list(TREND_N_GRID), "medians": medians, "per_n": per_n}
+    return {"n_grid": list(TREND_N_GRID), "medians": medians}
 
 
 # ---------------------------------------------------------------------------
-# Check batteries used by the CLI and the acceptance suite.
+# Check batteries used by the CLI; each returns (report, passed).
 
 def rank_loss_table(items):
     """The ranking loss restricted to all permutations of `items` items,
@@ -243,7 +234,8 @@ def fisher_battery(trials_per_family, seed=0):
         for _ in range(trials_per_family):
             p, loss = _loss_families(rng, family)
             gaps.append(abs(check_fisher(p, loss)["gap"]))
-    return {"trials": len(gaps), "max_abs_gap": float(max(gaps))}
+    worst = float(max(gaps))
+    return {"trials": len(gaps), "max_abs_gap": worst}, worst <= FISHER_TOL
 
 
 def comparison_battery(trials, seed=0):
@@ -254,8 +246,7 @@ def comparison_battery(trials, seed=0):
     for t in range(trials):
         family = ("zero_one", "table")[t % 2]
         p, loss = _loss_families(rng, family)
-        emb = losses.build_finite_embedding(loss, p.ys)
-        gstar = gstar_embedding(p, emb)
+        gstar = p.conditionals
         if t % 3 == 0:
             g = rng.normal(size=gstar.shape)
         else:
@@ -265,7 +256,8 @@ def comparison_battery(trials, seed=0):
         worst = max(worst, rep["lhs"] - rep["rhs"])
         if not rep["holds"]:
             violations += 1
-    return {"trials": trials, "violations": violations, "worst_margin": float(worst)}
+    return ({"trials": trials, "violations": violations, "worst_margin": float(worst)},
+            violations == 0)
 
 
 def equivalence_battery(trials, seed=0):
@@ -283,7 +275,8 @@ def equivalence_battery(trials, seed=0):
         rep = check_ls_equivalence(X, Y, kernels.gaussian(sigma), lam, X_test)
         total_checked += rep["checked"]
         total_mismatch += rep["mismatches"]
-    return {"trials": trials, "checked": total_checked, "mismatches": total_mismatch}
+    return ({"trials": trials, "checked": total_checked, "mismatches": total_mismatch},
+            total_mismatch == 0)
 
 
 def default_trend_problem():
@@ -306,3 +299,11 @@ def trend_non_increasing(medians):
                 return False
             inversions += 1
     return inversions <= 1
+
+
+def consistency_battery(trials, seed=0):
+    """The trend of `default_trend_problem` under the misclassification loss,
+    `trials` samples per n; passes when `trend_non_increasing`."""
+    p = default_trend_problem()
+    rep = check_consistency_trend(p, losses.ZeroOne(p.ys), trials, seed0=seed)
+    return rep, trend_non_increasing(rep["medians"])

@@ -117,16 +117,12 @@ def _kernel_from_json(obj):
 
 
 def _outputs_to_json(Y, output_kind):
-    if output_kind == "scalar":
-        return [float(y) for y in Y]
     if output_kind == "label":
         return [y.item() if isinstance(y, np.generic) else y for y in Y]
-    return [np.asarray(y, dtype=float).tolist() for y in Y]
+    return np.asarray(Y, dtype=float).tolist()
 
 
 def _outputs_from_json(values, output_kind):
-    if output_kind == "scalar":
-        return np.asarray(values, dtype=float)
     if output_kind == "label":
         return list(values)
     return np.asarray(values, dtype=float)

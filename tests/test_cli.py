@@ -329,3 +329,29 @@ def test_experiment_rejects_another_experiments_option_from_config(tmp_path, cap
                      "--out", str(out)]) == cli.EXIT_USAGE
     assert "experiment ranking takes no --n-grid or --dim" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("reps", ["0", "-2"])
+def test_experiment_rejects_fewer_than_one_repetition(tmp_path, capsys, reps):
+    # no repetition has no mean: the report would carry NaN, which is not JSON
+    out = tmp_path / "report.json"
+    assert cli.main(["experiment", "ranking", "--items", "3", "--reps", reps,
+                     "--out", str(out)]) == cli.EXIT_USAGE
+    assert "--reps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_experiment_rejects_an_empty_n_grid(tmp_path, capsys, source):
+    # an empty grid runs no experiment, and an empty report must not pass
+    out = tmp_path / "report.json"
+    if source == "flag":
+        argv = ["experiment", "robust", "--n-grid", "", "--reps", "1", "--out", str(out)]
+    else:
+        (tmp_path / "config.json").write_text(json.dumps({"n_grid": [], "reps": 1}),
+                                              encoding="utf-8")
+        argv = ["experiment", "robust", "--config", str(tmp_path / "config.json"),
+                "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "--n-grid" in capsys.readouterr().err
+    assert not out.exists()

@@ -135,3 +135,9 @@ def test_best_training_sort_ties_go_to_the_first_profile():
     profiles = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
     np.testing.assert_array_equal(experiments._best_training_sort(profiles), [3, 2, 1])
     np.testing.assert_array_equal(experiments._best_training_sort(profiles[::-1]), [1, 2, 3])
+
+
+def test_experiment_result_mean_and_std_are_those_of_its_per_seed_values():
+    r = experiments.ExperimentResult("m", 5, [1, 2, 3], 0.0, [0.25, 0.75, 0.5])
+    assert r.metric_mean == float(np.mean([0.25, 0.75, 0.5])) == 0.5
+    assert r.metric_std == float(np.std([0.25, 0.75, 0.5]))

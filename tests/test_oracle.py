@@ -107,3 +107,50 @@ def test_check_batteries_decode_through_the_batch_route(monkeypatch, tmp_path, w
     code = cli.main(["check", which, "--trials", "2", "--out", str(out)])
     assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
     assert "result" in json.loads(out.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("ys", [[0, 1, 0], [(1, 2), (2, 1), (1, 2)]])
+def test_finite_problem_rejects_duplicate_ys(ys):
+    # the finite decoder would merge the two columns of the repeated output
+    with pytest.raises(ValueError, match="duplicate ys"):
+        oracle.FiniteProblem(xs=[0, 1], ys=ys, rho=np.full((2, 3), 1.0 / 6.0))
+
+
+@pytest.mark.parametrize("which", ["fisher", "comparison"])
+def test_fisher_and_comparison_checks_decode_with_the_library_decoder(monkeypatch, tmp_path,
+                                                                       which):
+    # a decoder that takes the argmax must fail both checks, so the checks
+    # score the decoder the library ships, not a copy of it
+    argmin = decoders.decode_exhaustive_batch
+
+    def argmax(candidates, A, loss, y_train):
+        return argmin(candidates, -np.asarray(A, dtype=float), loss, y_train)
+
+    monkeypatch.setattr(decoders, "decode_exhaustive_batch", argmax)
+    out = tmp_path / "report.json"
+    code = cli.main(["check", which, "--trials", "2", "--out", str(out)])
+    assert code == cli.EXIT_CHECK_FAILED
+    assert json.loads(out.read_text(encoding="utf-8"))["pass"] is False
+
+
+DEFAULT_TRIAL_RESULTS = {
+    "fisher": {"trials": 150, "max_abs_gap": 0.0},
+    "comparison": {"trials": 1000, "violations": 0, "worst_margin": -3.1096423456327647e-07},
+    "equivalence": {"trials": 100, "checked": 4672, "mismatches": 0},
+}
+
+
+@pytest.mark.parametrize("which", sorted(DEFAULT_TRIAL_RESULTS))
+def test_check_reports_at_default_trials_are_pinned(tmp_path, which):
+    # seed 0 at each battery's default trials; the worst comparison margin is
+    # a difference of rounded risks, so it is held to rel 1e-9
+    out = tmp_path / "report.json"
+    assert cli.main(["check", which, "--out", str(out)]) == cli.EXIT_OK
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["pass"] is True
+    want = dict(DEFAULT_TRIAL_RESULTS[which])
+    result = report["result"]
+    if which == "comparison":
+        assert result.pop("worst_margin") == pytest.approx(want.pop("worst_margin"),
+                                                           rel=1e-9, abs=0)
+    assert result == want
