@@ -38,15 +38,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _distinct(values):
+    """A grid point given twice would be run twice and reported twice."""
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"repeats a value: {', '.join(map(str, values))}")
+    return values
+
+
 def _float_list(text):
-    return tuple(float(t) for t in text.split(",") if t.strip())
+    return _distinct(tuple(float(t) for t in text.split(",") if t.strip()))
 
 
 def _int_list(text):
     values = tuple(int(t) for t in text.split(",") if t.strip())
     if not values:
         raise argparse.ArgumentTypeError("needs at least one value")
-    return values
+    return _distinct(values)
 
 
 def _positive_int(text):
@@ -150,7 +157,8 @@ def cmd_train(args):
         raise ValueError("training csv has no target columns")
     model = surrogate.fit(X, Y, _kernel_from_args(args), args.lam)
     surrogate.save_model(model, args.out, args.kind)
-    print(f"saved model for {model.n} training points to {args.out}")
+    print(f"saved model for {model.n} training points to {args.out} "
+          f"(factor jitter {model.factor.jitter:g})")
     return EXIT_OK
 
 

@@ -24,10 +24,12 @@ and cross-validation both dispatch through it.  `predict` is a batch of one,
 the query's weight column through `decode_batch`, except for Exhaustive: a
 single Exhaustive query reads ghat(x) = C^T k_x from the model's cached
 coefficients (`TrainedSurrogate.output_coefficients`), with no solve and no
-regroup of the n training outputs, and `decode_exhaustive` scores the
-candidates against the U distinct outputs weighted by ghat.  The objective
-is the same, sum_u ghat_u loss(c, y_u) = sum_i alpha_i loss(c, y_i), at C*U
-loss calls.  `predict_batch` stays on the (n, Q) weights, which
+regroup of the n training outputs (a label model loaded from a blob starts
+with C from it, so this route never builds its factor), and
+`decode_exhaustive` scores the candidates against the U distinct outputs
+weighted by ghat.  The objective is the same,
+sum_u ghat_u loss(c, y_u) = sum_i alpha_i loss(c, y_i), at C*U loss calls.
+`predict_batch` stays on the (n, Q) weights, which
 cross-validation decodes from, because the benchmark's stage map
 (`bench/stages.py`) counts the weight solve (`surrogate.alpha_weights_batch`)
 on the label workload.  The two routes round differently, so `predict` and

@@ -3,20 +3,29 @@
 The system matrix is K + n*lambda*I exactly as written -- lambda multiplies n,
 so values are not comparable with the K + lambda*I convention used elsewhere.
 
-The factorization happens once at fit time and is reused (read-only) for every
-query; TrainedSurrogate is immutable and safe to share across threads.
+A TrainedSurrogate holds the training inputs and outputs, the kernel and
+lambda.  `factor`, the Cholesky factor of K + n*lambda*I, is built from them
+on first use and reused (read-only) for every later query; `fit` builds it at
+once, so a system that is not positive definite fails there.  A label model
+loaded with trusted coefficients (see "Model blob" below) builds it only if
+a route needs the weights alpha(x).
 
 For a finite output set with canonical psi, ghat(x) = G^T alpha(x) =
 C^T k_x with G the (n, U) one-hot matrix of the U distinct training outputs
 and C = (K + n*lambda*I)^-1 G.  `TrainedSurrogate.output_coefficients` solves
 for C once per model, on first use, and keeps it: a query then needs only
 k_x and one (U, n) @ (n,) product, no solve.  The cache takes O(n*U) memory,
-which U <= n keeps O(n^2).  It is a pure function of the frozen fields, so it
-is thread-safe: two threads that race on first use at worst both compute the
-same C, and every reader sees a complete value.
+which U <= n keeps O(n^2).
+
+Both cached values are pure functions of the frozen fields, so the model is
+thread-safe: two threads that race on first use at worst both compute the
+same value, and every reader sees a complete one.
 """
 
+import binascii
 import json
+import math
+import zlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,11 +40,16 @@ class TrainedSurrogate:
     Y: object  # opaque structured outputs, indexable, len n
     kernel: kernels.KernelSpec
     lam: float
-    factor: kernels.SpdFactor
 
     @property
     def n(self):
-        return self.factor.order
+        return self.X.shape[0]
+
+    @cached_property
+    def factor(self):
+        """The Cholesky factor of K + n*lambda*I (`kernels.factor_shifted`)."""
+        return kernels.factor_shifted(kernels.gram_matrix(self.kernel, self.X),
+                                      self.n * self.lam)
 
     @cached_property
     def output_coefficients(self):
@@ -55,29 +69,41 @@ class AlphaWeights:
     weights: np.ndarray
 
 
-def fit(X, Y, kernel, lam):
-    """Factor K + n*lambda*I for the training set; deterministic."""
+def _model(X, Y, kernel, lam):
+    """The unfactored model of checked fields: the one check `fit` and
+    `load_model` share."""
     if lam <= 0 or not np.isfinite(lam):
         raise ValueError("lambda must be positive")
     X = kernels._as_input_matrix(X)
-    n = X.shape[0]
-    if len(Y) != n:
-        raise ValueError(f"need |X| = |Y|, got {n} and {len(Y)}")
-    factor = kernels.factor_shifted(kernels.gram_matrix(kernel, X), n * lam)
-    return TrainedSurrogate(X=X, Y=Y, kernel=kernel, lam=float(lam), factor=factor)
+    if len(Y) != X.shape[0]:
+        raise ValueError(f"need |X| = |Y|, got {X.shape[0]} and {len(Y)}")
+    return TrainedSurrogate(X=X, Y=Y, kernel=kernel, lam=float(lam))
+
+
+def fit(X, Y, kernel, lam):
+    """Factor K + n*lambda*I for the training set; deterministic."""
+    model = _model(X, Y, kernel, lam)
+    model.factor  # factor now, so that a failing system fails here
+    return model
 
 
 def alpha_weights(model, x):
     """alpha(x) solving (K + n*lambda*I) alpha = K_x through the stored factor."""
+    factor = model.factor  # before k_x, as in alpha_weights_batch
     kx = kernels.cross_kernel(model.kernel, model.X, x)
-    w = kernels.solve_spd(model.factor, kx)
-    return AlphaWeights(x=np.asarray(x), weights=w)
+    return AlphaWeights(x=np.asarray(x), weights=kernels.solve_spd(factor, kx))
 
 
 def alpha_weights_batch(model, Xq):
-    """(n, Q) weight matrix for a batch of Q queries; one triangular solve pair."""
+    """(n, Q) weight matrix for a batch of Q queries; one triangular solve pair.
+
+    The factor is read first: on a model that has not built it yet, the
+    Gram, its shifted copy and the factor, the peak of the call, are then
+    allocated before the (n, Q) cross-kernel exists, not on top of it.
+    """
+    factor = model.factor
     KX = kernels.cross_kernel_batch(model.kernel, model.X, Xq)
-    return kernels.solve_spd(model.factor, KX)
+    return kernels.solve_spd(factor, KX)
 
 
 def explicit_g_hat(A, Y, embedding):
@@ -92,11 +118,29 @@ def explicit_g_hat(A, Y, embedding):
 
 
 # ---------------------------------------------------------------------------
-# Model blob: JSON with inputs, outputs, kernel spec and lambda.  The
-# factorization is recomputed on load, which keeps the format portable.
+# Model blob, version 2: one JSON object with
+#   "format", "version"  -- "surrloss-model", 2;
+#   "kernel", "lambda"   -- the kernel spec (`kernel_to_json`) and lambda;
+#   "x"                  -- the (n, d) inputs as a binary array;
+#   "y"                  -- {"kind": output kind, "values": ...}: a JSON list
+#                           for labels, a binary array for the numeric kinds;
+# and, for labels only,
+#   "coefficients"       -- C = (K + n*lambda*I)^-1 G, a binary (n, U) array
+#                           (`TrainedSurrogate.output_coefficients`);
+#   "checksum"           -- zlib.crc32 of the canonical JSON of kernel,
+#                           lambda, x and y (`_checksum`).
+# A binary array is {"shape": [...], "f8": base64 of its little-endian
+# float64 bytes}, which round-trips bit for bit and parses in one call.
+# A label model loads with C in its cache, so it predicts single queries with
+# no Gram, factor or solve.  C is trusted only when the checksum matches and
+# C is finite and (n, U); otherwise, and for every other kind, the model
+# builds its factor on first use.  The checksum catches an edited or
+# mismatched field; it is no protection against a crafted blob.  Version 1
+# blobs (inputs and numeric outputs as nested lists, no coefficients) still
+# load, and refit on first use.
 
 FORMAT_NAME = "surrloss-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 OUTPUT_KINDS = ("scalar", "label", "simplex", "ratings")
 
@@ -116,16 +160,33 @@ def _kernel_from_json(obj):
     raise ValueError(f"unknown kernel kind {obj['kind']!r}")
 
 
+def _array_to_json(a):
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"shape": list(a.shape),
+            "f8": binascii.b2a_base64(a.tobytes(), newline=False).decode("ascii")}
+
+
+def _array_from_json(obj, version):
+    if version == 1:  # nested lists
+        return np.asarray(obj, dtype=float)
+    raw = binascii.a2b_base64(obj["f8"])
+    shape = tuple(int(s) for s in obj["shape"])
+    if 8 * math.prod(shape) != len(raw):
+        raise ValueError(f"binary array of {len(raw)} bytes does not have shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
+
+
 def _outputs_to_json(Y, output_kind):
     if output_kind == "label":
         return [y.item() if isinstance(y, np.generic) else y for y in Y]
-    return np.asarray(Y, dtype=float).tolist()
+    return _array_to_json(Y)
 
 
-def _outputs_from_json(values, output_kind):
-    if output_kind == "label":
-        return list(values)
-    return np.asarray(values, dtype=float)
+def _checksum(blob):
+    """crc32 of the canonical JSON of the fields C is a function of."""
+    fields = [blob["kernel"], blob["lambda"], blob["x"], blob["y"]]
+    text = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    return zlib.crc32(text.encode("ascii"))
 
 
 def save_model(model, path, output_kind):
@@ -136,24 +197,37 @@ def save_model(model, path, output_kind):
         "version": FORMAT_VERSION,
         "kernel": kernel_to_json(model.kernel),
         "lambda": model.lam,
-        "x": model.X.tolist(),
+        "x": _array_to_json(model.X),
         "y": {"kind": output_kind, "values": _outputs_to_json(model.Y, output_kind)},
     }
+    if output_kind == "label":
+        blob["coefficients"] = _array_to_json(model.output_coefficients[1])
+        blob["checksum"] = _checksum(blob)
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(blob))  # the C encoder; json.dump streams in Python
 
 
 def load_model(path):
-    """Returns (model, output_kind); refits the factorization."""
+    """Returns (model, output_kind).  A label model whose stored
+    coefficients are trusted (see the blob comment above) starts with them
+    cached; any other model builds its factor on first use."""
     with open(path, "r", encoding="utf-8") as f:
         blob = json.load(f)
     if blob.get("format") != FORMAT_NAME:
         raise ValueError(f"not a {FORMAT_NAME} blob")
-    if blob.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported model version {blob.get('version')}")
+    version = blob.get("version")
+    if version not in (1, FORMAT_VERSION):
+        raise ValueError(f"unsupported model version {version}")
     kernel = _kernel_from_json(blob["kernel"])
-    X = np.asarray(blob["x"], dtype=float)
-    kind = blob["y"]["kind"]
-    Y = _outputs_from_json(blob["y"]["values"], kind)
-    model = fit(X, Y, kernel, blob["lambda"])
+    kind, values = blob["y"]["kind"], blob["y"]["values"]
+    if kind not in OUTPUT_KINDS:
+        raise ValueError(f"unknown output kind {kind!r}")
+    Y = list(values) if kind == "label" else _array_from_json(values, version)
+    model = _model(_array_from_json(blob["x"], version), Y, kernel, blob["lambda"])
+    if (version == FORMAT_VERSION and kind == "label" and "coefficients" in blob
+            and blob.get("checksum") == _checksum(blob)):
+        distinct, _ = losses.group_outputs(Y)
+        C = _array_from_json(blob["coefficients"], version)
+        if C.shape == (model.n, len(distinct)) and np.all(np.isfinite(C)):
+            model.__dict__["output_coefficients"] = (distinct, C)  # as the cache stores it
     return model, kind

@@ -355,3 +355,61 @@ def test_experiment_rejects_an_empty_n_grid(tmp_path, capsys, source):
     assert cli.main(argv) == cli.EXIT_USAGE
     assert "--n-grid" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_label_predictions_from_a_version_1_blob_are_byte_identical(tmp_path):
+    rng = np.random.default_rng(13)
+    n, q = 40, 25
+    X = rng.normal(size=(n + q, 3))
+    labels = rng.choice(["a", "b", "c", "d"], size=n).tolist()
+    _write_csv(tmp_path / "train.csv", ["x0", "x1", "x2", "y"],
+               [x + [lab] for x, lab in zip(X[:n].tolist(), labels)])
+    _write_csv(tmp_path / "query.csv", ["x0", "x1", "x2"], X[n:].tolist())
+    assert cli.main(["train", "--in", str(tmp_path / "train.csv"),
+                     "--out", str(tmp_path / "v2.json"), "--kind", "label",
+                     "--sigma", "3", "--lambda", "1e-3"]) == cli.EXIT_OK
+    # the same data in the version-1 layout, which a load refits
+    (tmp_path / "v1.json").write_text(json.dumps({
+        "format": "surrloss-model", "version": 1,
+        "kernel": {"kind": "gaussian", "sigma": 3.0}, "lambda": 1e-3,
+        "x": X[:n].tolist(), "y": {"kind": "label", "values": labels}}), encoding="utf-8")
+    for version in ("v1", "v2"):
+        assert cli.main(["predict", "--model", str(tmp_path / f"{version}.json"),
+                         "--in", str(tmp_path / "query.csv"),
+                         "--out", str(tmp_path / f"{version}.csv")]) == cli.EXIT_OK
+    assert (tmp_path / "v2.csv").read_bytes() == (tmp_path / "v1.csv").read_bytes()
+
+
+@pytest.mark.parametrize("lam, jitter", [("1e-2", "0"), ("1e-20", "1e-11")])
+def test_train_reports_the_jitter_its_factor_picked(tmp_path, capsys, lam, jitter):
+    # three copies of two rows under the linear kernel: K has rank 2, and at
+    # lambda = 1e-20 the ladder steps up to 1e-12 times the largest diagonal
+    # entry, |(1, 2)|^2 = 5 and |(3, -1)|^2 = 10
+    _write_csv(tmp_path / "train.csv", ["x0", "x1", "y"], [[1.0, 2.0, "a"], [3.0, -1.0, "b"]] * 3)
+    assert cli.main(["train", "--in", str(tmp_path / "train.csv"),
+                     "--out", str(tmp_path / "model.json"), "--kind", "label",
+                     "--kernel", "linear", "--lambda", lam]) == cli.EXIT_OK
+    assert capsys.readouterr().out.strip().endswith(f"(factor jitter {jitter})")
+
+
+@pytest.mark.parametrize("command", ["experiment", "cv"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_grids_reject_a_repeated_value(tmp_path, capsys, command, source):
+    # a repeated grid point would be run twice and reported in two identical rows
+    out = tmp_path / "report.json"
+    if command == "experiment":
+        argv, option, key, values = ["experiment", "robust", "--reps", "1"], "--n-grid", \
+            "n_grid", [20, 20]
+    else:
+        _write_csv(tmp_path / "train.csv", ["x0", "y"],
+                   np.random.default_rng(5).uniform(-1, 1, size=(10, 2)).tolist())
+        argv, option, key, values = ["cv", "--in", str(tmp_path / "train.csv"), "--kind",
+                                     "scalar"], "--lambdas", "lambdas", [1e-2, 0.01]
+    if source == "flag":
+        argv += [option, ",".join(str(v) for v in values)]
+    else:
+        (tmp_path / "config.json").write_text(json.dumps({key: values}), encoding="utf-8")
+        argv += ["--config", str(tmp_path / "config.json")]
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+    assert f"{option}: repeats a value" in capsys.readouterr().err
+    assert not out.exists()

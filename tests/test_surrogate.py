@@ -1,10 +1,11 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import _oracles
-from surrloss import kernels, losses, surrogate
+from surrloss import decoders, kernels, losses, surrogate
 
 
 def test_fit_single_point_linear():
@@ -293,3 +294,158 @@ def test_model_roundtrip_labels_and_ratings(tmp_path):
     assert kind2 == "ratings"
     np.testing.assert_allclose(loaded2.Y, R)
 
+
+
+def _count_calls(monkeypatch, *names):
+    """Replace each named `kernels` function by a wrapper that appends its
+    name to the returned list, then calls it."""
+    calls = []
+    for name in names:
+        def counted(*args, _func=getattr(kernels, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _func(*args, **kwargs)
+        monkeypatch.setattr(kernels, name, counted)
+    return calls
+
+
+def _label_model(seed=20, n=40):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 3))
+    Y = [f"c{k}" for k in rng.integers(0, 4, size=n)]
+    return surrogate.fit(X, Y, kernels.gaussian(2.0), 1e-2), rng.normal(size=(25, 3))
+
+
+def _predict_labels(model, Q):
+    dec = decoders.Exhaustive(sorted(set(model.Y)))
+    return [decoders.predict(model, dec, losses.ZeroOne(), x) for x in Q]
+
+
+def _read_blob(path):
+    with open(path, encoding="utf-8") as f:
+        return json.load(f)
+
+
+def _write_blob(path, blob):
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(blob, f)
+
+
+def test_label_blob_loads_without_gram_factor_or_solve(tmp_path, monkeypatch):
+    m, Q = _label_model()
+    surrogate.save_model(m, tmp_path / "m.json", "label")
+    calls = _count_calls(monkeypatch, "gram_matrix", "factor_shifted", "solve_spd")
+    loaded, kind = surrogate.load_model(tmp_path / "m.json")
+    assert kind == "label" and loaded.Y == m.Y
+    assert np.array_equal(loaded.X, m.X)
+    assert np.array_equal(loaded.output_coefficients[1], m.output_coefficients[1])
+    assert _predict_labels(loaded, Q) == _predict_labels(m, Q)
+    assert calls == [] and "factor" not in loaded.__dict__
+
+
+def test_version_1_blob_loads_and_refits(tmp_path, monkeypatch):
+    # the version-1 layout: nested-list inputs and outputs, no coefficients
+    m, Q = _label_model(seed=21)
+    R = np.random.default_rng(21).integers(1, 6, size=(m.n, 3)).astype(float)
+    calls = _count_calls(monkeypatch, "factor_shifted")
+    for kind, Y in (("label", m.Y), ("ratings", R.tolist())):
+        calls.clear()
+        _write_blob(tmp_path / "v1.json", {
+            "format": "surrloss-model", "version": 1,
+            "kernel": {"kind": "gaussian", "sigma": 2.0}, "lambda": 1e-2,
+            "x": m.X.tolist(), "y": {"kind": kind, "values": Y}})
+        loaded, got_kind = surrogate.load_model(tmp_path / "v1.json")
+        assert got_kind == kind and calls == []
+        np.testing.assert_array_equal(loaded.X, m.X)
+        if kind == "label":
+            assert _predict_labels(loaded, Q) == _predict_labels(m, Q)
+        else:
+            np.testing.assert_array_equal(loaded.Y, R)
+            np.testing.assert_array_equal(surrogate.alpha_weights_batch(loaded, Q),
+                                          surrogate.alpha_weights_batch(m, Q))
+        assert calls == ["factor_shifted"]
+
+
+@pytest.mark.parametrize("edit", ["lambda", "x", "coefficient_shape", "coefficient_nan"])
+def test_blob_with_mismatched_coefficients_is_refit(tmp_path, edit):
+    m, Q = _label_model(seed=22)
+    surrogate.save_model(m, tmp_path / "m.json", "label")
+    blob = _read_blob(tmp_path / "m.json")
+    X, lam = m.X.copy(), m.lam
+    C = m.output_coefficients[1].copy()
+    if edit == "lambda":  # the checksum is left stale
+        lam = blob["lambda"] = 4 * m.lam
+    elif edit == "x":
+        X[3, 1] += 0.5
+        blob["x"] = surrogate._array_to_json(X)
+    elif edit == "coefficient_shape":  # the checksum still matches
+        blob["coefficients"] = surrogate._array_to_json(C[:, 1:])
+    else:
+        C[5, 0] = np.nan
+        blob["coefficients"] = surrogate._array_to_json(C)
+    _write_blob(tmp_path / "m.json", blob)
+    loaded, _ = surrogate.load_model(tmp_path / "m.json")
+    assert "output_coefficients" not in loaded.__dict__
+    fresh = surrogate.fit(X, m.Y, m.kernel, lam)
+    assert np.array_equal(loaded.output_coefficients[1], fresh.output_coefficients[1])
+    assert _predict_labels(loaded, Q) == _predict_labels(fresh, Q)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "simplex", "ratings"])
+def test_numeric_blobs_round_trip_through_the_lazy_factor(tmp_path, monkeypatch, kind):
+    rng = np.random.default_rng(23)
+    X = rng.normal(size=(30, 2))
+    Y = {"scalar": rng.normal(size=30),
+         "simplex": rng.dirichlet(np.ones(4), size=30),
+         "ratings": rng.integers(1, 6, size=(30, 3)).astype(float)}[kind]
+    m = surrogate.fit(X, Y, kernels.gaussian(0.7), 1e-2)
+    surrogate.save_model(m, tmp_path / "m.json", kind)
+    blob = _read_blob(tmp_path / "m.json")
+    assert "coefficients" not in blob and blob["y"]["values"]["shape"] == list(Y.shape)
+    calls = _count_calls(monkeypatch, "gram_matrix", "factor_shifted")
+    loaded, got_kind = surrogate.load_model(tmp_path / "m.json")
+    assert got_kind == kind and calls == []
+    np.testing.assert_array_equal(loaded.X, X)
+    np.testing.assert_array_equal(loaded.Y, Y)
+    Q = rng.normal(size=(7, 2))
+    np.testing.assert_array_equal(surrogate.alpha_weights_batch(loaded, Q),
+                                  surrogate.alpha_weights_batch(m, Q))
+    assert calls == ["gram_matrix", "factor_shifted"]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("version", 0, "unsupported model version"), ("version", 3, "unsupported model version"),
+    ("version", None, "unsupported model version"), ("kind", "foo", "unknown output kind")])
+def test_unknown_blob_version_or_output_kind_is_rejected(tmp_path, field, value, message):
+    m, _ = _label_model(seed=24, n=5)
+    surrogate.save_model(m, tmp_path / "m.json", "label")
+    blob = _read_blob(tmp_path / "m.json")
+    (blob if field == "version" else blob["y"])[field] = value
+    _write_blob(tmp_path / "m.json", blob)
+    with pytest.raises(ValueError, match=message):
+        surrogate.load_model(tmp_path / "m.json")
+
+
+def test_binary_array_rejects_a_payload_of_the_wrong_size():
+    obj = surrogate._array_to_json(np.arange(6.0).reshape(2, 3))
+    np.testing.assert_array_equal(surrogate._array_from_json(obj, 2), np.arange(6.0).reshape(2, 3))
+    obj["shape"] = [2, 4]
+    with pytest.raises(ValueError):
+        surrogate._array_from_json(obj, 2)
+
+
+def test_batch_weights_on_a_loaded_model_factor_before_the_cross_kernel(tmp_path, monkeypatch):
+    # Peak memory depends on this order.  Built after the (n, Q)
+    # cross-kernel, the factor's Gram, shifted copy and Cholesky factor
+    # have it alive at their peak: the label-serve benchmark (n = 1000,
+    # Q = 300, seeds 11-13) read peak RSS 69.4-69.5 MB that way against
+    # 67.0-67.2 MB factor first, about the 2.4 MB of the cross-kernel.
+    m, Q = _label_model(seed=25)
+    surrogate.save_model(m, tmp_path / "m.json", "label")
+    loaded, _ = surrogate.load_model(tmp_path / "m.json")
+    calls = _count_calls(monkeypatch, "factor_shifted", "cross_kernel_batch", "cross_kernel")
+    surrogate.alpha_weights_batch(loaded, Q)
+    assert calls == ["factor_shifted", "cross_kernel_batch"]
+    other, _ = surrogate.load_model(tmp_path / "m.json")
+    calls.clear()
+    surrogate.alpha_weights(other, Q[0])
+    assert calls == ["factor_shifted", "cross_kernel"]
