@@ -24,11 +24,11 @@ from .losses import (
     SquaredError,
     SquaredHellinger,
     ZeroOne,
-    build_finite_embedding,
+    c_delta,
     rank_loss,
     squared_hellinger,
     zero_one,
 )
 from .model_selection import CvPlan, CvReport, cross_validate, kfold_split
-from .oracle import FiniteProblem, bayes_optimal, check_comparison, check_fisher, structured_risk
+from .oracle import FiniteProblem, bayes_optimal, check_comparison, structured_risk
 from .surrogate import TrainedSurrogate, alpha_weights, fit, load_model, save_model

@@ -155,6 +155,7 @@ def cmd_train(args):
     X, Y = read_dataset(args.data, args.kind)
     if Y is None:
         raise ValueError("training csv has no target columns")
+    surrogate.check_outputs(Y, args.kind)
     model = surrogate.fit(X, Y, _kernel_from_args(args), args.lam)
     surrogate.save_model(model, args.out, args.kind)
     print(f"saved model for {model.n} training points to {args.out} "
@@ -208,6 +209,7 @@ def cmd_cv(args):
     X, Y = read_dataset(args.data, args.kind)
     if Y is None:
         raise ValueError("cv csv has no target columns")
+    surrogate.check_outputs(Y, args.kind)
     if args.loss is None:
         args.loss = _DEFAULT_LOSS[args.kind]
     loss = _LOSSES[args.loss](args)

@@ -21,7 +21,7 @@ rejects any other loss given with them (`check_loss`).
 
 `decode_batch` is the one decode from an (n, Q) weight matrix: prediction
 and cross-validation both dispatch through it.  `predict` is a batch of one,
-the query's weight column through `decode_batch`, except for Exhaustive: a
+`predict_batch` on the one-row batch x[None, :], except for Exhaustive: a
 single Exhaustive query reads ghat(x) = C^T k_x from the model's cached
 coefficients (`TrainedSurrogate.output_coefficients`), with no solve and no
 regroup of the n training outputs (a label model loaded from a blob starts
@@ -32,9 +32,9 @@ sum_u ghat_u loss(c, y_u) = sum_i alpha_i loss(c, y_i), at C*U loss calls.
 `predict_batch` stays on the (n, Q) weights, which
 cross-validation decodes from, because the benchmark's stage map
 (`bench/stages.py`) counts the weight solve (`surrogate.alpha_weights_batch`)
-on the label workload.  The two routes round differently, so `predict` and
-`predict_batch` agree exactly except where two candidates' objectives lie
-within rounding of each other.
+on the label workload.  The two Exhaustive routes round differently, so
+`predict` and `predict_batch` agree exactly except where two candidates'
+objectives lie within rounding of each other.
 
 Exhaustive and ScalarGrid read every loss value from `losses.loss_table`.
 `_loss_matrix`, a bare `loss_table` call, stays only because the stage map
@@ -94,8 +94,8 @@ class ScalarGrid:
             raise ValueError("need at least 2 grid points")
         if self.refine_iters < 0:
             raise ValueError("refine_iters must be >= 0")
-        if self.bound <= 0:
-            raise ValueError("bound must be positive")
+        if not np.isfinite(self.bound) or self.bound <= 0:
+            raise ValueError("bound must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -394,15 +394,14 @@ def decode_batch(decoder, loss, y_train, A):
 
 
 def predict(model, decoder, loss, x):
-    """Decode one query: `decode_batch` on its one weight column, except that
+    """Decode one query: `predict_batch` on the batch x[None, :], except that
     Exhaustive decodes ghat(x) = C^T k_x over the distinct training outputs
     from the model's cached coefficients (see the module docstring)."""
     if isinstance(decoder, Exhaustive):
         distinct, C = model.output_coefficients
         g = C.T @ kernels.cross_kernel(model.kernel, model.X, x)
         return decode_exhaustive(decoder.candidates, g, loss, distinct)[0]
-    a = surrogate.alpha_weights(model, x).weights
-    y = decode_batch(decoder, loss, model.Y, a[:, None])[0]
+    y = predict_batch(model, decoder, loss, kernels._check_vector(x, "query")[None, :])[0]
     return float(y) if isinstance(decoder, ScalarGrid) else y
 
 

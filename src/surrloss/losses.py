@@ -2,10 +2,11 @@
 
 Every loss here admits a bilinear form <psi(y), V psi(y')> over some embedding
 of the output space; for finite output sets that embedding is explicit
-(canonical basis, V = pairwise loss table) and `build_finite_embedding`
-constructs it.  For the rank loss psi(y) is the flattened step matrix of a
-rank vector (`rank_step_rows`), paired with a profile's flattened gains, so
-`rank_loss_matrix` tabulates C rank vectors against T profiles as one product.
+(canonical basis, V = `loss_table` of the labels against themselves) and
+`c_delta` computes its comparison constant ||V||_2.  For the rank loss psi(y)
+is the flattened step matrix of a rank vector (`rank_step_rows`), paired with
+a profile's flattened gains, so `rank_loss_matrix` tabulates C rank vectors
+against T profiles as one product.
 
 `loss_table` is the one tabulation of every other loss: decoding, the finite
 embedding's V and the oracle risks all read their values from it.  It has
@@ -23,8 +24,6 @@ Rank-loss conventions (the literature leaves both open):
     pay and the rating sort is optimal.  The normalized variant divides by
     the total gain mass (0/0 -> 0) and lives in [0, 1].
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,7 +52,7 @@ def _check_simplex_rows(Y, name):
     if Y.ndim != 2:
         raise ValueError(f"{name} must be a (Q, d) array")
     if np.any(Y < 0):
-        raise ValueError(f"{name} has negative entries")
+        raise ValueError(f"{name} row {int(np.argwhere(Y < 0)[0, 0])} has negative entries")
     s = Y.sum(axis=1)
     off = np.abs(s - 1.0) > SIMPLEX_ATOL
     if np.any(off):
@@ -161,8 +160,8 @@ class Cauchy(_ScalarLoss):
     """Robust scalar loss gamma * log(1 + (y - y')^2 / gamma)."""
 
     def __init__(self, gamma):
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not np.isfinite(gamma) or gamma <= 0:
+            raise ValueError("gamma must be positive and finite")
         self.gamma = float(gamma)
 
     def of_difference(self, d):
@@ -247,42 +246,16 @@ def loss_table(loss, rows, cols):
     return table
 
 
-@dataclass(frozen=True)
-class FiniteLossEmbedding:
-    """Explicit (psi, V, c_delta) for a finite output set.
-
-    psi(y) = e_{q(y)} (canonical basis), V[i, j] = loss(label_i, label_j),
-    and c_delta = ||V||_2 since max ||psi(y)|| = 1.
-    """
-
-    labels: list
-    V: np.ndarray
-    c_delta: float
-    _index: dict = field(repr=False, default=None)
-
-    def index_of(self, y):
-        try:
-            return self._index[_hashable(y)]
-        except (KeyError, TypeError):
-            raise ValueError(f"unknown label {y!r}") from None
-
-    def psi(self, y):
-        e = np.zeros(len(self.labels))
-        e[self.index_of(y)] = 1.0
-        return e
-
-
-def build_finite_embedding(loss, labels):
-    """Tabulate a loss over `labels` and compute the spectral-norm constant."""
+def c_delta(loss, labels):
+    """The comparison constant c_delta = ||V||_2 of a finite output set,
+    where V = loss_table(loss, labels, labels): with psi the canonical basis,
+    loss(y, y') = psi(y)^T V psi(y') and max ||psi(y)|| = 1."""
     labels = list(labels)
     if len(labels) < 1:
         raise ValueError("need at least one label")
     if len(set(map(_hashable, labels))) != len(labels):
         raise ValueError("duplicate labels")
-    V = loss_table(loss, labels, labels)
-    c = float(np.linalg.norm(V, 2))
-    index = {_hashable(lab): i for i, lab in enumerate(labels)}
-    return FiniteLossEmbedding(labels=labels, V=V, c_delta=c, _index=index)
+    return float(np.linalg.norm(loss_table(loss, labels, labels), 2))
 
 
 def _hashable(label):

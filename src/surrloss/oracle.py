@@ -11,9 +11,11 @@ under the n^(-1/4) regularization schedule.
 
 The Fisher and comparison checks decode g (g* is the table P(y | x)) with
 the library's decoder, `decoders.decode_exhaustive_batch` over p.ys, and
-compare it with `bayes_optimal`, the argmin of the conditional risks.  Every
-structured risk is read off a loss table (`losses.loss_table`), and every
-fitted predictor decodes all its inputs at once through the batch route.
+compare it with `bayes_optimal`, the argmin of the conditional risks; the
+Fisher check is the comparison check at g = g*.  Every structured risk is
+read off a loss table (`losses.loss_table`).  The equivalence check reads
+ghat from `TrainedSurrogate.output_coefficients`, and every fitted predictor
+decodes all its inputs at once through the batch route.
 """
 
 import itertools
@@ -94,17 +96,11 @@ def _decode(p, loss, g):
     return [p.ys[int(i)] for i in best]
 
 
-def check_fisher(p, loss):
-    """Gap between the risk of decoding g* and the Bayes risk (expect ~0)."""
-    _, bayes = bayes_optimal(p, loss)
-    gap = structured_risk(p, loss, _decode(p, loss, p.conditionals)) - bayes
-    return {"gap": gap, "bayes_risk": bayes}
-
-
 def check_comparison(p, loss, g):
     """Both sides of E(d.g) - E(f*) <= 2 c_delta sqrt(R(g) - R(g*)), where
     R(g) = sum_{x,y} rho[x, y] ||g(x) - e_y||^2 is the surrogate risk.
-    `holds` allows the left side a rounding slack of 1e-9.
+    `holds` allows the left side a rounding slack of 1e-9.  At g = g* (the
+    table P(y | x)) the left side is the Fisher gap, which must be 0.
 
     The excess surrogate risk is taken from the identity R(g) - R(g*) =
     sum_x rho_X(x) ||g(x) - g*(x)||^2, not as a difference of two O(1)
@@ -115,8 +111,7 @@ def check_comparison(p, loss, g):
     _, bayes = bayes_optimal(p, loss)
     lhs = structured_risk(p, loss, _decode(p, loss, g)) - bayes
     excess = float(p.marginal_x @ (diff * diff).sum(axis=1))
-    c_delta = losses.build_finite_embedding(loss, p.ys).c_delta
-    rhs = 2.0 * c_delta * np.sqrt(excess)
+    rhs = 2.0 * losses.c_delta(loss, p.ys) * np.sqrt(excess)
     return {"lhs": lhs, "rhs": rhs, "excess": excess, "holds": bool(lhs <= rhs + 1e-9)}
 
 
@@ -134,16 +129,19 @@ def sample_classification_dataset(rng, n, n_labels):
 
 
 def check_ls_equivalence(X, Y, kernel, lam, X_test=None):
-    """Exact agreement of argmax ghat and the decoded classifier."""
+    """Exact agreement of argmax ghat, ghat = C^T k_x from the model's cached
+    coefficients (the single-query route), and the classifier decoded from
+    the batch weights (the `predict_batch` route)."""
     label_set = sorted(set(Y))
     loss = losses.ZeroOne(label_set)
-    emb = losses.build_finite_embedding(loss, label_set)
     model = surrogate.fit(X, Y, kernel, lam)
     if X_test is None:
         X_test = model.X
+    distinct, C = model.output_coefficients
+    G = C.T @ kernels.cross_kernel_batch(model.kernel, model.X, X_test)
+    G = G[[distinct.index(y) for y in label_set]]  # rows in label order: ties go low
+    c_hat = [label_set[i] for i in np.argmax(G, axis=0)]
     A = surrogate.alpha_weights_batch(model, X_test)
-    G = surrogate.explicit_g_hat(A, model.Y, emb)
-    c_hat = [label_set[i] for i in np.argmax(G, axis=1)]
     f_hat = decoders.decode_batch(decoders.Exhaustive(label_set), loss, model.Y, A)
     mismatches = sum(c != f for c, f in zip(c_hat, f_hat))
     return {"checked": len(f_hat), "mismatches": mismatches, "ok": mismatches == 0}
@@ -233,7 +231,7 @@ def fisher_battery(trials_per_family, seed=0):
     for family in FISHER_FAMILIES:
         for _ in range(trials_per_family):
             p, loss = _loss_families(rng, family)
-            gaps.append(abs(check_fisher(p, loss)["gap"]))
+            gaps.append(abs(check_comparison(p, loss, p.conditionals)["lhs"]))
     worst = float(max(gaps))
     return {"trials": len(gaps), "max_abs_gap": worst}, worst <= FISHER_TOL
 

@@ -10,12 +10,18 @@ once, so a system that is not positive definite fails there.  A label model
 loaded with trusted coefficients (see "Model blob" below) builds it only if
 a route needs the weights alpha(x).
 
+Every decode but a single Exhaustive query reads the (n, Q) weights of
+`alpha_weights_batch`.  `alpha_weights`, the (n,) weights of one query, has
+no caller in the library; the benchmark's stage map (`bench/stages.py`)
+names it.
+
 For a finite output set with canonical psi, ghat(x) = G^T alpha(x) =
 C^T k_x with G the (n, U) one-hot matrix of the U distinct training outputs
 and C = (K + n*lambda*I)^-1 G.  `TrainedSurrogate.output_coefficients` solves
 for C once per model, on first use, and keeps it: a query then needs only
-k_x and one (U, n) @ (n,) product, no solve.  The cache takes O(n*U) memory,
-which U <= n keeps O(n^2).
+k_x and one (U, n) @ (n,) product, no solve.  This is the one ghat the
+package computes (`oracle.check_ls_equivalence` checks it).  The cache takes
+O(n*U) memory, which U <= n keeps O(n^2).
 
 Both cached values are pure functions of the frozen fields, so the model is
 thread-safe: two threads that race on first use at worst both compute the
@@ -63,13 +69,18 @@ class TrainedSurrogate:
         return distinct, kernels.solve_spd(self.factor, G)
 
 
-@dataclass(frozen=True)
-class AlphaWeights:
-    x: np.ndarray
-    weights: np.ndarray
+def check_outputs(Y, output_kind=None):
+    """Y, or a ValueError naming a row no decoder can use: a non-finite number
+    or, for output_kind "simplex", a histogram off the simplex."""
+    if isinstance(Y, np.ndarray) and Y.dtype.kind == "f" and not np.isfinite(Y).all():
+        row = int(np.argwhere(~np.isfinite(Y))[0, 0])
+        raise ValueError(f"training output row {row} has non-finite entries")
+    if output_kind == "simplex":
+        losses._check_simplex_rows(Y, "training histograms")
+    return Y
 
 
-def _model(X, Y, kernel, lam):
+def _model(X, Y, kernel, lam, output_kind=None):
     """The unfactored model of checked fields: the one check `fit` and
     `load_model` share."""
     if lam <= 0 or not np.isfinite(lam):
@@ -77,7 +88,8 @@ def _model(X, Y, kernel, lam):
     X = kernels._as_input_matrix(X)
     if len(Y) != X.shape[0]:
         raise ValueError(f"need |X| = |Y|, got {X.shape[0]} and {len(Y)}")
-    return TrainedSurrogate(X=X, Y=Y, kernel=kernel, lam=float(lam))
+    return TrainedSurrogate(X=X, Y=check_outputs(Y, output_kind), kernel=kernel,
+                            lam=float(lam))
 
 
 def fit(X, Y, kernel, lam):
@@ -88,10 +100,10 @@ def fit(X, Y, kernel, lam):
 
 
 def alpha_weights(model, x):
-    """alpha(x) solving (K + n*lambda*I) alpha = K_x through the stored factor."""
+    """The (n,) weights alpha(x) solving (K + n*lambda*I) alpha = K_x through
+    the stored factor."""
     factor = model.factor  # before k_x, as in alpha_weights_batch
-    kx = kernels.cross_kernel(model.kernel, model.X, x)
-    return AlphaWeights(x=np.asarray(x), weights=kernels.solve_spd(factor, kx))
+    return kernels.solve_spd(factor, kernels.cross_kernel(model.kernel, model.X, x))
 
 
 def alpha_weights_batch(model, Xq):
@@ -104,17 +116,6 @@ def alpha_weights_batch(model, Xq):
     factor = model.factor
     KX = kernels.cross_kernel_batch(model.kernel, model.X, Xq)
     return kernels.solve_spd(factor, KX)
-
-
-def explicit_g_hat(A, Y, embedding):
-    """(Q, |Y|) rows ghat(x_q) = sum_i A[i, q] psi(y_i) in canonical
-    coordinates, for the (n, Q) weights A of Q queries."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != len(Y):
-        raise ValueError("weights must be (n, Q)")
-    G = np.zeros((len(embedding.labels), A.shape[1]))
-    np.add.at(G, [embedding.index_of(y) for y in Y], A)
-    return G.T
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +170,8 @@ def _array_to_json(a):
 def _array_from_json(obj, version):
     if version == 1:  # nested lists
         return np.asarray(obj, dtype=float)
+    if not isinstance(obj["shape"], list):  # a string "23" would read as (2, 3)
+        raise TypeError(f"shape {obj['shape']!r} is not a list")
     raw = binascii.a2b_base64(obj["f8"])
     shape = tuple(int(s) for s in obj["shape"])
     if 8 * math.prod(shape) != len(raw):
@@ -207,27 +210,43 @@ def save_model(model, path, output_kind):
         f.write(json.dumps(blob))  # the C encoder; json.dump streams in Python
 
 
+def _outputs_from_json(obj, version):
+    """(output kind, Y) of the blob's "y" field."""
+    kind, values = obj["kind"], obj["values"]
+    if kind not in OUTPUT_KINDS:
+        raise ValueError(f"unknown output kind {kind!r}")
+    return kind, list(values) if kind == "label" else _array_from_json(values, version)
+
+
+def _field(blob, name, parse):
+    """parse(blob[name]); a missing or mistyped field is one ValueError naming it."""
+    try:
+        return parse(blob[name])
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"model blob field {name!r} is missing or malformed "
+                         f"({type(e).__name__}: {e})") from e
+
+
 def load_model(path):
     """Returns (model, output_kind).  A label model whose stored
     coefficients are trusted (see the blob comment above) starts with them
-    cached; any other model builds its factor on first use."""
+    cached; any other model builds its factor on first use.  Any fault of
+    the blob is a ValueError."""
     with open(path, "r", encoding="utf-8") as f:
         blob = json.load(f)
-    if blob.get("format") != FORMAT_NAME:
+    if not isinstance(blob, dict) or blob.get("format") != FORMAT_NAME:
         raise ValueError(f"not a {FORMAT_NAME} blob")
     version = blob.get("version")
     if version not in (1, FORMAT_VERSION):
         raise ValueError(f"unsupported model version {version}")
-    kernel = _kernel_from_json(blob["kernel"])
-    kind, values = blob["y"]["kind"], blob["y"]["values"]
-    if kind not in OUTPUT_KINDS:
-        raise ValueError(f"unknown output kind {kind!r}")
-    Y = list(values) if kind == "label" else _array_from_json(values, version)
-    model = _model(_array_from_json(blob["x"], version), Y, kernel, blob["lambda"])
+    kernel = _field(blob, "kernel", _kernel_from_json)
+    kind, Y = _field(blob, "y", lambda obj: _outputs_from_json(obj, version))
+    X = _field(blob, "x", lambda obj: _array_from_json(obj, version))
+    model = _model(X, Y, kernel, _field(blob, "lambda", float), kind)
     if (version == FORMAT_VERSION and kind == "label" and "coefficients" in blob
             and blob.get("checksum") == _checksum(blob)):
         distinct, _ = losses.group_outputs(Y)
-        C = _array_from_json(blob["coefficients"], version)
+        C = _field(blob, "coefficients", lambda obj: _array_from_json(obj, version))
         if C.shape == (model.n, len(distinct)) and np.all(np.isfinite(C)):
             model.__dict__["output_coefficients"] = (distinct, C)  # as the cache stores it
     return model, kind

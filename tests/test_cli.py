@@ -413,3 +413,76 @@ def test_grids_reject_a_repeated_value(tmp_path, capsys, command, source):
     assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
     assert f"{option}: repeats a value" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--bound", "--gamma"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_decoder_parameters_are_usage_errors(tmp_path, capsys, flag, value):
+    # each wrote nan, or the bound -3.0, for every query and exited 0
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(10, 2))
+    _write_csv(tmp_path / "train.csv", ["x0", "x1", "y"],
+               [list(x) + [y] for x, y in zip(X.tolist(), rng.uniform(-2, 2, size=10))])
+    _write_csv(tmp_path / "query.csv", ["x0", "x1"], X[:3].tolist())
+    model, preds = tmp_path / "model.json", tmp_path / "preds.csv"
+    assert cli.main(["train", "--in", str(tmp_path / "train.csv"), "--out", str(model),
+                     "--kind", "scalar"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["predict", "--model", str(model), "--in", str(tmp_path / "query.csv"),
+                     "--out", str(preds), flag, value]) == cli.EXIT_USAGE
+    assert "positive and finite" in capsys.readouterr().err
+    assert not preds.exists()
+
+
+@pytest.mark.parametrize("kind, fault, message", [
+    ("scalar", "nan", "row 2 has non-finite entries"),
+    ("ratings", "nan", "row 2 has non-finite entries"),
+    ("simplex", "negative", "row 2 has negative entries"),
+    ("simplex", "sum", "row 2 sums to"),
+])
+def test_training_outputs_that_cannot_be_decoded_are_usage_errors(tmp_path, capsys, kind,
+                                                                   fault, message):
+    # a nan target trained and predicted -3.0 (scalar) or a ranking (ratings),
+    # and a histogram off the simplex trained and failed only in predict
+    rng = np.random.default_rng(15)
+    header, rows = _targets(kind, rng, 8)
+    if fault == "nan":
+        rows[2][-1] = float("nan")
+    elif fault == "negative":
+        rows[2] = [1.2, -0.2, 0.0]
+    else:
+        rows[2] = [0.5, 0.5, 0.5]
+    _write_csv(tmp_path / "train.csv", ["x0", "x1"] + header,
+               [list(x) + t for x, t in zip(rng.normal(size=(8, 2)).tolist(), rows)])
+    for argv in (["train", "--out", str(tmp_path / "model.json")],
+                 ["cv", "--folds", "2", "--out", str(tmp_path / "cv.json")]):
+        capsys.readouterr()
+        code = cli.main(argv + ["--in", str(tmp_path / "train.csv"), "--kind", kind])
+        assert code == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists() and not (tmp_path / "cv.json").exists()
+
+
+@pytest.mark.parametrize("field", ["kernel", "x"])
+def test_a_broken_model_blob_is_a_usage_error(tmp_path, capsys, field):
+    # a deleted kernel raised KeyError, and a version-2 x written as nested
+    # lists TypeError, out of main
+    rng = np.random.default_rng(16)
+    X = rng.normal(size=(6, 2))
+    _write_csv(tmp_path / "train.csv", ["x0", "x1", "y"],
+               [list(x) + [lab] for x, lab in zip(X.tolist(), ["a", "b"] * 3)])
+    _write_csv(tmp_path / "query.csv", ["x0", "x1"], X[:2].tolist())
+    model = tmp_path / "model.json"
+    assert cli.main(["train", "--in", str(tmp_path / "train.csv"), "--out", str(model),
+                     "--kind", "label"]) == cli.EXIT_OK
+    blob = json.loads(model.read_text(encoding="utf-8"))
+    if field == "kernel":
+        del blob["kernel"]
+    else:
+        blob["x"] = X.tolist()
+    model.write_text(json.dumps(blob), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["predict", "--model", str(model), "--in", str(tmp_path / "query.csv"),
+                     "--out", str(tmp_path / "preds.csv")]) == cli.EXIT_USAGE
+    assert f"{field!r}" in capsys.readouterr().err
+    assert not (tmp_path / "preds.csv").exists()

@@ -168,7 +168,7 @@ def test_single_exhaustive_predict_matches_the_weight_route_oracle(case):
     dec = decoders.Exhaustive(candidates)
     got = []
     for x in rng.normal(size=(15, 3)):
-        idx, _ = _oracles.scan_minimum(candidates, surrogate.alpha_weights(model, x).weights,
+        idx, _ = _oracles.scan_minimum(candidates, surrogate.alpha_weights(model, x),
                                        loss, Y)
         got.append(decoders.predict(model, dec, loss, x))
         assert got[-1] == candidates[idx]
@@ -450,6 +450,9 @@ def test_scalar_grid_validation():
         decoders.ScalarGrid(bound=-1.0)
     with pytest.raises(ValueError):
         decoders.ScalarGrid(refine_iters=-1)
+    for bound in (np.nan, np.inf):  # a nan bound decoded nan for every query
+        with pytest.raises(ValueError, match="bound must be positive and finite"):
+            decoders.ScalarGrid(bound=bound)
 
 
 @pytest.mark.parametrize("loss", SCALAR_LOSSES, ids=lambda loss: type(loss).__name__)
@@ -724,7 +727,7 @@ def test_predict_exhaustive_composition():
     dec = decoders.Exhaustive([0, 1, 2])
     q = rng.normal(size=2)
     got = decoders.predict(model, dec, losses.ZeroOne(), q)
-    a = surrogate.alpha_weights(model, q).weights
+    a = surrogate.alpha_weights(model, q)
     idx, _ = _oracles.scan_minimum([0, 1, 2], a, losses.zero_one, Y)
     assert got == [0, 1, 2][idx]
 
@@ -811,3 +814,31 @@ def test_predict_matches_predict_batch_for_the_closed_form_decoders(outputs):
         one = decoders.predict(model, decoder, loss, Q[q])
         assert np.shape(one) == np.shape(batch[q])
         np.testing.assert_allclose(one, batch[q], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("outputs", ["scalar", "ratings", "simplex"])
+def test_single_query_is_a_one_row_batch(outputs):
+    # predict on every decoder but Exhaustive is predict_batch on x[None, :]:
+    # the same answer to the last bit, a float for scalars, and a query that
+    # is not a 1-d vector is rejected
+    rng = np.random.default_rng(20)
+    X = rng.normal(size=(20, 2))
+    if outputs == "scalar":
+        Y = np.sin(2.0 * X[:, 0])
+        decoder, loss = decoders.ScalarGrid(bound=2.0, grid_points=64), losses.Cauchy(0.5)
+    elif outputs == "ratings":
+        Y = rng.integers(1, 6, size=(20, 4)).astype(float)
+        decoder, loss = decoders.RankingFas(items=4), losses.RankLoss()
+    else:
+        Y = rng.dirichlet(np.ones(3), size=20)
+        decoder, loss = decoders.SimplexHellinger(), losses.SquaredHellinger()
+    model = surrogate.fit(X, Y, kernels.gaussian(1.0), 0.05)
+    for x in rng.normal(size=(8, 2)):
+        one = decoders.predict(model, decoder, loss, x)
+        want = decoders.predict_batch(model, decoder, loss, x[None, :])[0]
+        if outputs == "scalar":
+            assert type(one) is float and one == want
+        else:
+            np.testing.assert_array_equal(one, want)
+    with pytest.raises(ValueError, match="query must be a 1-d vector"):
+        decoders.predict(model, decoder, loss, X[:2])

@@ -64,6 +64,13 @@ def test_cauchy_examples():
     assert losses.Cauchy(2.0)(4.0, 1.0) == pytest.approx(3.4094961844768505)
 
 
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
+def test_cauchy_rejects_a_gamma_that_is_not_positive_and_finite(gamma):
+    # gamma = nan or inf made every scalar decode land on the grid bound
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        losses.Cauchy(gamma)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.floats(0.05, 20.0), st.integers(0, 10_000))
 def test_cauchy_monotone_in_distance(gamma, seed):
@@ -127,27 +134,30 @@ def test_rank_loss_rejects_non_permutation():
 # Finite embeddings
 
 def test_embedding_two_label_zero_one():
-    emb = losses.build_finite_embedding(losses.ZeroOne(), [0, 1])
-    np.testing.assert_array_equal(emb.V, [[0.0, 1.0], [1.0, 0.0]])
-    assert emb.c_delta == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_array_equal(losses.loss_table(losses.ZeroOne(), [0, 1], [0, 1]),
+                                  [[0.0, 1.0], [1.0, 0.0]])
+    assert losses.c_delta(losses.ZeroOne(), [0, 1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_embedding_three_label_zero_one():
-    emb = losses.build_finite_embedding(losses.ZeroOne(), [0, 1, 2])
-    np.testing.assert_array_equal(emb.V, np.ones((3, 3)) - np.eye(3))
+    labels = [0, 1, 2]
+    np.testing.assert_array_equal(losses.loss_table(losses.ZeroOne(), labels, labels),
+                                  np.ones((3, 3)) - np.eye(3))
     # spectrum of J - I is {2, -1, -1}
-    assert emb.c_delta == pytest.approx(2.0, abs=1e-12)
+    assert losses.c_delta(losses.ZeroOne(), labels) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_embedding_reproduces_loss_for_arbitrary_table():
+    # psi(y) = e_y, the canonical basis, and V = loss_table(labels, labels)
     rng = np.random.default_rng(15)
     labels = ["a", "b", "c", "d", "e"]
     table = rng.uniform(-1, 1, size=(5, 5))
     loss = losses.FiniteTable(labels, table)
-    emb = losses.build_finite_embedding(loss, labels)
-    for y in labels:
-        for y2 in labels:
-            bilinear = emb.psi(y) @ emb.V @ emb.psi(y2)
+    V = losses.loss_table(loss, labels, labels)
+    psi = np.eye(len(labels))
+    for a, y in enumerate(labels):
+        for b, y2 in enumerate(labels):
+            bilinear = psi[a] @ V @ psi[b]
             assert bilinear == loss(y, y2)
 
 
@@ -157,23 +167,16 @@ def test_embedding_c_delta_matches_power_iteration():
         k = int(rng.integers(2, 7))
         table = rng.uniform(0, 3, size=(k, k))
         np.fill_diagonal(table, 0.0)
-        emb = losses.build_finite_embedding(losses.FiniteTable(list(range(k)), table),
-                                            list(range(k)))
-        est = _oracles.power_iteration_norm(emb.V)
-        assert emb.c_delta == pytest.approx(est, abs=1e-10, rel=1e-10)
+        c = losses.c_delta(losses.FiniteTable(list(range(k)), table), list(range(k)))
+        est = _oracles.power_iteration_norm(table)
+        assert c == pytest.approx(est, abs=1e-10, rel=1e-10)
 
 
 def test_embedding_rejects_duplicates_and_empty():
     with pytest.raises(ValueError):
-        losses.build_finite_embedding(losses.ZeroOne(), [1, 1])
+        losses.c_delta(losses.ZeroOne(), [1, 1])
     with pytest.raises(ValueError):
-        losses.build_finite_embedding(losses.ZeroOne(), [])
-
-
-def test_embedding_unknown_label_lookup():
-    emb = losses.build_finite_embedding(losses.ZeroOne(), [0, 1])
-    with pytest.raises(ValueError):
-        emb.index_of(5)
+        losses.c_delta(losses.ZeroOne(), [])
 
 
 # ---------------------------------------------------------------------------

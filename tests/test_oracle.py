@@ -1,5 +1,7 @@
+import ast
 import itertools
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -80,7 +82,7 @@ def test_comparison_excess_has_no_cancellation_near_gstar():
         want = eps * eps * float((p.rho.sum(axis=1) * (E * E).sum(axis=1)).sum())
         rep = oracle.check_comparison(p, loss, g)
         assert rep["excess"] == pytest.approx(want, rel=1e-9, abs=0)
-        c_delta = losses.build_finite_embedding(loss, p.ys).c_delta
+        c_delta = losses.c_delta(loss, p.ys)
         assert rep["rhs"] == pytest.approx(2.0 * c_delta * np.sqrt(want), rel=1e-9, abs=0)
 
 
@@ -154,3 +156,15 @@ def test_check_reports_at_default_trials_are_pinned(tmp_path, which):
         assert result.pop("worst_margin") == pytest.approx(want.pop("worst_margin"),
                                                            rel=1e-9, abs=0)
     assert result == want
+
+
+def test_the_test_oracles_do_not_import_the_library():
+    # the oracles are the independent side of every dual-route check
+    tree = ast.parse((pathlib.Path(__file__).parent / "_oracles.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported and not any(name.split(".")[0] in ("surrloss", "") for name in imported)

@@ -59,7 +59,7 @@ def test_alpha_single_point_half():
     # k(x1,x1)=1, lambda=1: (1 + 1) alpha = 1 -> alpha = 1/2
     m = surrogate.fit([[0.0]], [0.0], kernels.gaussian(1.0), 1.0)
     a = surrogate.alpha_weights(m, np.array([0.0]))
-    assert a.weights[0] == pytest.approx(0.5, abs=1e-15)
+    assert a[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_alpha_large_lambda_shrinks_to_zero():
@@ -67,7 +67,7 @@ def test_alpha_large_lambda_shrinks_to_zero():
     X = rng.normal(size=(5, 2))
     m = surrogate.fit(X, list(range(5)), kernels.gaussian(1.0), 1e6)
     a = surrogate.alpha_weights(m, rng.normal(size=2))
-    assert np.max(np.abs(a.weights)) <= 1.0 / (5 * 1e6) + 1e-12
+    assert np.max(np.abs(a)) <= 1.0 / (5 * 1e6) + 1e-12
 
 
 def test_alpha_hand_solved_2x2():
@@ -77,7 +77,7 @@ def test_alpha_hand_solved_2x2():
     #       = (-1/8, 3/8)
     m = surrogate.fit([[0.0, 1.0], [1.0, 2.0]], ["p", "q"], kernels.linear(), 0.5)
     a = surrogate.alpha_weights(m, [1.0, 0.5])
-    np.testing.assert_allclose(a.weights, [-0.125, 0.375], atol=1e-14)
+    np.testing.assert_allclose(a, [-0.125, 0.375], atol=1e-14)
 
 
 def test_alpha_residual_invariant():
@@ -88,7 +88,7 @@ def test_alpha_residual_invariant():
     for _ in range(20):
         q = rng.normal(size=2)
         kx = kernels.cross_kernel(kernels.gaussian(0.8), X, q)
-        a = surrogate.alpha_weights(m, q).weights
+        a = surrogate.alpha_weights(m, q)
         resid = (K + (30 * 1e-3 + m.factor.jitter) * np.eye(30)) @ a - kx
         assert np.max(np.abs(resid)) <= 1e-8 * (1.0 + np.max(np.abs(kx)))
 
@@ -112,8 +112,8 @@ def test_fit_and_alpha_deterministic():
     m1 = surrogate.fit(X, Y, kernels.gaussian(0.5), 0.1)
     m2 = surrogate.fit(X, Y, kernels.gaussian(0.5), 0.1)
     assert np.array_equal(m1.factor.lower, m2.factor.lower)
-    a1 = surrogate.alpha_weights(m1, q).weights
-    a2 = surrogate.alpha_weights(m2, q).weights
+    a1 = surrogate.alpha_weights(m1, q)
+    a2 = surrogate.alpha_weights(m2, q)
     assert np.array_equal(a1, a2)
 
 
@@ -124,71 +124,79 @@ def test_alpha_batch_matches_single():
     Q = rng.normal(size=(4, 2))
     A = surrogate.alpha_weights_batch(m, Q)
     for q in range(4):
-        single = surrogate.alpha_weights(m, Q[q]).weights
+        single = surrogate.alpha_weights(m, Q[q])
         np.testing.assert_allclose(A[:, q], single, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
-# Explicit ghat and the loss trick
+# ghat from the cached coefficients and the loss trick
 
 def _toy_model(rng, n=8, n_labels=3, lam=0.1):
     X = rng.normal(size=(n, 2))
     Y = [int(v) for v in rng.integers(0, n_labels, size=n)]
     labels = list(range(n_labels))
-    emb = losses.build_finite_embedding(losses.ZeroOne(labels), labels)
     model = surrogate.fit(X, Y, kernels.gaussian(1.0), lam)
-    return model, emb, labels
+    return model, labels
 
 
-def _ghat_rows(model, emb, Xq):
-    return surrogate.explicit_g_hat(surrogate.alpha_weights_batch(model, Xq), model.Y, emb)
+def _one_hot(outputs, labels):
+    """Rows psi(y) = e_y in the canonical basis of `labels`."""
+    return np.eye(len(labels))[[labels.index(y) for y in outputs]]
 
 
-def _training_risk(model, emb):
+def _ghat_rows(model, labels, Xq):
+    """(Q, |labels|) rows ghat(x_q) = C^T k_x in the canonical coordinates of
+    `labels`, from the model's coefficients over its distinct outputs."""
+    distinct, C = model.output_coefficients
+    G = (C.T @ kernels.cross_kernel_batch(model.kernel, model.X, Xq)).T
+    return G @ _one_hot(distinct, labels)
+
+
+def _training_risk(model, labels):
     """(1/n) sum_i ||ghat(x_i) - psi(y_i)||^2 from the batch ghat rows."""
-    G = _ghat_rows(model, emb, model.X)
-    E = np.array([emb.psi(y) for y in model.Y])
+    G = _ghat_rows(model, labels, model.X)
+    E = _one_hot(model.Y, labels)
     return float(((G - E) ** 2).sum(axis=1).mean())
 
 
 def test_ghat_single_point():
     m = surrogate.fit([[0.0]], ["b"], kernels.gaussian(1.0), 1.0)
-    emb = losses.build_finite_embedding(losses.ZeroOne(), ["a", "b"])
-    g = _ghat_rows(m, emb, np.array([[0.0]]))
+    g = _ghat_rows(m, ["a", "b"], np.array([[0.0]]))
     np.testing.assert_allclose(g, [[0.0, 0.5]], atol=1e-15)
 
 
 def test_ghat_groups_same_label():
     X = [[0.0, 0.0], [1.0, 1.0]]
     m = surrogate.fit(X, ["a", "a"], kernels.gaussian(1.0), 0.5)
-    emb = losses.build_finite_embedding(losses.ZeroOne(), ["a", "b"])
     Q = np.array([[0.3, 0.3], [-1.0, 2.0]])
     A = surrogate.alpha_weights_batch(m, Q)
-    G = surrogate.explicit_g_hat(A, m.Y, emb)
+    G = _ghat_rows(m, ["a", "b"], Q)
     assert G.shape == (2, 2)
-    np.testing.assert_allclose(G[:, emb.index_of("a")], A.sum(axis=0), atol=1e-15)
-    np.testing.assert_array_equal(G[:, emb.index_of("b")], 0.0)
+    np.testing.assert_allclose(G[:, 0], A.sum(axis=0), atol=1e-15)
+    np.testing.assert_array_equal(G[:, 1], 0.0)
 
 
 def test_loss_trick_identity():
-    # <psi(y), V ghat(x)> == sum_i alpha_i(x) loss(y, y_i) for every label
+    # sum_u ghat_u(x) loss(y, y_u) over the distinct outputs y_u equals
+    # sum_i alpha_i(x) loss(y, y_i) over the training outputs, for every
+    # label: the identity the single Exhaustive predict relies on
     rng = np.random.default_rng(6)
     for _ in range(25):
-        model, emb, labels = _toy_model(rng)
+        model, labels = _toy_model(rng)
+        distinct, C = model.output_coefficients
         Q = rng.normal(size=(3, 2))
         A = surrogate.alpha_weights_batch(model, Q)
-        G = surrogate.explicit_g_hat(A, model.Y, emb)
+        G = C.T @ kernels.cross_kernel_batch(model.kernel, model.X, Q)
         for q in range(3):
             for y in labels:
-                lhs = float(emb.psi(y) @ emb.V @ G[q])
+                lhs = _oracles.weighted_objective(y, G[:, q], losses.zero_one, distinct)
                 rhs = _oracles.weighted_objective(y, A[:, q], losses.zero_one, model.Y)
                 assert abs(lhs - rhs) <= 1e-10
 
 
 def test_empirical_risk_interpolation_limit():
     m = surrogate.fit([[0.0]], ["a"], kernels.gaussian(1.0), 1e-12)
-    emb = losses.build_finite_embedding(losses.ZeroOne(), ["a", "b"])
-    assert _training_risk(m, emb) <= 1e-10
+    assert _training_risk(m, ["a", "b"]) <= 1e-10
 
 
 def test_empirical_risk_contradictory_duplicates():
@@ -197,35 +205,27 @@ def test_empirical_risk_contradictory_duplicates():
     lam = 0.25
     X = [[0.7], [0.7]]
     m = surrogate.fit(X, ["a", "b"], kernels.gaussian(1.0), lam)
-    emb = losses.build_finite_embedding(losses.ZeroOne(), ["a", "b"])
     c = 1.0 / (2.0 + 2.0 * lam)
-    np.testing.assert_allclose(_ghat_rows(m, emb, m.X), np.full((2, 2), c), atol=1e-12)
+    np.testing.assert_allclose(_ghat_rows(m, ["a", "b"], m.X), np.full((2, 2), c), atol=1e-12)
     expected = (c - 1.0) ** 2 + c ** 2
-    got = _training_risk(m, emb)
+    got = _training_risk(m, ["a", "b"])
     assert got == pytest.approx(expected, abs=1e-10)
     assert got >= 0.5 - 1e-12
 
 
 def test_empirical_risk_matches_direct_formula():
-    # the batch ghat rows against sum_j alpha_j(x_i) psi(y_j), one query and
-    # one training point at a time
+    # the ghat rows from the coefficients against sum_j alpha_j(x_i) psi(y_j),
+    # one query and one training point at a time
     rng = np.random.default_rng(7)
-    model, emb, _ = _toy_model(rng, n=10)
+    model, labels = _toy_model(rng, n=10)
+    psi = _one_hot(model.Y, labels)
     direct = 0.0
     for i in range(10):
-        a = surrogate.alpha_weights(model, model.X[i]).weights
-        g = sum(a[j] * emb.psi(model.Y[j]) for j in range(10))
-        e = emb.psi(model.Y[i])
-        direct += float((g - e) @ (g - e))
+        a = surrogate.alpha_weights(model, model.X[i])
+        g = sum(a[j] * psi[j] for j in range(10))
+        direct += float((g - psi[i]) @ (g - psi[i]))
     direct /= 10
-    assert _training_risk(model, emb) == pytest.approx(direct, abs=1e-12)
-
-
-def test_empirical_risk_unknown_label_error():
-    m = surrogate.fit([[0.0]], ["z"], kernels.gaussian(1.0), 1.0)
-    emb = losses.build_finite_embedding(losses.ZeroOne(), ["a", "b"])
-    with pytest.raises(ValueError):
-        _training_risk(m, emb)
+    assert _training_risk(model, labels) == pytest.approx(direct, abs=1e-12)
 
 
 def test_output_coefficients_give_ghat_over_the_distinct_outputs():
@@ -236,20 +236,11 @@ def test_output_coefficients_give_ghat_over_the_distinct_outputs():
     distinct, C = m.output_coefficients
     assert distinct == ["b", "a", "c"] and C.shape == (30, 3)
     assert m.output_coefficients[1] is C
-    emb = losses.build_finite_embedding(losses.ZeroOne(), distinct)
     Q = rng.normal(size=(5, 2))
     np.testing.assert_allclose(
         C.T @ kernels.cross_kernel_batch(m.kernel, X, Q),
-        surrogate.explicit_g_hat(surrogate.alpha_weights_batch(m, Q), Y, emb).T,
+        _one_hot(Y, distinct).T @ surrogate.alpha_weights_batch(m, Q),
         rtol=0.0, atol=1e-12)
-
-
-def test_ghat_rejects_weights_of_the_wrong_shape():
-    emb = losses.build_finite_embedding(losses.ZeroOne(), ["a", "b"])
-    with pytest.raises(ValueError):
-        surrogate.explicit_g_hat(np.ones(2), ["a", "b"], emb)
-    with pytest.raises(ValueError):
-        surrogate.explicit_g_hat(np.ones((3, 1)), ["a", "b"], emb)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +259,8 @@ def test_model_roundtrip_scalar(tmp_path):
     np.testing.assert_allclose(loaded.X, m.X)
     np.testing.assert_allclose(loaded.Y, y)
     q = rng.normal(size=2)
-    np.testing.assert_allclose(surrogate.alpha_weights(loaded, q).weights,
-                               surrogate.alpha_weights(m, q).weights, atol=1e-12)
+    np.testing.assert_allclose(surrogate.alpha_weights(loaded, q),
+                               surrogate.alpha_weights(m, q), atol=1e-12)
 
 
 def test_model_roundtrip_labels_and_ratings(tmp_path):
@@ -425,11 +416,59 @@ def test_unknown_blob_version_or_output_kind_is_rejected(tmp_path, field, value,
         surrogate.load_model(tmp_path / "m.json")
 
 
+@pytest.mark.parametrize("field, edit", [
+    ("kernel", "delete"), ("kernel", "gaussian"), ("kernel", {"kind": "gaussian"}),
+    ("lambda", "delete"), ("lambda", "small"), ("x", "delete"), ("x", "nested"),
+    ("x", {"shape": [3, 2], "f8": ""}), ("y", "delete"), ("y", {"kind": "label"}),
+    ("coefficients", [[0.5]])])
+def test_a_missing_or_malformed_blob_field_is_one_value_error_naming_it(tmp_path, field,
+                                                                         edit):
+    m, _ = _label_model(seed=26, n=6)
+    surrogate.save_model(m, tmp_path / "m.json", "label")
+    blob = _read_blob(tmp_path / "m.json")
+    if edit == "delete":
+        del blob[field]
+    elif edit == "nested":
+        blob[field] = m.X.tolist()
+    else:
+        blob[field] = edit
+    _write_blob(tmp_path / "m.json", blob)
+    with pytest.raises(ValueError, match=f"model blob field {field!r}"):
+        surrogate.load_model(tmp_path / "m.json")
+
+
+@pytest.mark.parametrize("kind, fault, message", [
+    ("scalar", np.nan, "row 3 has non-finite entries"),
+    ("ratings", np.inf, "row 3 has non-finite entries"),
+    ("simplex", [1.25, -0.25, 0.0], "training histograms row 3 has negative entries")])
+def test_outputs_no_decoder_can_use_are_rejected(tmp_path, kind, fault, message):
+    # fit rejects non-finite numbers; a blob, which carries its output kind,
+    # also rejects a histogram off the simplex
+    rng = np.random.default_rng(27)
+    X = rng.normal(size=(6, 2))
+    Y = {"scalar": rng.normal(size=6), "ratings": rng.integers(1, 6, size=(6, 3)) * 1.0,
+         "simplex": rng.dirichlet(np.ones(3), size=6)}[kind]
+    surrogate.save_model(surrogate.fit(X, Y, kernels.linear(), 0.5), tmp_path / "m.json", kind)
+    bad = Y.copy()
+    bad[3] = fault
+    if kind != "simplex":
+        with pytest.raises(ValueError, match=message):
+            surrogate.fit(X, bad, kernels.linear(), 0.5)
+    blob = _read_blob(tmp_path / "m.json")
+    blob["y"]["values"] = surrogate._array_to_json(bad)
+    _write_blob(tmp_path / "m.json", blob)
+    with pytest.raises(ValueError, match=message):
+        surrogate.load_model(tmp_path / "m.json")
+
+
 def test_binary_array_rejects_a_payload_of_the_wrong_size():
     obj = surrogate._array_to_json(np.arange(6.0).reshape(2, 3))
     np.testing.assert_array_equal(surrogate._array_from_json(obj, 2), np.arange(6.0).reshape(2, 3))
     obj["shape"] = [2, 4]
     with pytest.raises(ValueError):
+        surrogate._array_from_json(obj, 2)
+    obj["shape"] = "23"
+    with pytest.raises(TypeError):
         surrogate._array_from_json(obj, 2)
 
 
