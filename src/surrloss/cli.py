@@ -75,8 +75,8 @@ def _numbered(header, prefix):
 def read_dataset(path, kind):
     """Returns (X, Y); Y is None when the file only carries inputs.
 
-    Blank lines are skipped; a data row with fewer fields than the header is
-    a ValueError naming the file and its 1-based line.
+    Blank lines are skipped; a data row with fewer or more fields than the
+    header is a ValueError naming the file and its 1-based line.
     """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -84,7 +84,7 @@ def read_dataset(path, kind):
         for row in reader:
             if not row:
                 continue
-            if rows and len(row) < len(rows[0]):
+            if rows and len(row) != len(rows[0]):
                 raise ValueError(f"{path}: line {reader.line_num} has {len(row)} fields, "
                                  f"the header has {len(rows[0])}")
             rows.append(row)
@@ -145,18 +145,25 @@ def _write_curve_csv(path, results):
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _kernel_from_args(args):
+def _bandwidth(args, dest, default):
+    """The --sigma or --sigmas value of a gaussian kernel, `default` when it is
+    unset; None for the linear kernel, which takes neither."""
+    value = getattr(args, dest)
     if args.kernel == "linear":
-        return kernels.linear()
-    return kernels.gaussian(args.sigma)
+        if value is not None:
+            raise ValueError(f"--kernel linear takes no --{dest}")
+        return None
+    return default if value is None else value
 
 
 def cmd_train(args):
+    sigma = _bandwidth(args, "sigma", 1.0)
+    kernel = kernels.linear() if sigma is None else kernels.gaussian(sigma)
     X, Y = read_dataset(args.data, args.kind)
     if Y is None:
         raise ValueError("training csv has no target columns")
     surrogate.check_outputs(Y, args.kind)
-    model = surrogate.fit(X, Y, _kernel_from_args(args), args.lam)
+    model = surrogate.fit(X, Y, kernel, args.lam)
     surrogate.save_model(model, args.out, args.kind)
     print(f"saved model for {model.n} training points to {args.out} "
           f"(factor jitter {model.factor.jitter:g})")
@@ -206,6 +213,8 @@ def cmd_predict(args):
 
 
 def cmd_cv(args):
+    sigmas = _bandwidth(args, "sigmas", (0.1, 1.0, 10.0))
+    kernel_grid = (kernels.linear(),) if sigmas is None else tuple(map(kernels.gaussian, sigmas))
     X, Y = read_dataset(args.data, args.kind)
     if Y is None:
         raise ValueError("cv csv has no target columns")
@@ -216,8 +225,6 @@ def cmd_cv(args):
     scoring = losses.AbsoluteError() if args.kind == "scalar" else loss
     if args.kind == "ratings":
         scoring = losses.RankLoss(normalize=True)
-    kernel_grid = (kernels.linear(),) if args.kernel == "linear" else tuple(
-        kernels.gaussian(s) for s in args.sigmas)
     plan = model_selection.CvPlan(folds=args.folds, seed=args.seed,
                                   lambda_grid=args.lambdas,
                                   kernel_grid=kernel_grid, scoring=scoring)
@@ -226,10 +233,17 @@ def cmd_cv(args):
     rows = [{"kernel": surrogate.kernel_to_json(r.kernel), "lambda": r.lam,
              "mean": r.mean, "std": r.std} for r in report.rows]
     sel = report.selected
+    config = {"kind": args.kind, "folds": args.folds, "seed": args.seed, "loss": args.loss,
+              "kernels": [surrogate.kernel_to_json(k) for k in kernel_grid],
+              "lambdas": list(args.lambdas)}
+    if args.loss == "cauchy":
+        config["gamma"] = args.gamma
+    if args.kind == "scalar":
+        config.update(bound=decoder.bound, grid_points=decoder.grid_points,
+                      refine_iters=decoder.refine_iters)
     _report(args.out, {
         "command": "cv",
-        "config": {"kind": args.kind, "folds": args.folds, "seed": args.seed,
-                   "loss": args.loss, "lambdas": list(args.lambdas)},
+        "config": config,
         "rows": rows,
         "selected": {"kernel": surrogate.kernel_to_json(sel.kernel), "lambda": sel.lam,
                      "mean": sel.mean, "std": sel.std},
@@ -325,7 +339,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--kind", choices=surrogate.OUTPUT_KINDS, required=True)
     p.add_argument("--kernel", choices=("gaussian", "linear"), default="gaussian")
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--sigma", type=float, default=None, help="gaussian only")
     p.add_argument("--lambda", dest="lam", type=float, default=1e-2)
     p.set_defaults(func=cmd_train)
 
@@ -341,7 +355,7 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.add_argument("--kind", choices=surrogate.OUTPUT_KINDS, required=True)
     p.add_argument("--kernel", choices=("gaussian", "linear"), default="gaussian")
-    p.add_argument("--sigmas", type=_float_list, default=(0.1, 1.0, 10.0))
+    p.add_argument("--sigmas", type=_float_list, default=None, help="gaussian only")
     p.add_argument("--lambdas", type=_float_list, default=(1e-4, 1e-2, 1.0))
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)

@@ -202,13 +202,7 @@ def _loss_matrix(points, y_train, loss):
     return losses.loss_table(loss, points, y_train)
 
 
-def scalar_loss_grid(spec, y_train, loss):
-    """Precompute the (G, n) grid/training loss table for `spec`'s grid."""
-    grid = np.linspace(-spec.bound, spec.bound, spec.grid_points)
-    return _loss_matrix(grid, np.asarray(y_train, dtype=float).ravel(), loss)
-
-
-def decode_scalar_grid_batch(A, y_train, loss, spec, loss_grid=None):
+def decode_scalar_grid_batch(A, y_train, loss, spec):
     """Grid scan + polish for Q queries at once.
 
     A is the (n, Q) matrix of per-query weights and `loss` one of
@@ -217,12 +211,12 @@ def decode_scalar_grid_batch(A, y_train, loss, spec, loss_grid=None):
     the polished point is kept only if its objective is below the grid
     best's.  Returns (points (Q,), objectives (Q,)).
 
-    loss_grid, when given, must be the (G, n) table of loss values between
-    the spec's uniform grid and y_train (it only depends on those, so callers
-    sweeping hyperparameters can precompute it once).  Queries are decoded
-    SCALAR_CHUNK columns at a time, which bounds the (G, Q) and (n, Q)
-    working tables; as with any batch width, BLAS may round a column's grid
-    objectives differently.
+    The (G, n) table of loss values between the grid and y_train is built
+    once per call, whatever Q, so a CV sweep hands in a fold's whole
+    lambda-path, L*n_va columns, and builds the table once per (kernel,
+    fold).  Queries are decoded SCALAR_CHUNK columns at a time, which bounds
+    the (G, Q) and (n, Q) working tables; as with any batch width, BLAS may
+    round a column's grid objectives differently.
     """
     check_loss(spec, loss)
     y_train = np.asarray(y_train, dtype=float).ravel()
@@ -230,7 +224,7 @@ def decode_scalar_grid_batch(A, y_train, loss, spec, loss_grid=None):
     if A.ndim != 2 or A.shape[0] != y_train.shape[0]:
         raise ValueError("weights must be (n, Q)")
     grid = np.linspace(-spec.bound, spec.bound, spec.grid_points)
-    L = _loss_matrix(grid, y_train, loss) if loss_grid is None else loss_grid
+    L = _loss_matrix(grid, y_train, loss)
     points, values = np.empty(A.shape[1]), np.empty(A.shape[1])
     for start in range(0, A.shape[1], SCALAR_CHUNK):
         cols = slice(start, start + SCALAR_CHUNK)

@@ -88,7 +88,7 @@ def krr_predict_batch(model, Xq):
 def _robust_cv(X, y, sigmas, lambdas, gammas, folds, seed, cv_decoder):
     """Hyperparameters for both methods from one `model_selection.sweep`.
 
-    Every held-out weight matrix A is scored by the Cauchy decoder at each
+    Every held-out weight column is scored by the Cauchy decoder at each
     gamma and by the KRR baseline, whose prediction is y_train @ A.  The
     decoder is scored with absolute error, which stays comparable across
     gamma (raw Cauchy values scale with it); KRR is scored with squared
@@ -101,16 +101,13 @@ def _robust_cv(X, y, sigmas, lambdas, gammas, folds, seed, cv_decoder):
     KRR).
     """
     y = np.asarray(y, dtype=float)
-    # The decoder's grid/training loss table depends only on the fold and gamma.
-    loss_grids = [[decoders.scalar_loss_grid(cv_decoder, y[tr], losses.Cauchy(g)) for g in gammas]
-                  for tr, _ in model_selection.fold_splits(y.size, folds, seed)]
 
-    def score(fold, tr, va, A):
-        out = [np.mean((y[tr] @ A - y[va]) ** 2)]
-        for gamma, grid in zip(gammas, loss_grids[fold]):
+    def score(tr, cols, A):
+        out = [(y[tr] @ A - y[cols]) ** 2]
+        for gamma in gammas:
             pred, _ = decoders.decode_scalar_grid_batch(A, y[tr], losses.Cauchy(gamma),
-                                                        cv_decoder, loss_grid=grid)
-            out.append(np.mean(np.abs(pred - y[va])))
+                                                        cv_decoder)
+            out.append(np.abs(pred - y[cols]))
         return out
 
     means = model_selection.sweep(X, [kernels.gaussian(s) for s in sigmas], lambdas,
@@ -244,20 +241,10 @@ def median_sq_dist(Y):
     return med if med > 0 else 1.0
 
 
-def _gauss_output_kernel_matrix(Y, sigma_y):
-    return np.exp(-kernels.sq_distances(Y) / sigma_y)
-
-
-def _kde_decode_batch(A, Ytr, sigma_y, H=None):
+def _kde_decode_batch(A, Ytr, sigma_y):
     """Eq.-7-style decode over the training outputs: with a normalized output
-    kernel, argmin_c F(c) = argmax_c sum_i alpha_i h(c, y_i).
-
-    H, when given, must be `_gauss_output_kernel_matrix(Ytr, sigma_y)`; it
-    depends only on the training outputs, so a CV fold builds it once.
-    """
-    if H is None:
-        H = _gauss_output_kernel_matrix(Ytr, sigma_y)
-    scores = H @ A  # (candidates, Q)
+    kernel, argmin_c F(c) = argmax_c sum_i alpha_i h(c, y_i)."""
+    scores = np.exp(-kernels.sq_distances(Ytr) / sigma_y) @ A  # (candidates, Q)
     return Ytr[np.argmax(scores, axis=0)]
 
 
@@ -265,10 +252,14 @@ def _mean_hellinger(preds, truth):
     return float(np.mean(losses.squared_hellinger_rows(preds, truth)))
 
 
+def _gauss_loss_rows(preds, truth, sigma_y):
+    """The Gaussian output-kernel loss 2 - 2 h(p_q, t_q) of every row pair."""
+    d = ((np.asarray(preds, dtype=float) - truth) ** 2).sum(axis=1)
+    return 2.0 - 2.0 * np.exp(-d / sigma_y)
+
+
 def _mean_gauss_loss(preds, truth, sigma_y):
-    preds = np.asarray(preds, dtype=float)
-    d = ((preds - truth) ** 2).sum(axis=1)
-    return float(np.mean(2.0 - 2.0 * np.exp(-d / sigma_y)))
+    return float(np.mean(_gauss_loss_rows(preds, truth, sigma_y)))
 
 
 def _histogram_cv(Xtr, Ytr, sigmas, lambdas, folds, seed, sigma_y):
@@ -281,14 +272,11 @@ def _histogram_cv(Xtr, Ytr, sigmas, lambdas, folds, seed, sigma_y):
 
     Returns {"hellinger": (sigma, lambda), "kde": (sigma, lambda)}.
     """
-    # The KDE decode's output-kernel matrix depends only on the fold.
-    output_grams = [_gauss_output_kernel_matrix(Ytr[tr], sigma_y)
-                    for tr, _ in model_selection.fold_splits(len(Ytr), folds, seed)]
-
-    def score(fold, tr, va, A):
+    def score(tr, cols, A):
         hellinger = decoders.decode_simplex_hellinger_batch(A, Ytr[tr])
-        kde = _kde_decode_batch(A, Ytr[tr], sigma_y, H=output_grams[fold])
-        return [_mean_hellinger(hellinger, Ytr[va]), _mean_gauss_loss(kde, Ytr[va], sigma_y)]
+        kde = _kde_decode_batch(A, Ytr[tr], sigma_y)
+        return [losses.squared_hellinger_rows(hellinger, Ytr[cols]),
+                _gauss_loss_rows(kde, Ytr[cols], sigma_y)]
 
     means = model_selection.sweep(Xtr, [kernels.gaussian(s) for s in sigmas], lambdas,
                                   folds, seed, score).mean(axis=2)

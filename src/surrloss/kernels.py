@@ -10,7 +10,7 @@ substitutions block by block: each diagonal block is one product with its
 stored inverse, each off-diagonal panel one GEMV/GEMM, so every step stays in
 NumPy's BLAS and the package needs no other linear-algebra library.
 Cross-validation, which needs the same K at many shifts, takes them all from
-one eigendecomposition instead (`ridge_path`).
+one eigendecomposition and one product instead (`ridge_path`).
 
 Convention: the Gaussian kernel is exp(-||x - x'||^2 / sigma) -- sigma divides
 the *squared* distance and there is no factor 2.  This differs from several
@@ -162,7 +162,6 @@ class SpdFactor:
 
     order: int
     lower: np.ndarray
-    shift: float
     jitter: float
     block_inverses: tuple
 
@@ -208,7 +207,7 @@ def factor_shifted(K, shift):
             L = np.linalg.cholesky(_plus_diagonal(A, jitter) if jitter else A)
         except np.linalg.LinAlgError:
             continue
-        return SpdFactor(order=n, lower=L, shift=float(shift), jitter=float(jitter),
+        return SpdFactor(order=n, lower=L, jitter=float(jitter),
                          block_inverses=_block_inverses(L))
     raise np.linalg.LinAlgError(
         f"matrix of order {n} not positive definite after jitter ladder {JITTER_LADDER}"
@@ -258,15 +257,16 @@ def solve_spd(factor, b):
 
 
 def ridge_path(K, KX, shifts):
-    """Iterator over (K + shift*I)^-1 KX for each shift, in order.
+    """(K + shift*I)^-1 KX for every shift at once, as one (n, S*Q) matrix
+    whose s-th block of Q columns belongs to the s-th shift.
 
     Rifkin & Lippert's spectral path ("Notes on Regularized Least Squares",
     MIT-CSAIL-TR-2007-025): K = U diag(s) U^T is decomposed once, eigenvalues
     below 0 (rounding on a positive semidefinite K) are clamped to 0, and U^T KX
-    is formed once; each shift then costs a diagonal rescale and one
-    (n, n) @ (n, Q) product, U diag(1 / (s + shift)) U^T KX.  Everything stays
-    in NumPy's BLAS.  With every shift > 0 the clamped system is positive
-    definite, so no jitter is needed.
+    is formed once; the blocks diag(1 / (s + shift)) U^T KX, side by side, then
+    take one (n, n) @ (n, S*Q) product with U, and they and the result hold
+    2*S*n*Q floats.  Everything stays in NumPy's BLAS.  With every shift > 0
+    the clamped system is positive definite, so no jitter is needed.
 
     K is (n, n) and symmetric, KX is (n, Q).  Raises ValueError for a
     non-square K, a KX without n rows, or a shift that is not in (0, inf).
@@ -277,10 +277,11 @@ def ridge_path(K, KX, shifts):
         raise ValueError("K must be square")
     if KX.ndim != 2 or KX.shape[0] != K.shape[0]:
         raise ValueError(f"KX must have {K.shape[0]} rows, got shape {KX.shape}")
-    shifts = [float(s) for s in shifts]
+    shifts = np.array([float(s) for s in shifts])
     if not all(0 < s < np.inf for s in shifts):
         raise ValueError("shifts must be positive and finite")
     evals, U = np.linalg.eigh(K)
     np.maximum(evals, 0.0, out=evals)
     UtKX = U.T @ KX
-    return (U @ (UtKX / (evals + s)[:, None]) for s in shifts)
+    scaled = UtKX[:, None, :] / (evals[:, None, None] + shifts[None, :, None])
+    return U @ scaled.reshape(K.shape[0], -1)

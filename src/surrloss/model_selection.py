@@ -4,8 +4,8 @@ There is one CV engine, `sweep`.  The held-out weights
 A = (K + n_tr*lambda*I)^-1 K_x depend only on (kernel, lambda, fold), not on
 the loss or the decoder, so for each (kernel, fold) the sweep builds the Gram
 and cross-kernel matrices once and takes every lambda's A from one `eigh`
-(`kernels.ridge_path`).  A caller's `score` closure decodes each A and
-returns one fold score per method, so one sweep serves every method that
+(`kernels.ridge_path`) as one (n_tr, L*n_va) block.  A caller's `score`
+closure decodes the block in one call, so one sweep serves every method that
 shares the grid.  Selection (`select_best`) takes the minimal mean validation
 loss; exact ties prefer the largest lambda (most regularized), then grid
 order.
@@ -57,40 +57,34 @@ def kfold_split(n, k, seed):
     return [np.sort(part) for part in np.array_split(perm, k)]
 
 
-def fold_splits(n, k, seed):
-    """(train, validation) sorted index arrays for each of `kfold_split`'s folds."""
-    all_idx = np.arange(n)
-    return [(np.setdiff1d(all_idx, va), va) for va in kfold_split(n, k, seed)]
-
-
 def sweep(X, kernel_grid, lambdas, folds, seed, score):
     """Fold scores at every (kernel, lambda, fold) of a k-fold sweep.
 
-    `score(fold, tr, va, A)` gets the fold's index, its train and validation
-    index arrays and the (n_tr, n_va) held-out weights for one lambda, and
-    returns one score per method.  A caller that needs per-fold tables (which
-    depend on the fold's outputs only) builds them up front from
-    `fold_splits(n, folds, seed)` and indexes them by `fold`.  Returns a
-    (kernels, lambdas, folds, methods) array.  Any failure is re-raised as a
-    RuntimeError naming its grid point and caused by the original exception.
+    Per (kernel, fold), `score(tr, cols, A)` gets the train indices, the
+    validation index of each column (the validation indices tiled L times)
+    and the (n_tr, L*n_va) weights of the whole lambda-path, block l of n_va
+    columns for lambda l; the block costs 2*L*n_tr*n_va floats, O(n^2) for a
+    fixed grid.  It returns one loss per method and column, and the sweep
+    averages each lambda's block.  Returns a (kernels, lambdas, folds,
+    methods) array.  Any failure is re-raised as a RuntimeError naming its
+    kernel and fold and caused by the original exception.
     """
     X = kernels._as_input_matrix(X)
-    splits = fold_splits(X.shape[0], folds, seed)
+    all_idx = np.arange(X.shape[0])
+    splits = [(np.setdiff1d(all_idx, va), va) for va in kfold_split(X.shape[0], folds, seed)]
     scores = []
     for kernel in kernel_grid:
         for fi, (tr, va) in enumerate(splits):
-            at = f"kernel={kernel}, fold={fi}"
             try:
                 K = kernels.gram_matrix(kernel, X[tr])
                 KX = kernels.cross_kernel_batch(kernel, X[tr], X[va])
-                path = kernels.ridge_path(K, KX, [tr.size * lam for lam in lambdas])
-                for lam, A in zip(lambdas, path):
-                    at = f"kernel={kernel}, lambda={lam}, fold={fi}"
-                    scores.append(np.ravel(score(fi, tr, va, A)))
+                A = kernels.ridge_path(K, KX, [tr.size * lam for lam in lambdas])
+                col_losses = score(tr, np.tile(va, len(lambdas)), A)
+                scores.append(np.reshape(col_losses, (-1, len(lambdas), va.size)).mean(axis=2))
             except Exception as e:
-                raise RuntimeError(f"cv failure at {at}: {e}") from e
-    shape = (len(kernel_grid), len(splits), len(lambdas), -1)
-    return np.array(scores, dtype=float).reshape(shape).transpose(0, 2, 1, 3)
+                raise RuntimeError(f"cv failure at kernel={kernel}, fold={fi}: {e}") from e
+    shape = (len(kernel_grid), folds, -1, len(lambdas))
+    return np.array(scores, dtype=float).reshape(shape).transpose(0, 3, 1, 2)
 
 
 def _take_outputs(Y, idx):
@@ -108,9 +102,9 @@ def cross_validate(X, Y, plan, decoder, loss):
     """
     decoders.check_loss(decoder, loss)
 
-    def score(fold, tr, va, A):
+    def score(tr, cols, A):
         preds = decoders.decode_batch(decoder, loss, _take_outputs(Y, tr), A)
-        return np.mean([plan.scoring(p, Y[i]) for p, i in zip(preds, va)])
+        return [plan.scoring(p, Y[i]) for p, i in zip(preds, cols)]
 
     s = sweep(X, plan.kernel_grid, plan.lambda_grid, plan.folds, plan.seed, score)[..., 0]
     rows = [CvRow(kernel=kernel, lam=float(lam), mean=float(s[ki, li].mean()),

@@ -486,3 +486,73 @@ def test_a_broken_model_blob_is_a_usage_error(tmp_path, capsys, field):
                      "--out", str(tmp_path / "preds.csv")]) == cli.EXIT_USAGE
     assert f"{field!r}" in capsys.readouterr().err
     assert not (tmp_path / "preds.csv").exists()
+
+
+def test_train_on_a_row_with_an_extra_field_is_usage_error(tmp_path, capsys):
+    # line 2 carries a third field under a two-column header; it would be dropped
+    (tmp_path / "train.csv").write_text("x0,y\n0.2,2.0,9\n0.5,1.0\n", encoding="utf-8")
+    code = cli.main(["train", "--in", str(tmp_path / "train.csv"),
+                     "--out", str(tmp_path / "model.json"), "--kind", "scalar"])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "train.csv: line 2 has 3 fields" in err
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("command, key, values", [("train", "sigma", [5.0]),
+                                                  ("cv", "sigmas", [3.0, 4.0])])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_bandwidth_with_the_linear_kernel_is_usage_error(tmp_path, capsys, command, key,
+                                                           values, source):
+    # the linear kernel has no bandwidth, so the value would be ignored
+    _write_csv(tmp_path / "train.csv", ["x0", "y"],
+               np.random.default_rng(5).uniform(-1, 1, size=(10, 2)).tolist())
+    out = tmp_path / "out.json"
+    argv = [command, "--in", str(tmp_path / "train.csv"), "--kind", "scalar",
+            "--out", str(out)]
+    if source == "flag":
+        argv += ["--kernel", "linear", f"--{key}", ",".join(str(v) for v in values)]
+    else:
+        config = {"kernel": "linear", key: values[0] if key == "sigma" else values}
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(tmp_path / "config.json")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert f"--kernel linear takes no --{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cv_reports_the_grid_and_decoder_its_selection_depended_on(tmp_path, source):
+    _write_csv(tmp_path / "train.csv", ["x0", "y"],
+               np.random.default_rng(5).uniform(-1, 1, size=(10, 2)).tolist())
+    options = {"sigmas": [0.5, 2.0], "lambdas": [0.01, 0.1], "gamma": 2.0, "bound": 2.5,
+               "grid_points": 64, "refine_iters": 3, "folds": 2}
+    out = tmp_path / "cv.json"
+    argv = ["cv", "--in", str(tmp_path / "train.csv"), "--kind", "scalar", "--out", str(out)]
+    if source == "flag":
+        for key, value in options.items():
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            argv += [f"--{key.replace('_', '-')}", text]
+    else:
+        (tmp_path / "config.json").write_text(json.dumps(options), encoding="utf-8")
+        argv += ["--config", str(tmp_path / "config.json")]
+    assert cli.main(argv) == cli.EXIT_OK
+    config = json.loads(out.read_text(encoding="utf-8"))["config"]
+    assert config == {"kind": "scalar", "folds": 2, "seed": 0, "loss": "cauchy",
+                      "kernels": [{"kind": "gaussian", "sigma": 0.5},
+                                  {"kind": "gaussian", "sigma": 2.0}],
+                      "lambdas": [0.01, 0.1], "gamma": 2.0, "bound": 2.5,
+                      "grid_points": 64, "refine_iters": 3}
+
+
+def test_cv_reports_no_decoder_settings_that_do_not_apply(tmp_path):
+    rng = np.random.default_rng(6)
+    t_header, t_rows = _targets("label", rng, 10)
+    _write_csv(tmp_path / "train.csv", ["x0"] + t_header,
+               [[x] + t for x, t in zip(rng.normal(size=10).tolist(), t_rows)])
+    out = tmp_path / "cv.json"
+    assert cli.main(["cv", "--in", str(tmp_path / "train.csv"), "--kind", "label",
+                     "--kernel", "linear", "--folds", "2", "--out", str(out)]) == cli.EXIT_OK
+    config = json.loads(out.read_text(encoding="utf-8"))["config"]
+    assert config == {"kind": "label", "folds": 2, "seed": 0, "loss": "zero_one",
+                      "kernels": [{"kind": "linear"}], "lambdas": [1e-4, 1e-2, 1.0]}

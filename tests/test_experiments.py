@@ -141,3 +141,23 @@ def test_experiment_result_mean_and_std_are_those_of_its_per_seed_values():
     r = experiments.ExperimentResult("m", 5, [1, 2, 3], 0.0, [0.25, 0.75, 0.5])
     assert r.metric_mean == float(np.mean([0.25, 0.75, 0.5])) == 0.5
     assert r.metric_std == float(np.std([0.25, 0.75, 0.5]))
+
+
+def test_robust_cv_builds_one_cauchy_table_per_sigma_fold_and_gamma(monkeypatch):
+    # each (kernel, fold) decodes its whole lambda-path in one call per gamma,
+    # and each call builds its grid's loss table once
+    tables = []
+    original = decoders._loss_matrix
+
+    def counted(points, y_train, loss):
+        tables.append(loss)
+        return original(points, y_train, loss)
+
+    monkeypatch.setattr(decoders, "_loss_matrix", counted)
+    ds = experiments.gen_robust_data(30, 0)
+    experiments._robust_cv(ds.x, ds.y, experiments.ROBUST_SIGMAS,
+                           experiments.ROBUST_LAMBDAS, experiments.ROBUST_GAMMAS,
+                           FOLDS, 0, experiments.CV_DECODER)
+    assert all(isinstance(loss, losses.Cauchy) for loss in tables)
+    assert len(tables) == (len(experiments.ROBUST_SIGMAS) * FOLDS
+                           * len(experiments.ROBUST_GAMMAS))

@@ -367,9 +367,11 @@ def test_ridge_path_matches_factor_and_solve():
     for spec, K, KX in _ridge_path_problems():
         n = K.shape[0]
         shifts = [n * r for r in (1e-4, 1e-2, 1.0)]
-        path = list(kernels.ridge_path(K, KX, shifts))
-        assert len(path) == len(shifts)
-        for shift, A in zip(shifts, path):
+        path = kernels.ridge_path(K, KX, shifts)
+        Q = KX.shape[1]
+        assert path.shape == (n, len(shifts) * Q)
+        for si, shift in enumerate(shifts):
+            A = path[:, si * Q:(si + 1) * Q]
             ref = kernels.solve_spd(kernels.factor_shifted(K, shift), KX)
             assert np.max(np.abs(A - ref)) <= 1e-9 * np.max(np.abs(ref)), (spec, shift)
 

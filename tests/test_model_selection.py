@@ -115,3 +115,54 @@ def test_cross_validate_on_a_rank_deficient_gram_matches_a_brute_force_sweep(see
         assert row.mean == pytest.approx(want, rel=MEAN_RTOL, abs=0.0)
     assert report.selected.lam == _oracles.lowest_mean_then_larger_lambda(
         zip(means, lambdas, lambdas))
+
+
+def test_sweep_scores_a_folds_whole_lambda_path_in_one_call():
+    # one score call per (kernel, fold), on the fold's L * n_va columns: the
+    # validation indices tiled once per lambda, each lambda's block of weights
+    # the dense solve's
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(17, 2))
+    calls = []
+
+    def score(tr, cols, A):
+        calls.append((tr, cols, A))
+        return np.arange(A.shape[1], dtype=float)
+
+    s = model_selection.sweep(X, [kernels.gaussian(sig) for sig in SIGMAS], LAMBDAS, FOLDS,
+                              3, score)
+    assert s.shape == (len(SIGMAS), len(LAMBDAS), FOLDS, 1)
+    splits = _splits(17, 3)
+    assert len(calls) == len(SIGMAS) * FOLDS
+    for ci, (tr, cols, A) in enumerate(calls):
+        sigma = SIGMAS[ci // FOLDS]
+        want_tr, va = splits[ci % FOLDS]
+        np.testing.assert_array_equal(tr, want_tr)
+        np.testing.assert_array_equal(cols, np.tile(va, len(LAMBDAS)))
+        assert A.shape == (tr.size, len(LAMBDAS) * va.size)
+        K = _oracles.gaussian_kernel_matrix(X[tr], X[tr], sigma)
+        Kx = _oracles.gaussian_kernel_matrix(X[tr], X[va], sigma)
+        for li, lam in enumerate(LAMBDAS):
+            ref = np.linalg.solve(K + tr.size * lam * np.eye(tr.size), Kx)
+            block = A[:, li * va.size:(li + 1) * va.size]
+            assert np.max(np.abs(block - ref)) <= 1e-9 * np.max(np.abs(ref)), (sigma, lam)
+            # each lambda's fold score is the mean over its own block of columns
+            assert s[ci // FOLDS, li, ci % FOLDS, 0] == np.mean(
+                np.arange(li * va.size, (li + 1) * va.size, dtype=float))
+
+
+def test_a_failing_decoder_names_its_kernel_and_fold(monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("decoder broke")
+
+    monkeypatch.setattr(decoders, "decode_batch", fail)
+    X = np.random.default_rng(8).normal(size=(12, 2))
+    Y = ["a", "b"] * 6
+    with pytest.raises(RuntimeError) as info:
+        model_selection.cross_validate(X, Y, _plan(0, losses.ZeroOne()),
+                                       decoders.Exhaustive(["a", "b"]), losses.ZeroOne())
+    message = str(info.value)
+    assert message == f"cv failure at kernel={kernels.gaussian(SIGMAS[0])}, fold=0: decoder broke"
+    assert "lambda=" not in message
+    assert isinstance(info.value.__cause__, ValueError)
+    assert str(info.value.__cause__) == "decoder broke"
