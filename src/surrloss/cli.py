@@ -10,8 +10,9 @@ subcommand, keyed by option destination (`sigma`, `lam`, ...); flags on the
 command line win over it.
 
 CSV conventions (UTF-8, comma separator, '.' decimal, header row):
-inputs are columns x0..xd; scalar targets a column y; label targets a column
-y; rating profiles columns r0..r{M-1}; histograms columns p0..p{d-1}.
+inputs are columns x0..x{d-1}; scalar targets a column y; label targets a
+column y; rating profiles columns r0..r{M-1}; histograms columns p0..p{d-1}.
+Numbered columns appear each exactly once, with no gap.
 Predicted rankings are written as columns rank0..rank{M-1} (rank of item i,
 1 = top).
 """
@@ -66,10 +67,16 @@ def _positive_int(text):
 # ---------------------------------------------------------------------------
 # CSV I/O
 
-def _numbered(header, prefix):
-    cols = [(int(name[len(prefix):]), i) for i, name in enumerate(header)
-            if name.startswith(prefix) and name[len(prefix):].isdigit()]
-    return [i for _, i in sorted(cols)]
+def _numbered(path, header, prefix):
+    """Positions of the columns prefix0..prefix{d-1}, [] if there are none;
+    a gap or a repeat is a ValueError naming the file and the columns."""
+    cols = sorted((int(name[len(prefix):]), i) for i, name in enumerate(header)
+                  if name.startswith(prefix) and name[len(prefix):].isdigit())
+    names = [header[i] for _, i in cols]
+    if names != [f"{prefix}{k}" for k in range(len(cols))]:
+        raise ValueError(f"{path}: columns {', '.join(names)} are not "
+                         f"{prefix}0..{prefix}{len(cols) - 1}, each exactly once")
+    return [i for _, i in cols]
 
 
 def read_dataset(path, kind):
@@ -91,9 +98,9 @@ def read_dataset(path, kind):
     if not rows:
         raise ValueError(f"{path}: empty csv")
     header, data = rows[0], rows[1:]
-    x_cols = _numbered(header, "x")
+    x_cols = _numbered(path, header, "x")
     if not x_cols:
-        raise ValueError(f"{path}: no x0..xd input columns")
+        raise ValueError(f"{path}: no x0..x{{d-1}} input columns")
     X = np.array([[float(row[i]) for i in x_cols] for row in data])
     if kind == "scalar" or kind == "label":
         if "y" not in header:
@@ -103,7 +110,7 @@ def read_dataset(path, kind):
             return X, np.array([float(row[yc]) for row in data])
         return X, [row[yc] for row in data]
     prefix = "r" if kind == "ratings" else "p"
-    cols = _numbered(header, prefix)
+    cols = _numbered(path, header, prefix)
     if not cols:
         return X, None
     Y = np.array([[float(row[i]) for i in cols] for row in data])
@@ -170,7 +177,7 @@ def cmd_train(args):
     return EXIT_OK
 
 
-_LOSSES = {"cauchy": lambda args: losses.Cauchy(args.gamma),
+_LOSSES = {"cauchy": lambda args: losses.Cauchy(1.0 if args.gamma is None else args.gamma),
            "squared": lambda args: losses.SquaredError(),
            "absolute": lambda args: losses.AbsoluteError(),
            "zero_one": lambda args: losses.ZeroOne(),
@@ -180,18 +187,33 @@ _LOSSES = {"cauchy": lambda args: losses.Cauchy(args.gamma),
 
 _DEFAULT_LOSS = {"scalar": "cauchy", "label": "zero_one",
                  "simplex": "hellinger", "ratings": "rank"}
+_SCALAR_OPTIONS = ("bound", "grid_points", "refine_iters")  # ScalarGrid's fields
+
+
+def _loss_from_args(args, kind):
+    """The decode loss, `--loss` or the kind's default.  A decoder option that
+    neither the kind's decoder nor the loss reads is a ValueError."""
+    args.loss = args.loss or _DEFAULT_LOSS[kind]
+    for dest in _SCALAR_OPTIONS:
+        if kind != "scalar" and getattr(args, dest) is not None:
+            raise ValueError(f"--{dest.replace('_', '-')} applies only to scalar "
+                             f"outputs, not {kind}")
+    if args.loss != "cauchy" and args.gamma is not None:
+        raise ValueError(f"--gamma applies only to --loss cauchy, not {args.loss}")
+    return _LOSSES[args.loss](args)
 
 
 def _decoder_from_outputs(Y, kind, args):
     if kind == "scalar":
+        decoder = decoders.ScalarGrid(**{dest: getattr(args, dest) for dest in _SCALAR_OPTIONS
+                                         if getattr(args, dest) is not None})
         # The grid spans [-bound, bound]; a target outside it would be
         # predicted as the clipped bound, without a word.
         top = float(np.max(np.abs(Y)))
-        if top > args.bound:
+        if top > decoder.bound:
             raise ValueError(f"scalar targets reach max |y| = {top:g}, outside "
-                             f"--bound {args.bound:g}; set --bound to at least {top:g}")
-        return decoders.ScalarGrid(bound=args.bound, grid_points=args.grid_points,
-                                   refine_iters=args.refine_iters)
+                             f"--bound {decoder.bound:g}; set --bound to at least {top:g}")
+        return decoder
     if kind == "label":
         return decoders.Exhaustive(sorted(set(Y)))
     if kind == "simplex":
@@ -202,9 +224,7 @@ def _decoder_from_outputs(Y, kind, args):
 def cmd_predict(args):
     model, kind = surrogate.load_model(args.model)
     X, _ = read_dataset(args.data, kind)
-    if args.loss is None:
-        args.loss = _DEFAULT_LOSS[kind]
-    loss = _LOSSES[args.loss](args)
+    loss = _loss_from_args(args, kind)
     decoder = _decoder_from_outputs(model.Y, kind, args)
     preds = decoders.predict_batch(model, decoder, loss, X)
     write_predictions(args.out, preds, kind)
@@ -219,9 +239,7 @@ def cmd_cv(args):
     if Y is None:
         raise ValueError("cv csv has no target columns")
     surrogate.check_outputs(Y, args.kind)
-    if args.loss is None:
-        args.loss = _DEFAULT_LOSS[args.kind]
-    loss = _LOSSES[args.loss](args)
+    loss = _loss_from_args(args, args.kind)
     scoring = losses.AbsoluteError() if args.kind == "scalar" else loss
     if args.kind == "ratings":
         scoring = losses.RankLoss(normalize=True)
@@ -237,7 +255,7 @@ def cmd_cv(args):
               "kernels": [surrogate.kernel_to_json(k) for k in kernel_grid],
               "lambdas": list(args.lambdas)}
     if args.loss == "cauchy":
-        config["gamma"] = args.gamma
+        config["gamma"] = loss.gamma
     if args.kind == "scalar":
         config.update(bound=decoder.bound, grid_points=decoder.grid_points,
                       refine_iters=decoder.refine_iters)
@@ -320,12 +338,12 @@ def cmd_check(args):
 # ---------------------------------------------------------------------------
 
 def _add_decode_options(p):
-    """The loss and scalar-grid options shared by `predict` and `cv`."""
+    """The loss and decoder options of `predict` and `cv`; None is the default."""
     p.add_argument("--loss", choices=tuple(_LOSSES), default=None)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--bound", type=float, default=3.0)
-    p.add_argument("--grid-points", type=int, default=512)
-    p.add_argument("--refine-iters", type=int, default=40)
+    p.add_argument("--gamma", type=float, default=None, help="cauchy loss only; 1.0 when unset")
+    p.add_argument("--bound", type=float, default=None, help="scalar only")
+    p.add_argument("--grid-points", type=int, default=None, help="scalar only")
+    p.add_argument("--refine-iters", type=int, default=None, help="scalar only")
 
 
 def build_parser():

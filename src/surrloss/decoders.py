@@ -2,8 +2,8 @@
 
 Four output spaces are supported:
   * Exhaustive       -- finite candidate sets through one loss table: the
-                        loss is called once per (candidate, distinct training
-                        output) pair, and F for a whole batch of queries is
+                        loss is evaluated once per (candidate, distinct
+                        training output) pair, and F for a whole batch is
                         one (C, U) @ (U, Q) product.
   * RankingFas       -- permutations, exact sort of s = A^T R: the weighted
                         rating of each item, one product per batch of
@@ -28,7 +28,7 @@ regroup of the n training outputs (a label model loaded from a blob starts
 with C from it, so this route never builds its factor), and
 `decode_exhaustive` scores the candidates against the U distinct outputs
 weighted by ghat.  The objective is the same,
-sum_u ghat_u loss(c, y_u) = sum_i alpha_i loss(c, y_i), at C*U loss calls.
+sum_u ghat_u loss(c, y_u) = sum_i alpha_i loss(c, y_i), at C*U loss values.
 `predict_batch` stays on the (n, Q) weights, which
 cross-validation decodes from, because the benchmark's stage map
 (`bench/stages.py`) counts the weight solve (`surrogate.alpha_weights_batch`)
@@ -107,7 +107,7 @@ def decode_exhaustive_batch(candidates, A, loss, y_train):
     """Minimize F over a finite candidate list for Q queries at once.
 
     A is the (n, Q) matrix of per-query weights.  The training outputs are
-    grouped by value (`losses.group_outputs`); the loss is called once
+    grouped by value (`losses.group_outputs`); the loss is evaluated once
     per (candidate, distinct output) pair to fill a (C, U) table L, and A's
     rows are summed per distinct output into B (U, Q), so F = L @ B.
     Returns (indices (Q,), F values (Q,)); ties go to the lowest index.
@@ -151,8 +151,8 @@ def aggregate_pair_costs(alphas, profiles):
 
 
 def ranking_objective(W, ranks):
-    """F(y) evaluated through an aggregated pair-cost matrix."""
-    return losses.rank_pair_sum(W, np.asarray(ranks, dtype=np.int64))
+    """F(y) through aggregated pair costs: i ranked above j pays W[i, j], a tie half."""
+    return float((np.ravel(W) * losses.rank_step_rows(np.asarray(ranks)[None])[0]).sum())
 
 
 def _order_to_ranks(order):

@@ -201,8 +201,7 @@ def run_ranking_experiment(items=8, n_train=80, n_test=40, *, repetitions, seed0
         report = model_selection.cross_validate(Xtr, Rtr, plan, decoder, loss)
         model = surrogate.fit(Xtr, Rtr, report.selected.kernel, report.selected.lam)
         preds = decoders.predict_batch(model, decoder, loss, Xte)
-        alg_vals.append(float(np.mean([losses.rank_loss(pr, true, normalize=True)
-                                       for pr, true in zip(preds, Rte)])))
+        alg_vals.append(float(np.mean(losses.rank_loss(preds, Rte, normalize=True))))
         base = _best_training_sort(Rtr)
         base_vals.append(float(np.mean(
             losses.rank_loss_matrix(base[None], Rte, normalize=True)[0])))
@@ -248,18 +247,10 @@ def _kde_decode_batch(A, Ytr, sigma_y):
     return Ytr[np.argmax(scores, axis=0)]
 
 
-def _mean_hellinger(preds, truth):
-    return float(np.mean(losses.squared_hellinger_rows(preds, truth)))
-
-
 def _gauss_loss_rows(preds, truth, sigma_y):
     """The Gaussian output-kernel loss 2 - 2 h(p_q, t_q) of every row pair."""
     d = ((np.asarray(preds, dtype=float) - truth) ** 2).sum(axis=1)
     return 2.0 - 2.0 * np.exp(-d / sigma_y)
-
-
-def _mean_gauss_loss(preds, truth, sigma_y):
-    return float(np.mean(_gauss_loss_rows(preds, truth, sigma_y)))
 
 
 def _histogram_cv(Xtr, Ytr, sigmas, lambdas, folds, seed, sigma_y):
@@ -275,7 +266,7 @@ def _histogram_cv(Xtr, Ytr, sigmas, lambdas, folds, seed, sigma_y):
     def score(tr, cols, A):
         hellinger = decoders.decode_simplex_hellinger_batch(A, Ytr[tr])
         kde = _kde_decode_batch(A, Ytr[tr], sigma_y)
-        return [losses.squared_hellinger_rows(hellinger, Ytr[cols]),
+        return [losses.squared_hellinger(hellinger, Ytr[cols]),
                 _gauss_loss_rows(kde, Ytr[cols], sigma_y)]
 
     means = model_selection.sweep(Xtr, [kernels.gaussian(s) for s in sigmas], lambdas,
@@ -318,8 +309,8 @@ def run_histogram_experiment(dim=8, n_train=120, n_test=60, *, repetitions, seed
                 preds = decoders.decode_simplex_hellinger_batch(A, Ytr)
             else:
                 preds = _kde_decode_batch(A, Ytr, sigma_y)
-            rows[name]["dH"].append(_mean_hellinger(preds, Yte))
-            rows[name]["dG"].append(_mean_gauss_loss(preds, Yte, sigma_y))
+            rows[name]["dH"].append(float(np.mean(losses.squared_hellinger(preds, Yte))))
+            rows[name]["dG"].append(float(np.mean(_gauss_loss_rows(preds, Yte, sigma_y))))
     elapsed = time.perf_counter() - t0
     out = []
     for name, metrics in rows.items():

@@ -8,14 +8,11 @@ is the flattened step matrix of a rank vector (`rank_step_rows`), paired with
 a profile's flattened gains, so `rank_loss_matrix` tabulates C rank vectors
 against T profiles as one product.
 
-`loss_table` is the one tabulation of every other loss: decoding, the finite
-embedding's V and the oracle risks all read their values from it.  It has
-closed forms only for the SCALAR_LOSSES, each the one `of_difference`
-formula that the loss's own call applies too.  Squared Hellinger has none: the
-benchmark (`bench/stages.py`) counts the per-pair `squared_hellinger` calls
-of the simplex decoder's fallback, which a closed form would remove.  Rank
-losses tabulate through `rank_loss_matrix`, whose rows are permutations and
-whose columns are rating profiles, not elements of one output set.
+`loss_rows` is the one paired evaluation: the SCALAR_LOSSES apply their one
+`of_difference` formula, `squared_hellinger` and `rank_loss` score a whole
+(Q, .) stack of (prediction, truth) pairs in one call, and any other loss is
+called once per pair.  `loss_table` tabulates through it; decoding, the
+finite embedding's V and the oracle risks all read their values from it.
 
 Rank-loss conventions (the literature leaves both open):
   * ranks: y[i] is the rank of item i, 1 = best; sign(0) = 0, so tied ranks
@@ -34,20 +31,8 @@ def zero_one(y, y2):
     return 0.0 if y == y2 else 1.0
 
 
-def _check_simplex(y, name):
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise ValueError(f"{name} must be a vector")
-    if np.any(y < 0):
-        raise ValueError(f"{name} has negative entries")
-    s = y.sum()
-    if abs(s - 1.0) > SIMPLEX_ATOL:
-        raise ValueError(f"{name} sums to {s}, not 1 within {SIMPLEX_ATOL}")
-    return y / s
-
-
 def _check_simplex_rows(Y, name):
-    """`_check_simplex` for every row of a (Q, d) array at once."""
+    """The (Q, d) array Y, each row checked on the simplex and renormalised."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
         raise ValueError(f"{name} must be a (Q, d) array")
@@ -61,23 +46,17 @@ def _check_simplex_rows(Y, name):
     return Y / s[:, None]
 
 
-def squared_hellinger(y, y2):
-    """sum_i (sqrt(y_i) - sqrt(y2_i))^2 on the simplex; range [0, 2]."""
-    y = _check_simplex(y, "y")
-    y2 = _check_simplex(y2, "y'")
-    if y.shape != y2.shape:
-        raise ValueError("histogram dimensions differ")
-    return float(((np.sqrt(y) - np.sqrt(y2)) ** 2).sum())
-
-
-def squared_hellinger_rows(P, Y):
-    """squared_hellinger(P[q], Y[q]) for every row pair of two (Q, d) arrays,
-    as one (Q,) vector; each row is checked and renormalised as there."""
-    P = _check_simplex_rows(P, "predictions")
-    Y = _check_simplex_rows(Y, "targets")
-    if P.shape != Y.shape:
-        raise ValueError("histogram arrays differ in shape")
-    return ((np.sqrt(P) - np.sqrt(Y)) ** 2).sum(axis=1)
+def squared_hellinger(P, Y):
+    """sum_j (sqrt(p_j) - sqrt(y_j))^2 on the simplex, range [0, 2]: a float
+    for two (d,) histograms, the (Q,) vector of row pairs for two (Q, d)
+    arrays.  Each row is checked and renormalised, a vector as one row."""
+    P, Y = np.asarray(P, dtype=float), np.asarray(Y, dtype=float)
+    if P.shape != Y.shape or P.ndim not in (1, 2):
+        raise ValueError(f"histograms of shape {P.shape} and {Y.shape} are not two (d,) "
+                         "or two (Q, d) arrays")
+    rows = ((np.sqrt(_check_simplex_rows(np.atleast_2d(P), "predictions"))
+             - np.sqrt(_check_simplex_rows(np.atleast_2d(Y), "targets"))) ** 2).sum(axis=1)
+    return float(rows[0]) if P.ndim == 1 else rows
 
 
 def rank_gain_matrix(ratings):
@@ -89,14 +68,6 @@ def rank_gain_matrix(ratings):
     if not np.all(np.isfinite(ratings)):
         raise ValueError("ratings must be finite")
     return np.maximum(ratings[:, None, :] - ratings[:, :, None], 0.0)
-
-
-def rank_pair_sum(gains, ranks):
-    """sum_ij gains[i, j] * (1 - sign(ranks[i] - ranks[j])) / 2.
-
-    Pairs ranked i above j pay gains[i, j]; tied ranks pay half.
-    """
-    return float((np.ravel(gains) * rank_step_rows(ranks[None])[0]).sum())
 
 
 def rank_step_rows(ranks):
@@ -112,25 +83,9 @@ def rank_step_rows(ranks):
     return step.reshape(ranks.shape[0], ranks.shape[1] ** 2)
 
 
-def rank_loss(ranks, ratings, normalize=False):
-    """Pairwise ranking loss of a rank vector against a rating profile."""
-    ranks = np.asarray(ranks)
-    ratings = np.asarray(ratings, dtype=float)
-    if ranks.ndim != 1 or ratings.ndim != 1:
-        raise ValueError("rank vector and rating profile must be 1-d")
-    return float(rank_loss_matrix(ranks[None], ratings[None], normalize)[0, 0])
-
-
-def rank_loss_matrix(ranks, ratings, normalize=False):
-    """(C, T) table of the rank loss of rank vector ranks[c] against rating
-    profile ratings[t]; `rank_loss` is its 1 x 1 case.
-
-    One GEMM of the flattened step matrices of the C rank vectors against the
-    flattened gains of the T profiles; the normalized form divides column t
-    by profile t's gain mass (0/0 -> 0).  Every row of `ranks` must be a
-    permutation of 1..M, the ratings finite and M >= 2.  With integer
-    ratings every entry is exact.
-    """
+def _rank_terms(ranks, ratings):
+    """(step rows, flat gains) of (C, M) rank vectors, each a permutation of
+    1..M, and (T, M) finite rating profiles, M >= 2."""
     ranks = np.asarray(ranks, dtype=np.int64)
     ratings = np.asarray(ratings, dtype=float)
     if ranks.ndim != 2 or ratings.ndim != 2:
@@ -141,16 +96,40 @@ def rank_loss_matrix(ranks, ratings, normalize=False):
         raise ValueError(f"rank vectors have length {ranks.shape[1]}, expected {m}")
     if not (np.sort(ranks, axis=1) == np.arange(1, m + 1)).all():
         raise ValueError("a rank vector is not a permutation of 1..M")
-    table = rank_step_rows(ranks) @ gains.T
-    if not normalize:
-        return table
+    return rank_step_rows(ranks), gains
+
+
+def _per_gain_mass(loss, gains):
     mass = gains.sum(axis=1)
-    return np.divide(table, mass, out=np.zeros_like(table), where=mass > 0.0)
+    return np.divide(loss, mass, out=np.zeros_like(loss), where=mass > 0.0)
+
+
+def rank_loss(ranks, ratings, normalize=False):
+    """Pairwise ranking loss of rank vectors against rating profiles, the step
+    rows times the flat gains: a float for an (M,) pair, the (Q,) vector of
+    row pairs for two (Q, M) stacks.  With integer ratings it is exact."""
+    ranks, ratings = np.asarray(ranks), np.asarray(ratings, dtype=float)
+    if ranks.shape != ratings.shape or ranks.ndim not in (1, 2):
+        raise ValueError(f"ranks {ranks.shape} and ratings {ratings.shape} must be two "
+                         "(M,) or two (Q, M) arrays")
+    steps, gains = _rank_terms(np.atleast_2d(ranks), np.atleast_2d(ratings))
+    loss = (steps * gains).sum(axis=1)
+    loss = _per_gain_mass(loss, gains) if normalize else loss
+    return float(loss[0]) if ranks.ndim == 1 else loss
+
+
+def rank_loss_matrix(ranks, ratings, normalize=False):
+    """(C, T) table of the rank loss of rank vector ranks[c] against rating
+    profile ratings[t]: one GEMM of the C step rows against the T flat gains,
+    column t divided by profile t's gain mass when normalized (0/0 -> 0)."""
+    steps, gains = _rank_terms(ranks, ratings)
+    table = steps @ gains.T
+    return _per_gain_mass(table, gains) if normalize else table
 
 
 class _ScalarLoss:
-    """A loss of the difference d = y - y' alone.  `of_difference` is its one
-    formula: a call applies it to a float, `loss_table` to an array."""
+    """A loss of d = y - y' alone; a call, `loss_rows` and `loss_table` apply
+    its one formula `of_difference`."""
 
     def __call__(self, y, y2):
         return self.of_difference(float(y) - float(y2))
@@ -229,21 +208,38 @@ class FiniteTable:
             raise ValueError(f"unknown label {e.args[0]!r}") from None
 
 
-def loss_table(loss, rows, cols):
-    """(R, C) table of loss(rows[a], cols[b]).
+def take_outputs(outputs, idx):
+    """outputs[idx] of an array; the list of outputs[i] of any other sequence."""
+    return outputs[idx] if isinstance(outputs, np.ndarray) else [outputs[i] for i in idx]
 
-    The SCALAR_LOSSES apply their formula to the whole difference array
-    rows[:, None] - cols[None, :].  Any other loss is called once per pair,
-    row by row, so a validating loss raises at the first pair it rejects.
-    """
+
+def loss_rows(loss, preds, truths):
+    """(Q,) vector of loss(preds[q], truths[q]).  SquaredHellinger and RankLoss
+    score the stacks in one call; any other loss that is not scalar is called
+    once per pair, in order, so a validating loss raises at the first pair it
+    rejects."""
+    if len(preds) != len(truths):
+        raise ValueError(f"{len(preds)} predictions against {len(truths)} truths")
+    if isinstance(loss, SCALAR_LOSSES):
+        return loss.of_difference(np.asarray(preds, dtype=float)
+                                  - np.asarray(truths, dtype=float))
+    if isinstance(loss, SquaredHellinger):
+        return squared_hellinger(preds, truths)
+    if isinstance(loss, RankLoss):
+        return rank_loss(preds, truths, normalize=loss.normalize)
+    return np.array([loss(p, t) for p, t in zip(preds, truths)], dtype=float)
+
+
+def loss_table(loss, rows, cols):
+    """(R, C) table of loss(rows[a], cols[b]): the SCALAR_LOSSES' formula on
+    rows[:, None] - cols[None, :], any other loss `loss_rows` over the R*C
+    index pairs, row by row."""
     if isinstance(loss, SCALAR_LOSSES):
         return loss.of_difference(np.asarray(rows, dtype=float)[:, None]
                                   - np.asarray(cols, dtype=float)[None, :])
-    table = np.empty((len(rows), len(cols)))
-    for a, y in enumerate(rows):
-        for b, y2 in enumerate(cols):
-            table[a, b] = loss(y, y2)
-    return table
+    a, b = np.divmod(np.arange(len(rows) * len(cols)), len(cols))
+    return loss_rows(loss, take_outputs(rows, a), take_outputs(cols, b)).reshape(
+        len(rows), len(cols))
 
 
 def c_delta(loss, labels):

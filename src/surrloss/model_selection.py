@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import decoders, kernels
+from . import decoders, kernels, losses
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,7 @@ class CvPlan:
     seed: int
     lambda_grid: tuple
     kernel_grid: tuple
-    scoring: object  # loss callable (y_true_output, predicted) -> float
+    scoring: object  # a loss, scored by `losses.loss_rows`
 
     def __post_init__(self):
         if self.folds < 2:
@@ -87,24 +87,18 @@ def sweep(X, kernel_grid, lambdas, folds, seed, score):
     return np.array(scores, dtype=float).reshape(shape).transpose(0, 3, 1, 2)
 
 
-def _take_outputs(Y, idx):
-    if isinstance(Y, np.ndarray):
-        return Y[idx]
-    return [Y[i] for i in idx]
-
-
 def cross_validate(X, Y, plan, decoder, loss):
     """Mean/std held-out loss for every (kernel, lambda) grid point.
 
     `loss` parameterizes the decoder (it is what `predict` minimizes);
-    `plan.scoring` is the loss used to score validation predictions.  A loss
-    the decoder does not minimise is a ValueError before any fold is fit.
+    `plan.scoring` scores the validation predictions (`losses.loss_rows`).
+    A loss the decoder does not minimise is a ValueError before any fold is fit.
     """
     decoders.check_loss(decoder, loss)
 
     def score(tr, cols, A):
-        preds = decoders.decode_batch(decoder, loss, _take_outputs(Y, tr), A)
-        return [plan.scoring(p, Y[i]) for p, i in zip(preds, cols)]
+        preds = decoders.decode_batch(decoder, loss, losses.take_outputs(Y, tr), A)
+        return losses.loss_rows(plan.scoring, preds, losses.take_outputs(Y, cols))
 
     s = sweep(X, plan.kernel_grid, plan.lambda_grid, plan.folds, plan.seed, score)[..., 0]
     rows = [CvRow(kernel=kernel, lam=float(lam), mean=float(s[ki, li].mean()),

@@ -556,3 +556,88 @@ def test_cv_reports_no_decoder_settings_that_do_not_apply(tmp_path):
     config = json.loads(out.read_text(encoding="utf-8"))["config"]
     assert config == {"kind": "label", "folds": 2, "seed": 0, "loss": "zero_one",
                       "kernels": [{"kind": "linear"}], "lambdas": [1e-4, 1e-2, 1.0]}
+
+
+@pytest.mark.parametrize("kind, option, value, message", [
+    ("label", "bound", 7.0, "--bound applies only to scalar outputs, not label"),
+    ("simplex", "grid_points", 3, "--grid-points applies only to scalar outputs, not simplex"),
+    ("ratings", "refine_iters", 5, "--refine-iters applies only to scalar outputs, not ratings"),
+    ("label", "gamma", 9.0, "--gamma applies only to --loss cauchy, not zero_one"),
+    ("scalar", "gamma", 9.0, "--gamma applies only to --loss cauchy, not squared"),
+])
+@pytest.mark.parametrize("command", ["cv", "predict"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_decoder_option_that_does_not_apply_is_usage_error(tmp_path, capsys, kind, option,
+                                                             value, message, command, source):
+    # `cv --kind label --bound 7 --gamma 9` exited 0 and ignored both options
+    rng = np.random.default_rng(17)
+    t_header, t_rows = _targets(kind, rng, 10)
+    X = rng.normal(size=(10, 2))
+    _write_csv(tmp_path / "train.csv", ["x0", "x1"] + t_header,
+               [list(x) + t for x, t in zip(X.tolist(), t_rows)])
+    _write_csv(tmp_path / "query.csv", ["x0", "x1"], X[:3].tolist())
+    out = tmp_path / "out"
+    if command == "cv":
+        argv = ["cv", "--in", str(tmp_path / "train.csv"), "--kind", kind, "--folds", "2"]
+    else:
+        model = tmp_path / "model.json"
+        assert cli.main(["train", "--in", str(tmp_path / "train.csv"), "--out", str(model),
+                         "--kind", kind]) == cli.EXIT_OK
+        argv = ["predict", "--model", str(model), "--in", str(tmp_path / "query.csv")]
+    argv += ["--out", str(out)]
+    options = {option: value, "loss": "squared"} if kind == "scalar" else {option: value}
+    if source == "flag":
+        for key, v in options.items():
+            argv += [f"--{key.replace('_', '-')}", str(v)]
+    else:
+        (tmp_path / "config.json").write_text(json.dumps(options), encoding="utf-8")
+        argv += ["--config", str(tmp_path / "config.json")]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage, train_header, query_header, message", [
+    ("predict", ["x0", "x1", "y"], ["x0", "x5"], "columns x0, x5 are not x0..x1"),
+    ("train", ["x0", "x0", "y"], None, "columns x0, x0 are not x0..x1"),
+    ("train", ["x1", "x2", "y"], None, "columns x1, x2 are not x0..x1"),
+    ("train", ["x0", "x01", "y"], None, "columns x0, x01 are not x0..x1"),
+])
+def test_numbered_columns_must_be_each_index_once(tmp_path, capsys, stage, train_header,
+                                                  query_header, message):
+    # a query csv with x0,x5 was predicted, with misaligned features, against
+    # a model trained on x0,x1; a header x0,x0,y trained
+    rng = np.random.default_rng(18)
+    X = rng.normal(size=(8, 2))
+    rows = [list(x) + [lab] for x, lab in zip(X.tolist(), ["a", "b"] * 4)]
+    train = tmp_path / "train.csv"
+    model = tmp_path / "model.json"
+    _write_csv(train, train_header, rows)
+    if stage == "predict":
+        assert cli.main(["train", "--in", str(train), "--out", str(model),
+                         "--kind", "label"]) == cli.EXIT_OK
+        _write_csv(tmp_path / "query.csv", query_header, X[:3].tolist())
+        argv = ["predict", "--model", str(model), "--in", str(tmp_path / "query.csv"),
+                "--out", str(tmp_path / "preds.csv")]
+        target = tmp_path / "preds.csv"
+    else:
+        argv = ["train", "--in", str(train), "--out", str(model), "--kind", "label"]
+        target = model
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{'query' if stage == 'predict' else 'train'}.csv: {message}" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("kind, header", [("ratings", ["r0", "r2", "r3"]),
+                                          ("simplex", ["p0", "p1", "p1"])])
+def test_numbered_output_columns_must_be_each_index_once(tmp_path, capsys, kind, header):
+    rng = np.random.default_rng(19)
+    _, t_rows = _targets(kind, rng, 6)
+    _write_csv(tmp_path / "train.csv", ["x0"] + header,
+               [[x] + t[:3] for x, t in zip(rng.normal(size=6).tolist(), t_rows)])
+    assert cli.main(["train", "--in", str(tmp_path / "train.csv"), "--kind", kind,
+                     "--out", str(tmp_path / "model.json")]) == cli.EXIT_USAGE
+    assert f"train.csv: columns {', '.join(header)} are not" in capsys.readouterr().err

@@ -65,8 +65,8 @@ def test_histogram_cv_selects_what_a_dense_solve_sweep_selects(seed):
     def score(A, tr, va):
         hell = decoders.decode_simplex_hellinger_batch(A, Y[tr])
         kde = experiments._kde_decode_batch(A, Y[tr], sigma_y)
-        return [experiments._mean_hellinger(hell, Y[va]),
-                experiments._mean_gauss_loss(kde, Y[va], sigma_y)]
+        return [np.mean(losses.squared_hellinger(hell, Y[va])),
+                np.mean(experiments._gauss_loss_rows(kde, Y[va], sigma_y))]
 
     means = _oracles.brute_force_cv_means(X, HIST_SIGMAS, HIST_LAMBDAS,
                                           _splits(len(Y), seed), score)
@@ -161,3 +161,36 @@ def test_robust_cv_builds_one_cauchy_table_per_sigma_fold_and_gamma(monkeypatch)
     assert all(isinstance(loss, losses.Cauchy) for loss in tables)
     assert len(tables) == (len(experiments.ROBUST_SIGMAS) * FOLDS
                            * len(experiments.ROBUST_GAMMAS))
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls made through module.name, the attribute every caller
+    looks up."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_ranking_experiment_scores_each_fold_and_the_test_set_in_one_call(monkeypatch):
+    # one stacked rank_loss call per CV fold (one linear kernel) and one for
+    # the test set; a per-item scoring loop would make hundreds
+    calls = _count_calls(monkeypatch, losses, "rank_loss")
+    experiments.run_ranking_experiment(items=4, n_train=20, n_test=10, repetitions=1)
+    assert len(calls) == experiments.FOLDS + 1
+    assert np.shape(calls[-1][0]) == (10, 4)
+
+
+def test_each_simplex_fallback_query_makes_one_hellinger_call(monkeypatch):
+    calls = _count_calls(monkeypatch, losses, "squared_hellinger")
+    _, Y = experiments.gen_histogram_data(6, 30, 0)
+    A = -np.random.default_rng(1).uniform(0.1, 1.0, size=(30, 3))
+    A[:, 1] = -A[:, 1]  # a positive column decodes in closed form
+    decoders.decode_simplex_hellinger_batch(A, Y)
+    assert len(calls) == 2
+    assert all(np.shape(args[0]) == (30 * 30, 6) for args in calls)

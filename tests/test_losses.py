@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from surrloss import losses, oracle
+from surrloss import cli, experiments, losses, oracle
 
 
 def test_zero_one_basics():
@@ -34,6 +34,8 @@ def test_squared_hellinger_rejects_bad_inputs():
         losses.squared_hellinger([0.5, 0.6], [1.0, 0.0])
     with pytest.raises(ValueError):
         losses.squared_hellinger([-0.1, 1.1], [1.0, 0.0])
+    with pytest.raises(ValueError):
+        losses.squared_hellinger(1.0, 1.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -183,14 +185,16 @@ def test_embedding_rejects_duplicates_and_empty():
 # Tables and row-wise forms
 
 def _loss_table_cases():
-    """(loss, rows, cols) for every loss class; rows and cols overlap."""
+    """(loss, rows, cols) for every loss class, rows and cols overlapping, and
+    the stacked losses at the sizes of a simplex fallback (30 training
+    histograms against themselves) and of a rank loss table."""
     rng = np.random.default_rng(40)
     xs = rng.uniform(-3, 3, size=7)
     labels = ["a", "b", "c", "d"]
     hists = rng.dirichlet(np.ones(3), size=5)
     perms = np.array([rng.permutation(4) + 1 for _ in range(5)])
     ratings = rng.integers(1, 6, size=(3, 4)).astype(float)
-    return [
+    cases = [
         (losses.Cauchy(0.7), xs[:4], xs[2:]),
         (losses.SquaredError(), xs[:4], xs[2:]),
         (losses.AbsoluteError(), xs[:4], xs[2:]),
@@ -199,16 +203,18 @@ def _loss_table_cases():
         (losses.SquaredHellinger(), hists[:3], list(hists)),
         (losses.RankLoss(normalize=True), perms, ratings),
     ]
+    _, Y = experiments.gen_histogram_data(8, 30, 5)
+    return [pytest.param(*case, id=type(case[0]).__name__) for case in cases] + [
+        pytest.param(losses.SquaredHellinger(), list(Y), list(Y), id="SquaredHellinger-30x30"),
+        pytest.param(losses.RankLoss(), np.array([rng.permutation(6) + 1 for _ in range(12)]),
+                     rng.integers(1, 6, size=(10, 6)).astype(float), id="RankLoss-12x10")]
 
 
-LOSS_TABLE_CASES = _loss_table_cases()
-
-
-@pytest.mark.parametrize("loss, rows, cols", LOSS_TABLE_CASES,
-                         ids=[type(case[0]).__name__ for case in LOSS_TABLE_CASES])
+@pytest.mark.parametrize("loss, rows, cols", _loss_table_cases())
 def test_loss_table_equals_per_pair_calls(loss, rows, cols):
-    # the closed forms (Cauchy, squared, absolute error) and the per-pair loop
-    # both reproduce the loss's own calls exactly
+    # the closed forms (Cauchy, squared, absolute error), the stacked calls
+    # (Hellinger, rank) and the per-pair loop reproduce the loss's own calls
+    # exactly
     table = losses.loss_table(loss, rows, cols)
     assert table.shape == (len(rows), len(cols))
     np.testing.assert_array_equal(table, [[loss(r, c) for c in cols] for r in rows])
@@ -295,25 +301,101 @@ def test_rank_loss_table_of_the_oracle_matches_a_double_loop():
                 assert loss.table[i, j] == _oracles.rank_loss_double_loop(cand, ratings)
 
 
-def test_squared_hellinger_rows_equals_the_pairwise_loss():
+def test_squared_hellinger_stack_equals_the_pairwise_loss():
     rng = np.random.default_rng(32)
     P = rng.dirichlet(np.ones(8), size=50)
     Y = rng.dirichlet(np.ones(8), size=50) * (1.0 + 1e-10)  # renormalised per row
-    rows = losses.squared_hellinger_rows(P, Y)
+    rows = losses.squared_hellinger(P, Y)
     assert rows.shape == (50,)
     for q in range(50):
         assert rows[q] == losses.squared_hellinger(P[q], Y[q])
 
 
-def test_squared_hellinger_rows_rejects_bad_inputs():
+def test_squared_hellinger_stack_rejects_bad_inputs():
     good = np.array([[0.5, 0.5], [0.2, 0.8]])
     with pytest.raises(ValueError, match="negative"):
-        losses.squared_hellinger_rows(np.array([[0.5, 0.5], [-0.1, 1.1]]), good)
+        losses.squared_hellinger(np.array([[0.5, 0.5], [-0.1, 1.1]]), good)
     with pytest.raises(ValueError, match="row 1 sums to"):
-        losses.squared_hellinger_rows(good, np.array([[0.5, 0.5], [0.5, 0.6]]))
+        losses.squared_hellinger(good, np.array([[0.5, 0.5], [0.5, 0.6]]))
     with pytest.raises(ValueError, match="shape"):
-        losses.squared_hellinger_rows(good, good[:1])
+        losses.squared_hellinger(good, good[:1])
     with pytest.raises(ValueError, match="shape"):
-        losses.squared_hellinger_rows(good, np.full((2, 4), 0.25))
+        losses.squared_hellinger(good, np.full((2, 4), 0.25))
+    with pytest.raises(ValueError, match="shape"):
+        losses.squared_hellinger(good[0], good)
     with pytest.raises(ValueError, match=r"\(Q, d\)"):
-        losses.squared_hellinger_rows(good[0], good[0])
+        losses.squared_hellinger(good[None], good[None])
+
+
+def test_rank_loss_stack_equals_the_diagonal_of_the_matrix_exactly():
+    rng = np.random.default_rng(33)
+    for normalize in (False, True):
+        for m in (2, 3, 5, 8):
+            ranks = np.array([rng.permutation(m) + 1 for _ in range(20)])
+            ratings = rng.integers(1, 6, size=(20, m)).astype(float)
+            ratings[3] = 4.0  # zero gain mass
+            stack = losses.rank_loss(ranks, ratings, normalize)
+            assert stack.shape == (20,)
+            np.testing.assert_array_equal(
+                stack, np.diag(losses.rank_loss_matrix(ranks, ratings, normalize)))
+            assert [losses.rank_loss(r, t, normalize) for r, t in zip(ranks, ratings)] \
+                == stack.tolist()
+
+
+def test_rank_loss_rejects_mismatched_stacks():
+    ranks = np.array([[1, 2, 3], [3, 2, 1]])
+    ratings = np.array([[3.0, 2.0, 1.0], [1.0, 2.0, 3.0]])
+    for bad in (ratings[:1], ratings[:, :2], ratings[0], ratings[None]):
+        with pytest.raises(ValueError, match="two"):
+            losses.rank_loss(ranks, bad)
+    with pytest.raises(ValueError, match="two"):
+        losses.rank_loss(ranks[None], ratings[None])
+
+
+def _cli_loss_cases():
+    """(loss, preds, truths) for every loss the CLI offers, and FiniteTable."""
+    rng = np.random.default_rng(41)
+    xs, ys = rng.uniform(-3, 3, size=9), rng.uniform(-3, 3, size=9)
+    labels = ["a", "b", "c"]
+    preds, truths = list(rng.choice(labels, 9)), list(rng.choice(labels, 9))
+    args = cli.build_parser().parse_args(["cv", "--in", "-", "--kind", "scalar",
+                                          "--gamma", "0.7"])
+    data = {"cauchy": (xs, ys), "squared": (xs, ys), "absolute": (xs, ys),
+            "zero_one": (preds, truths),
+            "hellinger": (rng.dirichlet(np.ones(4), 9), list(rng.dirichlet(np.ones(4), 9))),
+            "rank": (np.array([rng.permutation(5) + 1 for _ in range(9)]),
+                     rng.uniform(1, 5, size=(9, 5)))}
+    cases = [(make(args), *data[name]) for name, make in cli._LOSSES.items()]
+    table = losses.FiniteTable(labels, rng.uniform(0, 1, size=(3, 3)))
+    return cases + [(table, preds, truths), (losses.RankLoss(normalize=True), *data["rank"])]
+
+
+LOSS_ROWS_CASES = _cli_loss_cases()
+
+
+@pytest.mark.parametrize("loss, preds, truths", LOSS_ROWS_CASES,
+                         ids=[type(case[0]).__name__ for case in LOSS_ROWS_CASES])
+def test_loss_rows_equals_the_per_pair_calls(loss, preds, truths):
+    rows = losses.loss_rows(loss, preds, truths)
+    assert rows.shape == (len(preds),)
+    np.testing.assert_array_equal(rows, [loss(p, t) for p, t in zip(preds, truths)])
+
+
+def test_loss_rows_validating_loss_raises_at_the_first_bad_pair():
+    calls = []
+
+    class Counting(losses.ZeroOne):
+        def __call__(self, y, y2):
+            calls.append((y, y2))
+            return super().__call__(y, y2)
+
+    preds, truths = ["a", "b", "a", "b"], ["b", "b", "z", "a"]
+    with pytest.raises(ValueError, match="unknown label"):
+        losses.loss_rows(Counting(["a", "b"]), preds, truths)
+    assert calls == [("a", "b"), ("b", "b"), ("a", "z")]
+
+
+def test_loss_rows_rejects_stacks_of_different_lengths():
+    for loss, preds, truths in LOSS_ROWS_CASES:
+        with pytest.raises(ValueError, match="predictions against"):
+            losses.loss_rows(loss, preds, truths[:-1])
