@@ -10,7 +10,9 @@ substitutions block by block: each diagonal block is one product with its
 stored inverse, each off-diagonal panel one GEMV/GEMM, so every step stays in
 NumPy's BLAS and the package needs no other linear-algebra library.
 Cross-validation, which needs the same K at many shifts, takes them all from
-one eigendecomposition and one product instead (`ridge_path`).
+one spectrum and one product instead (`ridge_path`): the `eigh` of the Gram
+for a Gaussian kernel, the thin SVD of the inputs for a linear one, which never
+forms the n x n Gram.
 
 Convention: the Gaussian kernel is exp(-||x - x'||^2 / sigma) -- sigma divides
 the *squared* distance and there is no factor 2.  This differs from several
@@ -256,32 +258,51 @@ def solve_spd(factor, b):
     return sol
 
 
-def ridge_path(K, KX, shifts):
-    """(K + shift*I)^-1 KX for every shift at once, as one (n, S*Q) matrix
-    whose s-th block of Q columns belongs to the s-th shift.
+def _spectrum(spec, X):
+    """(evals, U) with K = U diag(evals) U^T for the Gram K of the rows of the
+    checked (n, d) matrix X.
+
+    Gaussian: `eigh` of the Gram, eigenvalues below 0 (rounding on a positive
+    semidefinite K) clamped to 0; U is (n, n) and the Gram is dropped once
+    `eigh` returns.  Linear: the thin SVD X = U S V^T, so evals = S^2 and U is
+    (n, min(n, d)); K = X X^T is never formed.  Either way evals >= 0.
+    """
+    if spec.kind == "linear":
+        U, S, _ = np.linalg.svd(X, full_matrices=False)
+        return S * S, U
+    evals, U = np.linalg.eigh(gram_matrix(spec, X))
+    np.maximum(evals, 0.0, out=evals)
+    return evals, U
+
+
+def ridge_path(spec, X, KX, shifts):
+    """(K + shift*I)^-1 KX for the Gram K of the rows of X (n, d) and every
+    shift at once, as one (n, S*Q) matrix whose s-th block of Q columns
+    belongs to the s-th shift.
 
     Rifkin & Lippert's spectral path ("Notes on Regularized Least Squares",
-    MIT-CSAIL-TR-2007-025): K = U diag(s) U^T is decomposed once, eigenvalues
-    below 0 (rounding on a positive semidefinite K) are clamped to 0, and U^T KX
-    is formed once; the blocks diag(1 / (s + shift)) U^T KX, side by side, then
-    take one (n, n) @ (n, S*Q) product with U, and they and the result hold
-    2*S*n*Q floats.  Everything stays in NumPy's BLAS.  With every shift > 0
-    the clamped system is positive definite, so no jitter is needed.
+    MIT-CSAIL-TR-2007-025) on K = U diag(evals) U^T, taken once (`_spectrum`):
+    the `eigh` of the Gram for a Gaussian kernel, the thin SVD of X for a
+    linear one, which never forms the (n, n) Gram.  U^T KX is formed once; the
+    blocks diag(1 / (evals + shift)) U^T KX, side by side, then take one
+    (n, r) @ (r, S*Q) product with U, where r is U's column count, and they
+    and the result hold (r + n)*S*Q floats.  This is exact because KX lies in
+    the span of U: a Gaussian U is a full basis, and the linear KX = X X_q^T
+    lies in the span of X's left singular vectors for any d.  Everything stays
+    in NumPy's BLAS.  With evals >= 0 and every shift > 0 the system is
+    positive definite, so no jitter is needed.
 
-    K is (n, n) and symmetric, KX is (n, Q).  Raises ValueError for a
-    non-square K, a KX without n rows, or a shift that is not in (0, inf).
+    KX is (n, Q).  Raises ValueError for a KX without n rows or a shift that
+    is not in (0, inf).
     """
-    K = np.asarray(K, dtype=float)
+    X = _as_input_matrix(X)
     KX = np.asarray(KX, dtype=float)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ValueError("K must be square")
-    if KX.ndim != 2 or KX.shape[0] != K.shape[0]:
-        raise ValueError(f"KX must have {K.shape[0]} rows, got shape {KX.shape}")
+    if KX.ndim != 2 or KX.shape[0] != X.shape[0]:
+        raise ValueError(f"KX must have {X.shape[0]} rows, got shape {KX.shape}")
     shifts = np.array([float(s) for s in shifts])
     if not all(0 < s < np.inf for s in shifts):
         raise ValueError("shifts must be positive and finite")
-    evals, U = np.linalg.eigh(K)
-    np.maximum(evals, 0.0, out=evals)
+    evals, U = _spectrum(spec, X)
     UtKX = U.T @ KX
     scaled = UtKX[:, None, :] / (evals[:, None, None] + shifts[None, :, None])
-    return U @ scaled.reshape(K.shape[0], -1)
+    return U @ scaled.reshape(U.shape[1], -1)

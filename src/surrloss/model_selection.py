@@ -2,13 +2,15 @@
 
 There is one CV engine, `sweep`.  The held-out weights
 A = (K + n_tr*lambda*I)^-1 K_x depend only on (kernel, lambda, fold), not on
-the loss or the decoder, so for each (kernel, fold) the sweep builds the Gram
-and cross-kernel matrices once and takes every lambda's A from one `eigh`
-(`kernels.ridge_path`) as one (n_tr, L*n_va) block.  A caller's `score`
-closure decodes the block in one call, so one sweep serves every method that
-shares the grid.  Selection (`select_best`) takes the minimal mean validation
-loss; exact ties prefer the largest lambda (most regularized), then grid
-order.
+the loss or the decoder, so for each (kernel, fold) the sweep builds the
+cross-kernel matrix once and takes every lambda's A from one spectrum of the
+training Gram (`kernels.ridge_path`: the `eigh` of the Gram for a Gaussian
+kernel, the thin SVD of the inputs for a linear one, so a linear sweep never
+builds an n_tr x n_tr matrix) as one (n_tr, L*n_va) block.  A caller's
+`score` closure decodes the block in one call, so one sweep serves every
+method that shares the grid.  Selection (`select_best`) takes the minimal mean
+validation loss; exact ties prefer the largest lambda (most regularized), then
+grid order.
 """
 
 from dataclasses import dataclass
@@ -70,15 +72,14 @@ def sweep(X, kernel_grid, lambdas, folds, seed, score):
     kernel and fold and caused by the original exception.
     """
     X = kernels._as_input_matrix(X)
-    all_idx = np.arange(X.shape[0])
-    splits = [(np.setdiff1d(all_idx, va), va) for va in kfold_split(X.shape[0], folds, seed)]
+    splits = [(np.delete(np.arange(X.shape[0]), va), va)
+              for va in kfold_split(X.shape[0], folds, seed)]
     scores = []
     for kernel in kernel_grid:
         for fi, (tr, va) in enumerate(splits):
             try:
-                K = kernels.gram_matrix(kernel, X[tr])
                 KX = kernels.cross_kernel_batch(kernel, X[tr], X[va])
-                A = kernels.ridge_path(K, KX, [tr.size * lam for lam in lambdas])
+                A = kernels.ridge_path(kernel, X[tr], KX, [tr.size * lam for lam in lambdas])
                 col_losses = score(tr, np.tile(va, len(lambdas)), A)
                 scores.append(np.reshape(col_losses, (-1, len(lambdas), va.size)).mean(axis=2))
             except Exception as e:

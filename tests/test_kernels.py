@@ -354,20 +354,21 @@ def test_gaussian_gram_spd_without_jitter():
 # Spectral lambda-path
 
 def _ridge_path_problems():
-    """(K, KX) for Gaussian Grams over a bandwidth range and a rank-3 linear
-    Gram of order 40, on whose null space eigh returns eigenvalues just below 0."""
+    """(spec, X, Xq) for Gaussian kernels over a bandwidth range and for a
+    linear kernel on 40 points in 3-d, whose Gram of order 40 has rank 3 and
+    on whose null space eigh returns eigenvalues just below 0."""
     rng = np.random.default_rng(10)
     specs = [kernels.gaussian(s) for s in (0.05, 0.5, 5.0)] + [kernels.linear()]
     for spec in specs:
-        X, Xq = rng.normal(size=(40, 3)), rng.normal(size=(12, 3))
-        yield spec, kernels.gram_matrix(spec, X), kernels.cross_kernel_batch(spec, X, Xq)
+        yield spec, rng.normal(size=(40, 3)), rng.normal(size=(12, 3))
 
 
 def test_ridge_path_matches_factor_and_solve():
-    for spec, K, KX in _ridge_path_problems():
+    for spec, X, Xq in _ridge_path_problems():
+        K, KX = kernels.gram_matrix(spec, X), kernels.cross_kernel_batch(spec, X, Xq)
         n = K.shape[0]
         shifts = [n * r for r in (1e-4, 1e-2, 1.0)]
-        path = kernels.ridge_path(K, KX, shifts)
+        path = kernels.ridge_path(spec, X, KX, shifts)
         Q = KX.shape[1]
         assert path.shape == (n, len(shifts) * Q)
         for si, shift in enumerate(shifts):
@@ -377,9 +378,50 @@ def test_ridge_path_matches_factor_and_solve():
 
 
 def test_ridge_path_rejects_bad_input():
-    K = np.eye(3)
-    for shifts in ([1.0, 0.0], [-1.0], [np.nan], [1.0, np.inf]):
-        with pytest.raises(ValueError):
-            list(kernels.ridge_path(K, np.ones((3, 2)), shifts))
-    with pytest.raises(ValueError):
-        list(kernels.ridge_path(np.ones((3, 2)), np.ones((3, 2)), [1.0]))
+    X = np.arange(6.0).reshape(3, 2)
+    for spec in (kernels.gaussian(1.0), kernels.linear()):
+        for shifts in ([1.0, 0.0], [-1.0], [np.nan], [1.0, np.inf]):
+            with pytest.raises(ValueError):
+                list(kernels.ridge_path(spec, X, np.ones((3, 2)), shifts))
+        for KX in (np.ones((2, 2)), np.ones(3), np.ones((4, 2))):
+            with pytest.raises(ValueError, match="KX must have 3 rows"):
+                list(kernels.ridge_path(spec, X, KX, [1.0]))
+        for bad_X in (np.ones((0, 2)), np.ones((3, 2, 1)), np.array([[0.0, np.nan]] * 3)):
+            with pytest.raises(ValueError):
+                list(kernels.ridge_path(spec, bad_X, np.ones((3, 2)), [1.0]))
+
+
+@pytest.mark.parametrize("n, d, copies", [(40, 3, 1), (12, 30, 1), (12, 12, 1), (8, 20, 2)],
+                         ids=["d<n", "d>n", "d=n", "duplicate-rows"])
+def test_linear_ridge_path_matches_a_dense_solve(n, d, copies):
+    # the thin SVD's U has min(n, d) columns; with duplicate rows some of its
+    # singular values are 0, and the path must still be the exact solve
+    rng = np.random.default_rng(11 + d)
+    X = np.tile(rng.normal(size=(n, d)), (copies, 1))
+    Xq = rng.normal(size=(7, d))
+    N = X.shape[0]
+    evals, U = kernels._spectrum(kernels.linear(), X)
+    assert U.shape == (N, min(N, d)) and evals.shape == (min(N, d),)
+    assert np.all(evals >= 0.0)
+    if copies > 1:
+        assert np.min(evals) <= 1e-12 * np.max(evals)
+    shifts = [N * r for r in (1e-4, 1e-2, 1.0)]
+    path = kernels.ridge_path(kernels.linear(), X, X @ Xq.T, shifts)
+    for si, shift in enumerate(shifts):
+        ref = np.linalg.solve(X @ X.T + shift * np.eye(N), X @ Xq.T)
+        A = path[:, si * Xq.shape[0]:(si + 1) * Xq.shape[0]]
+        assert np.max(np.abs(A - ref)) <= 1e-9 * np.max(np.abs(ref)), shift
+
+
+def test_gaussian_spectrum_clamps_rounding_below_zero():
+    # 20 points stacked twice: the Gram has a 20-dimensional null space, on
+    # which eigh returns eigenvalues of about +-1e-15
+    X = np.tile(np.random.default_rng(12).normal(size=(20, 2)), (2, 1))
+    raw_negative = False
+    for sigma in (0.05, 0.5, 5.0):
+        spec = kernels.gaussian(sigma)
+        raw_negative |= bool(np.linalg.eigh(kernels.gram_matrix(spec, X))[0].min() < 0.0)
+        evals, U = kernels._spectrum(spec, X)
+        assert U.shape == (40, 40)
+        assert np.all(evals >= 0.0), sigma
+    assert raw_negative  # the clamp has rounding to remove

@@ -93,9 +93,9 @@ def test_cross_validate_scalar_targets_match_a_brute_force_sweep(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_cross_validate_on_a_rank_deficient_gram_matches_a_brute_force_sweep(seed):
     # A linear kernel on d = 4 inputs gives a Gram matrix of rank 4 on 64
-    # training points, whose null-space eigenvalues the spectral path clamps
-    # to 0.  Both sides decode with the library's ranking decoder, so the
-    # comparison is between the held-out weights.
+    # training points, which the sweep's spectral path never forms: it reads
+    # the thin SVD of the inputs.  Both sides decode with the library's
+    # ranking decoder, so the comparison is between the held-out weights.
     U, R = experiments.gen_ranking_data(8, 80, seed)
     lambdas = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
@@ -115,6 +115,37 @@ def test_cross_validate_on_a_rank_deficient_gram_matches_a_brute_force_sweep(see
         assert row.mean == pytest.approx(want, rel=MEAN_RTOL, abs=0.0)
     assert report.selected.lam == _oracles.lowest_mean_then_larger_lambda(
         zip(means, lambdas, lambdas))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an n x n Gram or its eigh in a linear sweep")
+
+
+def test_a_linear_cross_validate_builds_no_gram(monkeypatch):
+    U, R = experiments.gen_ranking_data(8, 80, 0)
+    plan = model_selection.CvPlan(folds=5, seed=0, lambda_grid=(1e-3, 1e-1),
+                                  kernel_grid=(kernels.linear(),),
+                                  scoring=losses.RankLoss(normalize=True))
+    args = (U, R, plan, decoders.RankingFas(items=8), losses.RankLoss(normalize=False))
+    want = model_selection.cross_validate(*args)
+    monkeypatch.setattr(kernels, "gram_matrix", _refuse)
+    monkeypatch.setattr(np.linalg, "eigh", _refuse)
+    assert model_selection.cross_validate(*args) == want
+
+
+def test_a_gaussian_sweep_takes_one_eigh_per_kernel_and_fold(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(K):
+        calls.append(K.shape)
+        return eigh(K)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    X = np.random.default_rng(9).normal(size=(17, 2))
+    model_selection.sweep(X, [kernels.gaussian(sig) for sig in SIGMAS], LAMBDAS, FOLDS, 3,
+                          lambda tr, cols, A: np.zeros(A.shape[1]))
+    assert calls == [(tr.size, tr.size) for _ in SIGMAS for tr, _ in _splits(17, 3)]
 
 
 def test_sweep_scores_a_folds_whole_lambda_path_in_one_call():
