@@ -234,9 +234,22 @@ def gen_histogram_data(dim, n, seed):
 
 
 def median_sq_dist(Y):
+    """Median squared distance over the pairs of rows of Y, or 1.0 where it
+    is not positive or Y has a single row.
+
+    Taken with `np.partition`, equal to `np.median` (the middle value, or the
+    mean of the two middle values), which would import `numpy.ma`.
+    """
     d = kernels.sq_distances(Y)
     vals = d[np.triu_indices_from(d, k=1)]
-    med = float(np.median(vals))
+    if vals.size == 0:
+        return 1.0
+    h = vals.size // 2
+    if vals.size % 2:
+        med = float(np.partition(vals, h)[h])
+    else:
+        part = np.partition(vals, (h - 1, h))
+        med = float((part[h - 1] + part[h]) / 2)
     return med if med > 0 else 1.0
 
 

@@ -9,10 +9,12 @@ L's diagonal blocks (`factor_shifted`).  `solve_spd` runs the forward and back
 substitutions block by block: each diagonal block is one product with its
 stored inverse, each off-diagonal panel one GEMV/GEMM, so every step stays in
 NumPy's BLAS and the package needs no other linear-algebra library.
-Cross-validation, which needs the same K at many shifts, takes them all from
-one spectrum and one product instead (`ridge_path`): the `eigh` of the Gram
-for a Gaussian kernel, the thin SVD of the inputs for a linear one, which never
-forms the n x n Gram.
+Cross-validation, which needs each fold's training Gram at many shifts, takes
+them all from spectra instead (`fold_ridge_paths`).  A Gaussian kernel takes one
+`eigh` of the full n x n Gram for every fold: with M = (K + sI)^-1, a fold's
+weights (K_TT + sI)^-1 K_TV are the block product -M_TV M_VV^-1.  A linear
+kernel takes the thin SVD of each fold's training inputs, which costs O(n d^2)
+and never forms an n x n matrix.
 
 Convention: the Gaussian kernel is exp(-||x - x'||^2 / sigma) -- sigma divides
 the *squared* distance and there is no factor 2.  This differs from several
@@ -275,34 +277,80 @@ def _spectrum(spec, X):
     return evals, U
 
 
-def ridge_path(spec, X, KX, shifts):
-    """(K + shift*I)^-1 KX for the Gram K of the rows of X (n, d) and every
-    shift at once, as one (n, S*Q) matrix whose s-th block of Q columns
-    belongs to the s-th shift.
+def _check_splits(splits, n):
+    """The (train, validation) index arrays of `splits`, each pair a
+    partition of range(n) into two non-empty parts."""
+    checked = []
+    for tr, va in splits:
+        tr, va = np.asarray(tr), np.asarray(va)
+        if not (tr.ndim == va.ndim == 1 and tr.size and va.size
+                and np.issubdtype(tr.dtype, np.integer) and np.issubdtype(va.dtype, np.integer)
+                and np.array_equal(np.sort(np.concatenate([tr, va])), np.arange(n))):
+            raise ValueError(f"each split must partition the {n} rows of X into non-empty "
+                             "train and validation index arrays")
+        checked.append((tr, va))
+    return checked
 
-    Rifkin & Lippert's spectral path ("Notes on Regularized Least Squares",
-    MIT-CSAIL-TR-2007-025) on K = U diag(evals) U^T, taken once (`_spectrum`):
-    the `eigh` of the Gram for a Gaussian kernel, the thin SVD of X for a
-    linear one, which never forms the (n, n) Gram.  U^T KX is formed once; the
-    blocks diag(1 / (evals + shift)) U^T KX, side by side, then take one
-    (n, r) @ (r, S*Q) product with U, where r is U's column count, and they
-    and the result hold (r + n)*S*Q floats.  This is exact because KX lies in
-    the span of U: a Gaussian U is a full basis, and the linear KX = X X_q^T
-    lies in the span of X's left singular vectors for any d.  Everything stays
-    in NumPy's BLAS.  With evals >= 0 and every shift > 0 the system is
-    positive definite, so no jitter is needed.
 
-    KX is (n, Q).  Raises ValueError for a KX without n rows or a shift that
-    is not in (0, inf).
+def fold_ridge_paths(spec, X, splits, lambdas):
+    """Each fold's ridge path: for every (train T, validation V) split of the
+    rows of X (n, d), the weights (K_TT + n_tr*lambda*I)^-1 K_TV of all L
+    lambdas as one (n_tr, L*n_va) matrix whose l-th block of n_va columns
+    belongs to the l-th lambda.  Yields one matrix per split, in order.
+
+    Gaussian kernels take one spectrum for all folds.  With K = U diag(e) U^T
+    the clamped `eigh` of the full n x n Gram (`_spectrum`) and
+    M = (K + sI)^-1 = U diag(1 / (e + s)) U^T, the T rows of (K + sI) M = I
+    read (K_TT + sI) M_TV + K_TV M_VV = 0, so
+
+        (K_TT + sI)^-1 K_TV = -M_TV M_VV^-1,
+
+    exact for any partition and any s > 0 (the block-inverse identity behind
+    exact fast CV for kernel ridge regression; An, Liu & Venkatesh, Pattern
+    Recognition 40(8), 2007).  Per fold, with shifts s_l = n_tr*lambda_l
+    (folds may differ in size by one, and with them the shifts), one
+    (n, n) @ (n, L*n_va) product forms M[:, V] for every shift, one batched
+    `np.linalg.inv` inverts the L SPD blocks M_VV, and one batched product
+    gives -M_TV M_VV^-1: no per-fold Gram, spectrum or cross-kernel.  Besides
+    U the working set is a few L*n*n_va floats, so memory stays O(n^2).
+
+    Linear kernels keep one spectrum per fold: Rifkin & Lippert's spectral
+    path ("Notes on Regularized Least Squares", MIT-CSAIL-TR-2007-025) on the
+    thin SVD of X_T, whose U (n_tr, r), r = min(n_tr, d), spans K_TV = X_T
+    X_V^T.  The blocks diag(1 / (evals + s_l)) U^T K_TV, side by side, take
+    one (n_tr, r) @ (r, L*n_va) product with U.  A fold's SVD costs
+    O(n d^2), so one shared n x n spectrum would save nothing, and the
+    linear route never forms an n x n matrix.
+
+    With evals >= 0 and every shift > 0 both systems are positive definite,
+    so no jitter is needed.  Raises ValueError, before any fold is solved,
+    for a lambda not in (0, inf) or a split that does not partition the n
+    rows into non-empty integer index arrays.
     """
     X = _as_input_matrix(X)
-    KX = np.asarray(KX, dtype=float)
-    if KX.ndim != 2 or KX.shape[0] != X.shape[0]:
-        raise ValueError(f"KX must have {X.shape[0]} rows, got shape {KX.shape}")
-    shifts = np.array([float(s) for s in shifts])
-    if not all(0 < s < np.inf for s in shifts):
-        raise ValueError("shifts must be positive and finite")
+    lambdas = np.array([float(lam) for lam in lambdas])
+    if not all(0 < lam < np.inf for lam in lambdas):
+        raise ValueError("lambdas must be positive and finite")
+    splits = _check_splits(splits, X.shape[0])
+    paths = _gaussian_fold_paths if spec.kind == "gaussian" else _linear_fold_paths
+    return paths(spec, X, splits, lambdas)
+
+
+def _gaussian_fold_paths(spec, X, splits, lambdas):
     evals, U = _spectrum(spec, X)
-    UtKX = U.T @ KX
-    scaled = UtKX[:, None, :] / (evals[:, None, None] + shifts[None, :, None])
-    return U @ scaled.reshape(U.shape[1], -1)
+    n, L = X.shape[0], lambdas.size
+    for tr, va in splits:
+        scale = 1.0 / (evals[:, None] + tr.size * lambdas[None, :])  # (n, L)
+        # M[:, V] = U diag(scale_l) U_V^T for every shift, in one product
+        MV = U @ (scale[:, :, None] * U[va].T[:, None, :]).reshape(n, -1)
+        MV = MV.reshape(n, L, -1).transpose(1, 0, 2)  # (L, n, n_va)
+        A = -(MV[:, tr] @ np.linalg.inv(MV[:, va]))  # (L, n_tr, n_va)
+        yield A.transpose(1, 0, 2).reshape(tr.size, -1)
+
+
+def _linear_fold_paths(spec, X, splits, lambdas):
+    for tr, va in splits:
+        evals, U = _spectrum(spec, X[tr])
+        UtKX = U.T @ cross_kernel_batch(spec, X[tr], X[va])
+        scaled = UtKX[:, None, :] / (evals[:, None, None] + tr.size * lambdas[None, :, None])
+        yield U @ scaled.reshape(U.shape[1], -1)

@@ -1,14 +1,14 @@
 """Deterministic k-fold cross-validation over kernel and lambda grids.
 
 There is one CV engine, `sweep`.  The held-out weights
-A = (K + n_tr*lambda*I)^-1 K_x depend only on (kernel, lambda, fold), not on
-the loss or the decoder, so for each (kernel, fold) the sweep builds the
-cross-kernel matrix once and takes every lambda's A from one spectrum of the
-training Gram (`kernels.ridge_path`: the `eigh` of the Gram for a Gaussian
-kernel, the thin SVD of the inputs for a linear one, so a linear sweep never
-builds an n_tr x n_tr matrix) as one (n_tr, L*n_va) block.  A caller's
-`score` closure decodes the block in one call, so one sweep serves every
-method that shares the grid.  Selection (`select_best`) takes the minimal mean
+A = (K_TT + n_tr*lambda*I)^-1 K_TV depend only on (kernel, lambda, fold), not
+on the loss or the decoder, so for each kernel the sweep takes every fold's
+weights at every lambda from `kernels.fold_ridge_paths`, one (n_tr, L*n_va)
+block per fold: a Gaussian kernel from one `eigh` of the full Gram, shared by
+all folds, a linear one from the thin SVD of each fold's training inputs, so a
+linear sweep never builds an n x n matrix.  A caller's `score` closure
+decodes a fold's block in one call, so one sweep serves every method that
+shares the grid.  Selection (`select_best`) takes the minimal mean
 validation loss; exact ties prefer the largest lambda (most regularized), then
 grid order.
 """
@@ -65,25 +65,28 @@ def sweep(X, kernel_grid, lambdas, folds, seed, score):
     Per (kernel, fold), `score(tr, cols, A)` gets the train indices, the
     validation index of each column (the validation indices tiled L times)
     and the (n_tr, L*n_va) weights of the whole lambda-path, block l of n_va
-    columns for lambda l; the block costs 2*L*n_tr*n_va floats, O(n^2) for a
-    fixed grid.  It returns one loss per method and column, and the sweep
-    averages each lambda's block.  Returns a (kernels, lambdas, folds,
-    methods) array.  Any failure is re-raised as a RuntimeError naming its
-    kernel and fold and caused by the original exception.
+    columns for lambda l (`kernels.fold_ridge_paths`); a fold's working set
+    is a few L*n*n_va floats, O(n^2) for a fixed grid.  It returns one loss
+    per method and column, and the sweep averages each lambda's block.
+    Returns a (kernels, lambdas, folds, methods) array.  Any failure is
+    re-raised as a RuntimeError naming its kernel and fold (fold 0 for a
+    failure of the kernel's shared spectrum) and caused by the original
+    exception.
     """
     X = kernels._as_input_matrix(X)
     splits = [(np.delete(np.arange(X.shape[0]), va), va)
               for va in kfold_split(X.shape[0], folds, seed)]
     scores = []
     for kernel in kernel_grid:
-        for fi, (tr, va) in enumerate(splits):
-            try:
-                KX = kernels.cross_kernel_batch(kernel, X[tr], X[va])
-                A = kernels.ridge_path(kernel, X[tr], KX, [tr.size * lam for lam in lambdas])
+        fi = 0
+        try:
+            for A in kernels.fold_ridge_paths(kernel, X, splits, lambdas):
+                tr, va = splits[fi]
                 col_losses = score(tr, np.tile(va, len(lambdas)), A)
                 scores.append(np.reshape(col_losses, (-1, len(lambdas), va.size)).mean(axis=2))
-            except Exception as e:
-                raise RuntimeError(f"cv failure at kernel={kernel}, fold={fi}: {e}") from e
+                fi += 1
+        except Exception as e:
+            raise RuntimeError(f"cv failure at kernel={kernel}, fold={fi}: {e}") from e
     shape = (len(kernel_grid), folds, -1, len(lambdas))
     return np.array(scores, dtype=float).reshape(shape).transpose(0, 3, 1, 2)
 

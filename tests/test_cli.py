@@ -124,8 +124,9 @@ def test_train_numerical_failure_exits_2(tmp_path, monkeypatch):
 
 
 def test_cv_numerical_failure_exits_2(tmp_path, monkeypatch):
-    # the CV sweep re-raises a fold's failure as a RuntimeError caused by it
-    monkeypatch.setattr(kernels, "ridge_path", _refuse_fit)
+    # the CV sweep re-raises a failure of a kernel's fold paths as a
+    # RuntimeError caused by it
+    monkeypatch.setattr(kernels, "fold_ridge_paths", _refuse_fit)
     rng = np.random.default_rng(5)
     _write_csv(tmp_path / "train.csv", ["x0", "y"], rng.uniform(-1, 1, size=(10, 2)).tolist())
     code = cli.main(["cv", "--in", str(tmp_path / "train.csv"), "--kind", "scalar",

@@ -591,6 +591,25 @@ def test_scalar_cauchy_newton_returns_the_boundary_grid_point(side):
         _assert_matches_dense_oracle(got, alphas, y_train, 0.7)
 
 
+def test_scalar_polish_that_ends_above_the_grid_best_is_discarded():
+    # Mixed-sign weights under absolute error on a 64-point grid: the grid
+    # best is point 10 (-2.048), and bisection on the sign of F' runs to its
+    # right neighbour (-1.952), whose objective is 0.083 higher.  The
+    # decoder keeps a polished point only where it beats the grid best.
+    y_train = np.array([-2.521, -2.686, -2.038, -1.728, -2.002, 0.393, 1.077, 0.417, -1.1])
+    alphas = np.array([0.799, -1.448, 1.676, 0.539, -1.331, 0.371, -1.918, 1.348, -0.584])
+    loss, spec = losses.AbsoluteError(), dataclasses.replace(SPEC, grid_points=64)
+    grid = np.linspace(-spec.bound, spec.bound, spec.grid_points)
+    F = [_oracles.weighted_objective(p, alphas, loss, y_train) for p in grid]
+    assert int(np.argmin(F)) == 10
+    polished = decoders._newton_polish(alphas[:, None], y_train, loss, grid[[10]], grid[[9]],
+                                       grid[[11]], spec.refine_iters)[0]
+    assert _oracles.weighted_objective(polished, alphas, loss, y_train) > F[10] + 0.08
+    (point,), (value,) = decoders.decode_scalar_grid_batch(alphas[:, None], y_train, loss, spec)
+    assert point == grid[10]
+    assert value == pytest.approx(F[10], rel=1e-12)
+
+
 def test_scalar_cauchy_newton_converges_within_a_few_steps():
     # Newton converges quadratically from the grid best, so a cap of 6 steps
     # does not bind: the points equal those of the 40-step cap

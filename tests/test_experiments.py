@@ -1,5 +1,9 @@
 """The experiments' CV sweeps against a brute-force dense-solve sweep."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -194,3 +198,34 @@ def test_each_simplex_fallback_query_makes_one_hellinger_call(monkeypatch):
     decoders.decode_simplex_hellinger_batch(A, Y)
     assert len(calls) == 2
     assert all(np.shape(args[0]) == (30 * 30, 6) for args in calls)
+
+
+@pytest.mark.parametrize("rows", [2, 3, 4, 5, 6, 9])
+def test_median_sq_dist_equals_np_median(rows):
+    # rows * (rows - 1) / 2 pairs: an odd count for 2, 3 and 6 rows, an even
+    # one for 4, 5 and 9; the stacked copy adds pairs at distance 0 and ties
+    rng = np.random.default_rng(rows)
+    for Y in (rng.dirichlet(np.ones(4), size=rows),
+              np.vstack([rng.dirichlet(np.ones(4), size=rows - rows // 2)] * 2)[:rows]):
+        d = kernels.sq_distances(Y)
+        want = float(np.median(d[np.triu_indices_from(d, k=1)]))
+        assert experiments.median_sq_dist(Y) == (want if want > 0 else 1.0)
+
+
+def test_median_sq_dist_of_no_pairs_or_identical_rows_is_one():
+    assert experiments.median_sq_dist(np.array([[0.5, 0.5]])) == 1.0
+    assert experiments.median_sq_dist(np.full((4, 2), 0.5)) == 1.0
+
+
+def test_a_histogram_experiment_does_not_import_numpy_ma():
+    # np.median imports numpy.ma, which costs about 0.8 MB of resident memory
+    src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys\n"
+            "from surrloss import experiments\n"
+            "experiments.run_histogram_experiment(dim=3, n_train=20, n_test=10, repetitions=1)\n"
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

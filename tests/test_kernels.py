@@ -363,32 +363,45 @@ def _ridge_path_problems():
         yield spec, rng.normal(size=(40, 3)), rng.normal(size=(12, 3))
 
 
+def _one_split(X, Xq):
+    """The rows of X then Xq, and the split that trains on X and validates
+    on Xq."""
+    n = X.shape[0]
+    return np.vstack([X, Xq]), [(np.arange(n), np.arange(n, n + Xq.shape[0]))]
+
+
 def test_ridge_path_matches_factor_and_solve():
     for spec, X, Xq in _ridge_path_problems():
         K, KX = kernels.gram_matrix(spec, X), kernels.cross_kernel_batch(spec, X, Xq)
         n = K.shape[0]
-        shifts = [n * r for r in (1e-4, 1e-2, 1.0)]
-        path = kernels.ridge_path(spec, X, KX, shifts)
+        rates = (1e-4, 1e-2, 1.0)
+        rows, splits = _one_split(X, Xq)
+        (path,) = kernels.fold_ridge_paths(spec, rows, splits, rates)
         Q = KX.shape[1]
-        assert path.shape == (n, len(shifts) * Q)
-        for si, shift in enumerate(shifts):
+        assert path.shape == (n, len(rates) * Q)
+        for si, shift in enumerate(n * r for r in rates):
             A = path[:, si * Q:(si + 1) * Q]
             ref = kernels.solve_spd(kernels.factor_shifted(K, shift), KX)
             assert np.max(np.abs(A - ref)) <= 1e-9 * np.max(np.abs(ref)), (spec, shift)
 
 
 def test_ridge_path_rejects_bad_input():
+    # every check runs when the paths are asked for, before any fold is solved
     X = np.arange(6.0).reshape(3, 2)
+    split = [([0, 1], [2])]
     for spec in (kernels.gaussian(1.0), kernels.linear()):
-        for shifts in ([1.0, 0.0], [-1.0], [np.nan], [1.0, np.inf]):
+        for lambdas in ([1.0, 0.0], [-1.0], [np.nan], [1.0, np.inf]):
             with pytest.raises(ValueError):
-                list(kernels.ridge_path(spec, X, np.ones((3, 2)), shifts))
-        for KX in (np.ones((2, 2)), np.ones(3), np.ones((4, 2))):
-            with pytest.raises(ValueError, match="KX must have 3 rows"):
-                list(kernels.ridge_path(spec, X, KX, [1.0]))
+                kernels.fold_ridge_paths(spec, X, split, lambdas)
+        # a row missing, a 2-d index array, a row out of range, a row on both
+        # sides, an empty side and float indices
+        for bad in (([0], [1]), ([[0], [1]], [2]), ([0, 1, 3], [2]), ([0, 1], [1, 2]),
+                    ([0, 1, 2], []), ([0.0, 1.0], [2.0])):
+            with pytest.raises(ValueError, match="partition the 3 rows"):
+                kernels.fold_ridge_paths(spec, X, split + [bad], [1.0])
         for bad_X in (np.ones((0, 2)), np.ones((3, 2, 1)), np.array([[0.0, np.nan]] * 3)):
             with pytest.raises(ValueError):
-                list(kernels.ridge_path(spec, bad_X, np.ones((3, 2)), [1.0]))
+                kernels.fold_ridge_paths(spec, bad_X, split, [1.0])
 
 
 @pytest.mark.parametrize("n, d, copies", [(40, 3, 1), (12, 30, 1), (12, 12, 1), (8, 20, 2)],
@@ -405,12 +418,53 @@ def test_linear_ridge_path_matches_a_dense_solve(n, d, copies):
     assert np.all(evals >= 0.0)
     if copies > 1:
         assert np.min(evals) <= 1e-12 * np.max(evals)
-    shifts = [N * r for r in (1e-4, 1e-2, 1.0)]
-    path = kernels.ridge_path(kernels.linear(), X, X @ Xq.T, shifts)
-    for si, shift in enumerate(shifts):
+    rates = (1e-4, 1e-2, 1.0)
+    (path,) = kernels.fold_ridge_paths(kernels.linear(), *_one_split(X, Xq), rates)
+    for si, shift in enumerate(N * r for r in rates):
         ref = np.linalg.solve(X @ X.T + shift * np.eye(N), X @ Xq.T)
         A = path[:, si * Xq.shape[0]:(si + 1) * Xq.shape[0]]
         assert np.max(np.abs(A - ref)) <= 1e-9 * np.max(np.abs(ref)), shift
+
+
+def _kfold(n, k, seed=0):
+    parts = np.array_split(np.random.default_rng(seed).permutation(n), k)
+    return [(np.setdiff1d(np.arange(n), va), np.sort(va)) for va in parts]
+
+
+def _gaussian_fold_problems():
+    """(label, X, sigmas, lambdas, splits): 1-d inputs like the robust
+    experiment's at its narrowest and widest bandwidth and smallest lambda,
+    the worst-conditioned blocks of the experiments; 17 rows in 5 folds of
+    3 or 4, so the shifts n_tr*lambda differ between folds; and 20 rows
+    stacked twice, whose Gram has a null space the spectrum's clamp acts on."""
+    rng = np.random.default_rng(13)
+    yield ("robust", rng.uniform(-1.0, 1.0, size=(300, 1)), (0.01, 0.5), (1e-4, 1.0),
+           _kfold(300, 5))
+    yield "unequal-folds", rng.normal(size=(17, 2)), (0.3, 4.0), (1e-3, 1e-1), _kfold(17, 5)
+    yield ("duplicate-rows", np.tile(rng.normal(size=(20, 2)), (2, 1)), (0.05, 0.5, 5.0),
+           (1e-4, 1e-2, 1.0), _kfold(40, 4))
+
+
+@pytest.mark.parametrize("label, X, sigmas, lambdas, splits", _gaussian_fold_problems(),
+                         ids=lambda p: p if isinstance(p, str) else "")
+def test_gaussian_fold_paths_match_a_dense_solve_per_fold(label, X, sigmas, lambdas, splits):
+    # -M_TV M_VV^-1 from one spectrum of the full Gram against
+    # np.linalg.solve(K_TT + n_tr*lambda*I, K_TV) on the oracle's own kernel
+    if label == "unequal-folds":
+        assert len({tr.size for tr, _ in splits}) == 2
+    for sigma in sigmas:
+        if label == "duplicate-rows":  # the clamp has rounding to remove
+            assert np.linalg.eigh(kernels.gram_matrix(kernels.gaussian(sigma), X))[0].min() < 0
+        K = _oracles.gaussian_kernel_matrix(X, X, sigma)
+        paths = list(kernels.fold_ridge_paths(kernels.gaussian(sigma), X, splits, lambdas))
+        assert len(paths) == len(splits)
+        for (tr, va), path in zip(splits, paths):
+            assert path.shape == (tr.size, len(lambdas) * va.size)
+            for li, lam in enumerate(lambdas):
+                ref = np.linalg.solve(K[np.ix_(tr, tr)] + tr.size * lam * np.eye(tr.size),
+                                      K[np.ix_(tr, va)])
+                A = path[:, li * va.size:(li + 1) * va.size]
+                assert np.max(np.abs(A - ref)) <= 1e-9 * np.max(np.abs(ref)), (sigma, lam)
 
 
 def test_gaussian_spectrum_clamps_rounding_below_zero():

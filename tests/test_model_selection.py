@@ -133,19 +133,30 @@ def test_a_linear_cross_validate_builds_no_gram(monkeypatch):
     assert model_selection.cross_validate(*args) == want
 
 
-def test_a_gaussian_sweep_takes_one_eigh_per_kernel_and_fold(monkeypatch):
+def test_a_gaussian_sweep_takes_one_eigh_per_kernel(monkeypatch):
+    # every fold's weights come from one spectrum of the full Gram, so no
+    # fold builds a Gram, a cross-kernel or a spectrum of its own
     calls = []
-    eigh = np.linalg.eigh
+    eigh, gram = np.linalg.eigh, kernels.gram_matrix
 
-    def counting(K):
-        calls.append(K.shape)
+    def counting_eigh(K):
+        calls.append(("eigh", K.shape))
         return eigh(K)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    def counting_gram(spec, X):
+        calls.append(("gram", np.shape(X)))
+        return gram(spec, X)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cross-kernel in a Gaussian sweep")
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(kernels, "gram_matrix", counting_gram)
+    monkeypatch.setattr(kernels, "cross_kernel_batch", refuse)
     X = np.random.default_rng(9).normal(size=(17, 2))
     model_selection.sweep(X, [kernels.gaussian(sig) for sig in SIGMAS], LAMBDAS, FOLDS, 3,
                           lambda tr, cols, A: np.zeros(A.shape[1]))
-    assert calls == [(tr.size, tr.size) for _ in SIGMAS for tr, _ in _splits(17, 3)]
+    assert calls == [("gram", (17, 2)), ("eigh", (17, 17))] * len(SIGMAS)
 
 
 def test_sweep_scores_a_folds_whole_lambda_path_in_one_call():
@@ -197,3 +208,18 @@ def test_a_failing_decoder_names_its_kernel_and_fold(monkeypatch):
     assert "lambda=" not in message
     assert isinstance(info.value.__cause__, ValueError)
     assert str(info.value.__cause__) == "decoder broke"
+
+
+def test_a_failing_spectrum_names_its_kernel(monkeypatch):
+    # the one spectrum of a Gaussian kernel is taken before its first fold
+    def fail(K):
+        raise np.linalg.LinAlgError("eigh did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    X = np.random.default_rng(8).normal(size=(12, 2))
+    with pytest.raises(RuntimeError) as info:
+        model_selection.sweep(X, [kernels.gaussian(SIGMAS[1])], LAMBDAS, FOLDS, 0,
+                              lambda tr, cols, A: np.zeros(A.shape[1]))
+    assert str(info.value) == (f"cv failure at kernel={kernels.gaussian(SIGMAS[1])}, fold=0: "
+                               "eigh did not converge")
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
