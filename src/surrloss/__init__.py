@@ -29,6 +29,6 @@ from .losses import (
     squared_hellinger,
     zero_one,
 )
-from .model_selection import CvPlan, CvReport, cross_validate, kfold_split
+from .model_selection import CvReport, cross_validate, kfold_split
 from .oracle import FiniteProblem, bayes_optimal, check_comparison, structured_risk
 from .surrogate import TrainedSurrogate, alpha_weights, fit, load_model, save_model

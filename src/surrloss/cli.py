@@ -243,11 +243,9 @@ def cmd_cv(args):
     scoring = losses.AbsoluteError() if args.kind == "scalar" else loss
     if args.kind == "ratings":
         scoring = losses.RankLoss(normalize=True)
-    plan = model_selection.CvPlan(folds=args.folds, seed=args.seed,
-                                  lambda_grid=args.lambdas,
-                                  kernel_grid=kernel_grid, scoring=scoring)
     decoder = _decoder_from_outputs(Y, args.kind, args)
-    report = model_selection.cross_validate(X, Y, plan, decoder, loss)
+    report = model_selection.cross_validate(X, Y, kernel_grid, args.lambdas, args.folds,
+                                            args.seed, decoder, loss, scoring)
     rows = [{"kernel": surrogate.kernel_to_json(r.kernel), "lambda": r.lam,
              "mean": r.mean, "std": r.std} for r in report.rows]
     sel = report.selected

@@ -38,9 +38,8 @@ objectives lie within rounding of each other.
 
 Exhaustive and ScalarGrid read every loss value from `losses.loss_table`.
 `_loss_matrix`, a bare `loss_table` call, stays only because the stage map
-traces it by that name (`decoders.scalar.table`); so do `aggregate_pair_costs`
-and `ranking_objective`, the ranking objective's pair-cost form, which no
-decode calls.
+traces it by that name; so do `aggregate_pair_costs` and `ranking_objective`,
+the ranking objective's pair-cost form, which no decode calls.
 """
 
 from dataclasses import dataclass
@@ -311,8 +310,9 @@ def decode_simplex_hellinger(alphas, y_train):
     With b_j = sum_i alpha_i sqrt(y_ij), minimizing F is maximizing
     sum_j b_j sqrt(p_j) on the simplex, whose KKT solution is
     p_j = max(b_j, 0)^2 / sum_k max(b_k, 0)^2.  If every b_j <= 0 the
-    optimum degenerates to a vertex; we fall back to an exhaustive scan
-    over the training histograms.
+    optimum degenerates to a vertex; we fall back to the training histogram
+    of least F.  On the simplex F(y_i) = 2 sum(alpha) - 2 sqrt(y_i) . b, so
+    that is the row of largest sqrt(Y) @ b, ties to the lowest index.
     """
     Y = np.asarray(y_train, dtype=float)
     if Y.ndim != 2 or Y.shape[0] == 0:
@@ -325,9 +325,7 @@ def decode_simplex_hellinger(alphas, y_train):
     mass = float((pos * pos).sum())
     if mass > 0.0:
         return pos * pos / mass
-    cands = [Y[i] for i in range(Y.shape[0])]
-    best, _ = decode_exhaustive(cands, alphas, losses.SquaredHellinger(), cands)
-    return np.asarray(best, dtype=float)
+    return Y[np.argmax(np.sqrt(Y) @ b)].copy()  # not a view of the caller's outputs
 
 
 def decode_simplex_hellinger_batch(A, y_train):

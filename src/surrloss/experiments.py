@@ -85,15 +85,16 @@ def krr_predict_batch(model, Xq):
     return np.asarray(model.Y, dtype=float) @ A
 
 
-def _robust_cv(X, y, sigmas, lambdas, gammas, folds, seed, cv_decoder):
+def _robust_cv(X, y, sigmas, lambdas, gammas, folds, seed):
     """Hyperparameters for both methods from one `model_selection.sweep`.
 
-    Every held-out weight column is scored by the Cauchy decoder at each
-    gamma and by the KRR baseline, whose prediction is y_train @ A.  The
-    decoder is scored with absolute error, which stays comparable across
-    gamma (raw Cauchy values scale with it); KRR is scored with squared
-    error, its own criterion -- an outlier-robust scoring rule here would
-    hand the baseline exactly the robustness it is supposed to lack.
+    Every held-out weight column is scored by `CV_DECODER` with the Cauchy
+    loss at each gamma and by the KRR baseline, whose prediction is
+    y_train @ A.  The decoder is scored with absolute error, which stays
+    comparable across gamma (raw Cauchy values scale with it); KRR is scored
+    with squared error, its own criterion -- an outlier-robust scoring rule
+    here would hand the baseline exactly the robustness it is supposed to
+    lack.
     Selection follows `model_selection.select_best`, the decoder's grid in
     (gamma, sigma, lambda) order and KRR's in (sigma, lambda) order.
 
@@ -106,7 +107,7 @@ def _robust_cv(X, y, sigmas, lambdas, gammas, folds, seed, cv_decoder):
         out = [(y[tr] @ A - y[cols]) ** 2]
         for gamma in gammas:
             pred, _ = decoders.decode_scalar_grid_batch(A, y[tr], losses.Cauchy(gamma),
-                                                        cv_decoder)
+                                                        CV_DECODER)
             out.append(np.abs(pred - y[cols]))
         return out
 
@@ -138,8 +139,7 @@ def run_robust_experiment(n_grid=(50, 100, 200, 500), *, repetitions, seed0=0):
             ds = gen_robust_data(n, seed)
 
             (kernel, lam, gamma), (k_kernel, k_lam) = _robust_cv(
-                ds.x, ds.y, ROBUST_SIGMAS, ROBUST_LAMBDAS, ROBUST_GAMMAS, FOLDS, seed,
-                CV_DECODER)
+                ds.x, ds.y, ROBUST_SIGMAS, ROBUST_LAMBDAS, ROBUST_GAMMAS, FOLDS, seed)
             model = surrogate.fit(ds.x, ds.y, kernel, lam)
             pred = decoders.predict_batch(model, ROBUST_DECODER, losses.Cauchy(gamma), x_test)
             alg_vals.append(float(np.mean(np.abs(np.asarray(pred) - target))))
@@ -196,9 +196,8 @@ def run_ranking_experiment(items=8, n_train=80, n_test=40, *, repetitions, seed0
         X, R = gen_ranking_data(items, n_train + n_test, seed)
         Xtr, Xte = X[:n_train], X[n_train:]
         Rtr, Rte = R[:n_train], R[n_train:]
-        plan = model_selection.CvPlan(folds=FOLDS, seed=seed, lambda_grid=RANKING_LAMBDAS,
-                                      kernel_grid=(kernels.linear(),), scoring=scoring)
-        report = model_selection.cross_validate(Xtr, Rtr, plan, decoder, loss)
+        report = model_selection.cross_validate(Xtr, Rtr, (kernels.linear(),), RANKING_LAMBDAS,
+                                                FOLDS, seed, decoder, loss, scoring)
         model = surrogate.fit(Xtr, Rtr, report.selected.kernel, report.selected.lam)
         preds = decoders.predict_batch(model, decoder, loss, Xte)
         alg_vals.append(float(np.mean(losses.rank_loss(preds, Rte, normalize=True))))

@@ -10,11 +10,12 @@ substitutions block by block: each diagonal block is one product with its
 stored inverse, each off-diagonal panel one GEMV/GEMM, so every step stays in
 NumPy's BLAS and the package needs no other linear-algebra library.
 Cross-validation, which needs each fold's training Gram at many shifts, takes
-them all from spectra instead (`fold_ridge_paths`).  A Gaussian kernel takes one
-`eigh` of the full n x n Gram for every fold: with M = (K + sI)^-1, a fold's
-weights (K_TT + sI)^-1 K_TV are the block product -M_TV M_VV^-1.  A linear
-kernel takes the thin SVD of each fold's training inputs, which costs O(n d^2)
-and never forms an n x n matrix.
+them all from spectra instead: `fold_ridge_paths` turns the k validation folds
+of a partition into each fold's (train, validation, weights).  A Gaussian
+kernel takes one `eigh` of the full n x n Gram for every fold: with
+M = (K + sI)^-1, a fold's weights (K_TT + sI)^-1 K_TV are the block product
+-M_TV M_VV^-1.  A linear kernel takes the thin SVD of each fold's training
+inputs, which costs O(n d^2) and never forms an n x n matrix.
 
 Convention: the Gaussian kernel is exp(-||x - x'||^2 / sigma) -- sigma divides
 the *squared* distance and there is no factor 2.  This differs from several
@@ -277,26 +278,20 @@ def _spectrum(spec, X):
     return evals, U
 
 
-def _check_splits(splits, n):
-    """The (train, validation) index arrays of `splits`, each pair a
-    partition of range(n) into two non-empty parts."""
-    checked = []
-    for tr, va in splits:
-        tr, va = np.asarray(tr), np.asarray(va)
-        if not (tr.ndim == va.ndim == 1 and tr.size and va.size
-                and np.issubdtype(tr.dtype, np.integer) and np.issubdtype(va.dtype, np.integer)
-                and np.array_equal(np.sort(np.concatenate([tr, va])), np.arange(n))):
-            raise ValueError(f"each split must partition the {n} rows of X into non-empty "
-                             "train and validation index arrays")
-        checked.append((tr, va))
-    return checked
+def _check_lambdas(lambdas):
+    """The lambda grid as a float array: non-empty, every value in (0, inf)."""
+    lambdas = np.array([float(lam) for lam in lambdas])
+    if lambdas.size == 0 or not all(0 < lam < np.inf for lam in lambdas):
+        raise ValueError("lambdas must be a non-empty list of positive finite values")
+    return lambdas
 
 
-def fold_ridge_paths(spec, X, splits, lambdas):
-    """Each fold's ridge path: for every (train T, validation V) split of the
-    rows of X (n, d), the weights (K_TT + n_tr*lambda*I)^-1 K_TV of all L
-    lambdas as one (n_tr, L*n_va) matrix whose l-th block of n_va columns
-    belongs to the l-th lambda.  Yields one matrix per split, in order.
+def fold_ridge_paths(spec, X, folds, lambdas):
+    """Each fold's ridge path.  `folds` are the validation index arrays of a
+    partition of the rows of X (n, d), as from `model_selection.kfold_split`.
+    Yields (T, V, weights) per fold V in order, T the other rows in increasing
+    order and weights (K_TT + n_tr*lambda*I)^-1 K_TV at all L lambdas as one
+    (n_tr, L*n_va) matrix, the l-th block of n_va columns for the l-th lambda.
 
     Gaussian kernels take one spectrum for all folds.  With K = U diag(e) U^T
     the clamped `eigh` of the full n x n Gram (`_spectrum`) and
@@ -324,14 +319,20 @@ def fold_ridge_paths(spec, X, splits, lambdas):
 
     With evals >= 0 and every shift > 0 both systems are positive definite,
     so no jitter is needed.  Raises ValueError, before any fold is solved,
-    for a lambda not in (0, inf) or a split that does not partition the n
-    rows into non-empty integer index arrays.
+    for lambdas that `_check_lambdas` rejects or folds that are not at least
+    two non-empty integer index arrays partitioning the n rows.
     """
     X = _as_input_matrix(X)
-    lambdas = np.array([float(lam) for lam in lambdas])
-    if not all(0 < lam < np.inf for lam in lambdas):
-        raise ValueError("lambdas must be positive and finite")
-    splits = _check_splits(splits, X.shape[0])
+    lambdas = _check_lambdas(lambdas)
+    n = X.shape[0]
+    folds = [np.asarray(va) for va in folds]
+    if not (len(folds) >= 2
+            and all(va.ndim == 1 and va.size and np.issubdtype(va.dtype, np.integer)
+                    for va in folds)
+            and np.array_equal(np.sort(np.concatenate(folds)), np.arange(n))):
+        raise ValueError(f"folds must partition the {n} rows of X into at least two "
+                         "non-empty integer index arrays")
+    splits = [(np.delete(np.arange(n), va), va) for va in folds]
     paths = _gaussian_fold_paths if spec.kind == "gaussian" else _linear_fold_paths
     return paths(spec, X, splits, lambdas)
 
@@ -345,7 +346,7 @@ def _gaussian_fold_paths(spec, X, splits, lambdas):
         MV = U @ (scale[:, :, None] * U[va].T[:, None, :]).reshape(n, -1)
         MV = MV.reshape(n, L, -1).transpose(1, 0, 2)  # (L, n, n_va)
         A = -(MV[:, tr] @ np.linalg.inv(MV[:, va]))  # (L, n_tr, n_va)
-        yield A.transpose(1, 0, 2).reshape(tr.size, -1)
+        yield tr, va, A.transpose(1, 0, 2).reshape(tr.size, -1)
 
 
 def _linear_fold_paths(spec, X, splits, lambdas):
@@ -353,4 +354,4 @@ def _linear_fold_paths(spec, X, splits, lambdas):
         evals, U = _spectrum(spec, X[tr])
         UtKX = U.T @ cross_kernel_batch(spec, X[tr], X[va])
         scaled = UtKX[:, None, :] / (evals[:, None, None] + tr.size * lambdas[None, :, None])
-        yield U @ scaled.reshape(U.shape[1], -1)
+        yield tr, va, U @ scaled.reshape(U.shape[1], -1)

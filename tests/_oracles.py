@@ -289,3 +289,13 @@ def brute_force_cross_validate(X, sigmas, lambdas, splits, decode, score):
             for si, sigma in enumerate(sigmas) for li, lam in enumerate(lambdas)]
     selected = lowest_mean_then_larger_lambda((m, lam, (sigma, lam)) for sigma, lam, m in rows)
     return rows, selected
+
+
+def trend_p_value_by_correlation(counts, trials, n_grid):
+    """One-sided Cochran-Armitage p-value for a falling rate, through the
+    identity Z = sqrt(N) r: r is the Pearson correlation of log n and the 0/1
+    outcome over all N individual draws, and p = Phi(Z)."""
+    t = np.repeat(np.log(np.asarray(n_grid, dtype=float)), trials)
+    y = np.concatenate([[1.0] * c + [0.0] * (trials - c) for c in counts])
+    z = math.sqrt(t.size) * np.corrcoef(t, y)[0, 1]
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))

@@ -143,20 +143,40 @@ def test_cv_rejects_a_non_finite_lambda(tmp_path, lam):
     assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("option", ["--lambdas", "--sigmas"])
+def test_cv_with_an_empty_grid_is_usage_error(tmp_path, capsys, option):
+    rng = np.random.default_rng(5)
+    _write_csv(tmp_path / "train.csv", ["x0", "y"], rng.uniform(-1, 1, size=(10, 2)).tolist())
+    out = tmp_path / "cv.json"
+    code = cli.main(["cv", "--in", str(tmp_path / "train.csv"), "--kind", "scalar",
+                     option, ",", "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    assert "non-empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_consistency_fails_with_two_trials(tmp_path):
-    # with two seeds per sample size the median excess risk rises from n=25 to
-    # n=50 (0.058 to 0.067), so the non-increasing trend check fails
+    # with two draws per sample size the non-optimal counts [2, 1, 1, 0, 0]
+    # fall, but the trend test's p = 0.011 is above the 1e-3 level
     out = tmp_path / "report.json"
     code = cli.main(["check", "consistency", "--trials", "2", "--seed", "0",
                      "--out", str(out)])
     assert code == cli.EXIT_CHECK_FAILED
-    assert json.loads(out.read_text(encoding="utf-8"))["pass"] is False
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["pass"] is False
+    assert report["result"]["non_optimal"] == [2, 1, 1, 0, 0]
+    assert 1e-3 < report["result"]["p_value"] < 0.02
 
 
 def test_check_consistency_passes_at_default_trials(tmp_path):
     out = tmp_path / "report.json"
     assert cli.main(["check", "consistency", "--out", str(out)]) == cli.EXIT_OK
-    assert json.loads(out.read_text(encoding="utf-8"))["pass"] is True
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["pass"] is True
+    # seed 0: of 20 fits per n, these miss the Bayes predictor somewhere
+    assert report["result"]["n_grid"] == [25, 50, 100, 200, 400]
+    assert report["result"]["non_optimal"] == [17, 14, 9, 2, 2]
+    assert report["result"]["p_value"] <= 1e-3
 
 
 LOSSES_THE_DECODER_IGNORES = [("ratings", "squared"), ("ratings", "absolute"),

@@ -719,6 +719,25 @@ def test_simplex_degenerate_falls_back_to_training_outputs():
     np.testing.assert_allclose(got, cands[int(np.argmin(vals))])
 
 
+def test_simplex_fallback_is_a_training_histogram_of_least_objective():
+    # all-negative weights over training sets with repeated rows: the decode
+    # is a training row whose objective is within rounding of the least, and
+    # the batch route (here at alpha and 2 alpha, which only doubles b) agrees
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        n, d = int(rng.integers(2, 12)), int(rng.integers(2, 7))
+        Y = rng.dirichlet(np.ones(d), size=n)
+        Y = np.vstack([Y, Y[rng.integers(0, n, size=3)]])
+        alphas = -rng.uniform(0.1, 1.0, size=Y.shape[0])
+        got = decoders.decode_simplex_hellinger(alphas, Y)
+        assert not np.shares_memory(got, Y)  # writing to it leaves Y alone
+        vals = np.array([_oracles.hellinger_objective(y, alphas, Y) for y in Y])
+        rows = np.nonzero(np.all(Y == got, axis=1))[0]
+        assert rows.size and vals[rows[0]] - vals.min() <= 1e-12 * abs(vals.min())
+        np.testing.assert_array_equal(decoders.decode_simplex_hellinger_batch(
+            np.stack([alphas, 2.0 * alphas], axis=1), Y), [got, got])
+
+
 def test_simplex_rejects_empty():
     with pytest.raises(ValueError):
         decoders.decode_simplex_hellinger(np.array([]), np.empty((0, 3)))

@@ -49,7 +49,7 @@ def test_robust_cv_selects_what_a_dense_solve_sweep_selects(seed):
     ds = experiments.gen_robust_data(30, seed)
     (kernel, lam, gamma), (k_kernel, k_lam) = experiments._robust_cv(
         ds.x, ds.y, experiments.ROBUST_SIGMAS, experiments.ROBUST_LAMBDAS,
-        experiments.ROBUST_GAMMAS, FOLDS, seed, experiments.CV_DECODER)
+        experiments.ROBUST_GAMMAS, FOLDS, seed)
     alg, krr = _robust_selection_by_brute_force(ds, seed)
     assert (kernel.sigma, lam, gamma) == alg
     assert (k_kernel.sigma, k_lam) == krr
@@ -91,17 +91,16 @@ def test_cv_sweeps_use_neither_cholesky_nor_triangular_solves(monkeypatch):
     ds = experiments.gen_robust_data(30, 0)
     experiments._robust_cv(ds.x, ds.y, experiments.ROBUST_SIGMAS,
                            experiments.ROBUST_LAMBDAS, experiments.ROBUST_GAMMAS,
-                           FOLDS, 0, experiments.CV_DECODER)
+                           FOLDS, 0)
     X, Y = experiments.gen_histogram_data(4, 30, 0)
     selected = experiments._histogram_cv(X, Y, HIST_SIGMAS, HIST_LAMBDAS, FOLDS, 0,
                                          experiments.median_sq_dist(Y))
     assert set(selected) == {"hellinger", "kde"}
     U, R = experiments.gen_ranking_data(5, 30, 0)
-    plan = model_selection.CvPlan(folds=FOLDS, seed=0, lambda_grid=HIST_LAMBDAS,
-                                  kernel_grid=(kernels.linear(),),
-                                  scoring=losses.RankLoss(normalize=True))
-    report = model_selection.cross_validate(U, R, plan, decoders.RankingFas(items=5),
-                                            losses.RankLoss(normalize=False))
+    report = model_selection.cross_validate(U, R, (kernels.linear(),), HIST_LAMBDAS, FOLDS, 0,
+                                            decoders.RankingFas(items=5),
+                                            losses.RankLoss(normalize=False),
+                                            losses.RankLoss(normalize=True))
     assert len(report.rows) == len(HIST_LAMBDAS)
 
 
@@ -161,7 +160,7 @@ def test_robust_cv_builds_one_cauchy_table_per_sigma_fold_and_gamma(monkeypatch)
     ds = experiments.gen_robust_data(30, 0)
     experiments._robust_cv(ds.x, ds.y, experiments.ROBUST_SIGMAS,
                            experiments.ROBUST_LAMBDAS, experiments.ROBUST_GAMMAS,
-                           FOLDS, 0, experiments.CV_DECODER)
+                           FOLDS, 0)
     assert all(isinstance(loss, losses.Cauchy) for loss in tables)
     assert len(tables) == (len(experiments.ROBUST_SIGMAS) * FOLDS
                            * len(experiments.ROBUST_GAMMAS))
@@ -190,14 +189,16 @@ def test_ranking_experiment_scores_each_fold_and_the_test_set_in_one_call(monkey
     assert np.shape(calls[-1][0]) == (10, 4)
 
 
-def test_each_simplex_fallback_query_makes_one_hellinger_call(monkeypatch):
-    calls = _count_calls(monkeypatch, losses, "squared_hellinger")
+def test_each_simplex_fallback_query_is_one_argmax_without_hellinger_calls(monkeypatch):
+    # one decode_simplex_hellinger call per fallback column, which the
+    # benchmark counts, and no loss table over the training histograms
+    hellinger = _count_calls(monkeypatch, losses, "squared_hellinger")
+    fallbacks = _count_calls(monkeypatch, decoders, "decode_simplex_hellinger")
     _, Y = experiments.gen_histogram_data(6, 30, 0)
     A = -np.random.default_rng(1).uniform(0.1, 1.0, size=(30, 3))
     A[:, 1] = -A[:, 1]  # a positive column decodes in closed form
     decoders.decode_simplex_hellinger_batch(A, Y)
-    assert len(calls) == 2
-    assert all(np.shape(args[0]) == (30 * 30, 6) for args in calls)
+    assert len(fallbacks) == 2 and not hellinger
 
 
 @pytest.mark.parametrize("rows", [2, 3, 4, 5, 6, 9])

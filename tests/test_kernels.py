@@ -363,11 +363,15 @@ def _ridge_path_problems():
         yield spec, rng.normal(size=(40, 3)), rng.normal(size=(12, 3))
 
 
-def _one_split(X, Xq):
-    """The rows of X then Xq, and the split that trains on X and validates
-    on Xq."""
-    n = X.shape[0]
-    return np.vstack([X, Xq]), [(np.arange(n), np.arange(n, n + Xq.shape[0]))]
+def _path_on(spec, X, Xq, rates):
+    """The ridge path that trains on X and validates on Xq: the second fold's
+    of the two folds (X's rows, Xq's rows) of the rows of X then Xq."""
+    n, Q = X.shape[0], Xq.shape[0]
+    _, (tr, va, path) = kernels.fold_ridge_paths(
+        spec, np.vstack([X, Xq]), [np.arange(n), np.arange(n, n + Q)], rates)
+    np.testing.assert_array_equal(tr, np.arange(n))
+    np.testing.assert_array_equal(va, np.arange(n, n + Q))
+    return path
 
 
 def test_ridge_path_matches_factor_and_solve():
@@ -375,8 +379,7 @@ def test_ridge_path_matches_factor_and_solve():
         K, KX = kernels.gram_matrix(spec, X), kernels.cross_kernel_batch(spec, X, Xq)
         n = K.shape[0]
         rates = (1e-4, 1e-2, 1.0)
-        rows, splits = _one_split(X, Xq)
-        (path,) = kernels.fold_ridge_paths(spec, rows, splits, rates)
+        path = _path_on(spec, X, Xq, rates)
         Q = KX.shape[1]
         assert path.shape == (n, len(rates) * Q)
         for si, shift in enumerate(n * r for r in rates):
@@ -388,20 +391,22 @@ def test_ridge_path_matches_factor_and_solve():
 def test_ridge_path_rejects_bad_input():
     # every check runs when the paths are asked for, before any fold is solved
     X = np.arange(6.0).reshape(3, 2)
-    split = [([0, 1], [2])]
+    folds = [[0, 1], [2]]
     for spec in (kernels.gaussian(1.0), kernels.linear()):
-        for lambdas in ([1.0, 0.0], [-1.0], [np.nan], [1.0, np.inf]):
-            with pytest.raises(ValueError):
-                kernels.fold_ridge_paths(spec, X, split, lambdas)
-        # a row missing, a 2-d index array, a row out of range, a row on both
-        # sides, an empty side and float indices
-        for bad in (([0], [1]), ([[0], [1]], [2]), ([0, 1, 3], [2]), ([0, 1], [1, 2]),
-                    ([0, 1, 2], []), ([0.0, 1.0], [2.0])):
+        for lambdas in ([1.0, 0.0], [-1.0], [np.nan], [1.0, np.inf], []):
+            with pytest.raises(ValueError, match="lambdas"):
+                kernels.fold_ridge_paths(spec, X, folds, lambdas)
+        # a row missing, a 2-d fold, a row out of range, a row in two folds,
+        # an empty fold (integer or not), float indices, and a single fold,
+        # which leaves no row to train on
+        for bad in ([[0], [1]], [[[0], [1]], [2]], [[0, 1], [3]], [[0, 1], [1, 2]],
+                    [[0, 1, 2], np.array([], dtype=int)], [[0, 1, 2], []],
+                    [[0.0, 1.0], [2.0]], [[0, 1, 2]]):
             with pytest.raises(ValueError, match="partition the 3 rows"):
-                kernels.fold_ridge_paths(spec, X, split + [bad], [1.0])
+                kernels.fold_ridge_paths(spec, X, bad, [1.0])
         for bad_X in (np.ones((0, 2)), np.ones((3, 2, 1)), np.array([[0.0, np.nan]] * 3)):
             with pytest.raises(ValueError):
-                kernels.fold_ridge_paths(spec, bad_X, split, [1.0])
+                kernels.fold_ridge_paths(spec, bad_X, folds, [1.0])
 
 
 @pytest.mark.parametrize("n, d, copies", [(40, 3, 1), (12, 30, 1), (12, 12, 1), (8, 20, 2)],
@@ -419,7 +424,7 @@ def test_linear_ridge_path_matches_a_dense_solve(n, d, copies):
     if copies > 1:
         assert np.min(evals) <= 1e-12 * np.max(evals)
     rates = (1e-4, 1e-2, 1.0)
-    (path,) = kernels.fold_ridge_paths(kernels.linear(), *_one_split(X, Xq), rates)
+    path = _path_on(kernels.linear(), X, Xq, rates)
     for si, shift in enumerate(N * r for r in rates):
         ref = np.linalg.solve(X @ X.T + shift * np.eye(N), X @ Xq.T)
         A = path[:, si * Xq.shape[0]:(si + 1) * Xq.shape[0]]
@@ -427,12 +432,11 @@ def test_linear_ridge_path_matches_a_dense_solve(n, d, copies):
 
 
 def _kfold(n, k, seed=0):
-    parts = np.array_split(np.random.default_rng(seed).permutation(n), k)
-    return [(np.setdiff1d(np.arange(n), va), np.sort(va)) for va in parts]
+    return [np.sort(va) for va in np.array_split(np.random.default_rng(seed).permutation(n), k)]
 
 
 def _gaussian_fold_problems():
-    """(label, X, sigmas, lambdas, splits): 1-d inputs like the robust
+    """(label, X, sigmas, lambdas, folds): 1-d inputs like the robust
     experiment's at its narrowest and widest bandwidth and smallest lambda,
     the worst-conditioned blocks of the experiments; 17 rows in 5 folds of
     3 or 4, so the shifts n_tr*lambda differ between folds; and 20 rows
@@ -445,20 +449,22 @@ def _gaussian_fold_problems():
            (1e-4, 1e-2, 1.0), _kfold(40, 4))
 
 
-@pytest.mark.parametrize("label, X, sigmas, lambdas, splits", _gaussian_fold_problems(),
+@pytest.mark.parametrize("label, X, sigmas, lambdas, folds", _gaussian_fold_problems(),
                          ids=lambda p: p if isinstance(p, str) else "")
-def test_gaussian_fold_paths_match_a_dense_solve_per_fold(label, X, sigmas, lambdas, splits):
+def test_gaussian_fold_paths_match_a_dense_solve_per_fold(label, X, sigmas, lambdas, folds):
     # -M_TV M_VV^-1 from one spectrum of the full Gram against
     # np.linalg.solve(K_TT + n_tr*lambda*I, K_TV) on the oracle's own kernel
     if label == "unequal-folds":
-        assert len({tr.size for tr, _ in splits}) == 2
+        assert len({va.size for va in folds}) == 2
     for sigma in sigmas:
         if label == "duplicate-rows":  # the clamp has rounding to remove
             assert np.linalg.eigh(kernels.gram_matrix(kernels.gaussian(sigma), X))[0].min() < 0
         K = _oracles.gaussian_kernel_matrix(X, X, sigma)
-        paths = list(kernels.fold_ridge_paths(kernels.gaussian(sigma), X, splits, lambdas))
-        assert len(paths) == len(splits)
-        for (tr, va), path in zip(splits, paths):
+        paths = list(kernels.fold_ridge_paths(kernels.gaussian(sigma), X, folds, lambdas))
+        assert len(paths) == len(folds)
+        for (tr, va, path), fold in zip(paths, folds):
+            np.testing.assert_array_equal(va, fold)
+            np.testing.assert_array_equal(tr, np.setdiff1d(np.arange(X.shape[0]), fold))
             assert path.shape == (tr.size, len(lambdas) * va.size)
             for li, lam in enumerate(lambdas):
                 ref = np.linalg.solve(K[np.ix_(tr, tr)] + tr.size * lam * np.eye(tr.size),

@@ -26,10 +26,9 @@ def _splits(n, seed, folds=FOLDS):
             for va in model_selection.kfold_split(n, folds, seed)]
 
 
-def _plan(seed, scoring):
-    return model_selection.CvPlan(folds=FOLDS, seed=seed, lambda_grid=LAMBDAS,
-                                  kernel_grid=tuple(kernels.gaussian(s) for s in SIGMAS),
-                                  scoring=scoring)
+def _grid(seed):
+    """(kernel grid, lambdas, folds, seed) of the Gaussian sweeps below."""
+    return tuple(kernels.gaussian(s) for s in SIGMAS), LAMBDAS, FOLDS, seed
 
 
 def _assert_report_matches(report, rows, selected):
@@ -60,8 +59,8 @@ def test_cross_validate_labels_match_a_brute_force_sweep(seed):
 
     rows, selected = _oracles.brute_force_cross_validate(X, SIGMAS, LAMBDAS,
                                                          _splits(len(Y), seed), decode, score)
-    report = model_selection.cross_validate(X, Y, _plan(seed, losses.ZeroOne()),
-                                            decoders.Exhaustive(cands), loss)
+    report = model_selection.cross_validate(X, Y, *_grid(seed), decoders.Exhaustive(cands),
+                                            loss, losses.ZeroOne())
     _assert_report_matches(report, rows, selected)
 
 
@@ -85,8 +84,8 @@ def test_cross_validate_scalar_targets_match_a_brute_force_sweep(seed):
 
     rows, selected = _oracles.brute_force_cross_validate(X, SIGMAS, LAMBDAS,
                                                          _splits(y.size, seed), decode, score)
-    report = model_selection.cross_validate(X, y, _plan(seed, losses.AbsoluteError()),
-                                            spec, losses.Cauchy(gamma))
+    report = model_selection.cross_validate(X, y, *_grid(seed), spec, losses.Cauchy(gamma),
+                                            losses.AbsoluteError())
     _assert_report_matches(report, rows, selected)
 
 
@@ -106,11 +105,10 @@ def test_cross_validate_on_a_rank_deficient_gram_matches_a_brute_force_sweep(see
 
     means = _oracles.brute_force_cv_means(U, (None,), lambdas, _splits(80, seed, folds=5),
                                           score, kernel_matrix=lambda A, B, _: A @ B.T)[0]
-    plan = model_selection.CvPlan(folds=5, seed=seed, lambda_grid=lambdas,
-                                  kernel_grid=(kernels.linear(),),
-                                  scoring=losses.RankLoss(normalize=True))
-    report = model_selection.cross_validate(U, R, plan, decoders.RankingFas(items=8),
-                                            losses.RankLoss(normalize=False))
+    report = model_selection.cross_validate(U, R, (kernels.linear(),), lambdas, 5, seed,
+                                            decoders.RankingFas(items=8),
+                                            losses.RankLoss(normalize=False),
+                                            losses.RankLoss(normalize=True))
     for row, want in zip(report.rows, means):
         assert row.mean == pytest.approx(want, rel=MEAN_RTOL, abs=0.0)
     assert report.selected.lam == _oracles.lowest_mean_then_larger_lambda(
@@ -123,10 +121,8 @@ def _refuse(*args, **kwargs):
 
 def test_a_linear_cross_validate_builds_no_gram(monkeypatch):
     U, R = experiments.gen_ranking_data(8, 80, 0)
-    plan = model_selection.CvPlan(folds=5, seed=0, lambda_grid=(1e-3, 1e-1),
-                                  kernel_grid=(kernels.linear(),),
-                                  scoring=losses.RankLoss(normalize=True))
-    args = (U, R, plan, decoders.RankingFas(items=8), losses.RankLoss(normalize=False))
+    args = (U, R, (kernels.linear(),), (1e-3, 1e-1), 5, 0, decoders.RankingFas(items=8),
+            losses.RankLoss(normalize=False), losses.RankLoss(normalize=True))
     want = model_selection.cross_validate(*args)
     monkeypatch.setattr(kernels, "gram_matrix", _refuse)
     monkeypatch.setattr(np.linalg, "eigh", _refuse)
@@ -201,8 +197,8 @@ def test_a_failing_decoder_names_its_kernel_and_fold(monkeypatch):
     X = np.random.default_rng(8).normal(size=(12, 2))
     Y = ["a", "b"] * 6
     with pytest.raises(RuntimeError) as info:
-        model_selection.cross_validate(X, Y, _plan(0, losses.ZeroOne()),
-                                       decoders.Exhaustive(["a", "b"]), losses.ZeroOne())
+        model_selection.cross_validate(X, Y, *_grid(0), decoders.Exhaustive(["a", "b"]),
+                                       losses.ZeroOne(), losses.ZeroOne())
     message = str(info.value)
     assert message == f"cv failure at kernel={kernels.gaussian(SIGMAS[0])}, fold=0: decoder broke"
     assert "lambda=" not in message
@@ -223,3 +219,47 @@ def test_a_failing_spectrum_names_its_kernel(monkeypatch):
     assert str(info.value) == (f"cv failure at kernel={kernels.gaussian(SIGMAS[1])}, fold=0: "
                                "eigh did not converge")
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def _refuse_fold(*args):
+    raise AssertionError("a fold was solved or scored")
+
+
+GAUSS = (kernels.gaussian(1.0),)
+
+
+@pytest.mark.parametrize("kernel_grid, lambdas, folds, match", [
+    ((), LAMBDAS, FOLDS, "kernel grid must be non-empty"),
+    (GAUSS, (), FOLDS, "lambdas must be a non-empty list"),
+    (GAUSS, (1e-2, np.inf), FOLDS, "lambdas must be a non-empty list"),
+    (GAUSS, (0.0,), FOLDS, "lambdas must be a non-empty list"),
+    (GAUSS, LAMBDAS, 1, "need 2 <= k <= n"),
+    (GAUSS, LAMBDAS, 13, "need 2 <= k <= n"),
+], ids=["no-kernel", "no-lambda", "inf-lambda", "zero-lambda", "one-fold", "13-folds"])
+def test_sweep_rejects_a_bad_grid_before_any_fold(monkeypatch, kernel_grid, lambdas, folds,
+                                                  match):
+    # one ValueError from the sweep itself, not a RuntimeError from a fold
+    monkeypatch.setattr(kernels, "fold_ridge_paths", _refuse_fold)
+    X = np.random.default_rng(8).normal(size=(12, 2))
+    with pytest.raises(ValueError, match=match):
+        model_selection.sweep(X, kernel_grid, lambdas, folds, 0, _refuse_fold)
+
+
+@pytest.mark.parametrize("empty", ["kernels", "lambdas"])
+def test_every_cv_caller_rejects_an_empty_grid(empty):
+    # cross_validate, the robust CV and the histogram CV all reach the
+    # sweep's check; none fails later on an empty array
+    ds = experiments.gen_robust_data(20, 0)
+    Xh, Yh = experiments.gen_histogram_data(3, 20, 0)
+    sigmas, lambdas = ((), LAMBDAS) if empty == "kernels" else (SIGMAS, ())
+    grid = tuple(kernels.gaussian(s) for s in sigmas)
+    calls = [
+        lambda: model_selection.cross_validate(ds.x, ds.y, grid, lambdas, FOLDS, 0,
+                                               decoders.ScalarGrid(bound=3.0),
+                                               losses.Cauchy(1.0), losses.AbsoluteError()),
+        lambda: experiments._robust_cv(ds.x, ds.y, sigmas, lambdas, (1.0,), FOLDS, 0),
+        lambda: experiments._histogram_cv(Xh, Yh, sigmas, lambdas, FOLDS, 0, 1.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="non-empty"):
+            call()

@@ -168,3 +168,43 @@ def test_the_test_oracles_do_not_import_the_library():
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
     assert imported and not any(name.split(".")[0] in ("surrloss", "") for name in imported)
+
+
+def test_trend_p_value_matches_the_correlation_form():
+    rng = np.random.default_rng(23)
+    for trials in (2, 5, 20, 50):
+        for _ in range(40):
+            counts = rng.integers(0, trials + 1, size=len(oracle.TREND_N_GRID)).tolist()
+            if len(set(counts)) == 1 and counts[0] in (0, trials):
+                continue  # no variance: the correlation is undefined
+            want = _oracles.trend_p_value_by_correlation(counts, trials, oracle.TREND_N_GRID)
+            assert oracle.trend_p_value(counts, trials) == pytest.approx(want, rel=1e-9,
+                                                                         abs=1e-15)
+
+
+def test_trend_p_value_sees_no_fall_in_flat_or_rising_counts():
+    # a constant predictor misses the Bayes predictor in every draw at every n
+    assert oracle.trend_p_value([20] * 5, 20) == 1.0
+    assert oracle.trend_p_value([0] * 5, 20) == 1.0
+    assert oracle.trend_p_value([8] * 5, 20) == 0.5
+    assert oracle.trend_p_value([2, 2, 9, 14, 17], 20) > 1.0 - 1e-6
+    assert oracle.trend_p_value([17, 14, 9, 2, 2], 20) < 1e-8
+
+
+@pytest.mark.parametrize("predictor", ["constant", "argmax"])
+def test_check_consistency_fails_for_an_inconsistent_predictor(monkeypatch, tmp_path,
+                                                                 predictor):
+    # at default trials: a predictor that always says label 0, and a decoder
+    # that takes the argmax of the objective, both miss the Bayes predictor
+    # at every n, so their counts show no fall
+    argmin = decoders.decode_exhaustive_batch
+    if predictor == "constant":
+        monkeypatch.setattr(decoders, "predict_batch",
+                            lambda model, decoder, loss, Xq: [0] * len(Xq))
+    else:
+        monkeypatch.setattr(decoders, "decode_exhaustive_batch",
+                            lambda c, A, loss, y: argmin(c, -np.asarray(A, dtype=float), loss, y))
+    out = tmp_path / "report.json"
+    assert cli.main(["check", "consistency", "--out", str(out)]) == cli.EXIT_CHECK_FAILED
+    result = json.loads(out.read_text(encoding="utf-8"))["result"]
+    assert result["non_optimal"] == [20] * 5 and result["p_value"] == 1.0
