@@ -12,7 +12,8 @@ command line win over it.
 CSV conventions (UTF-8, comma separator, '.' decimal, header row):
 inputs are columns x0..x{d-1}; scalar targets a column y; label targets a
 column y; rating profiles columns r0..r{M-1}; histograms columns p0..p{d-1}.
-Numbered columns appear each exactly once, with no gap.
+Numbered columns appear each exactly once, with no gap, and y at most once.
+A row that does not parse is an error naming the file and its 1-based line.
 Predicted rankings are written as columns rank0..rank{M-1} (rank of item i,
 1 = top).
 """
@@ -82,12 +83,13 @@ def _numbered(path, header, prefix):
 def read_dataset(path, kind):
     """Returns (X, Y); Y is None when the file only carries inputs.
 
-    Blank lines are skipped; a data row with fewer or more fields than the
-    header is a ValueError naming the file and its 1-based line.
+    Blank lines are skipped.  A header that names y more than once, a data
+    row with fewer or more fields than the header, or a numeric cell that is
+    not a number is a ValueError naming the file (and the row's 1-based line).
     """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
-        rows = []
+        rows, lines = [], []
         for row in reader:
             if not row:
                 continue
@@ -95,26 +97,42 @@ def read_dataset(path, kind):
                 raise ValueError(f"{path}: line {reader.line_num} has {len(row)} fields, "
                                  f"the header has {len(rows[0])}")
             rows.append(row)
+            lines.append(reader.line_num)
     if not rows:
         raise ValueError(f"{path}: empty csv")
     header, data = rows[0], rows[1:]
+    if header.count("y") > 1:
+        raise ValueError(f"{path}: the header names column y {header.count('y')} times")
+
+    def floats(cols):
+        try:
+            return np.array([[float(row[i]) for i in cols] for row in data])
+        except ValueError:  # find the bad cell only now
+            for row, line in zip(data, lines[1:]):
+                for i in cols:
+                    try:
+                        float(row[i])
+                    except ValueError:
+                        raise ValueError(f"{path}: line {line}: column {header[i]} holds "
+                                         f"{row[i]!r}, which is not a number") from None
+            raise
+
     x_cols = _numbered(path, header, "x")
     if not x_cols:
         raise ValueError(f"{path}: no x0..x{{d-1}} input columns")
-    X = np.array([[float(row[i]) for i in x_cols] for row in data])
+    X = floats(x_cols)
     if kind == "scalar" or kind == "label":
         if "y" not in header:
             return X, None
         yc = header.index("y")
         if kind == "scalar":
-            return X, np.array([float(row[yc]) for row in data])
+            return X, floats([yc]).reshape(-1)
         return X, [row[yc] for row in data]
     prefix = "r" if kind == "ratings" else "p"
     cols = _numbered(path, header, prefix)
     if not cols:
         return X, None
-    Y = np.array([[float(row[i]) for i in cols] for row in data])
-    return X, Y
+    return X, floats(cols)
 
 
 def write_predictions(path, preds, kind):

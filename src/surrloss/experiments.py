@@ -12,11 +12,13 @@ Three experiments, each against a baseline:
     Hellinger decoding against a KDE-style decode, both with
     cross-validated (sigma, lambda).
 
-The CV grids, the fold count and the decoders are the module constants
-below; a runner's arguments set only the sizes, repetitions and seed.
-`repetitions` has no default here: the CLI's `--reps` (20) is the one
-default.  The CLI records the grids in its report metadata.  All generators
-are pure functions of (parameters, seed).
+Each runner is one trial(n, seed) -> {method: loss} of the shared
+repetition loop `_curves`, which builds the `ExperimentResult` rows.  The CV
+grids, the fold count and the decoders are the module constants below; a
+runner's arguments set only the sizes, repetitions and seed.  `repetitions`
+has no default here: the CLI's `--reps` (20) is the one default.  The CLI
+records the grids in its report metadata.  Every generator returns (X, Y),
+a pure function of (parameters, seed).
 """
 
 import time
@@ -43,13 +45,6 @@ HISTOGRAM_COMPONENTS = 3  # Dirichlet mixture components
 
 
 @dataclass(frozen=True)
-class RobustDataset:
-    x: np.ndarray      # (n, 1) inputs in [-1, 1]
-    y: np.ndarray      # noisy targets
-    clean: np.ndarray  # sin(6 pi x), no noise or outliers
-
-
-@dataclass(frozen=True)
 class ExperimentResult:
     method: str
     n: int
@@ -66,9 +61,26 @@ class ExperimentResult:
         return float(np.std(self.per_seed))
 
 
+def _curves(n_grid, repetitions, seed_of, trial):
+    """The rows of one experiment: for each n, `trial(n, seed)` -> {method:
+    loss} on the seeds seed_of(rep, n) of every repetition, then one
+    `ExperimentResult` per method in the trial's order.  `wall_time` is the
+    time of n's whole repetition loop, shared by its methods."""
+    results = []
+    for n in n_grid:
+        seeds = [seed_of(rep, n) for rep in range(repetitions)]
+        t0 = time.perf_counter()
+        trials = [trial(n, seed) for seed in seeds]
+        elapsed = time.perf_counter() - t0
+        results += [ExperimentResult(method, n, seeds, elapsed, [t[method] for t in trials])
+                    for method in trials[0]]
+    return results
+
+
 def gen_robust_data(n, seed):
-    """y = sin(6 pi x) + eps + zeta; eps ~ N(0, 0.1) (variance 0.1, std
-    sqrt(0.1)); zeta is 0 w.p. 0.9, else uniform on [-3, 3]."""
+    """(X, y): X is (n, 1) uniform on [-1, 1], y = sin(6 pi x) + eps + zeta;
+    eps ~ N(0, 0.1) (variance 0.1, std sqrt(0.1)); zeta is 0 w.p. 0.9, else
+    uniform on [-3, 3]."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
@@ -76,8 +88,7 @@ def gen_robust_data(n, seed):
     eps = rng.normal(0.0, np.sqrt(0.1), size=n)
     spikes = rng.uniform(-3.0, 3.0, size=n)
     zeta = np.where(rng.random(n) < 0.1, spikes, 0.0)
-    clean = np.sin(6.0 * np.pi * x)
-    return RobustDataset(x=x[:, None], y=clean + eps + zeta, clean=clean)
+    return x[:, None], np.sin(6.0 * np.pi * x) + eps + zeta
 
 
 def krr_predict_batch(model, Xq):
@@ -129,28 +140,18 @@ def run_robust_experiment(n_grid=(50, 100, 200, 500), *, repetitions, seed0=0):
     """Learning curves for the Cauchy-loss decoder vs the KRR baseline."""
     x_test = np.linspace(-1.0, 1.0, ROBUST_TEST_POINTS)[:, None]
     target = np.sin(6.0 * np.pi * x_test[:, 0])
-    results = []
-    for n in n_grid:
-        alg_vals, krr_vals, seeds = [], [], []
-        t0 = time.perf_counter()
-        for rep in range(repetitions):
-            seed = seed0 + 100_003 * rep + n
-            seeds.append(seed)
-            ds = gen_robust_data(n, seed)
 
-            (kernel, lam, gamma), (k_kernel, k_lam) = _robust_cv(
-                ds.x, ds.y, ROBUST_SIGMAS, ROBUST_LAMBDAS, ROBUST_GAMMAS, FOLDS, seed)
-            model = surrogate.fit(ds.x, ds.y, kernel, lam)
-            pred = decoders.predict_batch(model, ROBUST_DECODER, losses.Cauchy(gamma), x_test)
-            alg_vals.append(float(np.mean(np.abs(np.asarray(pred) - target))))
+    def trial(n, seed):
+        X, y = gen_robust_data(n, seed)
+        (kernel, lam, gamma), (k_kernel, k_lam) = _robust_cv(
+            X, y, ROBUST_SIGMAS, ROBUST_LAMBDAS, ROBUST_GAMMAS, FOLDS, seed)
+        pred = decoders.predict_batch(surrogate.fit(X, y, kernel, lam), ROBUST_DECODER,
+                                      losses.Cauchy(gamma), x_test)
+        k_pred = krr_predict_batch(surrogate.fit(X, y, k_kernel, k_lam), x_test)
+        return {"alg1_cauchy": float(np.mean(np.abs(np.asarray(pred) - target))),
+                "krr": float(np.mean(np.abs(k_pred - target)))}
 
-            k_model = surrogate.fit(ds.x, ds.y, k_kernel, k_lam)
-            k_pred = krr_predict_batch(k_model, x_test)
-            krr_vals.append(float(np.mean(np.abs(k_pred - target))))
-        elapsed = time.perf_counter() - t0
-        results.append(ExperimentResult("alg1_cauchy", n, seeds, elapsed, alg_vals))
-        results.append(ExperimentResult("krr", n, seeds, elapsed, krr_vals))
-    return results
+    return _curves(n_grid, repetitions, lambda rep, n: seed0 + 100_003 * rep + n, trial)
 
 
 # ---------------------------------------------------------------------------
@@ -188,27 +189,20 @@ def run_ranking_experiment(items=8, n_train=80, n_test=40, *, repetitions, seed0
     decoder = decoders.RankingFas(items=items)
     loss = losses.RankLoss(normalize=False)
     scoring = losses.RankLoss(normalize=True)
-    alg_vals, base_vals, seeds = [], [], []
-    t0 = time.perf_counter()
-    for rep in range(repetitions):
-        seed = seed0 + 7919 * rep
-        seeds.append(seed)
-        X, R = gen_ranking_data(items, n_train + n_test, seed)
-        Xtr, Xte = X[:n_train], X[n_train:]
-        Rtr, Rte = R[:n_train], R[n_train:]
+
+    def trial(n, seed):
+        X, R = gen_ranking_data(items, n + n_test, seed)
+        Xtr, Xte, Rtr, Rte = X[:n], X[n:], R[:n], R[n:]
         report = model_selection.cross_validate(Xtr, Rtr, (kernels.linear(),), RANKING_LAMBDAS,
                                                 FOLDS, seed, decoder, loss, scoring)
         model = surrogate.fit(Xtr, Rtr, report.selected.kernel, report.selected.lam)
         preds = decoders.predict_batch(model, decoder, loss, Xte)
-        alg_vals.append(float(np.mean(losses.rank_loss(preds, Rte, normalize=True))))
         base = _best_training_sort(Rtr)
-        base_vals.append(float(np.mean(
-            losses.rank_loss_matrix(base[None], Rte, normalize=True)[0])))
-    elapsed = time.perf_counter() - t0
-    return [
-        ExperimentResult("alg1_fas", n_train, seeds, elapsed, alg_vals),
-        ExperimentResult("best_train_sort", n_train, seeds, elapsed, base_vals),
-    ]
+        return {"alg1_fas": float(np.mean(losses.rank_loss(preds, Rte, normalize=True))),
+                "best_train_sort": float(np.mean(
+                    losses.rank_loss_matrix(base[None], Rte, normalize=True)[0]))}
+
+    return _curves((n_train,), repetitions, lambda rep, n: seed0 + 7919 * rep, trial)
 
 
 # ---------------------------------------------------------------------------
@@ -300,19 +294,13 @@ def run_histogram_experiment(dim=8, n_train=120, n_test=60, *, repetitions, seed
     reported for both methods.  The output-kernel bandwidth is the median
     pairwise squared distance of the training histograms.
     """
-    rows = {name: {"dH": [], "dG": []} for name in ("alg1_hellinger", "kde_gaussian")}
-    seeds = []
-    t0 = time.perf_counter()
-    for rep in range(repetitions):
-        seed = seed0 + 104_729 * rep
-        seeds.append(seed)
-        X, Y = gen_histogram_data(dim, n_train + n_test, seed)
-        Xtr, Xte = X[:n_train], X[n_train:]
-        Ytr, Yte = Y[:n_train], Y[n_train:]
+    def trial(n, seed):
+        X, Y = gen_histogram_data(dim, n + n_test, seed)
+        Xtr, Xte, Ytr, Yte = X[:n], X[n:], Y[:n], Y[n:]
         sigma_y = median_sq_dist(Ytr)
-
         selected = _histogram_cv(Xtr, Ytr, HISTOGRAM_SIGMAS, HISTOGRAM_LAMBDAS, FOLDS, seed,
                                  sigma_y)
+        out = {}
         for name, method in (("alg1_hellinger", "hellinger"), ("kde_gaussian", "kde")):
             sigma, lam = selected[method]
             model = surrogate.fit(Xtr, Ytr, kernels.gaussian(sigma), lam)
@@ -321,12 +309,8 @@ def run_histogram_experiment(dim=8, n_train=120, n_test=60, *, repetitions, seed
                 preds = decoders.decode_simplex_hellinger_batch(A, Ytr)
             else:
                 preds = _kde_decode_batch(A, Ytr, sigma_y)
-            rows[name]["dH"].append(float(np.mean(losses.squared_hellinger(preds, Yte))))
-            rows[name]["dG"].append(float(np.mean(_gauss_loss_rows(preds, Yte, sigma_y))))
-    elapsed = time.perf_counter() - t0
-    out = []
-    for name, metrics in rows.items():
-        for metric_name, vals in metrics.items():
-            out.append(ExperimentResult(f"{name}:{metric_name}", n_train, seeds, elapsed,
-                                        vals))
-    return out
+            out[f"{name}:dH"] = float(np.mean(losses.squared_hellinger(preds, Yte)))
+            out[f"{name}:dG"] = float(np.mean(_gauss_loss_rows(preds, Yte, sigma_y)))
+        return out
+
+    return _curves((n_train,), repetitions, lambda rep, n: seed0 + 104_729 * rep, trial)

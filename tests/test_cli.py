@@ -662,3 +662,45 @@ def test_numbered_output_columns_must_be_each_index_once(tmp_path, capsys, kind,
     assert cli.main(["train", "--in", str(tmp_path / "train.csv"), "--kind", kind,
                      "--out", str(tmp_path / "model.json")]) == cli.EXIT_USAGE
     assert f"train.csv: columns {', '.join(header)} are not" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "predict"])
+def test_a_header_that_names_y_twice_is_usage_error(tmp_path, capsys, command):
+    # the first of the two y columns was read and the second dropped
+    rows = [[0.1, 1.0, 2.0], [0.4, -1.0, 0.5], [0.7, 0.5, 1.5], [0.9, 0.2, -0.5]] * 3
+    _write_csv(tmp_path / "train.csv", ["x0", "y", "y"], rows)
+    model = tmp_path / "model.json"
+    if command == "predict":
+        _write_csv(tmp_path / "good.csv", ["x0", "y"], [r[:2] for r in rows])
+        assert cli.main(["train", "--in", str(tmp_path / "good.csv"), "--out", str(model),
+                         "--kind", "scalar"]) == cli.EXIT_OK
+        argv = ["predict", "--model", str(model), "--in", str(tmp_path / "train.csv"),
+                "--out", str(tmp_path / "preds.csv")]
+    else:
+        argv = [command, "--in", str(tmp_path / "train.csv"), "--kind", "scalar",
+                "--out", str(model if command == "train" else tmp_path / "cv.json")]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "train.csv: the header names column y 2 times" in capsys.readouterr().err
+    assert not any((tmp_path / name).exists() for name in ("preds.csv", "cv.json"))
+    assert model.exists() == (command == "predict")
+
+
+@pytest.mark.parametrize("kind, header, row, message", [
+    ("scalar", ["x0", "x1", "y"], ["0.5", "0.25", "abc"], "column y holds 'abc'"),
+    ("label", ["x0", "x1", "y"], ["0.5", "1e", "b"], "column x1 holds '1e'"),
+    ("ratings", ["x0", "r0", "r1"], ["0.5", "2", ""], "column r1 holds ''"),
+])
+def test_a_cell_that_is_not_a_number_names_its_file_and_line(tmp_path, capsys, kind, header,
+                                                             row, message):
+    # the message named neither the file nor the line: "could not convert
+    # string to float: 'abc'"; the blank line 3 still counts
+    good = {"scalar": "0.1,0.2,1.0", "label": "0.1,0.2,a", "ratings": "0.1,1,2"}[kind]
+    lines = [",".join(header), good, "", good, ",".join(row)]
+    (tmp_path / "train.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = cli.main(["train", "--in", str(tmp_path / "train.csv"), "--kind", kind,
+                     "--out", str(tmp_path / "model.json")])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"train.csv: line 5: {message}" in err
+    assert not (tmp_path / "model.json").exists()

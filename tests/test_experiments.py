@@ -19,10 +19,9 @@ def _splits(n, seed):
             for va in model_selection.kfold_split(n, FOLDS, seed)]
 
 
-def _robust_selection_by_brute_force(ds, seed):
+def _robust_selection_by_brute_force(X, y, seed):
     sigmas, lambdas, gammas = (experiments.ROBUST_SIGMAS, experiments.ROBUST_LAMBDAS,
                                experiments.ROBUST_GAMMAS)
-    y = ds.y
 
     def score(A, tr, va):
         alg = [np.mean(np.abs(decoders.decode_scalar_grid_batch(
@@ -30,7 +29,7 @@ def _robust_selection_by_brute_force(ds, seed):
                for g in gammas]
         return alg + [np.mean((y[tr] @ A - y[va]) ** 2)]
 
-    means = _oracles.brute_force_cv_means(ds.x, sigmas, lambdas, _splits(y.size, seed),
+    means = _oracles.brute_force_cv_means(X, sigmas, lambdas, _splits(y.size, seed),
                                           score)
     alg = _oracles.lowest_mean_then_larger_lambda(
         (means[si, li, gi], lam, (sigma, lam, gamma))
@@ -46,11 +45,11 @@ def _robust_selection_by_brute_force(ds, seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_robust_cv_selects_what_a_dense_solve_sweep_selects(seed):
-    ds = experiments.gen_robust_data(30, seed)
+    X, y = experiments.gen_robust_data(30, seed)
     (kernel, lam, gamma), (k_kernel, k_lam) = experiments._robust_cv(
-        ds.x, ds.y, experiments.ROBUST_SIGMAS, experiments.ROBUST_LAMBDAS,
+        X, y, experiments.ROBUST_SIGMAS, experiments.ROBUST_LAMBDAS,
         experiments.ROBUST_GAMMAS, FOLDS, seed)
-    alg, krr = _robust_selection_by_brute_force(ds, seed)
+    alg, krr = _robust_selection_by_brute_force(X, y, seed)
     assert (kernel.sigma, lam, gamma) == alg
     assert (k_kernel.sigma, k_lam) == krr
 
@@ -88,8 +87,8 @@ def test_cv_sweeps_use_neither_cholesky_nor_triangular_solves(monkeypatch):
 
     monkeypatch.setattr(kernels, "factor_shifted", refuse)
     monkeypatch.setattr(kernels, "solve_spd", refuse)
-    ds = experiments.gen_robust_data(30, 0)
-    experiments._robust_cv(ds.x, ds.y, experiments.ROBUST_SIGMAS,
+    X, y = experiments.gen_robust_data(30, 0)
+    experiments._robust_cv(X, y, experiments.ROBUST_SIGMAS,
                            experiments.ROBUST_LAMBDAS, experiments.ROBUST_GAMMAS,
                            FOLDS, 0)
     X, Y = experiments.gen_histogram_data(4, 30, 0)
@@ -146,6 +145,35 @@ def test_experiment_result_mean_and_std_are_those_of_its_per_seed_values():
     assert r.metric_std == float(np.std([0.25, 0.75, 0.5]))
 
 
+@pytest.mark.parametrize("repetitions", [2, 3])
+def test_each_runner_reports_its_methods_sizes_and_seeds(repetitions):
+    # one row per (n, method) in a fixed order; n is n_train where the runner
+    # has one size; every n's methods share its seeds and its wall time
+    seed0, reps = 5, range(repetitions)
+    runs = {
+        "robust": experiments.run_robust_experiment(
+            n_grid=(20, 30), repetitions=repetitions, seed0=seed0),
+        "ranking": experiments.run_ranking_experiment(
+            items=4, n_train=20, n_test=6, repetitions=repetitions, seed0=seed0),
+        "histogram": experiments.run_histogram_experiment(
+            dim=3, n_train=20, n_test=6, repetitions=repetitions, seed0=seed0),
+    }
+    expected = {
+        "robust": [(m, n, [seed0 + 100_003 * rep + n for rep in reps])
+                   for n in (20, 30) for m in ("alg1_cauchy", "krr")],
+        "ranking": [(m, 20, [seed0 + 7919 * rep for rep in reps])
+                    for m in ("alg1_fas", "best_train_sort")],
+        "histogram": [(m, 20, [seed0 + 104_729 * rep for rep in reps])
+                      for m in ("alg1_hellinger:dH", "alg1_hellinger:dG",
+                                "kde_gaussian:dH", "kde_gaussian:dG")],
+    }
+    for which, rows in runs.items():
+        assert [(r.method, r.n, r.seeds) for r in rows] == expected[which], which
+        for r in rows:
+            assert len(r.per_seed) == repetitions and np.all(np.isfinite(r.per_seed))
+            assert r.wall_time == next(s.wall_time for s in rows if s.n == r.n)
+
+
 def test_robust_cv_builds_one_cauchy_table_per_sigma_fold_and_gamma(monkeypatch):
     # each (kernel, fold) decodes its whole lambda-path in one call per gamma,
     # and each call builds its grid's loss table once
@@ -157,8 +185,8 @@ def test_robust_cv_builds_one_cauchy_table_per_sigma_fold_and_gamma(monkeypatch)
         return original(points, y_train, loss)
 
     monkeypatch.setattr(decoders, "_loss_matrix", counted)
-    ds = experiments.gen_robust_data(30, 0)
-    experiments._robust_cv(ds.x, ds.y, experiments.ROBUST_SIGMAS,
+    X, y = experiments.gen_robust_data(30, 0)
+    experiments._robust_cv(X, y, experiments.ROBUST_SIGMAS,
                            experiments.ROBUST_LAMBDAS, experiments.ROBUST_GAMMAS,
                            FOLDS, 0)
     assert all(isinstance(loss, losses.Cauchy) for loss in tables)

@@ -249,15 +249,15 @@ def test_sweep_rejects_a_bad_grid_before_any_fold(monkeypatch, kernel_grid, lamb
 def test_every_cv_caller_rejects_an_empty_grid(empty):
     # cross_validate, the robust CV and the histogram CV all reach the
     # sweep's check; none fails later on an empty array
-    ds = experiments.gen_robust_data(20, 0)
+    X, y = experiments.gen_robust_data(20, 0)
     Xh, Yh = experiments.gen_histogram_data(3, 20, 0)
     sigmas, lambdas = ((), LAMBDAS) if empty == "kernels" else (SIGMAS, ())
     grid = tuple(kernels.gaussian(s) for s in sigmas)
     calls = [
-        lambda: model_selection.cross_validate(ds.x, ds.y, grid, lambdas, FOLDS, 0,
+        lambda: model_selection.cross_validate(X, y, grid, lambdas, FOLDS, 0,
                                                decoders.ScalarGrid(bound=3.0),
                                                losses.Cauchy(1.0), losses.AbsoluteError()),
-        lambda: experiments._robust_cv(ds.x, ds.y, sigmas, lambdas, (1.0,), FOLDS, 0),
+        lambda: experiments._robust_cv(X, y, sigmas, lambdas, (1.0,), FOLDS, 0),
         lambda: experiments._histogram_cv(Xh, Yh, sigmas, lambdas, FOLDS, 0, 1.0),
     ]
     for call in calls:
