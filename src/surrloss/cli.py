@@ -256,6 +256,9 @@ def cmd_cv(args):
     X, Y = read_dataset(args.data, args.kind)
     if Y is None:
         raise ValueError("cv csv has no target columns")
+    if not 2 <= args.folds <= len(X):
+        raise ValueError(f"--folds must be between 2 and the {len(X)} data rows, "
+                         f"got {args.folds}")
     surrogate.check_outputs(Y, args.kind)
     loss = _loss_from_args(args, args.kind)
     scoring = losses.AbsoluteError() if args.kind == "scalar" else loss
@@ -316,6 +319,9 @@ def cmd_experiment(args):
              if which != args.which and getattr(args, dest) is not None]
     if stray:
         raise ValueError(f"experiment {args.which} takes no {' or '.join(stray)}")
+    if args.which == "robust" and args.n_grid and min(args.n_grid) < experiments.FOLDS:
+        raise ValueError(f"--n-grid sizes must be at least {experiments.FOLDS}, the "
+                         f"experiment's cross-validation folds, got {min(args.n_grid)}")
     dest = _EXPERIMENT_SIZE[args.which]
     size = {} if getattr(args, dest) is None else {dest: getattr(args, dest)}
     run = getattr(experiments, f"run_{args.which}_experiment")

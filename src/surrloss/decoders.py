@@ -10,13 +10,13 @@ Four output spaces are supported:
                         queries, then a stable descending argsort per row.
   * ScalarGrid       -- bounded reals, uniform grid + one polish of the grid
                         best, safeguarded Newton on F' (bisection where F''
-                        is not positive), for Cauchy, squared or absolute
-                        error; SCALAR_CHUNK query columns at a time.
+                        is not positive), for any `losses.ScalarLoss`;
+                        SCALAR_CHUNK query columns at a time.
   * SimplexHellinger -- histograms, closed-form square-root barycenter.
 
 Ties break to the lowest index.  All decoders are pure functions.
 RankingFas and SimplexHellinger minimise one fixed loss in closed form and
-ScalarGrid polishes with the derivatives of its three losses, so every route
+ScalarGrid polishes with a ScalarLoss's own derivatives, so every route
 rejects any other loss given with them (`check_loss`).
 
 `decode_batch` is the one decode from an (n, Q) weight matrix: prediction
@@ -77,7 +77,7 @@ class RankingFas:
 
 @dataclass(frozen=True)
 class ScalarGrid:
-    """Decode on [-bound, bound] for Cauchy, squared or absolute error: scan
+    """Decode on [-bound, bound] for a `losses.ScalarLoss`: scan
     `grid_points` uniform points, then polish the best one within its two
     neighbours by at most `refine_iters` safeguarded Newton or bisection
     steps, which stop early once converged.  refine_iters = 0 is a plain grid
@@ -204,8 +204,8 @@ def _loss_matrix(points, y_train, loss):
 def decode_scalar_grid_batch(A, y_train, loss, spec):
     """Grid scan + polish for Q queries at once.
 
-    A is the (n, Q) matrix of per-query weights and `loss` one of
-    losses.SCALAR_LOSSES.  Each query gets the best grid point, then at most
+    A is the (n, Q) matrix of per-query weights and `loss` a
+    `losses.ScalarLoss`.  Each query gets the best grid point, then at most
     `refine_iters` steps of `_newton_polish` on the bracketing sub-interval;
     the polished point is kept only if its objective is below the grid
     best's.  Returns (points (Q,), objectives (Q,)).
@@ -227,48 +227,24 @@ def decode_scalar_grid_batch(A, y_train, loss, spec):
     points, values = np.empty(A.shape[1]), np.empty(A.shape[1])
     for start in range(0, A.shape[1], SCALAR_CHUNK):
         cols = slice(start, start + SCALAR_CHUNK)
-        points[cols], values[cols] = _decode_scalar_chunk(A[:, cols], y_train, loss, spec,
-                                                          grid, L)
+        Ac = A[:, cols]
+        F = L @ Ac  # (G, Q)
+        best = np.argmin(F, axis=0)
+        best_x = grid[best]
+        best_f = F[best, np.arange(Ac.shape[1])]
+        del F  # freed before the polish and before the next chunk's table is built
+        if spec.refine_iters > 0:
+            lo = grid[np.maximum(best - 1, 0)]
+            hi = grid[np.minimum(best + 1, spec.grid_points - 1)]
+            refined = _newton_polish(Ac, y_train, loss, best_x, lo, hi, spec.refine_iters)
+            # the snap may step past a bound that is no multiple of 2**-NEWTON_SNAP
+            refined = np.clip(refined, grid[0], grid[-1])
+            f_ref = _objective_batch(refined, y_train, loss, Ac)
+            improve = f_ref < best_f
+            best_x = np.where(improve, refined, best_x)
+            best_f = np.where(improve, f_ref, best_f)
+        points[cols], values[cols] = best_x, best_f
     return points, values
-
-
-def _decode_scalar_chunk(A, y_train, loss, spec, grid, L):
-    """`decode_scalar_grid_batch` on the (n, Q) weights A, given the grid and
-    its (G, n) loss table L."""
-    F = L @ A  # (G, Q)
-    best = np.argmin(F, axis=0)
-    best_x = grid[best]
-    best_f = F[best, np.arange(A.shape[1])]
-
-    if spec.refine_iters > 0:
-        lo = grid[np.maximum(best - 1, 0)]
-        hi = grid[np.minimum(best + 1, spec.grid_points - 1)]
-        refined = _newton_polish(A, y_train, loss, best_x, lo, hi, spec.refine_iters)
-        # the snap may step past a bound that is no multiple of 2**-NEWTON_SNAP
-        refined = np.clip(refined, grid[0], grid[-1])
-        f_ref = _objective_batch(refined, y_train, loss, A)
-        improve = f_ref < best_f
-        best_x = np.where(improve, refined, best_x)
-        best_f = np.where(improve, f_ref, best_f)
-    return best_x, best_f
-
-
-def _slope_curvature(loss, a, d):
-    """F' and F'' up to one positive factor, per row, of F(p) = sum_i a_i
-    loss(p, y_i) at d = p - y_i; a and d are (Q, n).
-
-    Cauchy: d/dp gamma log(1 + d^2/gamma) = 2gamma d/v with v = gamma + d^2,
-    so F'/2gamma = sum a d/v and F''/2gamma = 2gamma sum a/v^2 - sum a/v: no
-    log1p.  Squared error: sum a d and sum a.  Absolute error: sum a sign(d)
-    and 0, so every step is a bisection.
-    """
-    if isinstance(loss, losses.Cauchy):
-        r = 1.0 / (loss.gamma + d * d)
-        w = a * r
-        return (w * d).sum(axis=1), 2.0 * loss.gamma * (w * r).sum(axis=1) - w.sum(axis=1)
-    if isinstance(loss, losses.SquaredError):
-        return (a * d).sum(axis=1), a.sum(axis=1)
-    return (a * np.sign(d)).sum(axis=1), np.zeros(d.shape[0])
 
 
 def _newton_polish(A, y_train, loss, start, lo, hi, iters):
@@ -292,7 +268,7 @@ def _newton_polish(A, y_train, loss, start, lo, hi, iters):
         if active.size == 0:
             break
         x = p[active]
-        slope, curv = _slope_curvature(loss, At[active], x[:, None] - y_train)
+        slope, curv = loss.slope_curvature(At[active], x[:, None] - y_train)
         a = np.where(slope < 0.0, x, lo[active])  # the minimum lies right of x
         b = np.where(slope > 0.0, x, hi[active])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -302,6 +278,17 @@ def _newton_polish(A, y_train, loss, start, lo, hi, iters):
         lo[active], hi[active], p[active] = a, b, nxt
         active = active[np.abs(nxt - x) > STEP_TOL * np.maximum(1.0, np.abs(x))]
     return np.ldexp(np.rint(np.ldexp(p, NEWTON_SNAP)), -NEWTON_SNAP)
+
+
+def _simplex_inputs(A, y_train):
+    """(A, Y) as float arrays, Y a non-empty (n, d) array and A n weight rows."""
+    Y = np.asarray(y_train, dtype=float)
+    if Y.ndim != 2 or Y.shape[0] == 0:
+        raise ValueError("training outputs must be a non-empty (n, d) array")
+    A = np.asarray(A, dtype=float)
+    if A.shape[0] != Y.shape[0]:
+        raise ValueError("alpha / training-output length mismatch")
+    return A, Y
 
 
 def decode_simplex_hellinger(alphas, y_train):
@@ -314,12 +301,7 @@ def decode_simplex_hellinger(alphas, y_train):
     of least F.  On the simplex F(y_i) = 2 sum(alpha) - 2 sqrt(y_i) . b, so
     that is the row of largest sqrt(Y) @ b, ties to the lowest index.
     """
-    Y = np.asarray(y_train, dtype=float)
-    if Y.ndim != 2 or Y.shape[0] == 0:
-        raise ValueError("training outputs must be a non-empty (n, d) array")
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.shape[0] != Y.shape[0]:
-        raise ValueError("alpha / training-output length mismatch")
+    alphas, Y = _simplex_inputs(alphas, y_train)
     b = alphas @ np.sqrt(Y)
     pos = np.maximum(b, 0.0)
     mass = float((pos * pos).sum())
@@ -330,8 +312,7 @@ def decode_simplex_hellinger(alphas, y_train):
 
 def decode_simplex_hellinger_batch(A, y_train):
     """Closed-form simplex decode for Q queries; A is (n, Q)."""
-    Y = np.asarray(y_train, dtype=float)
-    A = np.asarray(A, dtype=float)
+    A, Y = _simplex_inputs(A, y_train)
     b = A.T @ np.sqrt(Y)  # (Q, d)
     pos = np.maximum(b, 0.0)
     mass = (pos * pos).sum(axis=1)
@@ -347,7 +328,7 @@ def check_loss(decoder, loss):
     """Reject a loss the decoder does not minimise.  RankingFas and
     SimplexHellinger never call the loss: each minimises one fixed loss in
     closed form, so any other loss is rejected, not ignored.  ScalarGrid
-    polishes with the derivatives of losses.SCALAR_LOSSES only."""
+    polishes with the derivatives that a `losses.ScalarLoss` states."""
     if isinstance(decoder, RankingFas) and not (
             isinstance(loss, losses.RankLoss) and not loss.normalize):
         raise ValueError("the ranking decoder minimises RankLoss(normalize=False), "
@@ -355,7 +336,7 @@ def check_loss(decoder, loss):
     if isinstance(decoder, SimplexHellinger) and not isinstance(loss, losses.SquaredHellinger):
         raise ValueError("the simplex decoder minimises SquaredHellinger, "
                          f"not {type(loss).__name__}")
-    if isinstance(decoder, ScalarGrid) and not isinstance(loss, losses.SCALAR_LOSSES):
+    if isinstance(decoder, ScalarGrid) and not isinstance(loss, losses.ScalarLoss):
         raise ValueError("the scalar decoder minimises Cauchy, SquaredError or "
                          f"AbsoluteError, not {type(loss).__name__}")
 
@@ -379,8 +360,6 @@ def decode_batch(decoder, loss, y_train, A):
             raise ValueError("scalar decoder needs scalar training outputs")
         return decode_scalar_grid_batch(A, Y, loss, decoder)[0]
     if isinstance(decoder, SimplexHellinger):
-        if Y.ndim != 2:
-            raise ValueError("simplex decoder needs histogram training outputs")
         return decode_simplex_hellinger_batch(A, Y)
     raise ValueError(f"unknown decoder {decoder!r}")
 

@@ -8,7 +8,7 @@ is the flattened step matrix of a rank vector (`rank_step_rows`), paired with
 a profile's flattened gains, so `rank_loss_matrix` tabulates C rank vectors
 against T profiles as one product.
 
-`loss_rows` is the one paired evaluation: the SCALAR_LOSSES apply their one
+`loss_rows` is the one paired evaluation: a `ScalarLoss` applies its one
 `of_difference` formula, `squared_hellinger` and `rank_loss` score a whole
 (Q, .) stack of (prediction, truth) pairs in one call, and any other loss is
 called once per pair.  `loss_table` tabulates through it; decoding, the
@@ -127,15 +127,17 @@ def rank_loss_matrix(ranks, ratings, normalize=False):
     return _per_gain_mass(table, gains) if normalize else table
 
 
-class _ScalarLoss:
-    """A loss of d = y - y' alone; a call, `loss_rows` and `loss_table` apply
-    its one formula `of_difference`."""
+class ScalarLoss:
+    """A loss of d = y - y' alone.  A call, `loss_rows` and `loss_table`
+    apply its one formula `of_difference(d)`; `slope_curvature(a, d)` gives
+    F' and F'' up to one positive factor, per row, of F(p) = sum_i a_i
+    loss(p, y_i) at d = p - y_i, for (Q, n) arrays a and d."""
 
     def __call__(self, y, y2):
         return self.of_difference(float(y) - float(y2))
 
 
-class Cauchy(_ScalarLoss):
+class Cauchy(ScalarLoss):
     """Robust scalar loss gamma * log(1 + (y - y')^2 / gamma)."""
 
     def __init__(self, gamma):
@@ -146,18 +148,28 @@ class Cauchy(_ScalarLoss):
     def of_difference(self, d):
         return self.gamma * np.log1p(d * d / self.gamma)
 
+    def slope_curvature(self, a, d):
+        """d/dp gamma log(1 + d^2/gamma) = 2gamma d/v, v = gamma + d^2, so
+        F'/2gamma = sum a d/v and F''/2gamma = 2gamma sum a/v^2 - sum a/v: no log1p."""
+        r = 1.0 / (self.gamma + d * d)
+        w = a * r
+        return (w * d).sum(axis=1), 2.0 * self.gamma * (w * r).sum(axis=1) - w.sum(axis=1)
 
-class SquaredError(_ScalarLoss):
+
+class SquaredError(ScalarLoss):
     def of_difference(self, d):
         return d * d
 
+    def slope_curvature(self, a, d):  # F'/2 and F''/2
+        return (a * d).sum(axis=1), a.sum(axis=1)
 
-class AbsoluteError(_ScalarLoss):
+
+class AbsoluteError(ScalarLoss):
     def of_difference(self, d):
         return np.abs(d)
 
-
-SCALAR_LOSSES = (Cauchy, SquaredError, AbsoluteError)
+    def slope_curvature(self, a, d):  # F'' = 0, so every polish step bisects
+        return (a * np.sign(d)).sum(axis=1), np.zeros(d.shape[0])
 
 
 class ZeroOne:
@@ -220,7 +232,7 @@ def loss_rows(loss, preds, truths):
     rejects."""
     if len(preds) != len(truths):
         raise ValueError(f"{len(preds)} predictions against {len(truths)} truths")
-    if isinstance(loss, SCALAR_LOSSES):
+    if isinstance(loss, ScalarLoss):
         return loss.of_difference(np.asarray(preds, dtype=float)
                                   - np.asarray(truths, dtype=float))
     if isinstance(loss, SquaredHellinger):
@@ -231,10 +243,10 @@ def loss_rows(loss, preds, truths):
 
 
 def loss_table(loss, rows, cols):
-    """(R, C) table of loss(rows[a], cols[b]): the SCALAR_LOSSES' formula on
+    """(R, C) table of loss(rows[a], cols[b]): a `ScalarLoss`'s formula on
     rows[:, None] - cols[None, :], any other loss `loss_rows` over the R*C
     index pairs, row by row."""
-    if isinstance(loss, SCALAR_LOSSES):
+    if isinstance(loss, ScalarLoss):
         return loss.of_difference(np.asarray(rows, dtype=float)[:, None]
                                   - np.asarray(cols, dtype=float)[None, :])
     a, b = np.divmod(np.arange(len(rows) * len(cols)), len(cols))

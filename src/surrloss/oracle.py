@@ -50,6 +50,7 @@ class FiniteProblem:
         # the finite decoder would merge the columns of equal outputs
         if len(losses.group_outputs(self.ys)[0]) != len(self.ys):
             raise ValueError("duplicate ys")
+        object.__setattr__(self, "rho", rho)  # the checked float array, not the input
 
     @property
     def marginal_x(self):

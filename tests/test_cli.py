@@ -155,6 +155,21 @@ def test_cv_with_an_empty_grid_is_usage_error(tmp_path, capsys, option):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("folds", ["1", "11"])
+def test_cv_with_folds_outside_two_to_rows_is_usage_error(tmp_path, capsys, monkeypatch, folds):
+    # rejected before any fit: a fold path would exit 2 instead
+    monkeypatch.setattr(kernels, "fold_ridge_paths", _refuse_fit)
+    rng = np.random.default_rng(5)
+    _write_csv(tmp_path / "train.csv", ["x0", "y"], rng.uniform(-1, 1, size=(10, 2)).tolist())
+    out = tmp_path / "cv.json"
+    code = cli.main(["cv", "--in", str(tmp_path / "train.csv"), "--kind", "scalar",
+                     "--folds", folds, "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"--folds must be between 2 and the 10 data rows, got {folds}" in err
+    assert not out.exists()
+
+
 def test_check_consistency_fails_with_two_trials(tmp_path):
     # with two draws per sample size the non-optimal counts [2, 1, 1, 0, 0]
     # fall, but the trend test's p = 0.011 is above the 1e-3 level
@@ -375,6 +390,20 @@ def test_experiment_rejects_an_empty_n_grid(tmp_path, capsys, source):
                 "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_USAGE
     assert "--n-grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_grid", ["3", "10,0"])
+def test_robust_experiment_rejects_sizes_below_its_fold_count(tmp_path, capsys, monkeypatch,
+                                                              n_grid):
+    # rejected before any fit: a fold path would exit 2 instead
+    monkeypatch.setattr(kernels, "fold_ridge_paths", _refuse_fit)
+    out = tmp_path / "report.json"
+    assert cli.main(["experiment", "robust", "--n-grid", n_grid, "--reps", "1",
+                     "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"--n-grid sizes must be at least {experiments.FOLDS}" in err
+    assert f"got {min(map(int, n_grid.split(',')))}" in err
     assert not out.exists()
 
 

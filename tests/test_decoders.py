@@ -743,6 +743,20 @@ def test_simplex_rejects_empty():
         decoders.decode_simplex_hellinger(np.array([]), np.empty((0, 3)))
 
 
+@pytest.mark.parametrize("A, Y, message", [
+    (np.ones((3, 2)), np.full((4, 2), 0.5), "alpha / training-output length mismatch"),
+    (np.ones((0, 2)), np.empty((0, 3)), r"non-empty \(n, d\) array"),
+    (np.ones((3, 2)), np.full(3, 1.0), r"non-empty \(n, d\) array"),
+])
+def test_simplex_batch_checks_its_inputs_as_the_single_query_form(A, Y, message):
+    with pytest.raises(ValueError, match=message):
+        decoders.decode_simplex_hellinger(A[:, 0], Y)
+    with pytest.raises(ValueError, match=message):
+        decoders.decode_simplex_hellinger_batch(A, Y)
+    with pytest.raises(ValueError, match=message):
+        decoders.decode_batch(decoders.SimplexHellinger(), losses.SquaredHellinger(), Y, A)
+
+
 def test_simplex_batch_matches_single():
     rng = np.random.default_rng(12)
     Y = rng.dirichlet(np.ones(5), size=6)

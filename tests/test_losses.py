@@ -399,3 +399,27 @@ def test_loss_rows_rejects_stacks_of_different_lengths():
     for loss, preds, truths in LOSS_ROWS_CASES:
         with pytest.raises(ValueError, match="predictions against"):
             losses.loss_rows(loss, preds, truths[:-1])
+
+
+@pytest.mark.parametrize("loss, factor", [
+    (losses.Cauchy(0.7), 1.4), (losses.Cauchy(3.0), 6.0),
+    (losses.SquaredError(), 2.0), (losses.AbsoluteError(), 1.0)],
+    ids=["cauchy-0.7", "cauchy-3", "squared", "absolute"])
+def test_scalar_loss_slope_curvature_matches_central_differences(loss, factor):
+    # slope_curvature(a, p - y) is F' and F'' of F(p) = sum_i a_i loss(p, y_i)
+    # per row, both divided by the one positive factor
+    rng = np.random.default_rng(8)
+    y = rng.uniform(-2.0, 2.0, size=9)
+    p = rng.uniform(-2.5, 2.5, size=60)
+    p = p[np.abs(p[:, None] - y).min(axis=1) > 1e-2]  # away from |d|'s kinks
+    a = rng.normal(size=(p.size, y.size))  # mixed-sign weights
+    h = 1e-4
+
+    def F(points):
+        return (a * loss.of_difference(points[:, None] - y)).sum(axis=1)
+
+    slope, curv = loss.slope_curvature(a, p[:, None] - y)
+    np.testing.assert_allclose(factor * slope, (F(p + h) - F(p - h)) / (2 * h),
+                               rtol=1e-6, atol=1e-6)
+    np.testing.assert_allclose(factor * curv, (F(p + h) - 2 * F(p) + F(p - h)) / h**2,
+                               rtol=1e-4, atol=1e-4)

@@ -118,6 +118,13 @@ def test_finite_problem_rejects_duplicate_ys(ys):
         oracle.FiniteProblem(xs=[0, 1], ys=ys, rho=np.full((2, 3), 1.0 / 6.0))
 
 
+def test_finite_problem_keeps_rho_as_the_float_array_it_checked():
+    p = oracle.FiniteProblem(xs=[0, 1], ys=[0, 1], rho=[[0.25, 0.25], [0.25, 0.25]])
+    assert isinstance(p.rho, np.ndarray) and p.rho.dtype == float
+    np.testing.assert_array_equal(p.marginal_x, [0.5, 0.5])
+    np.testing.assert_array_equal(p.conditionals, np.full((2, 2), 0.5))
+
+
 @pytest.mark.parametrize("which", ["fisher", "comparison"])
 def test_fisher_and_comparison_checks_decode_with_the_library_decoder(monkeypatch, tmp_path,
                                                                        which):
