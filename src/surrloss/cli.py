@@ -296,6 +296,11 @@ def _result_json(results):
 
 # Each experiment's own size option; the runner's default applies when unset.
 _EXPERIMENT_SIZE = {"robust": "n_grid", "ranking": "items", "histogram": "dim"}
+# The least value of each size option, what it is called, and why.
+_LEAST_SIZE = {"n_grid": (experiments.FOLDS, "--n-grid sizes",
+                          "the experiment's cross-validation folds"),
+               "items": (2, "--items", "as a ranking orders two items or more"),
+               "dim": (2, "--dim", "as a histogram has two bins or more")}
 
 
 def _experiment_metadata(which):
@@ -319,11 +324,13 @@ def cmd_experiment(args):
              if which != args.which and getattr(args, dest) is not None]
     if stray:
         raise ValueError(f"experiment {args.which} takes no {' or '.join(stray)}")
-    if args.which == "robust" and args.n_grid and min(args.n_grid) < experiments.FOLDS:
-        raise ValueError(f"--n-grid sizes must be at least {experiments.FOLDS}, the "
-                         f"experiment's cross-validation folds, got {min(args.n_grid)}")
     dest = _EXPERIMENT_SIZE[args.which]
     size = {} if getattr(args, dest) is None else {dest: getattr(args, dest)}
+    if size:
+        least, name, why = _LEAST_SIZE[dest]
+        smallest = int(np.min(size[dest]))
+        if smallest < least:
+            raise ValueError(f"{name} must be at least {least}, {why}, got {smallest}")
     run = getattr(experiments, f"run_{args.which}_experiment")
     results = run(repetitions=args.reps, seed0=args.seed, **size)
     payload = {

@@ -260,23 +260,35 @@ def _newton_polish(A, y_train, loss, start, lo, hi, iters):
     answer does not depend on the batch around it; the answer is snapped to
     multiples of 2**-NEWTON_SNAP, so weights that differ in the last bits (a
     GEMV's against a GEMM's) give the same point.
+
+    The working state (the transpose's rows, iterates and brackets) holds
+    only the columns still moving: it is compacted on the steps where some
+    column stops, and a step reads it whole.  The (Q, n) differences p - y_i
+    go into one buffer allocated per call, so a step allocates only the
+    loss's own temporaries (`losses.Cauchy.slope_curvature` keeps two).  A,
+    start, lo and hi are not written.
     """
     At = np.ascontiguousarray(A.T)
-    p, lo, hi = start.astype(float), lo.astype(float), hi.astype(float)
+    x, lo, hi = start.astype(float), np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    p = x.copy()
     active = np.arange(At.shape[0])
+    diff = np.empty_like(At)  # p - y_i, its leading rows reused by every step
     for _ in range(iters):
-        if active.size == 0:
-            break
-        x = p[active]
-        slope, curv = loss.slope_curvature(At[active], x[:, None] - y_train)
-        a = np.where(slope < 0.0, x, lo[active])  # the minimum lies right of x
-        b = np.where(slope > 0.0, x, hi[active])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = x - slope / curv
-        step_in = (curv > 0.0) & (newton >= a) & (newton <= b)
+        d = np.subtract(x[:, None], y_train, out=diff[:x.shape[0]])
+        slope, curv = loss.slope_curvature(At, d)
+        a = np.where(slope < 0.0, x, lo)  # the minimum lies right of x
+        b = np.where(slope > 0.0, x, hi)
+        convex = curv > 0.0
+        newton = x - np.divide(slope, curv, out=np.zeros_like(slope), where=convex)
+        step_in = convex & (newton >= a) & (newton <= b)
         nxt = np.where(step_in, newton, 0.5 * (a + b))
-        lo[active], hi[active], p[active] = a, b, nxt
-        active = active[np.abs(nxt - x) > STEP_TOL * np.maximum(1.0, np.abs(x))]
+        p[active] = nxt
+        moving = np.abs(nxt - x) > STEP_TOL * np.maximum(1.0, np.abs(x))
+        if not moving.all():
+            if not moving.any():
+                break
+            active, At, nxt, a, b = active[moving], At[moving], nxt[moving], a[moving], b[moving]
+        x, lo, hi = nxt, a, b
     return np.ldexp(np.rint(np.ldexp(p, NEWTON_SNAP)), -NEWTON_SNAP)
 
 
@@ -345,10 +357,13 @@ def decode_batch(decoder, loss, y_train, A):
     """Decode Q queries from their (n, Q) weights A with the decoder matching
     the output space: a list of candidates (Exhaustive), or an array of rank
     vectors (RankingFas, (Q, M)), points (ScalarGrid, (Q,)) or histograms
-    (SimplexHellinger, (Q, d)).  Every decode from weights dispatches here.
+    (SimplexHellinger, (Q, d)).  Every decode from weights dispatches here,
+    and weights that are not one (n, Q) matrix are rejected before it does.
     """
     check_loss(decoder, loss)
     A = np.asarray(A, dtype=float)
+    if A.ndim != 2:
+        raise ValueError("weights must be (n, Q)")
     if isinstance(decoder, Exhaustive):
         best, _ = decode_exhaustive_batch(decoder.candidates, A, loss, y_train)
         return [decoder.candidates[c] for c in best]

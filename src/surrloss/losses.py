@@ -131,7 +131,8 @@ class ScalarLoss:
     """A loss of d = y - y' alone.  A call, `loss_rows` and `loss_table`
     apply its one formula `of_difference(d)`; `slope_curvature(a, d)` gives
     F' and F'' up to one positive factor, per row, of F(p) = sum_i a_i
-    loss(p, y_i) at d = p - y_i, for (Q, n) arrays a and d."""
+    loss(p, y_i) at d = p - y_i, for (Q, n) arrays a and d.  Neither method
+    writes its inputs; each works in place on the temporaries it allocates."""
 
     def __call__(self, y, y2):
         return self.of_difference(float(y) - float(y2))
@@ -146,14 +147,31 @@ class Cauchy(ScalarLoss):
         self.gamma = float(gamma)
 
     def of_difference(self, d):
-        return self.gamma * np.log1p(d * d / self.gamma)
+        """gamma * log1p(d^2 / gamma), in place on one temporary; a float d
+        gives a scalar."""
+        t = np.asarray(d * d, dtype=float)
+        t /= self.gamma
+        np.log1p(t, out=t)
+        t *= self.gamma
+        return t[()]
 
     def slope_curvature(self, a, d):
         """d/dp gamma log(1 + d^2/gamma) = 2gamma d/v, v = gamma + d^2, so
-        F'/2gamma = sum a d/v and F''/2gamma = 2gamma sum a/v^2 - sum a/v: no log1p."""
-        r = 1.0 / (self.gamma + d * d)
+        F'/2gamma = sum a d/v and F''/2gamma = 2gamma sum a/v^2 - sum a/v: no log1p.
+
+        Two (Q, n) temporaries, r = 1/v and w = a r; then r takes w r and w
+        takes w d, each once its last reader is done.  `a` and `d` are not
+        written, and every element goes through the operations of the
+        one-line expressions in their order, so the sums equal theirs bit
+        for bit."""
+        r = d * d
+        r += self.gamma
+        np.divide(1.0, r, out=r)
         w = a * r
-        return (w * d).sum(axis=1), 2.0 * self.gamma * (w * r).sum(axis=1) - w.sum(axis=1)
+        w_sum = w.sum(axis=1)
+        r *= w
+        w *= d
+        return w.sum(axis=1), 2.0 * self.gamma * r.sum(axis=1) - w_sum
 
 
 class SquaredError(ScalarLoss):
@@ -169,7 +187,9 @@ class AbsoluteError(ScalarLoss):
         return np.abs(d)
 
     def slope_curvature(self, a, d):  # F'' = 0, so every polish step bisects
-        return (a * np.sign(d)).sum(axis=1), np.zeros(d.shape[0])
+        s = np.sign(d)
+        s *= a
+        return s.sum(axis=1), np.zeros(d.shape[0])
 
 
 class ZeroOne:

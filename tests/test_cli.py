@@ -407,6 +407,22 @@ def test_robust_experiment_rejects_sizes_below_its_fold_count(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("which, option, value", [
+    ("ranking", "--items", "1"), ("ranking", "--items", "-3"),
+    ("histogram", "--dim", "1"), ("histogram", "--dim", "0")])
+def test_experiment_size_below_its_least_names_the_option(tmp_path, capsys, monkeypatch,
+                                                          which, option, value):
+    # rejected before any data is drawn or fit
+    monkeypatch.setattr(experiments, "gen_ranking_data", _refuse_fit)
+    monkeypatch.setattr(experiments, "gen_histogram_data", _refuse_fit)
+    out = tmp_path / "report.json"
+    assert cli.main(["experiment", which, option, value, "--reps", "1",
+                     "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{option} must be at least 2" in err and f"got {value}" in err
+    assert not out.exists()
+
+
 def test_label_predictions_from_a_version_1_blob_are_byte_identical(tmp_path):
     rng = np.random.default_rng(13)
     n, q = 40, 25

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -642,6 +643,69 @@ def test_scalar_cauchy_newton_wide_batch_equals_column_decodes():
         _assert_matches_dense_oracle(pts[j], A[:, j], y_train, 0.7)
 
 
+class _RowCounting:
+    """A scalar loss that records the row count of each polish step."""
+
+    def __init__(self, loss):
+        self.loss, self.rows = loss, []
+
+    def slope_curvature(self, a, d):
+        self.rows.append(a.shape[0])
+        return self.loss.slope_curvature(a, d)
+
+
+@pytest.mark.parametrize("iters", [7, 40])
+@pytest.mark.parametrize("loss", [losses.Cauchy(0.7), losses.SquaredError(),
+                                  losses.AbsoluteError()], ids=["cauchy", "squared", "absolute"])
+def test_newton_polish_of_a_batch_equals_each_column_polished_alone(loss, iters):
+    # Mixed-sign weights and brackets from 1e-11 to 1 wide, so that columns
+    # stop at different steps and the batch is compacted on the way; the
+    # polish writes none of its inputs.
+    rng = np.random.default_rng(21)
+    n, q = 30, 48
+    y_train = rng.uniform(-2.0, 2.0, size=n)
+    A = rng.normal(size=(n, q))
+    start = rng.uniform(-2.0, 2.0, size=q)
+    width = 10.0 ** rng.uniform(-11.0, 0.0, size=q)
+    lo, hi = start - width * rng.uniform(0.0, 1.0, size=q), start + width
+    inputs = [x.copy() for x in (A, start, lo, hi)]
+    counting = _RowCounting(loss)
+    batch = decoders._newton_polish(A, y_train, counting, start, lo, hi, iters)
+    for x, x0 in zip((A, start, lo, hi), inputs):
+        np.testing.assert_array_equal(x, x0)
+    assert len(set(counting.rows)) >= 3  # compacted at least twice
+    assert counting.rows[0] == q and min(counting.rows) > 0
+    for j in range(q):
+        one = decoders._newton_polish(A[:, j:j + 1], y_train, loss, start[j:j + 1],
+                                      lo[j:j + 1], hi[j:j + 1], iters)
+        assert one[0] == batch[j]
+
+
+# The tracemalloc peak of one Cauchy decode at robust-cv's final-predict
+# shape, its largest scalar decode, when each polish step allocated its own
+# (Q, n) temporaries (NumPy 2.4): the decode may not use more.
+SCALAR_DECODE_PEAK_BYTES = 4_968_744
+
+
+def test_scalar_decode_at_the_robust_predict_shape_stays_under_its_memory_peak():
+    _, y_train = experiments.gen_robust_data(300, 0)
+    A = np.random.default_rng(0).normal(size=(300, 1000)) / 300
+    spec = experiments.ROBUST_DECODER
+    assert spec.grid_points == 512
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        decoders.decode_scalar_grid_batch(A, y_train, losses.Cauchy(1.0), spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= SCALAR_DECODE_PEAK_BYTES
+
+
 # ---------------------------------------------------------------------------
 # Simplex Hellinger decoder
 
@@ -835,6 +899,21 @@ def test_predict_rejects_a_loss_the_decoder_does_not_minimise(decoder, loss, out
         decoders.predict(model, decoder, loss, X[0])
     with pytest.raises(ValueError, match="minimises"):
         decoders.predict_batch(model, decoder, loss, X)
+
+
+@pytest.mark.parametrize("A", [np.ones(3), np.ones((3, 2, 1)), np.float64(1.0)],
+                         ids=["vector", "3-d", "scalar"])
+@pytest.mark.parametrize("decoder, loss, outputs", [
+    (decoders.Exhaustive(["a", "b"]), losses.ZeroOne(), ["a", "b", "a"]),
+    (decoders.RankingFas(items=3), losses.RankLoss(),
+     np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [2.0, 2.0, 1.0]])),
+    (decoders.ScalarGrid(), losses.Cauchy(1.0), np.array([-0.5, 0.25, 1.0])),
+    (decoders.SimplexHellinger(), losses.SquaredHellinger(), np.full((3, 2), 0.5)),
+], ids=["exhaustive", "ranking", "scalar", "simplex"])
+def test_decode_batch_rejects_weights_that_are_not_a_matrix(decoder, loss, outputs, A):
+    # a ranking decode of one (n,) vector would return one (M,) ranking
+    with pytest.raises(ValueError, match=r"weights must be \(n, Q\)"):
+        decoders.decode_batch(decoder, loss, outputs, A)
 
 
 def test_predict_batch_matches_predict():

@@ -423,3 +423,60 @@ def test_scalar_loss_slope_curvature_matches_central_differences(loss, factor):
                                rtol=1e-6, atol=1e-6)
     np.testing.assert_allclose(factor * curv, (F(p + h) - 2 * F(p) + F(p - h)) / h**2,
                                rtol=1e-4, atol=1e-4)
+
+
+def _differences(rng, shape):
+    # d in [-10, 10] with exact zeros, where |d| has its kink
+    d = rng.uniform(-10.0, 10.0, size=shape)
+    d.flat[::7] = 0.0
+    return d
+
+
+@pytest.mark.parametrize("loss", [losses.Cauchy(0.7), losses.SquaredError(),
+                                  losses.AbsoluteError()], ids=["cauchy", "squared", "absolute"])
+def test_scalar_loss_methods_write_neither_input(loss):
+    rng = np.random.default_rng(17)
+    d = _differences(rng, (12, 40))
+    a = rng.normal(size=d.shape)  # mixed-sign weights
+    a0, d0 = a.copy(), d.copy()
+    loss.slope_curvature(a, d)
+    loss.of_difference(d)
+    np.testing.assert_array_equal(a, a0)
+    np.testing.assert_array_equal(d, d0)
+    a.flags.writeable = d.flags.writeable = False  # a write would raise
+    loss.slope_curvature(a, d)
+    loss.of_difference(d)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 1e-3])
+def test_cauchy_formulas_equal_their_plain_expressions_bit_for_bit(gamma):
+    rng = np.random.default_rng(18)
+    loss = losses.Cauchy(gamma)
+    d = _differences(rng, (9, 31))
+    a = rng.normal(size=d.shape)
+    np.testing.assert_array_equal(loss.of_difference(d), gamma * np.log1p(d * d / gamma))
+    np.testing.assert_array_equal(loss.of_difference(d[0]),
+                                  gamma * np.log1p(d[0] * d[0] / gamma))
+    r = 1.0 / (gamma + d * d)
+    w = a * r
+    slope, curv = loss.slope_curvature(a, d)
+    np.testing.assert_array_equal(slope, (w * d).sum(axis=1))
+    np.testing.assert_array_equal(curv, 2.0 * gamma * (w * r).sum(axis=1) - w.sum(axis=1))
+
+
+def test_absolute_error_slope_equals_its_plain_expression_bit_for_bit():
+    rng = np.random.default_rng(19)
+    d = _differences(rng, (9, 31))
+    a = rng.normal(size=d.shape)
+    slope, curv = losses.AbsoluteError().slope_curvature(a, d)
+    np.testing.assert_array_equal(slope, (a * np.sign(d)).sum(axis=1))
+    np.testing.assert_array_equal(curv, np.zeros(9))
+
+
+@pytest.mark.parametrize("y, y2", [(0.25, -1.5), (2, 2), (np.float64(3.0), 1)])
+def test_a_cauchy_call_on_two_scalars_is_a_scalar(y, y2):
+    v = losses.Cauchy(0.7)(y, y2)
+    assert isinstance(v, float) and not isinstance(v, np.ndarray)
+    d = float(y) - float(y2)
+    assert v == 0.7 * np.log1p(d * d / 0.7)
+    assert isinstance(losses.Cauchy(0.7).of_difference(d), float)
