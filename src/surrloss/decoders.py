@@ -324,6 +324,8 @@ def decode_simplex_hellinger(alphas, y_train):
 
 def decode_simplex_hellinger_batch(A, y_train):
     """Closed-form simplex decode for Q queries; A is (n, Q)."""
+    if np.ndim(A) != 2:
+        raise ValueError("weights must be (n, Q)")
     A, Y = _simplex_inputs(A, y_train)
     b = A.T @ np.sqrt(Y)  # (Q, d)
     pos = np.maximum(b, 0.0)

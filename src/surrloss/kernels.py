@@ -5,7 +5,8 @@ Gaussian and linear (`KernelSpec`).  Every input array, in fitting and in
 cross-validation alike, is shaped and checked by `_as_input_matrix`.
 
 A fitted model holds one Cholesky factor L of K + shift*I and the inverses of
-L's diagonal blocks (`factor_shifted`).  `solve_spd` runs the forward and back
+L's diagonal blocks, built together by one blocked pass of GEMMs over a copy
+of K (`factor_shifted`).  `solve_spd` runs the forward and back
 substitutions block by block: each diagonal block is one product with its
 stored inverse, each off-diagonal panel one GEMV/GEMM, so every step stays in
 NumPy's BLAS and the package needs no other linear-algebra library.
@@ -33,9 +34,9 @@ import numpy as np
 # largest diagonal entry of the shifted matrix.
 JITTER_LADDER = (1e-12, 1e-10, 1e-8)
 
-# Order of the diagonal blocks of the blocked triangular solves.  Inverting
-# them costs about n * SOLVE_BLOCK^2 flops at fit time, small next to the
-# n^3 / 3 of the Cholesky factorization.
+# Order of the diagonal blocks of the Cholesky pass and the triangular solves.
+# Factoring and inverting them costs about n * SOLVE_BLOCK^2 flops, small next
+# to the n^3 / 3 of the GEMM updates between them.
 SOLVE_BLOCK = 128
 
 
@@ -162,8 +163,9 @@ def cross_kernel_batch(spec, X, Xq):
 
 @dataclass(frozen=True)
 class SpdFactor:
-    """Lower Cholesky factor of K + shift*I + jitter*I, with the inverses of
-    its diagonal blocks of order SOLVE_BLOCK (the last one may be smaller)."""
+    """Lower Cholesky factor of K + shift*I + jitter*I, exactly 0 above the
+    diagonal, with the lower triangular inverses of its diagonal blocks of
+    order SOLVE_BLOCK (the last one may be smaller)."""
 
     order: int
     lower: np.ndarray
@@ -171,49 +173,66 @@ class SpdFactor:
     block_inverses: tuple
 
 
-def _block_inverses(L):
-    """Inverses of L's diagonal blocks, lower triangular like the blocks.
+def _lower_inverse(L):
+    """Inverse of the lower triangular L by the GEMM recursion
+    [[L11, 0], [L21, L22]]^-1 = [[X11, 0], [-X22 L21 X11, X22]], Xii = Lii^-1.
+    A leaf of at most 32 rows is one `np.linalg.inv`, whose row pivoting can
+    leave rounding above the diagonal; `np.tril` drops it."""
+    m = L.shape[0]
+    if m <= 32:
+        return np.tril(np.linalg.inv(L))
+    h = m // 2
+    X11, X22 = _lower_inverse(L[:h, :h]), _lower_inverse(L[h:, h:])
+    return np.block([[X11, np.zeros((h, m - h))], [-(X22 @ L[h:, :h] @ X11), X22]])
 
-    `np.linalg.inv` factors each block with row pivoting, which can leave
-    rounding above the diagonal; `np.tril` drops it.
-    """
-    return tuple(np.tril(np.linalg.inv(L[s:s + SOLVE_BLOCK, s:s + SOLVE_BLOCK]))
-                 for s in range(0, L.shape[0], SOLVE_BLOCK))
 
-
-def _plus_diagonal(M, value):
-    """M + value*I as a new array, without an (n, n) identity temporary."""
-    out = M.copy()
-    out.flat[::M.shape[0] + 1] += value
-    return out
+def _cholesky_in_place(A):
+    """Overwrite the SPD A with its lower Cholesky factor, left-looking and
+    blocked (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd
+    ed., ch. 10), and return the inverses of its diagonal blocks.  Raises
+    numpy.linalg.LinAlgError at the first diagonal block that is not positive
+    definite, with A's strict upper triangle as it was."""
+    n = A.shape[0]
+    inverses = []
+    for s in range(0, n, SOLVE_BLOCK):
+        e = min(s + SOLVE_BLOCK, n)
+        update = A[s:, :s] @ A[s:e, :s].T  # for the whole block column at once
+        L = np.linalg.cholesky(A[s:e, s:e] - update[:e - s])
+        np.copyto(A[s:e, s:e], L, where=np.tri(e - s, dtype=bool))
+        inverses.append(_lower_inverse(L))
+        A[e:, s:e] = (A[e:, s:e] - update[e - s:]) @ inverses[-1].T
+    for s in range(0, n, SOLVE_BLOCK):
+        e = min(s + SOLVE_BLOCK, n)
+        A[s:e, e:] = 0.0
+        A[s:e, s:e] = np.tril(A[s:e, s:e])
+    return tuple(inverses)
 
 
 def factor_shifted(K, shift):
-    """Cholesky-factor K + shift*I, walking a jitter ladder on failure.
-
-    The ladder is relative to the largest diagonal entry of the shifted
-    matrix; jitter stays 0 whenever the unshifted factorization succeeds.
-    Raises numpy.linalg.LinAlgError after the full ladder fails.
+    """Cholesky-factor the symmetric K + shift*I, walking a jitter ladder on
+    failure: each rung factors (K + shift*I) + jitter*I until a diagonal block
+    is not positive definite (`_cholesky_in_place`).  The ladder is relative
+    to the largest diagonal entry of the shifted matrix; jitter stays 0
+    whenever the unshifted factorization succeeds.  Raises
+    numpy.linalg.LinAlgError after the full ladder fails.
     """
-    K = np.asarray(K, dtype=float)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+    A = np.array(K, dtype=float)  # factored in place
+    del K  # a Gram the caller no longer holds is freed before it is factored
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("K must be square")
     if shift < 0:
         raise ValueError("shift must be non-negative")
-    n = K.shape[0]
-    A = _plus_diagonal(K, shift)
-    del K  # a Gram the caller no longer holds is freed before L is allocated
-    scale = float(np.max(np.diag(A))) if n else 1.0
-    if scale <= 0:
-        scale = 1.0
+    n = A.shape[0]
+    diagonal = A.diagonal() + shift
+    scale = float(diagonal.max(initial=0.0)) or 1.0  # 1 if no entry is positive
     for rel in (0.0,) + JITTER_LADDER:
-        jitter = rel * scale
+        A.flat[::n + 1] = diagonal + rel * scale
         try:
-            L = np.linalg.cholesky(_plus_diagonal(A, jitter) if jitter else A)
+            inverses = _cholesky_in_place(A)
         except np.linalg.LinAlgError:
+            _mirror_lower(A.T)  # the lower triangle again, from the untouched upper
             continue
-        return SpdFactor(order=n, lower=L, jitter=float(jitter),
-                         block_inverses=_block_inverses(L))
+        return SpdFactor(order=n, lower=A, jitter=rel * scale, block_inverses=inverses)
     raise np.linalg.LinAlgError(
         f"matrix of order {n} not positive definite after jitter ladder {JITTER_LADDER}"
     )
@@ -235,8 +254,11 @@ def solve_spd(factor, b):
     Error bound.  Solving with an exact Cholesky factor is backward stable, so
     the relative error of sol is at most about n * u * cond(A) (u = 1.1e-16;
     Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
-    Thm. 10.4).  Multiplying by computed inverses of the diagonal blocks
-    instead of substituting can add a factor up to cond(L) = sqrt(cond(A)).
+    Thm. 10.4).  The inverses X of the diagonal blocks L_kk of order m come
+    from `_lower_inverse`'s GEMM recursion, whose residual X L_kk - I is, as
+    for substitution, at most about m * u * cond(L_kk) (Higham, Sec. 14.2).
+    Multiplying by them instead of substituting, here and in the panels of
+    the factor, can add a factor up to cond(L_kk) <= sqrt(cond(A)).
     For the ridge system A = K + n*lambda*I,
     cond(A) <= 1 + lambda_max(K) / (n*lambda); a Gaussian kernel has
     lambda_max(K) <= n, so cond(A) <= 1 + 1/lambda and, at lambda = 1e-3 and

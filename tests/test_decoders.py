@@ -802,6 +802,16 @@ def test_simplex_fallback_is_a_training_histogram_of_least_objective():
             np.stack([alphas, 2.0 * alphas], axis=1), Y), [got, got])
 
 
+@pytest.mark.parametrize("A", [np.ones(3), np.ones((3, 2, 1)), np.float64(1.0)],
+                         ids=["vector", "3-d", "scalar"])
+def test_simplex_batch_rejects_weights_that_are_not_a_matrix(A):
+    Y = np.full((3, 2), 0.5)
+    with pytest.raises(ValueError, match=r"weights must be \(n, Q\)"):
+        decoders.decode_simplex_hellinger_batch(A, Y)
+    # the single-query form takes the (n,) vector
+    np.testing.assert_allclose(decoders.decode_simplex_hellinger(np.ones(3), Y), [0.5, 0.5])
+
+
 def test_simplex_rejects_empty():
     with pytest.raises(ValueError):
         decoders.decode_simplex_hellinger(np.array([]), np.empty((0, 3)))

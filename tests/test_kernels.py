@@ -223,9 +223,10 @@ def test_factor_rank_deficient_engages_jitter():
 
 
 def test_factor_reproduces_matrix():
+    # sizes up to three diagonal blocks, so most draws update panels
     rng = np.random.default_rng(6)
     for _ in range(20):
-        n = int(rng.integers(2, 30))
+        n = int(rng.integers(2, 3 * BLOCK))
         B = rng.normal(size=(n, n))
         K = B @ B.T
         shift = float(rng.uniform(0, 2))
@@ -307,6 +308,89 @@ def test_solve_matches_dense_solve_at_block_boundaries(n):
         ref = np.linalg.solve(A, b)
         assert sol.shape == b.shape
         assert np.max(np.abs(sol - ref)) <= tol * np.max(np.abs(ref))
+
+
+def _gram_and_shift(n, rel):
+    """A Gaussian Gram of n random points in 3-d and the shift n * rel."""
+    X = np.random.default_rng(n).normal(size=(n, 3))
+    return kernels.gram_matrix(kernels.gaussian(1.0), X), n * rel
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 1000])
+def test_factor_matches_lapack_cholesky(n):
+    # Both factorizations are backward stable (Higham Thm. 10.3) and A is well
+    # conditioned (cond(A) <= 1 + lambda_max(K) / shift <= 101), so their
+    # entries agree to about n * u * |A|_2; the blocked pass reads at most
+    # 1e-3 of that bound.
+    K, shift = _gram_and_shift(n, 1e-2)
+    f = kernels.factor_shifted(K, shift)
+    A = K + shift * np.eye(n)
+    assert f.jitter == 0.0 and f.lower.flags.c_contiguous
+    assert np.max(np.abs(f.lower - np.linalg.cholesky(A))) <= n * U * np.linalg.norm(A, 2)
+    assert np.all(np.triu(f.lower, 1) == 0.0)
+
+
+@pytest.mark.parametrize("rel", [1e-2, 1e-6])
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 1000])
+def test_block_inverses_match_a_dense_solve(n, rel):
+    # solve_spd's stated bound for the GEMM recursion: each inverse is within
+    # about m * u * cond(L_kk) of L_kk^-1, relative to its largest entry
+    f = kernels.factor_shifted(*_gram_and_shift(n, rel))
+    starts = range(0, n, BLOCK)
+    assert len(f.block_inverses) == len(starts)
+    for s, X in zip(starts, f.block_inverses):
+        m = min(BLOCK, n - s)
+        L_kk = f.lower[s:s + m, s:s + m]
+        ref = np.linalg.solve(L_kk, np.eye(m))
+        assert X.shape == (m, m) and np.all(np.triu(X, 1) == 0.0)
+        assert np.max(np.abs(X - ref)) <= m * U * np.linalg.cond(L_kk) * np.max(np.abs(ref))
+
+
+def _recording(monkeypatch, name):
+    """Wrap np.linalg.<name>: the list it returns gets each call's row count,
+    and "failed" after a call that raised LinAlgError."""
+    function, calls = getattr(np.linalg, name), []
+
+    def wrapper(M):
+        calls.append(M.shape[0])
+        try:
+            return function(M)
+        except np.linalg.LinAlgError:
+            calls.append("failed")
+            raise
+
+    monkeypatch.setattr(np.linalg, name, wrapper)
+    return calls
+
+
+def test_jitter_ladder_restarts_after_a_later_block_fails(monkeypatch):
+    # Row 250 copies row 10 and K[250, 250] is lowered by 1e-9, so K has an
+    # eigenvalue near -5e-10: the first diagonal block factors and the second
+    # (rows 128-255) does not.  Jitter 1e-12 and 1e-10 leave K indefinite and
+    # 1e-8 makes it definite, so a ladder of whole-matrix np.linalg.cholesky
+    # calls picks 1e-8 too.  (An exact copy alone leaves the sign of the zero
+    # pivot to rounding: either way of factoring then picks jitter 0 or 1e-12,
+    # depending on the points.)
+    X = np.random.default_rng(0).normal(size=(300, 3))
+    X[250] = X[10]
+    K = kernels.gram_matrix(kernels.gaussian(1.0), X)
+    K[250, 250] -= 1e-9
+    calls = _recording(monkeypatch, "cholesky")
+    f = kernels.factor_shifted(K, 0.0)
+    assert f.jitter == 1e-8
+    assert calls == 3 * [BLOCK, BLOCK, "failed"] + [BLOCK, BLOCK, 300 - 2 * BLOCK]
+
+
+def test_factor_works_on_blocks_only(monkeypatch):
+    # np.linalg.cholesky sees only diagonal blocks and np.linalg.inv only the
+    # leaves of the recursive block inverse, at most 32 rows
+    n = 1000
+    K, shift = _gram_and_shift(n, 1e-3)
+    chol_calls = _recording(monkeypatch, "cholesky")
+    inv_calls = _recording(monkeypatch, "inv")
+    kernels.factor_shifted(K, shift)
+    assert len(chol_calls) == len(range(0, n, BLOCK)) and max(chol_calls) <= BLOCK
+    assert inv_calls and max(inv_calls) <= 32
 
 
 def test_solve_with_jitter_solves_the_jittered_system():

@@ -33,9 +33,9 @@ def test_fit_reproduces_system_matrix():
 
 
 def test_fit_holds_at_most_two_gram_sized_arrays():
-    # K + n*lambda*I is built without an (n, n) identity, and the Gram is
-    # freed before the Cholesky factor is allocated: the shifted copy and the
-    # factor are the only (n, n) arrays alive at once (three before).
+    # The factor is built in place in one copy of the Gram, and the Gram is
+    # freed once it is copied: the two are the only (n, n) arrays ever alive
+    # at once.
     n = 600
     X = np.random.default_rng(7).normal(size=(n, 3))
     surrogate.fit(X, np.zeros(n), kernels.gaussian(3.0), 1e-3)
@@ -46,6 +46,22 @@ def test_fit_holds_at_most_two_gram_sized_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * n * n * 8
+
+
+def test_fit_peak_at_n_1000_stays_below_the_whole_matrix_factorization():
+    # 17.11 MB is the peak of a whole-matrix np.linalg.cholesky, which builds
+    # the factor as a second (n, n) array beside the shifted copy; the
+    # in-place pass reads 16.01 MB, the Gram and its copy while it is made
+    n = 1000
+    X = np.random.default_rng(0).normal(size=(n, 8))
+    surrogate.fit(X, np.zeros(n), kernels.gaussian(8.0), 1e-3)
+    tracemalloc.start()
+    try:
+        surrogate.fit(X, np.zeros(n), kernels.gaussian(8.0), 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17.11e6
 
 
 def test_fit_rejects_bad_lambda_and_sizes():
