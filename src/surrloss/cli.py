@@ -10,12 +10,12 @@ subcommand, keyed by option destination (`sigma`, `lam`, ...); flags on the
 command line win over it.
 
 CSV conventions (UTF-8, comma separator, '.' decimal, header row):
-inputs are columns x0..x{d-1}; scalar targets a column y; label targets a
-column y; rating profiles columns r0..r{M-1}; histograms columns p0..p{d-1}.
-Numbered columns appear each exactly once, with no gap, and y at most once.
-A row that does not parse is an error naming the file and its 1-based line.
-Predicted rankings are written as columns rank0..rank{M-1} (rank of item i,
-1 = top).
+inputs are columns x0..x{d-1}; each output kind's row of `_KINDS` names its
+target and prediction columns: y for scalars and labels, p0..p{d-1} for
+histograms, and rating profiles r0..r{M-1} predicted as rank0..rank{M-1}
+(rank of item i, 1 = top).  Numbered columns appear each exactly once, with
+no gap, and y at most once.  A row that does not parse is an error naming
+the file and its 1-based line.
 """
 
 import argparse
@@ -121,31 +121,28 @@ def read_dataset(path, kind):
     if not x_cols:
         raise ValueError(f"{path}: no x0..x{{d-1}} input columns")
     X = floats(x_cols)
-    if kind == "scalar" or kind == "label":
-        if "y" not in header:
-            return X, None
-        yc = header.index("y")
-        if kind == "scalar":
-            return X, floats([yc]).reshape(-1)
-        return X, [row[yc] for row in data]
-    prefix = "r" if kind == "ratings" else "p"
-    cols = _numbered(path, header, prefix)
-    if not cols:
+    target = _KINDS[kind]["target"]
+    if target != "y":
+        cols = _numbered(path, header, target)
+        return X, floats(cols) if cols else None
+    if "y" not in header:
         return X, None
-    return X, floats(cols)
+    yc = header.index("y")
+    if kind == "scalar":
+        return X, floats([yc]).reshape(-1)
+    return X, [row[yc] for row in data]
 
 
 def write_predictions(path, preds, kind):
+    column = _KINDS[kind]["prediction"]
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        if kind in ("scalar", "label"):
+        if column == "y":
             writer.writerow(["y"])
-            for p in preds:
-                writer.writerow([p])
-        else:  # simplex histograms or rankings
-            prefix, dtype = ("p", float) if kind == "simplex" else ("rank", int)
-            preds = np.asarray(preds, dtype=dtype)
-            writer.writerow([f"{prefix}{j}" for j in range(preds.shape[1])])
+            writer.writerows([p] for p in preds)
+        else:
+            preds = np.asarray(preds)
+            writer.writerow([f"{column}{j}" for j in range(preds.shape[1])])
             writer.writerows(preds.tolist())
 
 
@@ -201,49 +198,54 @@ _LOSSES = {"cauchy": lambda args: losses.Cauchy(1.0 if args.gamma is None else a
            "zero_one": lambda args: losses.ZeroOne(),
            "hellinger": lambda args: losses.SquaredHellinger(),
            "rank": lambda args: losses.RankLoss()}
-
-
-_DEFAULT_LOSS = {"scalar": "cauchy", "label": "zero_one",
-                 "simplex": "hellinger", "ratings": "rank"}
 _SCALAR_OPTIONS = ("bound", "grid_points", "refine_iters")  # ScalarGrid's fields
 
 
-def _loss_from_args(args, kind):
-    """The decode loss, `--loss` or the kind's default.  A decoder option that
-    neither the kind's decoder nor the loss reads is a ValueError."""
-    args.loss = args.loss or _DEFAULT_LOSS[kind]
-    for dest in _SCALAR_OPTIONS:
-        if kind != "scalar" and getattr(args, dest) is not None:
-            raise ValueError(f"--{dest.replace('_', '-')} applies only to scalar "
-                             f"outputs, not {kind}")
+def _scalar_decoder(Y, options):
+    decoder = decoders.ScalarGrid(**options)
+    # The grid spans [-bound, bound]; a target outside it would be
+    # predicted as the clipped bound, without a word.
+    top = float(np.max(np.abs(Y)))
+    if top > decoder.bound:
+        raise ValueError(f"scalar targets reach max |y| = {top:g}, outside "
+                         f"--bound {decoder.bound:g}; set --bound to at least {top:g}")
+    return decoder
+
+
+# Each kind's CSV target (y, or a numbered prefix) and prediction column, default --loss,
+# decoder of the training outputs and set scalar options, and CV scoring loss (None: --loss).
+_KINDS = {
+    "scalar": dict(target="y", prediction="y", loss="cauchy", decoder=_scalar_decoder,
+                   scoring=losses.AbsoluteError()),
+    "label": dict(target="y", prediction="y", loss="zero_one", scoring=None,
+                  decoder=lambda Y, _: decoders.Exhaustive(sorted(set(Y)))),
+    "simplex": dict(target="p", prediction="p", loss="hellinger", scoring=None,
+                    decoder=lambda Y, _: decoders.SimplexHellinger()),
+    "ratings": dict(target="r", prediction="rank", loss="rank",
+                    decoder=lambda Y, _: decoders.RankingFas(items=np.shape(Y)[1]),
+                    scoring=losses.RankLoss(normalize=True)),
+}
+
+
+def _decoder_and_loss(Y, kind, args):
+    """(decoder of the training outputs Y, decode loss: `--loss` or the kind's default);
+    a decoder option that neither the kind's decoder nor the loss reads is a ValueError."""
+    options = {dest: getattr(args, dest) for dest in _SCALAR_OPTIONS
+               if getattr(args, dest) is not None}
+    if options and kind != "scalar":
+        raise ValueError(f"--{next(iter(options)).replace('_', '-')} applies only to "
+                         f"scalar outputs, not {kind}")
+    args.loss = args.loss or _KINDS[kind]["loss"]
     if args.loss != "cauchy" and args.gamma is not None:
         raise ValueError(f"--gamma applies only to --loss cauchy, not {args.loss}")
-    return _LOSSES[args.loss](args)
-
-
-def _decoder_from_outputs(Y, kind, args):
-    if kind == "scalar":
-        decoder = decoders.ScalarGrid(**{dest: getattr(args, dest) for dest in _SCALAR_OPTIONS
-                                         if getattr(args, dest) is not None})
-        # The grid spans [-bound, bound]; a target outside it would be
-        # predicted as the clipped bound, without a word.
-        top = float(np.max(np.abs(Y)))
-        if top > decoder.bound:
-            raise ValueError(f"scalar targets reach max |y| = {top:g}, outside "
-                             f"--bound {decoder.bound:g}; set --bound to at least {top:g}")
-        return decoder
-    if kind == "label":
-        return decoders.Exhaustive(sorted(set(Y)))
-    if kind == "simplex":
-        return decoders.SimplexHellinger()
-    return decoders.RankingFas(items=np.asarray(Y).shape[1])
+    loss = _LOSSES[args.loss](args)
+    return _KINDS[kind]["decoder"](Y, options), loss
 
 
 def cmd_predict(args):
     model, kind = surrogate.load_model(args.model)
     X, _ = read_dataset(args.data, kind)
-    loss = _loss_from_args(args, kind)
-    decoder = _decoder_from_outputs(model.Y, kind, args)
+    decoder, loss = _decoder_and_loss(model.Y, kind, args)
     preds = decoders.predict_batch(model, decoder, loss, X)
     write_predictions(args.out, preds, kind)
     print(f"wrote {len(X)} predictions to {args.out}")
@@ -260,13 +262,10 @@ def cmd_cv(args):
         raise ValueError(f"--folds must be between 2 and the {len(X)} data rows, "
                          f"got {args.folds}")
     surrogate.check_outputs(Y, args.kind)
-    loss = _loss_from_args(args, args.kind)
-    scoring = losses.AbsoluteError() if args.kind == "scalar" else loss
-    if args.kind == "ratings":
-        scoring = losses.RankLoss(normalize=True)
-    decoder = _decoder_from_outputs(Y, args.kind, args)
+    decoder, loss = _decoder_and_loss(Y, args.kind, args)
     report = model_selection.cross_validate(X, Y, kernel_grid, args.lambdas, args.folds,
-                                            args.seed, decoder, loss, scoring)
+                                            args.seed, decoder, loss,
+                                            _KINDS[args.kind]["scoring"] or loss)
     rows = [{"kernel": surrogate.kernel_to_json(r.kernel), "lambda": r.lam,
              "mean": r.mean, "std": r.std} for r in report.rows]
     sel = report.selected
@@ -276,8 +275,7 @@ def cmd_cv(args):
     if args.loss == "cauchy":
         config["gamma"] = loss.gamma
     if args.kind == "scalar":
-        config.update(bound=decoder.bound, grid_points=decoder.grid_points,
-                      refine_iters=decoder.refine_iters)
+        config.update({dest: getattr(decoder, dest) for dest in _SCALAR_OPTIONS})
     _report(args.out, {
         "command": "cv",
         "config": config,
@@ -294,52 +292,45 @@ def _result_json(results):
              "per_seed": r.per_seed} for r in results]
 
 
-# Each experiment's own size option; the runner's default applies when unset.
-_EXPERIMENT_SIZE = {"robust": "n_grid", "ranking": "items", "histogram": "dim"}
-# The least value of each size option, what it is called, and why.
-_LEAST_SIZE = {"n_grid": (experiments.FOLDS, "--n-grid sizes",
-                          "the experiment's cross-validation folds"),
-               "items": (2, "--items", "as a ranking orders two items or more"),
-               "dim": (2, "--dim", "as a histogram has two bins or more")}
-
-
-def _experiment_metadata(which):
-    folds = experiments.FOLDS
-    if which == "robust":
-        return {"metric": "mean |f(x) - sin(6 pi x)| on a uniform "
+# Each experiment's size option (unset: the runner's default), its least value, what the
+# option is called and why, and the report's metric and cross-validation grid.
+_EXPERIMENTS = {
+    "robust": dict(size="n_grid", least=experiments.FOLDS, name="--n-grid sizes",
+                   why="the experiment's cross-validation folds",
+                   metric="mean |f(x) - sin(6 pi x)| on a uniform "
                           f"{experiments.ROBUST_TEST_POINTS}-point grid",
-                "cv": {"sigmas": list(experiments.ROBUST_SIGMAS),
-                       "lambdas": list(experiments.ROBUST_LAMBDAS),
-                       "gammas": list(experiments.ROBUST_GAMMAS), "folds": folds}}
-    if which == "ranking":
-        return {"metric": "mean normalized rank loss on held-out profiles",
-                "cv": {"lambdas": list(experiments.RANKING_LAMBDAS), "folds": folds}}
-    return {"metric": "mean squared Hellinger (dH) and Gaussian-kernel (dG) test losses",
-            "cv": {"sigmas": list(experiments.HISTOGRAM_SIGMAS),
-                   "lambdas": list(experiments.HISTOGRAM_LAMBDAS), "folds": folds}}
+                   cv={"sigmas": experiments.ROBUST_SIGMAS, "lambdas": experiments.ROBUST_LAMBDAS,
+                       "gammas": experiments.ROBUST_GAMMAS}),
+    "ranking": dict(size="items", least=2, name="--items",
+                    why="as a ranking orders two items or more",
+                    metric="mean normalized rank loss on held-out profiles",
+                    cv={"lambdas": experiments.RANKING_LAMBDAS}),
+    "histogram": dict(size="dim", least=2, name="--dim", why="as a histogram has two bins or more",
+                      metric="mean squared Hellinger (dH) and Gaussian-kernel (dG) test losses",
+                      cv={"sigmas": experiments.HISTOGRAM_SIGMAS,
+                          "lambdas": experiments.HISTOGRAM_LAMBDAS}),
+}
 
 
 def cmd_experiment(args):
-    stray = [f"--{dest.replace('_', '-')}" for which, dest in _EXPERIMENT_SIZE.items()
-             if which != args.which and getattr(args, dest) is not None]
+    stray = [f"--{row['size'].replace('_', '-')}" for which, row in _EXPERIMENTS.items()
+             if which != args.which and getattr(args, row["size"]) is not None]
     if stray:
         raise ValueError(f"experiment {args.which} takes no {' or '.join(stray)}")
-    dest = _EXPERIMENT_SIZE[args.which]
-    size = {} if getattr(args, dest) is None else {dest: getattr(args, dest)}
-    if size:
-        least, name, why = _LEAST_SIZE[dest]
-        smallest = int(np.min(size[dest]))
-        if smallest < least:
-            raise ValueError(f"{name} must be at least {least}, {why}, got {smallest}")
+    row = _EXPERIMENTS[args.which]
+    value = getattr(args, row["size"])
+    if value is not None and int(np.min(value)) < row["least"]:
+        raise ValueError(f"{row['name']} must be at least {row['least']}, {row['why']}, "
+                         f"got {int(np.min(value))}")
+    size = {} if value is None else {row["size"]: value}
     run = getattr(experiments, f"run_{args.which}_experiment")
     results = run(repetitions=args.reps, seed0=args.seed, **size)
-    payload = {
+    _report(args.out, {
         "command": f"experiment {args.which}",
         "config": {"seed": args.seed, "reps": args.reps, **size},
-        "metadata": _experiment_metadata(args.which),
+        "metadata": {"metric": row["metric"], "cv": {**row["cv"], "folds": experiments.FOLDS}},
         "results": _result_json(results),
-    }
-    _report(args.out, payload)
+    })
     if args.curve:
         _write_curve_csv(args.curve, results)
     return EXIT_OK
@@ -410,7 +401,7 @@ def build_parser():
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("experiment", help="run a synthetic experiment")
-    p.add_argument("which", choices=("robust", "ranking", "histogram"))
+    p.add_argument("which", choices=tuple(_EXPERIMENTS))
     p.add_argument("--out", default=None)
     p.add_argument("--curve", default=None, help="csv path for the learning curve")
     p.add_argument("--seed", type=int, default=0)

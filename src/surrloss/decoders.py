@@ -313,6 +313,8 @@ def decode_simplex_hellinger(alphas, y_train):
     of least F.  On the simplex F(y_i) = 2 sum(alpha) - 2 sqrt(y_i) . b, so
     that is the row of largest sqrt(Y) @ b, ties to the lowest index.
     """
+    if np.ndim(alphas) != 1:
+        raise ValueError("weights must be (n,)")
     alphas, Y = _simplex_inputs(alphas, y_train)
     b = alphas @ np.sqrt(Y)
     pos = np.maximum(b, 0.0)

@@ -70,13 +70,17 @@ class TrainedSurrogate:
 
 
 def check_outputs(Y, output_kind=None):
-    """Y, or a ValueError naming a row no decoder can use: a non-finite number
-    or, for output_kind "simplex", a histogram off the simplex."""
+    """Y, or a ValueError naming what no decoder can use: a row with a
+    non-finite number, for output_kind "simplex" a histogram off the simplex,
+    and for "ratings" profiles of fewer than 2 items, which no ranking orders."""
     if isinstance(Y, np.ndarray) and Y.dtype.kind == "f" and not np.isfinite(Y).all():
         row = int(np.argwhere(~np.isfinite(Y))[0, 0])
         raise ValueError(f"training output row {row} has non-finite entries")
     if output_kind == "simplex":
         losses._check_simplex_rows(Y, "training histograms")
+    if output_kind == "ratings" and (np.ndim(Y) != 2 or np.shape(Y)[1] < 2):
+        raise ValueError("training rating profiles must be (n, M) with M >= 2 items, "
+                         f"got shape {np.shape(Y)}")
     return Y
 
 
@@ -143,6 +147,8 @@ def alpha_weights_batch(model, Xq):
 FORMAT_NAME = "surrloss-model"
 FORMAT_VERSION = 2
 
+# What the CLI does per kind (columns, losses, decoders) is its table `cli._KINDS`;
+# the blob's encoding of Y, its stored C and the output checks stay here.
 OUTPUT_KINDS = ("scalar", "label", "simplex", "ratings")
 
 

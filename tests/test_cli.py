@@ -1,10 +1,11 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from surrloss import cli, experiments, kernels, surrogate
+from surrloss import cli, decoders, experiments, kernels, surrogate
 
 
 def _write_csv(path, header, rows):
@@ -31,6 +32,18 @@ def _targets(kind, rng, n):
         return [f"p{j}" for j in range(3)], P.tolist()
     R = rng.integers(1, 6, size=(n, 4)).astype(float)
     return [f"r{j}" for j in range(4)], R.tolist()
+
+
+def test_cli_tables_cover_what_they_describe():
+    # a kind or experiment added in one place and not the other was a
+    # KeyError at the first command that used it
+    assert set(cli._KINDS) == set(surrogate.OUTPUT_KINDS)
+    experiment = cli.build_parser().commands["experiment"]
+    which = next(a for a in experiment._actions if a.dest == "which")
+    assert set(cli._EXPERIMENTS) == set(which.choices)
+    options = {a.dest for a in experiment._actions if a.option_strings}
+    assert {row["size"] for row in cli._EXPERIMENTS.values()} <= options
+    assert cli._SCALAR_OPTIONS == tuple(f.name for f in dataclasses.fields(decoders.ScalarGrid))
 
 
 def _check_row(kind, header, row, train_rows):
@@ -505,19 +518,23 @@ def test_non_finite_decoder_parameters_are_usage_errors(tmp_path, capsys, flag, 
     ("ratings", "nan", "row 2 has non-finite entries"),
     ("simplex", "negative", "row 2 has negative entries"),
     ("simplex", "sum", "row 2 sums to"),
+    ("ratings", "one item", "got shape (8, 1)"),
 ])
 def test_training_outputs_that_cannot_be_decoded_are_usage_errors(tmp_path, capsys, kind,
                                                                    fault, message):
     # a nan target trained and predicted -3.0 (scalar) or a ranking (ratings),
-    # and a histogram off the simplex trained and failed only in predict
+    # a histogram off the simplex trained and failed only in predict, and a
+    # one-item rating profile trained and failed in every predict and cv
     rng = np.random.default_rng(15)
     header, rows = _targets(kind, rng, 8)
     if fault == "nan":
         rows[2][-1] = float("nan")
     elif fault == "negative":
         rows[2] = [1.2, -0.2, 0.0]
-    else:
+    elif fault == "sum":
         rows[2] = [0.5, 0.5, 0.5]
+    else:
+        header, rows = header[:1], [row[:1] for row in rows]
     _write_csv(tmp_path / "train.csv", ["x0", "x1"] + header,
                [list(x) + t for x, t in zip(rng.normal(size=(8, 2)).tolist(), rows)])
     for argv in (["train", "--out", str(tmp_path / "model.json")],

@@ -812,6 +812,14 @@ def test_simplex_batch_rejects_weights_that_are_not_a_matrix(A):
     np.testing.assert_allclose(decoders.decode_simplex_hellinger(np.ones(3), Y), [0.5, 0.5])
 
 
+@pytest.mark.parametrize("alphas", [np.ones((3, 3)), np.float64(1.0)], ids=["matrix", "scalar"])
+def test_simplex_single_query_rejects_weights_that_are_not_a_vector(alphas):
+    # an (n, n) matrix over n-bin histograms returned an (n, n) array, and a
+    # scalar raised numpy's IndexError
+    with pytest.raises(ValueError, match=r"weights must be \(n,\)"):
+        decoders.decode_simplex_hellinger(alphas, np.full((3, 3), 1 / 3))
+
+
 def test_simplex_rejects_empty():
     with pytest.raises(ValueError):
         decoders.decode_simplex_hellinger(np.array([]), np.empty((0, 3)))

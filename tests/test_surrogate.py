@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -474,6 +475,22 @@ def test_outputs_no_decoder_can_use_are_rejected(tmp_path, kind, fault, message)
     blob["y"]["values"] = surrogate._array_to_json(bad)
     _write_blob(tmp_path / "m.json", blob)
     with pytest.raises(ValueError, match=message):
+        surrogate.load_model(tmp_path / "m.json")
+
+
+@pytest.mark.parametrize("shape", [(6, 1), (6,)])
+def test_rating_profiles_of_fewer_than_two_items_are_rejected(tmp_path, shape):
+    # one item trained and then failed every decode; a (6,) blob raised
+    # IndexError in the CLI's predict
+    Y = np.arange(6.0).reshape(shape)
+    with pytest.raises(ValueError, match=r"M >= 2 items"):
+        surrogate.check_outputs(Y, "ratings")
+    model = surrogate.fit(np.eye(6), np.ones((6, 2)), kernels.linear(), 0.5)
+    surrogate.save_model(model, tmp_path / "m.json", "ratings")
+    blob = _read_blob(tmp_path / "m.json")
+    blob["y"]["values"] = surrogate._array_to_json(Y)
+    _write_blob(tmp_path / "m.json", blob)
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
         surrogate.load_model(tmp_path / "m.json")
 
 
