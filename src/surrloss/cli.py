@@ -236,6 +236,8 @@ def _decoder_and_loss(Y, kind, args):
         raise ValueError(f"--{next(iter(options)).replace('_', '-')} applies only to "
                          f"scalar outputs, not {kind}")
     args.loss = args.loss or _KINDS[kind]["loss"]
+    if kind == "label" and args.loss != "zero_one":  # Exhaustive would call it on the labels
+        raise ValueError(f"--loss {args.loss} does not apply to label outputs; use zero_one")
     if args.loss != "cauchy" and args.gamma is not None:
         raise ValueError(f"--gamma applies only to --loss cauchy, not {args.loss}")
     loss = _LOSSES[args.loss](args)

@@ -26,15 +26,18 @@ single Exhaustive query reads ghat(x) = C^T k_x from the model's cached
 coefficients (`TrainedSurrogate.output_coefficients`), with no solve and no
 regroup of the n training outputs (a label model loaded from a blob starts
 with C from it, so this route never builds its factor), and
-`decode_exhaustive` scores the candidates against the U distinct outputs
-weighted by ghat.  The objective is the same,
+`decode_exhaustive`, the one Exhaustive decode, scores the candidates
+against the U distinct outputs weighted by ghat, one (U, 1) column.  The
+objective is the same,
 sum_u ghat_u loss(c, y_u) = sum_i alpha_i loss(c, y_i), at C*U loss values.
 `predict_batch` stays on the (n, Q) weights, which
 cross-validation decodes from, because the benchmark's stage map
 (`bench/stages.py`) counts the weight solve (`surrogate.alpha_weights_batch`)
 on the label workload.  The two Exhaustive routes round differently, so
 `predict` and `predict_batch` agree exactly except where two candidates'
-objectives lie within rounding of each other.
+objectives lie within rounding of each other.  Every batch decode checks
+its weights in one place, `_weights`: one (n, Q) matrix or one ValueError
+that names both shapes.
 
 Exhaustive and ScalarGrid read every loss value from `losses.loss_table`.
 `_loss_matrix`, a bare `loss_table` call, stays only because the stage map
@@ -102,7 +105,16 @@ class SimplexHellinger:
     pass
 
 
-def decode_exhaustive_batch(candidates, A, loss, y_train):
+def _weights(A, n):
+    """A as the float (n, Q) weights of Q queries over n training outputs, or
+    one ValueError naming both shapes."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != n:
+        raise ValueError(f"weights must be (n, Q) with n = {n}, got shape {A.shape}")
+    return A
+
+
+def decode_exhaustive(candidates, A, loss, y_train):
     """Minimize F over a finite candidate list for Q queries at once.
 
     A is the (n, Q) matrix of per-query weights.  The training outputs are
@@ -113,9 +125,7 @@ def decode_exhaustive_batch(candidates, A, loss, y_train):
     """
     if len(candidates) == 0:
         raise ValueError("candidate list must be non-empty")
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != len(y_train):
-        raise ValueError("alpha / training-output length mismatch")
+    A = _weights(A, len(y_train))
     distinct, group = losses.group_outputs(y_train)
     L = losses.loss_table(loss, candidates, distinct)
     B = np.zeros((len(distinct), A.shape[1]))
@@ -123,13 +133,6 @@ def decode_exhaustive_batch(candidates, A, loss, y_train):
     F = L @ B
     best = np.argmin(F, axis=0)
     return best, F[best, np.arange(F.shape[1])]
-
-
-def decode_exhaustive(candidates, alphas, loss, y_train):
-    """Single-query exhaustive decode; returns (candidate, F value)."""
-    A = np.asarray(alphas, dtype=float)[:, None]
-    best, vals = decode_exhaustive_batch(candidates, A, loss, y_train)
-    return candidates[best[0]], float(vals[0])
 
 
 def aggregate_pair_costs(alphas, profiles):
@@ -179,15 +182,13 @@ def decode_ranking_fas(A, profiles, items):
     every pair at once, for any sign of the weights.  Exact ties in s cost
     the same either way round and go to the lowest index; BLAS may round the
     s of two copied item columns apart, which leaves the objective unchanged
-    up to rounding.  A is one weight vector (T,) or a batch of columns
-    (T, Q); the result is (M,) or (Q, M).
+    up to rounding.  A is the (T, Q) weight matrix; the result is the
+    (Q, M) rank vectors.
     """
     profiles = np.asarray(profiles, dtype=float)
     if profiles.ndim != 2 or profiles.shape[1] != items:
         raise ValueError(f"ranking decoder needs (T, {items}) rating profiles")
-    A = np.asarray(A, dtype=float)
-    if A.shape[0] != profiles.shape[0]:
-        raise ValueError("weight / profile count mismatch")
+    A = _weights(A, profiles.shape[0])
     return profile_sort_ranks(np.tensordot(A, profiles, axes=(0, 0)))
 
 
@@ -219,9 +220,7 @@ def decode_scalar_grid_batch(A, y_train, loss, spec):
     """
     check_loss(spec, loss)
     y_train = np.asarray(y_train, dtype=float).ravel()
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != y_train.shape[0]:
-        raise ValueError("weights must be (n, Q)")
+    A = _weights(A, y_train.shape[0])
     grid = np.linspace(-spec.bound, spec.bound, spec.grid_points)
     L = _loss_matrix(grid, y_train, loss)
     points, values = np.empty(A.shape[1]), np.empty(A.shape[1])
@@ -292,19 +291,17 @@ def _newton_polish(A, y_train, loss, start, lo, hi, iters):
     return np.ldexp(np.rint(np.ldexp(p, NEWTON_SNAP)), -NEWTON_SNAP)
 
 
-def _simplex_inputs(A, y_train):
-    """(A, Y) as float arrays, Y a non-empty (n, d) array and A n weight rows."""
+def _histograms(y_train):
+    """The training histograms as a float (n, d) array with n >= 1."""
     Y = np.asarray(y_train, dtype=float)
     if Y.ndim != 2 or Y.shape[0] == 0:
         raise ValueError("training outputs must be a non-empty (n, d) array")
-    A = np.asarray(A, dtype=float)
-    if A.shape[0] != Y.shape[0]:
-        raise ValueError("alpha / training-output length mismatch")
-    return A, Y
+    return Y
 
 
 def decode_simplex_hellinger(alphas, y_train):
-    """Closed-form minimizer of the alpha-weighted squared Hellinger sum.
+    """Closed-form minimizer of the alpha-weighted squared Hellinger sum for
+    one query's (n,) weights.
 
     With b_j = sum_i alpha_i sqrt(y_ij), minimizing F is maximizing
     sum_j b_j sqrt(p_j) on the simplex, whose KKT solution is
@@ -312,11 +309,13 @@ def decode_simplex_hellinger(alphas, y_train):
     optimum degenerates to a vertex; we fall back to the training histogram
     of least F.  On the simplex F(y_i) = 2 sum(alpha) - 2 sqrt(y_i) . b, so
     that is the row of largest sqrt(Y) @ b, ties to the lowest index.
+    `decode_simplex_hellinger_batch` decodes its fallback columns here.
     """
-    if np.ndim(alphas) != 1:
-        raise ValueError("weights must be (n,)")
-    alphas, Y = _simplex_inputs(alphas, y_train)
-    b = alphas @ np.sqrt(Y)
+    Y = _histograms(y_train)
+    if np.shape(alphas) != (Y.shape[0],):
+        raise ValueError(f"weights must be (n,) with n = {Y.shape[0]}, "
+                         f"got shape {np.shape(alphas)}")
+    b = np.asarray(alphas, dtype=float) @ np.sqrt(Y)
     pos = np.maximum(b, 0.0)
     mass = float((pos * pos).sum())
     if mass > 0.0:
@@ -326,9 +325,8 @@ def decode_simplex_hellinger(alphas, y_train):
 
 def decode_simplex_hellinger_batch(A, y_train):
     """Closed-form simplex decode for Q queries; A is (n, Q)."""
-    if np.ndim(A) != 2:
-        raise ValueError("weights must be (n, Q)")
-    A, Y = _simplex_inputs(A, y_train)
+    Y = _histograms(y_train)
+    A = _weights(A, Y.shape[0])
     b = A.T @ np.sqrt(Y)  # (Q, d)
     pos = np.maximum(b, 0.0)
     mass = (pos * pos).sum(axis=1)
@@ -365,11 +363,9 @@ def decode_batch(decoder, loss, y_train, A):
     and weights that are not one (n, Q) matrix are rejected before it does.
     """
     check_loss(decoder, loss)
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError("weights must be (n, Q)")
+    A = _weights(A, len(y_train))
     if isinstance(decoder, Exhaustive):
-        best, _ = decode_exhaustive_batch(decoder.candidates, A, loss, y_train)
+        best, _ = decode_exhaustive(decoder.candidates, A, loss, y_train)
         return [decoder.candidates[c] for c in best]
     Y = np.asarray(y_train, dtype=float)
     if isinstance(decoder, RankingFas):
@@ -390,7 +386,8 @@ def predict(model, decoder, loss, x):
     if isinstance(decoder, Exhaustive):
         distinct, C = model.output_coefficients
         g = C.T @ kernels.cross_kernel(model.kernel, model.X, x)
-        return decode_exhaustive(decoder.candidates, g, loss, distinct)[0]
+        best, _ = decode_exhaustive(decoder.candidates, g[:, None], loss, distinct)
+        return decoder.candidates[best[0]]
     y = predict_batch(model, decoder, loss, kernels._check_vector(x, "query")[None, :])[0]
     return float(y) if isinstance(decoder, ScalarGrid) else y
 

@@ -11,7 +11,7 @@ must fall with the sample size under the n^(-1/4) regularization schedule, by
 a one-sided Cochran-Armitage trend test at level TREND_LEVEL.
 
 The Fisher and comparison checks decode g (g* is the table P(y | x)) with
-the library's decoder, `decoders.decode_exhaustive_batch` over p.ys, and
+the library's decoder, `decoders.decode_exhaustive` over p.ys, and
 compare it with `bayes_optimal`, the argmin of the conditional risks; the
 Fisher check is the comparison check at g = g*.  Every structured risk is
 read off a loss table (`losses.loss_table`).  The equivalence check reads
@@ -95,7 +95,7 @@ def bayes_optimal(p, loss):
 def _decode(p, loss, g):
     """d(g)(x) = argmin_y sum_j g[x, j] loss(y, p.ys[j]) at every x, by the
     library's finite decoder over the candidates p.ys."""
-    best, _ = decoders.decode_exhaustive_batch(p.ys, np.asarray(g, dtype=float).T, loss, p.ys)
+    best, _ = decoders.decode_exhaustive(p.ys, np.asarray(g, dtype=float).T, loss, p.ys)
     return [p.ys[int(i)] for i in best]
 
 

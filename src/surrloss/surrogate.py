@@ -11,9 +11,9 @@ loaded with trusted coefficients (see "Model blob" below) builds it only if
 a route needs the weights alpha(x).
 
 Every decode but a single Exhaustive query reads the (n, Q) weights of
-`alpha_weights_batch`.  `alpha_weights`, the (n,) weights of one query, has
-no caller in the library; the benchmark's stage map (`bench/stages.py`)
-names it.
+`alpha_weights_batch`.  `alpha_weights`, the (n,) weights of one query, is
+its one-row batch; it has no caller in the library, and the benchmark's
+stage map (`bench/stages.py`) names it.
 
 For a finite output set with canonical psi, ghat(x) = G^T alpha(x) =
 C^T k_x with G the (n, U) one-hot matrix of the U distinct training outputs
@@ -104,10 +104,8 @@ def fit(X, Y, kernel, lam):
 
 
 def alpha_weights(model, x):
-    """The (n,) weights alpha(x) solving (K + n*lambda*I) alpha = K_x through
-    the stored factor."""
-    factor = model.factor  # before k_x, as in alpha_weights_batch
-    return kernels.solve_spd(factor, kernels.cross_kernel(model.kernel, model.X, x))
+    """The (n,) weights alpha(x): `alpha_weights_batch` on the batch x[None, :]."""
+    return alpha_weights_batch(model, kernels._check_vector(x, "query")[None, :])[:, 0]
 
 
 def alpha_weights_batch(model, Xq):

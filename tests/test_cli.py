@@ -207,45 +207,67 @@ def test_check_consistency_passes_at_default_trials(tmp_path):
     assert report["result"]["p_value"] <= 1e-3
 
 
+# A label model decodes only under zero_one: Exhaustive would call any other
+# loss on the label strings, or on labels that read as numbers decode under it.
 LOSSES_THE_DECODER_IGNORES = [("ratings", "squared"), ("ratings", "absolute"),
                               ("simplex", "squared"), ("scalar", "zero_one"),
-                              ("scalar", "hellinger")]
+                              ("scalar", "hellinger"), ("label", "squared"),
+                              ("label", "absolute"), ("label", "cauchy"),
+                              ("label", "hellinger"), ("label", "rank")]
+
+
+def _target_sets(kind, rng, n):
+    """The kind's `_targets`; for labels, also labels that read as numbers."""
+    yield _targets(kind, rng, n)
+    if kind == "label":
+        yield ["y"], [[lab] for lab in rng.choice(["1", "2", "3"], size=n)]
 
 
 @pytest.mark.parametrize("kind, loss", LOSSES_THE_DECODER_IGNORES)
-def test_predict_with_a_loss_the_decoder_ignores_is_usage_error(tmp_path, kind, loss):
+def test_predict_with_a_loss_the_decoder_ignores_is_usage_error(tmp_path, kind, loss,
+                                                                monkeypatch):
     rng = np.random.default_rng(4)
     X = rng.normal(size=(10, 2))
-    t_header, t_rows = _targets(kind, rng, 8)
-    _write_csv(tmp_path / "train.csv", ["x0", "x1"] + t_header,
-               [list(x) + t for x, t in zip(X[:8].tolist(), t_rows)])
-    _write_csv(tmp_path / "query.csv", ["x0", "x1"], X[8:].tolist())
-    model, preds = tmp_path / "model.json", tmp_path / "preds.csv"
-    assert cli.main(["train", "--in", str(tmp_path / "train.csv"), "--out", str(model),
-                     "--kind", kind]) == cli.EXIT_OK
-    assert cli.main(["predict", "--model", str(model), "--in", str(tmp_path / "query.csv"),
-                     "--out", str(preds), "--loss", loss]) == cli.EXIT_USAGE
-    assert not preds.exists()
+    for t_header, t_rows in _target_sets(kind, rng, 8):
+        _write_csv(tmp_path / "train.csv", ["x0", "x1"] + t_header,
+                   [list(x) + t for x, t in zip(X[:8].tolist(), t_rows)])
+        _write_csv(tmp_path / "query.csv", ["x0", "x1"], X[8:].tolist())
+        model, preds = tmp_path / "model.json", tmp_path / "preds.csv"
+        assert cli.main(["train", "--in", str(tmp_path / "train.csv"), "--out", str(model),
+                         "--kind", kind]) == cli.EXIT_OK
+        with monkeypatch.context() as m:
+            if kind == "label":  # rejected before any kernel work
+                m.setattr(kernels, "cross_kernel_batch", _refuse_fit)
+                m.setattr(kernels, "gram_matrix", _refuse_fit)
+            assert cli.main(["predict", "--model", str(model), "--in",
+                             str(tmp_path / "query.csv"), "--out", str(preds),
+                             "--loss", loss]) == cli.EXIT_USAGE
+        assert not preds.exists()
 
 
 @pytest.mark.parametrize("kind, loss", LOSSES_THE_DECODER_IGNORES + [("ratings", "zero_one")])
-def test_cv_with_a_loss_the_decoder_ignores_is_usage_error(tmp_path, capsys, kind, loss):
-    # rejected before the sweep, so the message names the decoder and the
-    # loss, not a grid point
+def test_cv_with_a_loss_the_decoder_ignores_is_usage_error(tmp_path, capsys, kind, loss,
+                                                           monkeypatch):
+    # rejected before the sweep, so the message names the decoder (for
+    # labels, the kind) and the loss, not a grid point
+    monkeypatch.setattr(kernels, "fold_ridge_paths", _refuse_fit)
     rng = np.random.default_rng(4)
-    t_header, t_rows = _targets(kind, rng, 10)
-    _write_csv(tmp_path / "train.csv", ["x0", "x1"] + t_header,
-               [list(x) + t for x, t in zip(rng.normal(size=(10, 2)).tolist(), t_rows)])
-    out = tmp_path / "cv.json"
-    assert cli.main(["cv", "--in", str(tmp_path / "train.csv"), "--kind", kind,
-                     "--loss", loss, "--out", str(out)]) == cli.EXIT_USAGE
-    err = capsys.readouterr().err
-    decoder = {"ratings": "ranking", "simplex": "simplex", "scalar": "scalar"}[kind]
-    named = {"squared": "SquaredError", "absolute": "AbsoluteError",
-             "zero_one": "ZeroOne", "hellinger": "SquaredHellinger"}[loss]
-    assert f"the {decoder} decoder minimises" in err and f"not {named}" in err
-    assert "cv failure" not in err
-    assert not out.exists()
+    for t_header, t_rows in _target_sets(kind, rng, 10):
+        _write_csv(tmp_path / "train.csv", ["x0", "x1"] + t_header,
+                   [list(x) + t for x, t in zip(rng.normal(size=(10, 2)).tolist(), t_rows)])
+        out = tmp_path / "cv.json"
+        assert cli.main(["cv", "--in", str(tmp_path / "train.csv"), "--kind", kind,
+                         "--loss", loss, "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        if kind == "label":
+            assert f"--loss {loss} does not apply to label outputs" in err
+        else:
+            decoder = {"ratings": "ranking", "simplex": "simplex", "scalar": "scalar"}[kind]
+            named = {"squared": "SquaredError", "absolute": "AbsoluteError",
+                     "zero_one": "ZeroOne", "hellinger": "SquaredHellinger"}[loss]
+            assert f"the {decoder} decoder minimises" in err and f"not {named}" in err
+        assert "cv failure" not in err
+        assert not out.exists()
 
 
 def test_cv_loss_choices_are_the_predict_loss_choices(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,17 +13,16 @@ from surrloss import decoders, experiments, kernels, losses, surrogate
 # Exhaustive decoder
 
 def test_exhaustive_single_active_term():
-    y, val = decoders.decode_exhaustive([0, 1], np.array([1.0, 0.0]),
-                                        losses.ZeroOne(), [0, 1])
-    assert y == 0 and val == 0.0
+    best, vals = decoders.decode_exhaustive([0, 1], np.array([[1.0], [0.0]]),
+                                            losses.ZeroOne(), [0, 1])
+    assert best.tolist() == [0] and vals.tolist() == [0.0]
 
 
 def test_exhaustive_majority_vote():
-    alphas = np.array([0.2, 0.2, 0.2])
-    y, val = decoders.decode_exhaustive(["a", "b"], alphas, losses.ZeroOne(),
-                                        ["a", "a", "b"])
-    assert y == "a"
-    assert val == pytest.approx(0.2)
+    A = np.full((3, 1), 0.2)
+    best, vals = decoders.decode_exhaustive(["a", "b"], A, losses.ZeroOne(), ["a", "a", "b"])
+    assert best.tolist() == [0]
+    assert vals[0] == pytest.approx(0.2)
 
 
 def test_exhaustive_matches_scan_oracle():
@@ -33,21 +33,21 @@ def test_exhaustive_matches_scan_oracle():
         labels = list(range(int(rng.integers(2, 6))))
         y_train = [int(v) for v in rng.integers(0, len(labels), size=n)]
         alphas = rng.normal(size=n)
-        got, got_val = decoders.decode_exhaustive(labels, alphas, loss, y_train)
+        (got,), (got_val,) = decoders.decode_exhaustive(labels, alphas[:, None], loss, y_train)
         idx, val = _oracles.scan_minimum(labels, alphas, loss, y_train)
-        assert got == labels[idx]
+        assert got == idx
         assert got_val == pytest.approx(val, abs=1e-12)
 
 
 def test_exhaustive_lowest_index_tie_break():
     # both labels absent from training -> all candidates tie at alpha-sum
-    y, _ = decoders.decode_exhaustive(["u", "v"], np.array([1.0]), losses.ZeroOne(), ["w"])
-    assert y == "u"
+    best, _ = decoders.decode_exhaustive(["u", "v"], np.array([[1.0]]), losses.ZeroOne(), ["w"])
+    assert best.tolist() == [0]
 
 
 def test_exhaustive_rejects_empty():
     with pytest.raises(ValueError):
-        decoders.decode_exhaustive([], np.array([1.0]), losses.ZeroOne(), [0])
+        decoders.decode_exhaustive([], np.array([[1.0]]), losses.ZeroOne(), [0])
 
 
 def _table_decode_problems(rng):
@@ -67,7 +67,7 @@ def test_exhaustive_batch_matches_scan_oracle_per_column(queries):
     for _ in range(10):
         for candidates, loss, y_train in _table_decode_problems(rng):
             A = rng.normal(size=(len(y_train), queries))
-            best, vals = decoders.decode_exhaustive_batch(candidates, A, loss, y_train)
+            best, vals = decoders.decode_exhaustive(candidates, A, loss, y_train)
             assert best.shape == vals.shape == (queries,)
             for q in range(queries):
                 idx, val = _oracles.scan_minimum(candidates, A[:, q], loss, y_train)
@@ -78,14 +78,14 @@ def test_exhaustive_batch_matches_scan_oracle_per_column(queries):
 def test_exhaustive_batch_ties_go_to_lowest_index():
     # "b" and "c" never occur in training, so they tie with every other absent label
     A = np.array([[1.0, 1.0], [1.0, -1.0]])
-    best, vals = decoders.decode_exhaustive_batch(["c", "b", "a"], A, losses.ZeroOne(),
-                                                  ["a", "a"])
+    best, vals = decoders.decode_exhaustive(["c", "b", "a"], A, losses.ZeroOne(),
+                                            ["a", "a"])
     np.testing.assert_array_equal(best, [2, 0])
     np.testing.assert_array_equal(vals, [0.0, 0.0])
     # equal weight on two present labels: an exact tie between them
     for cands in (["x", "y"], ["y", "x"]):
-        best, _ = decoders.decode_exhaustive_batch(cands, np.ones((2, 1)), losses.ZeroOne(),
-                                                   ["x", "y"])
+        best, _ = decoders.decode_exhaustive(cands, np.ones((2, 1)), losses.ZeroOne(),
+                                             ["x", "y"])
         assert best[0] == 0
 
 
@@ -93,13 +93,11 @@ def test_exhaustive_batch_validating_loss_still_raises():
     loss = losses.ZeroOne(["a", "b"])
     A = np.ones((3, 2))
     with pytest.raises(ValueError):
-        decoders.decode_exhaustive_batch(["a", "b"], A, loss, ["a", "z", "b"])
+        decoders.decode_exhaustive(["a", "b"], A, loss, ["a", "z", "b"])
     with pytest.raises(ValueError):
-        decoders.decode_exhaustive_batch(["a", "q"], A, loss, ["a", "a", "b"])
+        decoders.decode_exhaustive(["a", "q"], A, loss, ["a", "a", "b"])
     with pytest.raises(ValueError):
-        decoders.decode_exhaustive_batch(["a", "b"], np.ones((2, 2)), loss, ["a", "a", "b"])
-    with pytest.raises(ValueError):
-        decoders.decode_exhaustive_batch([], A, loss, ["a", "a", "b"])
+        decoders.decode_exhaustive([], A, loss, ["a", "a", "b"])
 
 
 def test_exhaustive_batch_calls_the_loss_once_per_distinct_pair():
@@ -112,7 +110,7 @@ def test_exhaustive_batch_calls_the_loss_once_per_distinct_pair():
     rng = np.random.default_rng(33)
     y_train = [int(v) for v in rng.integers(0, 4, size=50)]
     candidates = list(range(6))
-    decoders.decode_exhaustive_batch(candidates, rng.normal(size=(50, 5)), counting, y_train)
+    decoders.decode_exhaustive(candidates, rng.normal(size=(50, 5)), counting, y_train)
     assert len(calls) == len(candidates) * len(set(y_train))
     assert len(set(calls)) == len(calls)
 
@@ -182,7 +180,7 @@ def test_single_exhaustive_predict_matches_the_weight_route_oracle(case):
 
 def test_fas_single_profile_descending():
     profiles = np.array([[5.0, 3.0, 2.0]])
-    ranks = decoders.decode_ranking_fas(np.array([1.0]), profiles, 3)
+    (ranks,) = decoders.decode_ranking_fas(np.array([[1.0]]), profiles, 3)
     np.testing.assert_array_equal(ranks, [1, 2, 3])
     W = decoders.aggregate_pair_costs(np.array([1.0]), profiles)
     assert decoders.ranking_objective(W, ranks) == 0.0
@@ -191,7 +189,7 @@ def test_fas_single_profile_descending():
 def test_fas_opposite_profiles_tie():
     profiles = np.array([[1.0, 5.0], [5.0, 1.0]])
     alphas = np.array([1.0, 1.0])
-    ranks = decoders.decode_ranking_fas(alphas, profiles, 2)
+    (ranks,) = decoders.decode_ranking_fas(alphas[:, None], profiles, 2)
     W = decoders.aggregate_pair_costs(alphas, profiles)
     got = decoders.ranking_objective(W, ranks)
     # symmetric W: every permutation attains the same objective
@@ -206,7 +204,7 @@ def test_fas_within_factor_two_of_exhaustive():
         t = int(rng.integers(2, 11))
         profiles = rng.uniform(1, 5, size=(t, 5))
         alphas = rng.dirichlet(np.ones(t))
-        ranks = decoders.decode_ranking_fas(alphas, profiles, 5)
+        (ranks,) = decoders.decode_ranking_fas(alphas[:, None], profiles, 5)
         W = decoders.aggregate_pair_costs(alphas, profiles)
         got = decoders.ranking_objective(W, ranks)
         best = min(decoders.ranking_objective(W, p) for p in perms)
@@ -235,7 +233,7 @@ def test_fas_always_a_permutation():
         t = int(rng.integers(1, 6))
         profiles = rng.uniform(1, 5, size=(t, m))
         alphas = rng.normal(size=t)
-        ranks = decoders.decode_ranking_fas(alphas, profiles, m)
+        (ranks,) = decoders.decode_ranking_fas(alphas[:, None], profiles, m)
         np.testing.assert_array_equal(np.sort(ranks), np.arange(1, m + 1))
 
 
@@ -246,7 +244,7 @@ def test_fas_never_worse_than_best_profile_sort():
         t = int(rng.integers(1, 9))
         profiles = rng.uniform(1, 5, size=(t, m))
         alphas = rng.normal(size=t)
-        ranks = decoders.decode_ranking_fas(alphas, profiles, m)
+        (ranks,) = decoders.decode_ranking_fas(alphas[:, None], profiles, m)
         W = decoders.aggregate_pair_costs(alphas, profiles)
         got = decoders.ranking_objective(W, ranks)
         sorts = [decoders.profile_sort_ranks(profiles[t_]) for t_ in range(t)]
@@ -255,9 +253,9 @@ def test_fas_never_worse_than_best_profile_sort():
 
 
 def test_fas_rejects_inconsistent_items():
-    with pytest.raises(ValueError):
-        decoders.decode_ranking_fas(np.array([1.0]), np.array([[1.0, 2.0]]), 3)
-    with pytest.raises(ValueError, match="mismatch"):
+    with pytest.raises(ValueError, match=r"needs \(T, 3\) rating profiles"):
+        decoders.decode_ranking_fas(np.array([[1.0]]), np.array([[1.0, 2.0]]), 3)
+    with pytest.raises(ValueError, match=r"weights must be \(n, Q\) with n = 4"):
         decoders.decode_ranking_fas(np.ones((3, 2)), np.ones((4, 3)), 3)
 
 
@@ -266,7 +264,7 @@ def test_fas_guard_ties_between_training_sorts_go_to_the_lowest_index():
     # training sorts [1, 2, 3] and [2, 1, 3] cost 0, and the lowest index
     # goes first.
     profiles = np.array([[5.0, 5.0, 1.0], [4.0, 5.0, 1.0]])
-    got = decoders.decode_ranking_fas(np.array([1.0, 0.0]), profiles, 3)
+    (got,) = decoders.decode_ranking_fas(np.array([[1.0], [0.0]]), profiles, 3)
     np.testing.assert_array_equal(got, [1, 2, 3])
 
 
@@ -296,7 +294,7 @@ def test_fas_sort_matches_a_brute_force_permutation_scan(integer):
     # among the minimisers, the one whose order lists the lowest index first.
     rng = np.random.default_rng(40 + integer)
     for alphas, profiles, m in _ranking_instances(rng, 300, integer):
-        got = decoders.decode_ranking_fas(alphas, profiles, m)
+        (got,) = decoders.decode_ranking_fas(alphas[:, None], profiles, m)
         perms = np.array(_oracles.all_permutations(m))
         F = _oracles.ranking_objectives(perms, alphas, profiles)
         scale = _oracles.ranking_objective_scale(alphas, profiles)
@@ -319,7 +317,7 @@ def test_fas_batch_rows_equal_single_query_decodes():
             assert batch.shape == (7, m)
             for q in range(7):
                 np.testing.assert_array_equal(
-                    batch[q], decoders.decode_ranking_fas(A[:, q], profiles, m))
+                    batch[q], decoders.decode_ranking_fas(A[:, q:q + 1], profiles, m)[0])
 
 
 def test_fas_batch_ties_go_to_the_lowest_index():
@@ -802,22 +800,15 @@ def test_simplex_fallback_is_a_training_histogram_of_least_objective():
             np.stack([alphas, 2.0 * alphas], axis=1), Y), [got, got])
 
 
-@pytest.mark.parametrize("A", [np.ones(3), np.ones((3, 2, 1)), np.float64(1.0)],
-                         ids=["vector", "3-d", "scalar"])
-def test_simplex_batch_rejects_weights_that_are_not_a_matrix(A):
-    Y = np.full((3, 2), 0.5)
-    with pytest.raises(ValueError, match=r"weights must be \(n, Q\)"):
-        decoders.decode_simplex_hellinger_batch(A, Y)
-    # the single-query form takes the (n,) vector
-    np.testing.assert_allclose(decoders.decode_simplex_hellinger(np.ones(3), Y), [0.5, 0.5])
-
-
 @pytest.mark.parametrize("alphas", [np.ones((3, 3)), np.float64(1.0)], ids=["matrix", "scalar"])
 def test_simplex_single_query_rejects_weights_that_are_not_a_vector(alphas):
     # an (n, n) matrix over n-bin histograms returned an (n, n) array, and a
     # scalar raised numpy's IndexError
-    with pytest.raises(ValueError, match=r"weights must be \(n,\)"):
-        decoders.decode_simplex_hellinger(alphas, np.full((3, 3), 1 / 3))
+    Y = np.full((3, 3), 1 / 3)
+    with pytest.raises(ValueError, match=r"weights must be \(n,\) with n = 3, got shape"):
+        decoders.decode_simplex_hellinger(alphas, Y)
+    # the single-query form takes the (n,) vector
+    np.testing.assert_allclose(decoders.decode_simplex_hellinger(np.ones(3), Y), Y[0])
 
 
 def test_simplex_rejects_empty():
@@ -826,7 +817,7 @@ def test_simplex_rejects_empty():
 
 
 @pytest.mark.parametrize("A, Y, message", [
-    (np.ones((3, 2)), np.full((4, 2), 0.5), "alpha / training-output length mismatch"),
+    (np.ones((3, 2)), np.full((4, 2), 0.5), r"weights must be \(n"),
     (np.ones((0, 2)), np.empty((0, 3)), r"non-empty \(n, d\) array"),
     (np.ones((3, 2)), np.full(3, 1.0), r"non-empty \(n, d\) array"),
 ])
@@ -919,19 +910,39 @@ def test_predict_rejects_a_loss_the_decoder_does_not_minimise(decoder, loss, out
         decoders.predict_batch(model, decoder, loss, X)
 
 
-@pytest.mark.parametrize("A", [np.ones(3), np.ones((3, 2, 1)), np.float64(1.0)],
-                         ids=["vector", "3-d", "scalar"])
-@pytest.mark.parametrize("decoder, loss, outputs", [
-    (decoders.Exhaustive(["a", "b"]), losses.ZeroOne(), ["a", "b", "a"]),
-    (decoders.RankingFas(items=3), losses.RankLoss(),
-     np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [2.0, 2.0, 1.0]])),
-    (decoders.ScalarGrid(), losses.Cauchy(1.0), np.array([-0.5, 0.25, 1.0])),
-    (decoders.SimplexHellinger(), losses.SquaredHellinger(), np.full((3, 2), 0.5)),
-], ids=["exhaustive", "ranking", "scalar", "simplex"])
-def test_decode_batch_rejects_weights_that_are_not_a_matrix(decoder, loss, outputs, A):
-    # a ranking decode of one (n,) vector would return one (M,) ranking
-    with pytest.raises(ValueError, match=r"weights must be \(n, Q\)"):
-        decoders.decode_batch(decoder, loss, outputs, A)
+_PROFILES = np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [2.0, 2.0, 1.0]])
+# Every public decode from weights, over n = 3 training outputs: `decode_batch`
+# with each decoder, and (fn-) each decoder's own function.
+_WEIGHT_DECODES = {
+    "exhaustive": lambda A: decoders.decode_batch(
+        decoders.Exhaustive(["a", "b"]), losses.ZeroOne(), ["a", "b", "a"], A),
+    "ranking": lambda A: decoders.decode_batch(
+        decoders.RankingFas(items=3), losses.RankLoss(), _PROFILES, A),
+    "scalar": lambda A: decoders.decode_batch(
+        decoders.ScalarGrid(), losses.Cauchy(1.0), np.array([-0.5, 0.25, 1.0]), A),
+    "simplex": lambda A: decoders.decode_batch(
+        decoders.SimplexHellinger(), losses.SquaredHellinger(), np.full((3, 2), 0.5), A),
+    "fn-exhaustive": lambda A: decoders.decode_exhaustive(
+        ["a", "b"], A, losses.ZeroOne(), ["a", "b", "a"]),
+    "fn-ranking": lambda A: decoders.decode_ranking_fas(A, _PROFILES, 3),
+    "fn-scalar": lambda A: decoders.decode_scalar_grid_batch(
+        A, np.array([-0.5, 0.25, 1.0]), losses.Cauchy(1.0), decoders.ScalarGrid()),
+    "fn-simplex": lambda A: decoders.decode_simplex_hellinger_batch(
+        A, np.full((3, 2), 0.5)),
+}
+
+
+@pytest.mark.parametrize("A", [np.ones(3), np.ones((3, 2, 1)), np.float64(1.0), np.ones((4, 2))],
+                         ids=["vector", "3-d", "scalar", "rows"])
+@pytest.mark.parametrize("decode", list(_WEIGHT_DECODES.values()), ids=list(_WEIGHT_DECODES))
+def test_decode_batch_rejects_weights_that_are_not_a_matrix(decode, A):
+    # one rule and one message for every decode from weights: a ranking
+    # decode of one (n,) vector returned one (M,) ranking, and a wrong row
+    # count had a message of its own in each decoder
+    want = f"weights must be (n, Q) with n = 3, got shape {np.shape(A)}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        decode(A)
+    decode(np.ones((3, 2)))  # the (n, Q) matrix decodes
 
 
 def test_predict_batch_matches_predict():

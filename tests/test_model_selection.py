@@ -99,7 +99,7 @@ def test_cross_validate_on_a_rank_deficient_gram_matches_a_brute_force_sweep(see
     lambdas = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
     def score(A, tr, va):
-        return np.mean([losses.rank_loss(decoders.decode_ranking_fas(A[:, q], R[tr], 8),
+        return np.mean([losses.rank_loss(decoders.decode_ranking_fas(A[:, q:q + 1], R[tr], 8)[0],
                                          R[i], normalize=True)
                         for q, i in enumerate(va)])
 

@@ -102,7 +102,7 @@ def test_check_batteries_decode_through_the_batch_route(monkeypatch, tmp_path, w
         raise AssertionError("the check batteries decode through the batch route")
 
     monkeypatch.setattr(surrogate, "alpha_weights", single_query_route)
-    monkeypatch.setattr(decoders, "decode_exhaustive", single_query_route)
+    monkeypatch.setattr(decoders, "predict", single_query_route)
     # two trials are too few for the consistency trend to pass; the battery
     # must still run to its verdict without the single-query route
     out = tmp_path / "report.json"
@@ -130,12 +130,12 @@ def test_fisher_and_comparison_checks_decode_with_the_library_decoder(monkeypatc
                                                                        which):
     # a decoder that takes the argmax must fail both checks, so the checks
     # score the decoder the library ships, not a copy of it
-    argmin = decoders.decode_exhaustive_batch
+    argmin = decoders.decode_exhaustive
 
     def argmax(candidates, A, loss, y_train):
         return argmin(candidates, -np.asarray(A, dtype=float), loss, y_train)
 
-    monkeypatch.setattr(decoders, "decode_exhaustive_batch", argmax)
+    monkeypatch.setattr(decoders, "decode_exhaustive", argmax)
     out = tmp_path / "report.json"
     code = cli.main(["check", which, "--trials", "2", "--out", str(out)])
     assert code == cli.EXIT_CHECK_FAILED
@@ -204,12 +204,12 @@ def test_check_consistency_fails_for_an_inconsistent_predictor(monkeypatch, tmp_
     # at default trials: a predictor that always says label 0, and a decoder
     # that takes the argmax of the objective, both miss the Bayes predictor
     # at every n, so their counts show no fall
-    argmin = decoders.decode_exhaustive_batch
+    argmin = decoders.decode_exhaustive
     if predictor == "constant":
         monkeypatch.setattr(decoders, "predict_batch",
                             lambda model, decoder, loss, Xq: [0] * len(Xq))
     else:
-        monkeypatch.setattr(decoders, "decode_exhaustive_batch",
+        monkeypatch.setattr(decoders, "decode_exhaustive",
                             lambda c, A, loss, y: argmin(c, -np.asarray(A, dtype=float), loss, y))
     out = tmp_path / "report.json"
     assert cli.main(["check", "consistency", "--out", str(out)]) == cli.EXIT_CHECK_FAILED

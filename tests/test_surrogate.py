@@ -519,5 +519,5 @@ def test_batch_weights_on_a_loaded_model_factor_before_the_cross_kernel(tmp_path
     assert calls == ["factor_shifted", "cross_kernel_batch"]
     other, _ = surrogate.load_model(tmp_path / "m.json")
     calls.clear()
-    surrogate.alpha_weights(other, Q[0])
-    assert calls == ["factor_shifted", "cross_kernel"]
+    surrogate.alpha_weights(other, Q[0])  # the one-row batch, in the batch order
+    assert calls == ["factor_shifted", "cross_kernel_batch"]
