@@ -213,8 +213,8 @@ def decode_scalar_grid_batch(A, y_train, loss, spec):
 
     The (G, n) table of loss values between the grid and y_train is built
     once per call, whatever Q, so a CV sweep hands in a fold's whole
-    lambda-path, L*n_va columns, and builds the table once per (kernel,
-    fold).  Queries are decoded SCALAR_CHUNK columns at a time, which bounds
+    (kernel, lambda) grid, S*L*n_va columns, and builds the table once per
+    fold.  Queries are decoded SCALAR_CHUNK columns at a time, which bounds
     the (G, Q) and (n, Q) working tables; as with any batch width, BLAS may
     round a column's grid objectives differently.
     """
@@ -393,5 +393,7 @@ def predict(model, decoder, loss, x):
 
 
 def predict_batch(model, decoder, loss, Xq):
-    """Decode a batch of queries: `alpha_weights_batch`, then `decode_batch`."""
+    """Decode a batch of queries: `alpha_weights_batch`, then `decode_batch`.
+    A loss the decoder does not minimise is refused before any kernel work."""
+    check_loss(decoder, loss)
     return decode_batch(decoder, loss, model.Y, surrogate.alpha_weights_batch(model, Xq))

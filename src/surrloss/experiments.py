@@ -99,15 +99,20 @@ def krr_predict_batch(model, Xq):
 def _robust_cv(X, y, sigmas, lambdas, gammas, folds, seed):
     """Hyperparameters for both methods from one `model_selection.sweep`.
 
-    Every held-out weight column is scored by `CV_DECODER` with the Cauchy
-    loss at each gamma and by the KRR baseline, whose prediction is
-    y_train @ A.  The decoder is scored with absolute error, which stays
-    comparable across gamma (raw Cauchy values scale with it); KRR is scored
-    with squared error, its own criterion -- an outlier-robust scoring rule
-    here would hand the baseline exactly the robustness it is supposed to
-    lack.
+    The sweep runs fold by fold and hands `score` each fold's weights for
+    every (sigma, lambda) as one (n_tr, S*L*n_va) block, sigma-major, while
+    it keeps the S Gaussian spectra (S*n*n floats) alive.  Every column is
+    scored by `CV_DECODER` with the Cauchy loss at each gamma, one decode
+    and so one grid loss table per (fold, gamma) for the whole block, and by
+    the KRR baseline, whose prediction is y_train @ A.  The decoder is
+    scored with absolute error, which stays comparable across gamma (raw
+    Cauchy values scale with it); KRR is scored with squared error, its own
+    criterion -- an outlier-robust scoring rule here would hand the baseline
+    exactly the robustness it is supposed to lack.
     Selection follows `model_selection.select_best`, the decoder's grid in
-    (gamma, sigma, lambda) order and KRR's in (sigma, lambda) order.
+    (gamma, sigma, lambda) order and KRR's in (sigma, lambda) order.  A
+    failure of a sigma's spectrum or path names that kernel and the fold; a
+    failure of a decode names the fold and every kernel of its block.
 
     Returns ((kernel, lambda, gamma) for the decoder, (kernel, lambda) for
     KRR).
@@ -263,9 +268,16 @@ def _histogram_cv(Xtr, Ytr, sigmas, lambdas, folds, seed, sigma_y):
     """(sigma, lambda) for both histogram methods from one
     `model_selection.sweep`.
 
-    The Hellinger decoder is scored under squared Hellinger, the KDE decode
-    under the Gaussian output-kernel loss.  Selection follows
-    `model_selection.select_best` in (sigma, lambda) order.
+    The sweep runs fold by fold and hands `score` each fold's weights for
+    every (sigma, lambda) as one (n_tr, S*L*n_va) block, sigma-major, while
+    it keeps the S Gaussian spectra (S*n*n floats) alive.  So each fold
+    takes one simplex decode and one KDE decode, which builds the fold's
+    (n_tr, n_tr) output Gram once for the whole block.  The Hellinger
+    decoder is scored under squared Hellinger, the KDE decode under the
+    Gaussian output-kernel loss.  Selection follows
+    `model_selection.select_best` in (sigma, lambda) order.  A failure of a
+    sigma's spectrum or path names that kernel and the fold; a failure of a
+    decode names the fold and every kernel of its block.
 
     Returns {"hellinger": (sigma, lambda), "kde": (sigma, lambda)}.
     """

@@ -315,7 +315,8 @@ def fold_ridge_paths(spec, X, folds, lambdas):
     order and weights (K_TT + n_tr*lambda*I)^-1 K_TV at all L lambdas as one
     (n_tr, L*n_va) matrix, the l-th block of n_va columns for the l-th lambda.
 
-    Gaussian kernels take one spectrum for all folds.  With K = U diag(e) U^T
+    Gaussian kernels take one spectrum for all folds, when the path is
+    opened, not at its first fold.  With K = U diag(e) U^T
     the clamped `eigh` of the full n x n Gram (`_spectrum`) and
     M = (K + sI)^-1 = U diag(1 / (e + s)) U^T, the T rows of (K + sI) M = I
     read (K_TT + sI) M_TV + K_TV M_VV = 0, so
@@ -355,20 +356,29 @@ def fold_ridge_paths(spec, X, folds, lambdas):
         raise ValueError(f"folds must partition the {n} rows of X into at least two "
                          "non-empty integer index arrays")
     splits = [(np.delete(np.arange(n), va), va) for va in folds]
-    paths = _gaussian_fold_paths if spec.kind == "gaussian" else _linear_fold_paths
-    return paths(spec, X, splits, lambdas)
+    if spec.kind == "linear":
+        return _linear_fold_paths(spec, X, splits, lambdas)
+    # The spectrum is taken now, not at the first fold, so a caller that
+    # opens several paths has every spectrum before any fold's weights exist.
+    return _gaussian_fold_paths(*_spectrum(spec, X), splits, lambdas)
 
 
-def _gaussian_fold_paths(spec, X, splits, lambdas):
-    evals, U = _spectrum(spec, X)
-    n, L = X.shape[0], lambdas.size
+def _gaussian_fold_paths(evals, U, splits, lambdas):
+    # Between folds the suspended generator holds only the spectrum: each
+    # fold's working set lives and dies inside `_gaussian_fold_weights`.
     for tr, va in splits:
-        scale = 1.0 / (evals[:, None] + tr.size * lambdas[None, :])  # (n, L)
-        # M[:, V] = U diag(scale_l) U_V^T for every shift, in one product
-        MV = U @ (scale[:, :, None] * U[va].T[:, None, :]).reshape(n, -1)
-        MV = MV.reshape(n, L, -1).transpose(1, 0, 2)  # (L, n, n_va)
-        A = -(MV[:, tr] @ np.linalg.inv(MV[:, va]))  # (L, n_tr, n_va)
-        yield tr, va, A.transpose(1, 0, 2).reshape(tr.size, -1)
+        yield tr, va, _gaussian_fold_weights(evals, U, tr, va, lambdas)
+
+
+def _gaussian_fold_weights(evals, U, tr, va, lambdas):
+    """-M_TV M_VV^-1 at every shift n_tr*lambda_l, as one (n_tr, L*n_va) block."""
+    n, L = U.shape[0], lambdas.size
+    scale = 1.0 / (evals[:, None] + tr.size * lambdas[None, :])  # (n, L)
+    # M[:, V] = U diag(scale_l) U_V^T for every shift, in one product
+    MV = U @ (scale[:, :, None] * U[va].T[:, None, :]).reshape(n, -1)
+    MV = MV.reshape(n, L, -1).transpose(1, 0, 2)  # (L, n, n_va)
+    A = -(MV[:, tr] @ np.linalg.inv(MV[:, va]))  # (L, n_tr, n_va)
+    return A.transpose(1, 0, 2).reshape(tr.size, -1)
 
 
 def _linear_fold_paths(spec, X, splits, lambdas):

@@ -11,8 +11,13 @@ against T profiles as one product.
 `loss_rows` is the one paired evaluation: a `ScalarLoss` applies its one
 `of_difference` formula, `squared_hellinger` and `rank_loss` score a whole
 (Q, .) stack of (prediction, truth) pairs in one call, and any other loss is
-called once per pair.  `loss_table` tabulates through it; decoding, the
-finite embedding's V and the oracle risks all read their values from it.
+called once per pair.  `loss_table` is the one tabulation; decoding, the
+finite embedding's V and the oracle risks all read their values from it.  A
+loss with a `table(rows, cols)` method tabulates itself: a `ScalarLoss`
+applies its formula to the (R, C) differences, and the finite losses
+`ZeroOne` and `FiniteTable` look each label up once and then compare or
+index the label indices, with no per-pair call.  Any other loss is tabulated
+through `loss_rows` over the R*C index pairs.
 
 Rank-loss conventions (the literature leaves both open):
   * ranks: y[i] is the rank of item i, 1 = best; sign(0) = 0, so tied ranks
@@ -128,14 +133,19 @@ def rank_loss_matrix(ranks, ratings, normalize=False):
 
 
 class ScalarLoss:
-    """A loss of d = y - y' alone.  A call, `loss_rows` and `loss_table`
-    apply its one formula `of_difference(d)`; `slope_curvature(a, d)` gives
-    F' and F'' up to one positive factor, per row, of F(p) = sum_i a_i
-    loss(p, y_i) at d = p - y_i, for (Q, n) arrays a and d.  Neither method
-    writes its inputs; each works in place on the temporaries it allocates."""
+    """A loss of d = y - y' alone.  A call, `loss_rows` and `table` apply its
+    one formula `of_difference(d)`; `slope_curvature(a, d)` gives F' and F''
+    up to one positive factor, per row, of F(p) = sum_i a_i loss(p, y_i) at
+    d = p - y_i, for (Q, n) arrays a and d.  Neither method writes its
+    inputs; each works in place on the temporaries it allocates."""
 
     def __call__(self, y, y2):
         return self.of_difference(float(y) - float(y2))
+
+    def table(self, rows, cols):
+        """(R, C) table of the loss: the formula on rows[:, None] - cols[None, :]."""
+        return self.of_difference(np.asarray(rows, dtype=float)[:, None]
+                                  - np.asarray(cols, dtype=float)[None, :])
 
 
 class Cauchy(ScalarLoss):
@@ -192,18 +202,41 @@ class AbsoluteError(ScalarLoss):
         return s.sum(axis=1), np.zeros(d.shape[0])
 
 
+def _label_indices(index, labels):
+    """The (m,) index[y] of each label, or a ValueError naming the first
+    label that `index` does not hold."""
+    try:
+        return np.array([index[y] for y in labels], dtype=np.intp)
+    except KeyError as e:
+        raise ValueError(f"unknown label {e.args[0]!r}") from None
+
+
 class ZeroOne:
     """Misclassification loss; validates labels when a label set is given."""
 
     def __init__(self, labels=None):
         self.labels = None if labels is None else list(labels)
-        self._known = None if labels is None else set(self.labels)
+        self._index = None if labels is None else {lab: i for i, lab in enumerate(self.labels)}
 
     def __call__(self, y, y2):
-        if self._known is not None:
-            if y not in self._known or y2 not in self._known:
+        if self._index is not None:
+            if y not in self._index or y2 not in self._index:
                 raise ValueError(f"unknown label in ({y!r}, {y2!r})")
         return zero_one(y, y2)
+
+    def table(self, rows, cols):
+        """(R, C) table of the loss: each label's index, from the label set or
+        else in order of first appearance under the keys of `group_outputs`,
+        then one comparison of the index arrays."""
+        if self._index is None:
+            index = {}
+            r = np.array([index.setdefault(_hashable(y), len(index)) for y in rows],
+                         dtype=np.intp)
+            c = np.array([index.setdefault(_hashable(y), len(index)) for y in cols],
+                         dtype=np.intp)
+        else:
+            r, c = _label_indices(self._index, rows), _label_indices(self._index, cols)
+        return (r[:, None] != c[None, :]).astype(float)
 
 
 class SquaredHellinger:
@@ -222,22 +255,28 @@ class RankLoss:
 
 
 class FiniteTable:
-    """Arbitrary loss over a finite label set, given as a |Y| x |Y| table."""
+    """Arbitrary loss over a finite label set, given as a |Y| x |Y| table;
+    `matrix` holds it as a float array in label order."""
 
     def __init__(self, labels, table):
         self.labels = list(labels)
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate labels")
-        self.table = np.asarray(table, dtype=float)
-        if self.table.shape != (len(self.labels), len(self.labels)):
+        self.matrix = np.asarray(table, dtype=float)
+        if self.matrix.shape != (len(self.labels), len(self.labels)):
             raise ValueError("table shape does not match label count")
         self._index = {lab: i for i, lab in enumerate(self.labels)}
 
     def __call__(self, y, y2):
         try:
-            return float(self.table[self._index[y], self._index[y2]])
+            return float(self.matrix[self._index[y], self._index[y2]])
         except KeyError as e:
             raise ValueError(f"unknown label {e.args[0]!r}") from None
+
+    def table(self, rows, cols):
+        """(R, C) table of the loss: each label's index, then one fancy index."""
+        return self.matrix[np.ix_(_label_indices(self._index, rows),
+                                  _label_indices(self._index, cols))]
 
 
 def take_outputs(outputs, idx):
@@ -263,12 +302,11 @@ def loss_rows(loss, preds, truths):
 
 
 def loss_table(loss, rows, cols):
-    """(R, C) table of loss(rows[a], cols[b]): a `ScalarLoss`'s formula on
-    rows[:, None] - cols[None, :], any other loss `loss_rows` over the R*C
-    index pairs, row by row."""
-    if isinstance(loss, ScalarLoss):
-        return loss.of_difference(np.asarray(rows, dtype=float)[:, None]
-                                  - np.asarray(cols, dtype=float)[None, :])
+    """(R, C) table of loss(rows[a], cols[b]): the loss's own `table` method
+    where it has one, else `loss_rows` over the R*C index pairs, row by row."""
+    table = getattr(loss, "table", None)
+    if table is not None:
+        return table(rows, cols)
     a, b = np.divmod(np.arange(len(rows) * len(cols)), len(cols))
     return loss_rows(loss, take_outputs(rows, a), take_outputs(cols, b)).reshape(
         len(rows), len(cols))

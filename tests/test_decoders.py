@@ -957,6 +957,31 @@ def test_predict_batch_matches_predict():
         assert batch[j] == decoders.predict(model, spec, losses.Cauchy(1.0), Q[j])
 
 
+def _refuse_kernel_work(*args, **kwargs):
+    raise AssertionError("kernel work before the loss was checked")
+
+
+@pytest.mark.parametrize("kind", ["scalar", "simplex", "ratings"])
+def test_predict_batch_refuses_a_loss_before_any_kernel_work(tmp_path, monkeypatch, kind):
+    # a loaded model has no factor yet, so a late check would build the
+    # factor and the (n, Q) cross-kernel before refusing the loss
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(12, 2))
+    Y, decoder = {
+        "scalar": (rng.uniform(-2, 2, size=12), decoders.ScalarGrid()),
+        "simplex": (rng.dirichlet(np.ones(3), size=12), decoders.SimplexHellinger()),
+        "ratings": (rng.integers(1, 6, size=(12, 4)).astype(float),
+                    decoders.RankingFas(items=4)),
+    }[kind]
+    surrogate.save_model(surrogate.fit(X, Y, kernels.gaussian(1.0), 0.1),
+                         tmp_path / "m.json", kind)
+    model, _ = surrogate.load_model(tmp_path / "m.json")
+    monkeypatch.setattr(kernels, "factor_shifted", _refuse_kernel_work)
+    monkeypatch.setattr(kernels, "cross_kernel_batch", _refuse_kernel_work)
+    with pytest.raises(ValueError, match="not ZeroOne"):
+        decoders.predict_batch(model, decoder, losses.ZeroOne(), X[:3])
+
+
 @pytest.mark.parametrize("outputs", ["ratings", "simplex"])
 def test_predict_matches_predict_batch_for_the_closed_form_decoders(outputs):
     rng = np.random.default_rng(19)

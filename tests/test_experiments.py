@@ -3,12 +3,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import _oracles
-from surrloss import decoders, experiments, kernels, losses, model_selection
+from surrloss import (decoders, experiments, kernels, losses, model_selection,
+                      surrogate)
 
 FOLDS = 3
 
@@ -174,9 +176,10 @@ def test_each_runner_reports_its_methods_sizes_and_seeds(repetitions):
             assert r.wall_time == next(s.wall_time for s in rows if s.n == r.n)
 
 
-def test_robust_cv_builds_one_cauchy_table_per_sigma_fold_and_gamma(monkeypatch):
-    # each (kernel, fold) decodes its whole lambda-path in one call per gamma,
-    # and each call builds its grid's loss table once
+def test_robust_cv_builds_one_cauchy_table_per_fold_and_gamma(monkeypatch):
+    # each fold decodes its whole (sigma, lambda) grid in one call per gamma,
+    # and each call builds its grid's loss table once: the table depends
+    # only on the fold's training outputs, not on sigma
     tables = []
     original = decoders._loss_matrix
 
@@ -190,8 +193,52 @@ def test_robust_cv_builds_one_cauchy_table_per_sigma_fold_and_gamma(monkeypatch)
                            experiments.ROBUST_LAMBDAS, experiments.ROBUST_GAMMAS,
                            FOLDS, 0)
     assert all(isinstance(loss, losses.Cauchy) for loss in tables)
-    assert len(tables) == (len(experiments.ROBUST_SIGMAS) * FOLDS
-                           * len(experiments.ROBUST_GAMMAS))
+    assert [loss.gamma for loss in tables] == list(experiments.ROBUST_GAMMAS) * FOLDS
+
+
+def test_histogram_cv_decodes_each_fold_once(monkeypatch):
+    # the KDE output Gram and the simplex decode depend only on the fold's
+    # training outputs, so each runs once per fold over every (sigma, lambda)
+    kde = _count_calls(monkeypatch, experiments, "_kde_decode_batch")
+    simplex = _count_calls(monkeypatch, decoders, "decode_simplex_hellinger_batch")
+    X, Y = experiments.gen_histogram_data(4, 30, 0)
+    experiments._histogram_cv(X, Y, HIST_SIGMAS, HIST_LAMBDAS, FOLDS, 0,
+                              experiments.median_sq_dist(Y))
+    assert len(kde) == len(simplex) == FOLDS
+    for (A, Ytr, _), (A2, Ytr2) in zip(kde, simplex):
+        assert A is A2 and Ytr.shape[0] == A.shape[0]
+        assert A.shape[1] == len(HIST_SIGMAS) * len(HIST_LAMBDAS) * (30 - Ytr.shape[0])
+
+
+def _traced_peak(f):
+    """f() and the tracemalloc peak, in bytes, of its allocations."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_robust_cv_peak_stays_under_the_trials_final_fit_and_decode():
+    # The fold-major sweep keeps every sigma's spectrum alive and decodes a
+    # fold's whole grid at once; at the experiment's n = 300 that may not
+    # raise the trial's peak, which its final fit and decode sets.
+    X, y = experiments.gen_robust_data(300, 0)
+    (selected, _), cv_peak = _traced_peak(lambda: experiments._robust_cv(
+        X, y, experiments.ROBUST_SIGMAS, experiments.ROBUST_LAMBDAS,
+        experiments.ROBUST_GAMMAS, experiments.FOLDS, 0))
+    kernel, lam, gamma = selected
+    x_test = np.linspace(-1.0, 1.0, experiments.ROBUST_TEST_POINTS)[:, None]
+    _, final_peak = _traced_peak(lambda: decoders.predict_batch(
+        surrogate.fit(X, y, kernel, lam), experiments.ROBUST_DECODER, losses.Cauchy(gamma),
+        x_test))
+    assert cv_peak <= final_peak
 
 
 def _count_calls(monkeypatch, module, name):

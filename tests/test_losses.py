@@ -233,12 +233,42 @@ def test_loss_table_calls_any_other_loss_once_per_pair_row_by_row():
     np.testing.assert_array_equal(table, [[float(r != c) for c in cols] for r in rows])
 
 
+def test_a_300_label_loss_table_makes_no_per_pair_call(monkeypatch):
+    # ZeroOne and FiniteTable tabulate themselves: one lookup per label,
+    # then one comparison or one fancy index of the label indices
+    calls = []
+    for cls in (losses.ZeroOne, losses.FiniteTable):
+        monkeypatch.setattr(cls, "__call__", lambda self, y, y2: calls.append((y, y2)))
+    monkeypatch.setattr(losses, "zero_one", lambda y, y2: calls.append((y, y2)))
+    labels = [f"label{i}" for i in range(300)]
+    matrix = np.random.default_rng(41).uniform(0, 1, size=(300, 300))
+    for loss, want in ((losses.ZeroOne(labels), 1.0 - np.eye(300)),
+                       (losses.ZeroOne(), 1.0 - np.eye(300)),
+                       (losses.FiniteTable(labels, matrix), matrix)):
+        np.testing.assert_array_equal(losses.loss_table(loss, labels, labels), want)
+    assert calls == []
+
+
+def test_an_unlabelled_zero_one_table_equals_per_pair_calls():
+    # without a label set, labels are told apart as zero_one does, by ==,
+    # and list labels are keyed as `group_outputs` keys them
+    rows = ["a", 1, 2.0, [1, 2], True, "b"]
+    cols = [2, "a", 1.0, [1, 2], "c", False, 0, [3, 4]]
+    loss = losses.ZeroOne()
+    np.testing.assert_array_equal(losses.loss_table(loss, rows, cols),
+                                  [[loss(r, c) for c in cols] for r in rows])
+    assert losses.loss_table(loss, [], cols).shape == (0, len(cols))
+
+
 def test_loss_table_validating_loss_raises_on_an_unknown_label():
     loss = losses.ZeroOne(["a", "b"])
     with pytest.raises(ValueError, match="unknown label"):
         losses.loss_table(loss, ["a", "b"], ["a", "z"])
     with pytest.raises(ValueError, match="unknown label"):
         losses.loss_table(loss, ["q"], ["a"])
+    table = losses.FiniteTable(["a", "b"], np.ones((2, 2)))
+    with pytest.raises(ValueError, match="unknown label 'z'"):
+        losses.loss_table(table, ["a", "b"], ["a", "z"])
 
 
 def test_rank_loss_matrix_matches_double_loop_oracle():
@@ -298,7 +328,7 @@ def test_rank_loss_table_of_the_oracle_matches_a_double_loop():
         for i, cand in enumerate(loss.labels):
             for j, target in enumerate(loss.labels):
                 ratings = [items + 1 - r for r in target]
-                assert loss.table[i, j] == _oracles.rank_loss_double_loop(cand, ratings)
+                assert loss.matrix[i, j] == _oracles.rank_loss_double_loop(cand, ratings)
 
 
 def test_squared_hellinger_stack_equals_the_pairwise_loss():

@@ -156,37 +156,59 @@ def test_a_gaussian_sweep_takes_one_eigh_per_kernel(monkeypatch):
 
 
 def test_sweep_scores_a_folds_whole_lambda_path_in_one_call():
-    # one score call per (kernel, fold), on the fold's L * n_va columns: the
-    # validation indices tiled once per lambda, each lambda's block of weights
-    # the dense solve's
+    # one score call per fold, on the fold's S * L * n_va columns: the
+    # validation indices tiled once per (kernel, lambda), kernel-major, each
+    # kernel's block of each lambda the dense solve's weights
     rng = np.random.default_rng(7)
     X = rng.normal(size=(17, 2))
     calls = []
 
     def score(tr, cols, A):
-        calls.append((tr, cols, A))
+        calls.append((tr, cols, A.copy()))  # the next fold overwrites A
         return np.arange(A.shape[1], dtype=float)
 
     s = model_selection.sweep(X, [kernels.gaussian(sig) for sig in SIGMAS], LAMBDAS, FOLDS,
                               3, score)
     assert s.shape == (len(SIGMAS), len(LAMBDAS), FOLDS, 1)
     splits = _splits(17, 3)
-    assert len(calls) == len(SIGMAS) * FOLDS
-    for ci, (tr, cols, A) in enumerate(calls):
-        sigma = SIGMAS[ci // FOLDS]
-        want_tr, va = splits[ci % FOLDS]
+    assert len(calls) == FOLDS
+    assert len({va.size for _, va in splits}) == 2  # folds of two sizes share the buffer
+    for fi, (tr, cols, A) in enumerate(calls):
+        want_tr, va = splits[fi]
         np.testing.assert_array_equal(tr, want_tr)
-        np.testing.assert_array_equal(cols, np.tile(va, len(LAMBDAS)))
-        assert A.shape == (tr.size, len(LAMBDAS) * va.size)
-        K = _oracles.gaussian_kernel_matrix(X[tr], X[tr], sigma)
-        Kx = _oracles.gaussian_kernel_matrix(X[tr], X[va], sigma)
-        for li, lam in enumerate(LAMBDAS):
-            ref = np.linalg.solve(K + tr.size * lam * np.eye(tr.size), Kx)
-            block = A[:, li * va.size:(li + 1) * va.size]
-            assert np.max(np.abs(block - ref)) <= 1e-9 * np.max(np.abs(ref)), (sigma, lam)
-            # each lambda's fold score is the mean over its own block of columns
-            assert s[ci // FOLDS, li, ci % FOLDS, 0] == np.mean(
-                np.arange(li * va.size, (li + 1) * va.size, dtype=float))
+        np.testing.assert_array_equal(cols, np.tile(va, len(SIGMAS) * len(LAMBDAS)))
+        assert A.shape == (tr.size, len(SIGMAS) * len(LAMBDAS) * va.size)
+        for si, sigma in enumerate(SIGMAS):
+            K = _oracles.gaussian_kernel_matrix(X[tr], X[tr], sigma)
+            Kx = _oracles.gaussian_kernel_matrix(X[tr], X[va], sigma)
+            for li, lam in enumerate(LAMBDAS):
+                ref = np.linalg.solve(K + tr.size * lam * np.eye(tr.size), Kx)
+                first = (si * len(LAMBDAS) + li) * va.size
+                block = A[:, first:first + va.size]
+                assert np.max(np.abs(block - ref)) <= 1e-9 * np.max(np.abs(ref)), (sigma, lam)
+                # each (kernel, lambda) fold score is the mean over its own columns
+                assert s[si, li, fi, 0] == np.mean(
+                    np.arange(first, first + va.size, dtype=float))
+
+
+def test_a_one_kernel_sweep_scores_the_paths_own_block(monkeypatch):
+    # with one kernel the fold's block goes to the scorer without a copy
+    yielded, scored = [], []
+    paths = kernels.fold_ridge_paths
+
+    def recording(*args):
+        for tr, va, A in paths(*args):
+            yielded.append(A)
+            yield tr, va, A
+
+    def score(tr, cols, A):
+        scored.append(A)
+        return np.zeros(A.shape[1])
+
+    monkeypatch.setattr(kernels, "fold_ridge_paths", recording)
+    X = np.random.default_rng(7).normal(size=(17, 2))
+    model_selection.sweep(X, [kernels.linear()], LAMBDAS, FOLDS, 3, score)
+    assert len(scored) == FOLDS and all(a is b for a, b in zip(scored, yielded))
 
 
 def test_a_failing_decoder_names_its_kernel_and_fold(monkeypatch):
@@ -199,8 +221,10 @@ def test_a_failing_decoder_names_its_kernel_and_fold(monkeypatch):
     with pytest.raises(RuntimeError) as info:
         model_selection.cross_validate(X, Y, *_grid(0), decoders.Exhaustive(["a", "b"]),
                                        losses.ZeroOne(), losses.ZeroOne())
+    # the one decode of fold 0 covers every kernel of the grid
     message = str(info.value)
-    assert message == f"cv failure at kernel={kernels.gaussian(SIGMAS[0])}, fold=0: decoder broke"
+    grid = [kernels.gaussian(s) for s in SIGMAS]
+    assert message == f"cv failure at fold=0, kernels={grid}: decoder broke"
     assert "lambda=" not in message
     assert isinstance(info.value.__cause__, ValueError)
     assert str(info.value.__cause__) == "decoder broke"
@@ -215,6 +239,26 @@ def test_a_failing_spectrum_names_its_kernel(monkeypatch):
     X = np.random.default_rng(8).normal(size=(12, 2))
     with pytest.raises(RuntimeError) as info:
         model_selection.sweep(X, [kernels.gaussian(SIGMAS[1])], LAMBDAS, FOLDS, 0,
+                              lambda tr, cols, A: np.zeros(A.shape[1]))
+    assert str(info.value) == (f"cv failure at kernel={kernels.gaussian(SIGMAS[1])}, fold=0: "
+                               "eigh did not converge")
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_a_failing_spectrum_in_a_grid_names_its_kernel(monkeypatch):
+    # the sweep takes each kernel's spectrum as it opens its path, in grid order
+    eigh, calls = np.linalg.eigh, []
+
+    def fail_second(K):
+        calls.append(K.shape)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("eigh did not converge")
+        return eigh(K)
+
+    monkeypatch.setattr(np.linalg, "eigh", fail_second)
+    X = np.random.default_rng(8).normal(size=(12, 2))
+    with pytest.raises(RuntimeError) as info:
+        model_selection.sweep(X, [kernels.gaussian(s) for s in SIGMAS], LAMBDAS, FOLDS, 0,
                               lambda tr, cols, A: np.zeros(A.shape[1]))
     assert str(info.value) == (f"cv failure at kernel={kernels.gaussian(SIGMAS[1])}, fold=0: "
                                "eigh did not converge")
