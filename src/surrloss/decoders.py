@@ -296,6 +296,7 @@ def _histograms(y_train):
     Y = np.asarray(y_train, dtype=float)
     if Y.ndim != 2 or Y.shape[0] == 0:
         raise ValueError("training outputs must be a non-empty (n, d) array")
+    losses._check_finite_rows(Y, "training outputs")
     return Y
 
 

@@ -111,7 +111,7 @@ def _robust_cv(X, y, sigmas, lambdas, gammas, folds, seed):
     exactly the robustness it is supposed to lack.
     Selection follows `model_selection.select_best`, the decoder's grid in
     (gamma, sigma, lambda) order and KRR's in (sigma, lambda) order.  A
-    failure of a sigma's spectrum or path names that kernel and the fold; a
+    failure of a sigma's spectrum or weights names that kernel and the fold; a
     failure of a decode names the fold and every kernel of its block.
 
     Returns ((kernel, lambda, gamma) for the decoder, (kernel, lambda) for
@@ -276,7 +276,7 @@ def _histogram_cv(Xtr, Ytr, sigmas, lambdas, folds, seed, sigma_y):
     decoder is scored under squared Hellinger, the KDE decode under the
     Gaussian output-kernel loss.  Selection follows
     `model_selection.select_best` in (sigma, lambda) order.  A failure of a
-    sigma's spectrum or path names that kernel and the fold; a failure of a
+    sigma's spectrum or weights names that kernel and the fold; a failure of a
     decode names the fold and every kernel of its block.
 
     Returns {"hellinger": (sigma, lambda), "kde": (sigma, lambda)}.

@@ -11,9 +11,10 @@ substitutions block by block: each diagonal block is one product with its
 stored inverse, each off-diagonal panel one GEMV/GEMM, so every step stays in
 NumPy's BLAS and the package needs no other linear-algebra library.
 Cross-validation, which needs each fold's training Gram at many shifts, takes
-them all from spectra instead: `fold_ridge_paths` turns the k validation folds
-of a partition into each fold's (train, validation, weights).  A Gaussian
-kernel takes one `eigh` of the full n x n Gram for every fold: with
+them all from spectra instead, in two steps that `model_selection.sweep`
+calls: `fold_spectrum` takes what every fold shares, and `fold_weights`
+writes one fold's weights at every shift into a view the caller owns.  A
+Gaussian kernel takes one `eigh` of the full n x n Gram for every fold: with
 M = (K + sI)^-1, a fold's weights (K_TT + sI)^-1 K_TV are the block product
 -M_TV M_VV^-1.  A linear kernel takes the thin SVD of each fold's training
 inputs, which costs O(n d^2) and never forms an n x n matrix.
@@ -308,82 +309,62 @@ def _check_lambdas(lambdas):
     return lambdas
 
 
-def fold_ridge_paths(spec, X, folds, lambdas):
-    """Each fold's ridge path.  `folds` are the validation index arrays of a
-    partition of the rows of X (n, d), as from `model_selection.kfold_split`.
-    Yields (T, V, weights) per fold V in order, T the other rows in increasing
-    order and weights (K_TT + n_tr*lambda*I)^-1 K_TV at all L lambdas as one
-    (n_tr, L*n_va) matrix, the l-th block of n_va columns for the l-th lambda.
+def fold_spectrum(spec, X):
+    """The spectrum that every fold of a cross-validation of X (n, d) shares:
+    for a Gaussian kernel the clamped `eigh` (evals, U) of the full n x n
+    Gram (`_spectrum`); for a linear kernel None, since each fold takes the
+    thin SVD of its own training inputs (`fold_weights`)."""
+    return None if spec.kind == "linear" else _spectrum(spec, X)
 
-    Gaussian kernels take one spectrum for all folds, when the path is
-    opened, not at its first fold.  With K = U diag(e) U^T
-    the clamped `eigh` of the full n x n Gram (`_spectrum`) and
-    M = (K + sI)^-1 = U diag(1 / (e + s)) U^T, the T rows of (K + sI) M = I
-    read (K_TT + sI) M_TV + K_TV M_VV = 0, so
+
+def fold_weights(spec, spectrum, X, tr, va, lambdas, out):
+    """Write the ridge weights (K_TT + n_tr*lambda_l*I)^-1 K_TV of the fold
+    with training rows `tr` and validation rows `va` of the checked (n, d)
+    matrix X into the (n_tr, L, n_va) view `out`, out[:, l] for the l-th of
+    the L checked `lambdas`.  Each out[i] must be one contiguous run of
+    L*n_va floats, as in a slice of `model_selection.sweep`'s block, so that
+    out reshapes to (n_tr, L*n_va) without a copy.  `spectrum` is
+    `fold_spectrum(spec, X)`.
+
+    Gaussian.  With K = U diag(e) U^T the clamped spectrum of the full Gram
+    and M = (K + sI)^-1 = U diag(1 / (e + s)) U^T, the T rows of
+    (K + sI) M = I read (K_TT + sI) M_TV + K_TV M_VV = 0, so
 
         (K_TT + sI)^-1 K_TV = -M_TV M_VV^-1,
 
     exact for any partition and any s > 0 (the block-inverse identity behind
     exact fast CV for kernel ridge regression; An, Liu & Venkatesh, Pattern
-    Recognition 40(8), 2007).  Per fold, with shifts s_l = n_tr*lambda_l
-    (folds may differ in size by one, and with them the shifts), one
+    Recognition 40(8), 2007).  With shifts s_l = n_tr*lambda_l (folds may
+    differ in size by one, and with them the shifts), one
     (n, n) @ (n, L*n_va) product forms M[:, V] for every shift, one batched
     `np.linalg.inv` inverts the L SPD blocks M_VV, and one batched product
-    gives -M_TV M_VV^-1: no per-fold Gram, spectrum or cross-kernel.  Besides
-    U the working set is a few L*n*n_va floats, so memory stays O(n^2).
+    writes M_TV M_VV^-1 straight into `out`, negated in place: no per-fold
+    Gram, spectrum or cross-kernel.  Besides U the working set is about
+    2*L*n*n_va floats, so memory stays O(n^2).
 
-    Linear kernels keep one spectrum per fold: Rifkin & Lippert's spectral
-    path ("Notes on Regularized Least Squares", MIT-CSAIL-TR-2007-025) on the
-    thin SVD of X_T, whose U (n_tr, r), r = min(n_tr, d), spans K_TV = X_T
-    X_V^T.  The blocks diag(1 / (evals + s_l)) U^T K_TV, side by side, take
-    one (n_tr, r) @ (r, L*n_va) product with U.  A fold's SVD costs
-    O(n d^2), so one shared n x n spectrum would save nothing, and the
-    linear route never forms an n x n matrix.
+    Linear.  Rifkin & Lippert's spectral path ("Notes on Regularized Least
+    Squares", MIT-CSAIL-TR-2007-025) on the thin SVD of X_T, whose U
+    (n_tr, r), r = min(n_tr, d), spans K_TV = X_T X_V^T: the blocks
+    diag(1 / (evals + s_l)) U^T K_TV, side by side, take one
+    (n_tr, r) @ (r, L*n_va) product with U.  A fold's SVD costs O(n d^2), so
+    one shared n x n spectrum would save nothing, and the linear route never
+    forms an n x n matrix.
 
     With evals >= 0 and every shift > 0 both systems are positive definite,
-    so no jitter is needed.  Raises ValueError, before any fold is solved,
-    for lambdas that `_check_lambdas` rejects or folds that are not at least
-    two non-empty integer index arrays partitioning the n rows.
+    so no jitter is needed.
     """
-    X = _as_input_matrix(X)
-    lambdas = _check_lambdas(lambdas)
-    n = X.shape[0]
-    folds = [np.asarray(va) for va in folds]
-    if not (len(folds) >= 2
-            and all(va.ndim == 1 and va.size and np.issubdtype(va.dtype, np.integer)
-                    for va in folds)
-            and np.array_equal(np.sort(np.concatenate(folds)), np.arange(n))):
-        raise ValueError(f"folds must partition the {n} rows of X into at least two "
-                         "non-empty integer index arrays")
-    splits = [(np.delete(np.arange(n), va), va) for va in folds]
-    if spec.kind == "linear":
-        return _linear_fold_paths(spec, X, splits, lambdas)
-    # The spectrum is taken now, not at the first fold, so a caller that
-    # opens several paths has every spectrum before any fold's weights exist.
-    return _gaussian_fold_paths(*_spectrum(spec, X), splits, lambdas)
-
-
-def _gaussian_fold_paths(evals, U, splits, lambdas):
-    # Between folds the suspended generator holds only the spectrum: each
-    # fold's working set lives and dies inside `_gaussian_fold_weights`.
-    for tr, va in splits:
-        yield tr, va, _gaussian_fold_weights(evals, U, tr, va, lambdas)
-
-
-def _gaussian_fold_weights(evals, U, tr, va, lambdas):
-    """-M_TV M_VV^-1 at every shift n_tr*lambda_l, as one (n_tr, L*n_va) block."""
+    if spectrum is None:
+        evals, U = _spectrum(spec, X[tr])
+        UtKX = U.T @ cross_kernel_batch(spec, X[tr], X[va])
+        scaled = UtKX[:, None, :] / (evals[:, None, None] + tr.size * lambdas[None, :, None])
+        np.matmul(U, scaled.reshape(U.shape[1], -1), out=out.reshape(tr.size, -1))
+        return
+    evals, U = spectrum
     n, L = U.shape[0], lambdas.size
     scale = 1.0 / (evals[:, None] + tr.size * lambdas[None, :])  # (n, L)
     # M[:, V] = U diag(scale_l) U_V^T for every shift, in one product
     MV = U @ (scale[:, :, None] * U[va].T[:, None, :]).reshape(n, -1)
     MV = MV.reshape(n, L, -1).transpose(1, 0, 2)  # (L, n, n_va)
-    A = -(MV[:, tr] @ np.linalg.inv(MV[:, va]))  # (L, n_tr, n_va)
-    return A.transpose(1, 0, 2).reshape(tr.size, -1)
-
-
-def _linear_fold_paths(spec, X, splits, lambdas):
-    for tr, va in splits:
-        evals, U = _spectrum(spec, X[tr])
-        UtKX = U.T @ cross_kernel_batch(spec, X[tr], X[va])
-        scaled = UtKX[:, None, :] / (evals[:, None, None] + tr.size * lambdas[None, :, None])
-        yield tr, va, U @ scaled.reshape(U.shape[1], -1)
+    inv_VV = np.linalg.inv(MV[:, va])  # first: M_VV is freed before the copy M_TV is made
+    np.matmul(MV[:, tr], inv_VV, out=out.transpose(1, 0, 2))
+    np.negative(out, out=out)

@@ -36,11 +36,20 @@ def zero_one(y, y2):
     return 0.0 if y == y2 else 1.0
 
 
+def _check_finite_rows(Y, name):
+    """Raise a ValueError naming the first row of the 2-d Y with a NaN or an
+    infinite entry."""
+    bad = ~np.isfinite(Y)
+    if np.any(bad):
+        raise ValueError(f"{name} row {int(np.argwhere(bad)[0, 0])} has non-finite entries")
+
+
 def _check_simplex_rows(Y, name):
     """The (Q, d) array Y, each row checked on the simplex and renormalised."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
         raise ValueError(f"{name} must be a (Q, d) array")
+    _check_finite_rows(Y, name)
     if np.any(Y < 0):
         raise ValueError(f"{name} row {int(np.argwhere(Y < 0)[0, 0])} has negative entries")
     s = Y.sum(axis=1)
@@ -90,8 +99,9 @@ def rank_step_rows(ranks):
 
 def _rank_terms(ranks, ratings):
     """(step rows, flat gains) of (C, M) rank vectors, each a permutation of
-    1..M, and (T, M) finite rating profiles, M >= 2."""
-    ranks = np.asarray(ranks, dtype=np.int64)
+    1..M, and (T, M) finite rating profiles, M >= 2.  Ranks are compared as
+    floats, so a fractional rank is rejected, not truncated."""
+    ranks = np.asarray(ranks, dtype=float)
     ratings = np.asarray(ratings, dtype=float)
     if ranks.ndim != 2 or ratings.ndim != 2:
         raise ValueError("ranks must be a (C, M) and ratings a (T, M) array")

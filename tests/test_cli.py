@@ -137,9 +137,9 @@ def test_train_numerical_failure_exits_2(tmp_path, monkeypatch):
 
 
 def test_cv_numerical_failure_exits_2(tmp_path, monkeypatch):
-    # the CV sweep re-raises a failure of a kernel's fold paths as a
+    # the CV sweep re-raises a failure of a kernel's fold weights as a
     # RuntimeError caused by it
-    monkeypatch.setattr(kernels, "fold_ridge_paths", _refuse_fit)
+    monkeypatch.setattr(kernels, "fold_weights", _refuse_fit)
     rng = np.random.default_rng(5)
     _write_csv(tmp_path / "train.csv", ["x0", "y"], rng.uniform(-1, 1, size=(10, 2)).tolist())
     code = cli.main(["cv", "--in", str(tmp_path / "train.csv"), "--kind", "scalar",
@@ -170,8 +170,9 @@ def test_cv_with_an_empty_grid_is_usage_error(tmp_path, capsys, option):
 
 @pytest.mark.parametrize("folds", ["1", "11"])
 def test_cv_with_folds_outside_two_to_rows_is_usage_error(tmp_path, capsys, monkeypatch, folds):
-    # rejected before any fit: a fold path would exit 2 instead
-    monkeypatch.setattr(kernels, "fold_ridge_paths", _refuse_fit)
+    # rejected before any fit: a fold's spectrum or weights would exit 2 instead
+    monkeypatch.setattr(kernels, "fold_spectrum", _refuse_fit)
+    monkeypatch.setattr(kernels, "fold_weights", _refuse_fit)
     rng = np.random.default_rng(5)
     _write_csv(tmp_path / "train.csv", ["x0", "y"], rng.uniform(-1, 1, size=(10, 2)).tolist())
     out = tmp_path / "cv.json"
@@ -250,7 +251,8 @@ def test_cv_with_a_loss_the_decoder_ignores_is_usage_error(tmp_path, capsys, kin
                                                            monkeypatch):
     # rejected before the sweep, so the message names the decoder (for
     # labels, the kind) and the loss, not a grid point
-    monkeypatch.setattr(kernels, "fold_ridge_paths", _refuse_fit)
+    monkeypatch.setattr(kernels, "fold_spectrum", _refuse_fit)
+    monkeypatch.setattr(kernels, "fold_weights", _refuse_fit)
     rng = np.random.default_rng(4)
     for t_header, t_rows in _target_sets(kind, rng, 10):
         _write_csv(tmp_path / "train.csv", ["x0", "x1"] + t_header,
@@ -431,8 +433,9 @@ def test_experiment_rejects_an_empty_n_grid(tmp_path, capsys, source):
 @pytest.mark.parametrize("n_grid", ["3", "10,0"])
 def test_robust_experiment_rejects_sizes_below_its_fold_count(tmp_path, capsys, monkeypatch,
                                                               n_grid):
-    # rejected before any fit: a fold path would exit 2 instead
-    monkeypatch.setattr(kernels, "fold_ridge_paths", _refuse_fit)
+    # rejected before any fit: a fold's spectrum or weights would exit 2 instead
+    monkeypatch.setattr(kernels, "fold_spectrum", _refuse_fit)
+    monkeypatch.setattr(kernels, "fold_weights", _refuse_fit)
     out = tmp_path / "report.json"
     assert cli.main(["experiment", "robust", "--n-grid", n_grid, "--reps", "1",
                      "--out", str(out)]) == cli.EXIT_USAGE

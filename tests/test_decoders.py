@@ -820,6 +820,9 @@ def test_simplex_rejects_empty():
     (np.ones((3, 2)), np.full((4, 2), 0.5), r"weights must be \(n"),
     (np.ones((0, 2)), np.empty((0, 3)), r"non-empty \(n, d\) array"),
     (np.ones((3, 2)), np.full(3, 1.0), r"non-empty \(n, d\) array"),
+    # a NaN histogram decoded to [nan, 0.5]
+    (np.ones((2, 1)), np.array([[0.5, 0.5], [np.nan, 0.5]]),
+     "training outputs row 1 has non-finite entries"),
 ])
 def test_simplex_batch_checks_its_inputs_as_the_single_query_form(A, Y, message):
     with pytest.raises(ValueError, match=message):

@@ -241,6 +241,24 @@ def test_robust_cv_peak_stays_under_the_trials_final_fit_and_decode():
     assert cv_peak <= final_peak
 
 
+def test_a_three_sigma_sweep_peak_stays_under_spectra_buffer_and_a_folds_working_set():
+    # The sweep holds S spectra and one buffer for the largest fold; each
+    # Gaussian fold's weights go straight into the buffer, so its working
+    # set stays under 2.5*n*L*n_va floats (a transposed copy of the weights
+    # and a copy into the buffer would each add about 0.8*n*L*n_va).
+    n, S, L = 600, len(experiments.HISTOGRAM_SIGMAS), len(experiments.HISTOGRAM_LAMBDAS)
+    X = np.random.default_rng(0).normal(size=(n, 3))
+    parts = model_selection.kfold_split(n, experiments.FOLDS, 0)
+    _, peak = _traced_peak(lambda: model_selection.sweep(
+        X, [kernels.gaussian(s) for s in experiments.HISTOGRAM_SIGMAS],
+        experiments.HISTOGRAM_LAMBDAS, experiments.FOLDS, 0,
+        lambda tr, cols, A: np.zeros(A.shape[1])))
+    spectra = S * (n * n + n)
+    buffer = S * L * max((n - va.size) * va.size for va in parts)
+    working_set = 2.5 * n * L * max(va.size for va in parts)
+    assert peak < 8 * (spectra + buffer + working_set)
+
+
 def _count_calls(monkeypatch, module, name):
     """Count the calls made through module.name, the attribute every caller
     looks up."""

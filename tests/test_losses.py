@@ -130,6 +130,12 @@ def test_rank_loss_rejects_non_permutation():
         losses.rank_loss(np.array([1, 1, 3]), np.array([3.0, 2.0, 1.0]))
     with pytest.raises(ValueError):
         losses.rank_loss(np.array([0, 1, 2]), np.array([3.0, 2.0, 1.0]))
+    # fractional ranks were truncated to the permutation [1, 2, 3]
+    with pytest.raises(ValueError, match="not a permutation of 1..M"):
+        losses.rank_loss([1.9, 2.2, 3.7], [3, 2, 1])
+    with pytest.raises(ValueError, match="not a permutation of 1..M"):
+        losses.rank_loss_matrix([[1.0, 2.5, 3.0]], [[3, 2, 1]])
+    assert losses.rank_loss([1.0, 2.0, 3.0], [3, 2, 1]) == 0.0  # integer-valued floats
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +361,12 @@ def test_squared_hellinger_stack_rejects_bad_inputs():
         losses.squared_hellinger(good[0], good)
     with pytest.raises(ValueError, match=r"\(Q, d\)"):
         losses.squared_hellinger(good[None], good[None])
+    # NaN fails both the sign and the sum comparison, so it passed the check
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="predictions row 0 has non-finite entries"):
+            losses.squared_hellinger([bad, 0.5], [0.5, 0.5])
+        with pytest.raises(ValueError, match="targets row 1 has non-finite entries"):
+            losses.squared_hellinger(good, np.array([[0.5, 0.5], [bad, 0.5]]))
 
 
 def test_rank_loss_stack_equals_the_diagonal_of_the_matrix_exactly():

@@ -191,24 +191,37 @@ def test_sweep_scores_a_folds_whole_lambda_path_in_one_call():
                     np.arange(first, first + va.size, dtype=float))
 
 
-def test_a_one_kernel_sweep_scores_the_paths_own_block(monkeypatch):
-    # with one kernel the fold's block goes to the scorer without a copy
-    yielded, scored = [], []
-    paths = kernels.fold_ridge_paths
+@pytest.mark.parametrize("kernel_grid", [
+    [kernels.linear()], [kernels.linear()] + [kernels.gaussian(s) for s in SIGMAS]],
+    ids=["S=1", "S=4"])
+def test_every_folds_block_is_a_view_of_one_buffer(monkeypatch, kernel_grid):
+    # each kernel's weights are written straight into its slice of the
+    # block the scorer gets, a view of one buffer sized for the largest fold
+    written, scored = [], []
+    fold_weights = kernels.fold_weights
 
-    def recording(*args):
-        for tr, va, A in paths(*args):
-            yielded.append(A)
-            yield tr, va, A
+    def recording(spec, spectrum, X, tr, va, lambdas, out):
+        written.append(out)
+        fold_weights(spec, spectrum, X, tr, va, lambdas, out)
 
     def score(tr, cols, A):
         scored.append(A)
         return np.zeros(A.shape[1])
 
-    monkeypatch.setattr(kernels, "fold_ridge_paths", recording)
+    monkeypatch.setattr(kernels, "fold_weights", recording)
     X = np.random.default_rng(7).normal(size=(17, 2))
-    model_selection.sweep(X, [kernels.linear()], LAMBDAS, FOLDS, 3, score)
-    assert len(scored) == FOLDS and all(a is b for a, b in zip(scored, yielded))
+    model_selection.sweep(X, kernel_grid, LAMBDAS, FOLDS, 3, score)
+    S = len(kernel_grid)
+    assert len(scored) == FOLDS and len(written) == S * FOLDS
+    buf = scored[0].base
+    assert buf.ndim == 1 and buf.size == S * len(LAMBDAS) * max(
+        tr.size * va.size for tr, va in _splits(17, 3))
+    for fi, A in enumerate(scored):
+        assert A.base is buf
+        for si, out in enumerate(written[fi * S:(fi + 1) * S]):
+            assert out.base is buf
+            np.testing.assert_array_equal(
+                out, A.reshape(A.shape[0], S, len(LAMBDAS), -1)[:, si])
 
 
 def test_a_failing_decoder_names_its_kernel_and_fold(monkeypatch):
@@ -270,21 +283,28 @@ def _refuse_fold(*args):
 
 
 GAUSS = (kernels.gaussian(1.0),)
+X12 = np.random.default_rng(8).normal(size=(12, 2))
 
 
-@pytest.mark.parametrize("kernel_grid, lambdas, folds, match", [
-    ((), LAMBDAS, FOLDS, "kernel grid must be non-empty"),
-    (GAUSS, (), FOLDS, "lambdas must be a non-empty list"),
-    (GAUSS, (1e-2, np.inf), FOLDS, "lambdas must be a non-empty list"),
-    (GAUSS, (0.0,), FOLDS, "lambdas must be a non-empty list"),
-    (GAUSS, LAMBDAS, 1, "need 2 <= k <= n"),
-    (GAUSS, LAMBDAS, 13, "need 2 <= k <= n"),
-], ids=["no-kernel", "no-lambda", "inf-lambda", "zero-lambda", "one-fold", "13-folds"])
-def test_sweep_rejects_a_bad_grid_before_any_fold(monkeypatch, kernel_grid, lambdas, folds,
+@pytest.mark.parametrize("X, kernel_grid, lambdas, folds, match", [
+    (X12, (), LAMBDAS, FOLDS, "kernel grid must be non-empty"),
+    (X12, GAUSS, (), FOLDS, "lambdas must be a non-empty list"),
+    (X12, GAUSS, (1e-2, np.inf), FOLDS, "lambdas must be a non-empty list"),
+    (X12, GAUSS, (0.0,), FOLDS, "lambdas must be a non-empty list"),
+    (X12, GAUSS, (-1.0,), FOLDS, "lambdas must be a non-empty list"),
+    (X12, GAUSS, (np.nan,), FOLDS, "lambdas must be a non-empty list"),
+    (X12, GAUSS, LAMBDAS, 1, "need 2 <= k <= n"),
+    (X12, GAUSS, LAMBDAS, 13, "need 2 <= k <= n"),
+    (np.ones((0, 2)), GAUSS, LAMBDAS, FOLDS, "X must be a non-empty list"),
+    (np.ones((12, 2, 1)), GAUSS, LAMBDAS, FOLDS, "X must be a non-empty list"),
+    (np.vstack([X12[:-1], [[0.0, np.nan]]]), GAUSS, LAMBDAS, FOLDS, "non-finite"),
+], ids=["no-kernel", "no-lambda", "inf-lambda", "zero-lambda", "negative-lambda",
+        "nan-lambda", "one-fold", "13-folds", "empty-X", "3-d-X", "nan-X"])
+def test_sweep_rejects_a_bad_grid_before_any_fold(monkeypatch, X, kernel_grid, lambdas, folds,
                                                   match):
     # one ValueError from the sweep itself, not a RuntimeError from a fold
-    monkeypatch.setattr(kernels, "fold_ridge_paths", _refuse_fold)
-    X = np.random.default_rng(8).normal(size=(12, 2))
+    monkeypatch.setattr(kernels, "fold_spectrum", _refuse_fold)
+    monkeypatch.setattr(kernels, "fold_weights", _refuse_fold)
     with pytest.raises(ValueError, match=match):
         model_selection.sweep(X, kernel_grid, lambdas, folds, 0, _refuse_fold)
 
