@@ -52,17 +52,22 @@ def sweep_hash(X, kernel_grid, lambdas, seed):
     return h.hexdigest()
 
 
+def gauss(sigmas):
+    return [kernels.gaussian(s) for s in sigmas]
+
+
 def result(seed):
+    size = {name: workloads.WORKLOADS[name + "-cv"].sizes["full"] for name in runs}
     if job != "sweep":
-        size = workloads.WORKLOADS[job + "-cv"].sizes["full"]
-        return {r.method: r.per_seed for r in runs[job](**size, repetitions=1, seed0=seed)}
-    gauss = lambda sigmas: [kernels.gaussian(s) for s in sigmas]
+        return {r.method: r.per_seed
+                for r in runs[job](**size[job], repetitions=1, seed0=seed)}
+    rob, rank, hist = size["robust"], size["ranking"], size["histogram"]
     return {
-        "robust": sweep_hash(ex.gen_robust_data(300, seed)[0], gauss(ex.ROBUST_SIGMAS),
-                             ex.ROBUST_LAMBDAS, seed),
-        "ranking": sweep_hash(ex.gen_ranking_data(8, 80, seed)[0], [kernels.linear()],
-                              ex.RANKING_LAMBDAS, seed),
-        "histogram": sweep_hash(ex.gen_histogram_data(8, 120, seed)[0],
+        "robust": sweep_hash(ex.gen_robust_data(rob["n_grid"][0], seed)[0],
+                             gauss(ex.ROBUST_SIGMAS), ex.ROBUST_LAMBDAS, seed),
+        "ranking": sweep_hash(ex.gen_ranking_data(rank["items"], rank["n_train"], seed)[0],
+                              [kernels.linear()], ex.RANKING_LAMBDAS, seed),
+        "histogram": sweep_hash(ex.gen_histogram_data(hist["dim"], hist["n_train"], seed)[0],
                                 gauss(ex.HISTOGRAM_SIGMAS), ex.HISTOGRAM_LAMBDAS, seed),
     }
 
