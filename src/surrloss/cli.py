@@ -133,17 +133,20 @@ def read_dataset(path, kind):
     return X, [row[yc] for row in data]
 
 
-def write_predictions(path, preds, kind):
-    column = _KINDS[kind]["prediction"]
+def _write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        if column == "y":
-            writer.writerow(["y"])
-            writer.writerows([p] for p in preds)
-        else:
-            preds = np.asarray(preds)
-            writer.writerow([f"{column}{j}" for j in range(preds.shape[1])])
-            writer.writerows(preds.tolist())
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_predictions(path, preds, kind):
+    column = _KINDS[kind]["prediction"]
+    if column == "y":
+        _write_csv(path, ["y"], ([p] for p in preds))
+    else:
+        preds = np.asarray(preds)
+        _write_csv(path, [f"{column}{j}" for j in range(preds.shape[1])], preds.tolist())
 
 
 def _report(out, payload):
@@ -154,14 +157,6 @@ def _report(out, payload):
             f.write(text + "\n")
     else:
         print(text)
-
-
-def _write_curve_csv(path, results):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["n", "method", "mean", "std"])
-        for r in results:
-            writer.writerow([r.n, r.method, r.metric_mean, r.metric_std])
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +173,20 @@ def _bandwidth(args, dest, default):
     return default if value is None else value
 
 
+def _training_set(args):
+    """(X, Y) of the csv `--in` for `--kind`, with Y checked for the kind
+    (`surrogate.check_outputs`); a file without target columns is a
+    ValueError naming it."""
+    X, Y = read_dataset(args.data, args.kind)
+    if Y is None:
+        raise ValueError(f"{args.data}: no target columns")
+    return X, surrogate.check_outputs(Y, args.kind)
+
+
 def cmd_train(args):
     sigma = _bandwidth(args, "sigma", 1.0)
     kernel = kernels.linear() if sigma is None else kernels.gaussian(sigma)
-    X, Y = read_dataset(args.data, args.kind)
-    if Y is None:
-        raise ValueError("training csv has no target columns")
-    surrogate.check_outputs(Y, args.kind)
+    X, Y = _training_set(args)
     model = surrogate.fit(X, Y, kernel, args.lam)
     surrogate.save_model(model, args.out, args.kind)
     print(f"saved model for {model.n} training points to {args.out} "
@@ -227,9 +229,10 @@ _KINDS = {
 }
 
 
-def _decoder_and_loss(Y, kind, args):
+def _decoder_and_loss(Y, kind, args, source):
     """(decoder of the training outputs Y, decode loss: `--loss` or the kind's default);
-    a decoder option that neither the kind's decoder nor the loss reads is a ValueError."""
+    a decoder option that neither the kind's decoder nor the loss reads is a ValueError, and
+    so are labels that cannot be sorted (a library-fitted model's), naming Y's file `source`."""
     options = {dest: getattr(args, dest) for dest in _SCALAR_OPTIONS
                if getattr(args, dest) is not None}
     if options and kind != "scalar":
@@ -241,13 +244,17 @@ def _decoder_and_loss(Y, kind, args):
     if args.loss != "cauchy" and args.gamma is not None:
         raise ValueError(f"--gamma applies only to --loss cauchy, not {args.loss}")
     loss = _LOSSES[args.loss](args)
-    return _KINDS[kind]["decoder"](Y, options), loss
+    try:
+        return _KINDS[kind]["decoder"](Y, options), loss
+    except TypeError as e:  # raised by set() or sorted() of the labels
+        raise ValueError(f"{source}: the labels cannot be sorted into decode candidates "
+                         f"({e})") from None
 
 
 def cmd_predict(args):
     model, kind = surrogate.load_model(args.model)
     X, _ = read_dataset(args.data, kind)
-    decoder, loss = _decoder_and_loss(model.Y, kind, args)
+    decoder, loss = _decoder_and_loss(model.Y, kind, args, args.model)
     preds = decoders.predict_batch(model, decoder, loss, X)
     write_predictions(args.out, preds, kind)
     print(f"wrote {len(X)} predictions to {args.out}")
@@ -257,14 +264,11 @@ def cmd_predict(args):
 def cmd_cv(args):
     sigmas = _bandwidth(args, "sigmas", (0.1, 1.0, 10.0))
     kernel_grid = (kernels.linear(),) if sigmas is None else tuple(map(kernels.gaussian, sigmas))
-    X, Y = read_dataset(args.data, args.kind)
-    if Y is None:
-        raise ValueError("cv csv has no target columns")
+    X, Y = _training_set(args)
     if not 2 <= args.folds <= len(X):
         raise ValueError(f"--folds must be between 2 and the {len(X)} data rows, "
                          f"got {args.folds}")
-    surrogate.check_outputs(Y, args.kind)
-    decoder, loss = _decoder_and_loss(Y, args.kind, args)
+    decoder, loss = _decoder_and_loss(Y, args.kind, args, args.data)
     report = model_selection.cross_validate(X, Y, kernel_grid, args.lambdas, args.folds,
                                             args.seed, decoder, loss,
                                             _KINDS[args.kind]["scoring"] or loss)
@@ -334,7 +338,8 @@ def cmd_experiment(args):
         "results": _result_json(results),
     })
     if args.curve:
-        _write_curve_csv(args.curve, results)
+        _write_csv(args.curve, ["n", "method", "mean", "std"],
+                   ([r.n, r.method, r.metric_mean, r.metric_std] for r in results))
     return EXIT_OK
 
 
@@ -467,18 +472,11 @@ def main(argv=None):
         return args.func(args)
     except SystemExit as e:
         return e.code if e.code is not None else EXIT_OK
-    except np.linalg.LinAlgError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except RuntimeError as e:
-        if isinstance(e.__cause__, np.linalg.LinAlgError):
-            print(f"numerical failure: {e}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    except (ValueError, OSError, RuntimeError) as e:  # LinAlgError is a ValueError
+        numerical = isinstance(e, np.linalg.LinAlgError) or (
+            isinstance(e, RuntimeError) and isinstance(e.__cause__, np.linalg.LinAlgError))
+        print(f"{'numerical failure' if numerical else 'error'}: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL if numerical else EXIT_USAGE
 
 
 if __name__ == "__main__":

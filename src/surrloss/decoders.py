@@ -292,11 +292,12 @@ def _newton_polish(A, y_train, loss, start, lo, hi, iters):
 
 
 def _histograms(y_train):
-    """The training histograms as a float (n, d) array with n >= 1."""
+    """The training histograms as a float (n, d) array with n >= 1, each row
+    finite and non-negative (`losses._check_histogram_rows`)."""
     Y = np.asarray(y_train, dtype=float)
     if Y.ndim != 2 or Y.shape[0] == 0:
         raise ValueError("training outputs must be a non-empty (n, d) array")
-    losses._check_finite_rows(Y, "training outputs")
+    losses._check_histogram_rows(Y, "training outputs")
     return Y
 
 

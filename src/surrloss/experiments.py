@@ -96,6 +96,15 @@ def krr_predict_batch(model, Xq):
     return np.asarray(model.Y, dtype=float) @ A
 
 
+def _select_sigma_lambda(means, sigmas, lambdas):
+    """The (sigma, lambda) of least mean in the (S, L) table `means`, by
+    `model_selection.select_best` in (sigma, lambda) order."""
+    return model_selection.select_best(
+        (means[si, li], lam, (sigma, lam))
+        for si, sigma in enumerate(sigmas)
+        for li, lam in enumerate(lambdas))
+
+
 def _robust_cv(X, y, sigmas, lambdas, gammas, folds, seed):
     """Hyperparameters for both methods from one `model_selection.sweep`.
 
@@ -134,10 +143,7 @@ def _robust_cv(X, y, sigmas, lambdas, gammas, folds, seed):
         for gi, gamma in enumerate(gammas)
         for si, sigma in enumerate(sigmas)
         for li, lam in enumerate(lambdas))
-    k_sigma, k_lam = model_selection.select_best(
-        (means[si, li, 0], lam, (sigma, lam))
-        for si, sigma in enumerate(sigmas)
-        for li, lam in enumerate(lambdas))
+    k_sigma, k_lam = _select_sigma_lambda(means[:, :, 0], sigmas, lambdas)
     return ((kernels.gaussian(sigma), lam, gamma), (kernels.gaussian(k_sigma), k_lam))
 
 
@@ -289,13 +295,8 @@ def _histogram_cv(Xtr, Ytr, sigmas, lambdas, folds, seed, sigma_y):
 
     means = model_selection.sweep(Xtr, [kernels.gaussian(s) for s in sigmas], lambdas,
                                   folds, seed, score).mean(axis=2)
-    return {
-        method: model_selection.select_best(
-            (means[si, li, mi], lam, (sigma, lam))
-            for si, sigma in enumerate(sigmas)
-            for li, lam in enumerate(lambdas))
-        for mi, method in enumerate(("hellinger", "kde"))
-    }
+    return {method: _select_sigma_lambda(means[:, :, mi], sigmas, lambdas)
+            for mi, method in enumerate(("hellinger", "kde"))}
 
 
 def run_histogram_experiment(dim=8, n_train=120, n_test=60, *, repetitions, seed0=0):

@@ -2,7 +2,13 @@
 
 Two kernels act on feature vectors, the rows of an (n, d) input array:
 Gaussian and linear (`KernelSpec`).  Every input array, in fitting and in
-cross-validation alike, is shaped and checked by `_as_input_matrix`.
+cross-validation alike, is shaped and checked by `_as_input_matrix`.  One
+evaluator, `_evaluate`, holds both kernels' GEMM-form formulas: the Gram
+(`gram_matrix`, then mirrored) and the (n, Q) cross-kernel of a batch
+(`cross_kernel_batch`) are both its values.  The single-query
+`cross_kernel` keeps the difference form ||x - x_i||^2, which gives
+k(x, x) = 1 exactly; the GEMM form's ||x||^2 + ||x||^2 - 2 x.x need not
+cancel to 0.
 
 A fitted model holds one Cholesky factor L of K + shift*I and the inverses of
 L's diagonal blocks, built together by one blocked pass of GEMMs over a copy
@@ -126,15 +132,22 @@ def _mirror_lower(K):
     return K
 
 
-def gram_matrix(spec, X):
-    """n x n matrix K[i, j] = k(x_i, x_j), exactly symmetric by construction."""
-    X = _as_input_matrix(X)
+def _evaluate(spec, X, Z=None):
+    """(n, m) matrix of k(x_i, z_j) for the rows of the checked X (n, d) and
+    Z (m, d), Z = X when omitted: X Z^T, or the Gaussian of `sq_distances`.
+    The one evaluator of both kernels' formulas."""
     if spec.kind == "linear":
-        return _mirror_lower(X @ X.T)
-    # The zero diagonal of sq_distances makes the unit diagonal exact: exp(-0) = 1.
-    K = sq_distances(X)
+        return X @ (X if Z is None else Z).T
+    K = sq_distances(X, Z)
     K /= -spec.sigma
-    return _mirror_lower(np.exp(K, out=K))
+    return np.exp(K, out=K)
+
+
+def gram_matrix(spec, X):
+    """n x n matrix K[i, j] = k(x_i, x_j), exactly symmetric by construction.
+    The zero diagonal of `sq_distances` makes a Gaussian's unit diagonal
+    exact: exp(-0) = 1."""
+    return _mirror_lower(_evaluate(spec, _as_input_matrix(X)))
 
 
 def cross_kernel(spec, X, x):
@@ -155,11 +168,7 @@ def cross_kernel_batch(spec, X, Xq):
     Xq = _as_input_matrix(Xq)
     if Xq.shape[1] != X.shape[1]:
         raise ValueError(f"query dimension {Xq.shape[1]} != training dimension {X.shape[1]}")
-    if spec.kind == "linear":
-        return X @ Xq.T
-    K = sq_distances(X, Xq)
-    K /= -spec.sigma
-    return np.exp(K, out=K)
+    return _evaluate(spec, X, Xq)
 
 
 @dataclass(frozen=True)

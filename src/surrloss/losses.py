@@ -36,12 +36,13 @@ def zero_one(y, y2):
     return 0.0 if y == y2 else 1.0
 
 
-def _check_finite_rows(Y, name):
-    """Raise a ValueError naming the first row of the 2-d Y with a NaN or an
-    infinite entry."""
-    bad = ~np.isfinite(Y)
-    if np.any(bad):
-        raise ValueError(f"{name} row {int(np.argwhere(bad)[0, 0])} has non-finite entries")
+def _check_histogram_rows(Y, name):
+    """The one histogram-row check: raise a ValueError naming the first row of
+    the 2-d Y with a NaN or an infinite entry, else the first row with a
+    negative entry."""
+    for bad, what in ((~np.isfinite(Y), "non-finite"), (Y < 0, "negative")):
+        if np.any(bad):
+            raise ValueError(f"{name} row {int(np.argwhere(bad)[0, 0])} has {what} entries")
 
 
 def _check_simplex_rows(Y, name):
@@ -49,9 +50,7 @@ def _check_simplex_rows(Y, name):
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
         raise ValueError(f"{name} must be a (Q, d) array")
-    _check_finite_rows(Y, name)
-    if np.any(Y < 0):
-        raise ValueError(f"{name} row {int(np.argwhere(Y < 0)[0, 0])} has negative entries")
+    _check_histogram_rows(Y, name)
     s = Y.sum(axis=1)
     off = np.abs(s - 1.0) > SIMPLEX_ATOL
     if np.any(off):
@@ -236,14 +235,11 @@ class ZeroOne:
 
     def table(self, rows, cols):
         """(R, C) table of the loss: each label's index, from the label set or
-        else in order of first appearance under the keys of `group_outputs`,
-        then one comparison of the index arrays."""
+        else from `group_outputs` of the rows and then the columns, then one
+        comparison of the index arrays."""
         if self._index is None:
-            index = {}
-            r = np.array([index.setdefault(_hashable(y), len(index)) for y in rows],
-                         dtype=np.intp)
-            c = np.array([index.setdefault(_hashable(y), len(index)) for y in cols],
-                         dtype=np.intp)
+            _, index = group_outputs(list(rows) + list(cols))
+            r, c = index[:len(rows)], index[len(rows):]
         else:
             r, c = _label_indices(self._index, rows), _label_indices(self._index, cols)
         return (r[:, None] != c[None, :]).astype(float)
@@ -329,7 +325,7 @@ def c_delta(loss, labels):
     labels = list(labels)
     if len(labels) < 1:
         raise ValueError("need at least one label")
-    if len(set(map(_hashable, labels))) != len(labels):
+    if len(group_outputs(labels)[0]) != len(labels):
         raise ValueError("duplicate labels")
     return float(np.linalg.norm(loss_table(loss, labels, labels), 2))
 

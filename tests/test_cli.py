@@ -791,3 +791,89 @@ def test_a_cell_that_is_not_a_number_names_its_file_and_line(tmp_path, capsys, k
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"train.csv: line 5: {message}" in err
     assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_a_csv_without_target_columns_is_usage_error_naming_it(tmp_path, capsys, command):
+    _write_csv(tmp_path / "train.csv", ["x0"], [[0.1], [0.4], [0.7]])
+    out = tmp_path / "out.json"
+    code = cli.main([command, "--in", str(tmp_path / "train.csv"), "--kind", "scalar",
+                     "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {tmp_path / 'train.csv'}: no target columns\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["no-line", "blank-lines"])
+def test_an_empty_csv_is_usage_error_naming_it(tmp_path, capsys, text):
+    (tmp_path / "train.csv").write_text(text, encoding="utf-8")
+    code = cli.main(["train", "--in", str(tmp_path / "train.csv"), "--kind", "scalar",
+                     "--out", str(tmp_path / "model.json")])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {tmp_path / 'train.csv'}: empty csv\n"
+
+
+@pytest.mark.parametrize("config, argv, message", [
+    (None, ["train", "--config"], "--config needs a path"),
+    ([1, 2], ["train"], "--config file must hold a JSON object"),
+    ({"sigma": 2.0}, [], "--config needs a subcommand"),
+], ids=["no-path", "not-an-object", "no-subcommand"])
+def test_a_config_that_cannot_be_applied_is_usage_error(tmp_path, capsys, config, argv, message):
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        argv = argv + ["--config", str(tmp_path / "config.json")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.endswith(f"surrloss: error: {message}\n")
+
+
+def _raise(error):
+    def fit(*args, **kwargs):
+        raise error
+    return fit
+
+
+def _caused(error, cause):
+    error.__cause__ = cause
+    return error
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (np.linalg.LinAlgError("not positive definite"), cli.EXIT_NUMERICAL, "numerical failure"),
+    (_caused(RuntimeError("cv failure"), np.linalg.LinAlgError("singular")),
+     cli.EXIT_NUMERICAL, "numerical failure"),
+    (RuntimeError("cv failure"), cli.EXIT_USAGE, "error"),
+    (_caused(ValueError("bad value"), np.linalg.LinAlgError("singular")), cli.EXIT_USAGE,
+     "error"),
+    (OSError("disk full"), cli.EXIT_USAGE, "error"),
+], ids=["linalg", "runtime-from-linalg", "runtime", "value-from-linalg", "os"])
+def test_main_reports_each_failure_with_its_exit_code(tmp_path, capsys, monkeypatch, error,
+                                                      code, prefix):
+    monkeypatch.setattr(surrogate, "fit", _raise(error))
+    _write_csv(tmp_path / "train.csv", ["x0", "y"], [[0.0, 1.0], [1.0, 2.0]])
+    assert cli.main(["train", "--in", str(tmp_path / "train.csv"),
+                     "--out", str(tmp_path / "model.json"), "--kind", "scalar"]) == code
+    assert capsys.readouterr().err == f"{prefix}: {error}\n"
+
+
+@pytest.mark.parametrize("labels, message", [
+    (["a", 1, "a", 1, "b", 2], "'<' not supported between instances of"),
+    ([[1, 2], [3], [1, 2], [3], [1, 2], [3]], "unhashable type: 'list'"),
+], ids=["str-and-int", "lists"])
+def test_predict_on_labels_the_cli_cannot_sort_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                              labels, message):
+    # a model fitted through the library saves and loads with such labels; predict
+    # raised the TypeError of sorted(set(Y)) out of main
+    rng = np.random.default_rng(17)
+    model = tmp_path / "model.json"
+    surrogate.save_model(surrogate.fit(rng.normal(size=(6, 2)), labels, kernels.gaussian(1.0),
+                                       0.1), str(model), "label")
+    _write_csv(tmp_path / "query.csv", ["x0", "x1"], rng.normal(size=(2, 2)).tolist())
+    for name in ("gram_matrix", "cross_kernel_batch", "factor_shifted"):  # no kernel work
+        monkeypatch.setattr(kernels, name, _refuse_fit)
+    code = cli.main(["predict", "--model", str(model), "--in", str(tmp_path / "query.csv"),
+                     "--out", str(tmp_path / "preds.csv")])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: the labels cannot be sorted into decode candidates")
+    assert message in err
+    assert not (tmp_path / "preds.csv").exists()

@@ -823,6 +823,12 @@ def test_simplex_rejects_empty():
     # a NaN histogram decoded to [nan, 0.5]
     (np.ones((2, 1)), np.array([[0.5, 0.5], [np.nan, 0.5]]),
      "training outputs row 1 has non-finite entries"),
+    # a negative histogram decoded off the simplex, to [-0.5, 1.5]
+    (np.ones((2, 1)), np.array([[-0.5, 1.5], [0.3, 0.7]]),
+     "training outputs row 0 has negative entries"),
+    # finiteness is checked first, whichever row comes first
+    (np.ones((2, 1)), np.array([[-0.5, 1.5], [np.inf, 0.7]]),
+     "training outputs row 1 has non-finite entries"),
 ])
 def test_simplex_batch_checks_its_inputs_as_the_single_query_form(A, Y, message):
     with pytest.raises(ValueError, match=message):
@@ -831,6 +837,17 @@ def test_simplex_batch_checks_its_inputs_as_the_single_query_form(A, Y, message)
         decoders.decode_simplex_hellinger_batch(A, Y)
     with pytest.raises(ValueError, match=message):
         decoders.decode_batch(decoders.SimplexHellinger(), losses.SquaredHellinger(), Y, A)
+
+
+def test_predict_batch_rejects_negative_histograms_of_a_fitted_model():
+    # `surrogate.fit` checks no output kind, so the decode is the check
+    rng = np.random.default_rng(12)
+    Y = rng.dirichlet(np.ones(3), size=6)
+    Y[4] = [1.25, -0.25, 0.0]
+    model = surrogate.fit(rng.normal(size=(6, 2)), Y, kernels.gaussian(1.0), 0.1)
+    with pytest.raises(ValueError, match="training outputs row 4 has negative entries"):
+        decoders.predict_batch(model, decoders.SimplexHellinger(), losses.SquaredHellinger(),
+                               rng.normal(size=(3, 2)))
 
 
 def test_simplex_batch_matches_single():

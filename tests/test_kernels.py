@@ -69,6 +69,18 @@ def test_gram_rejects_bad_input():
         kernels.gaussian(-1.0)
 
 
+@pytest.mark.parametrize("spec", [kernels.gaussian(2.0), kernels.linear()],
+                         ids=lambda spec: spec.kind)
+def test_a_1d_input_array_is_n_one_dimensional_inputs(spec):
+    # as `KernelSpec` says: the (n,) array is the (n, 1) column, bit for bit
+    x, q = np.array([0.0, 0.5, 2.0, -1.0]), np.array([0.25, 3.0])
+    np.testing.assert_array_equal(kernels.gram_matrix(spec, x),
+                                  kernels.gram_matrix(spec, x[:, None]))
+    np.testing.assert_array_equal(kernels.cross_kernel_batch(spec, x, q),
+                                  kernels.cross_kernel_batch(spec, x[:, None], q[:, None]))
+    assert kernels.cross_kernel_batch(spec, x, q).shape == (4, 2)
+
+
 def test_gram_single_point():
     K = kernels.gram_matrix(kernels.gaussian(2.0), [[0.5]])
     assert K.shape == (1, 1)

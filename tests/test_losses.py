@@ -181,8 +181,12 @@ def test_embedding_c_delta_matches_power_iteration():
 
 
 def test_embedding_rejects_duplicates_and_empty():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate labels"):
         losses.c_delta(losses.ZeroOne(), [1, 1])
+    # list labels are keyed as `group_outputs` keys them, so equal lists are duplicates
+    with pytest.raises(ValueError, match="duplicate labels"):
+        losses.c_delta(losses.ZeroOne(), [[0, 1], [1, 0], [0, 1]])
+    assert losses.c_delta(losses.ZeroOne(), [[0, 1], [1, 0]]) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         losses.c_delta(losses.ZeroOne(), [])
 

@@ -23,3 +23,11 @@ def test_a_seed_differs_when_any_value_or_hash_differs():
     new = {"0": {"a": [0.5]}, "1": {"a": [0.25 + 2.0 ** -54]}, "2": {"robust": "ac"}}
     assert same_results.differing_seeds(old, new) == ["1", "2"]
     assert same_results.differing_seeds(old, old) == []
+
+
+def test_a_differing_seed_names_each_differing_entry():
+    old = {"train": {"code": 0}, "cv": {"code": 1}, "gone": 1}
+    new = {"train": {"code": 0}, "cv": {"code": 2}, "added": 2}
+    assert same_results.differences(old, new) == [(" [cv]", {"code": 1}, {"code": 2}),
+                                                  (" [gone]", 1, None), (" [added]", None, 2)]
+    assert same_results.differences([0.5], [0.25]) == [("", [0.5], [0.25])]
