@@ -8,16 +8,22 @@ is the flattened step matrix of a rank vector (`rank_step_rows`), paired with
 a profile's flattened gains, so `rank_loss_matrix` tabulates C rank vectors
 against T profiles as one product.
 
-`loss_rows` is the one paired evaluation: a `ScalarLoss` applies its one
-`of_difference` formula, `squared_hellinger` and `rank_loss` score a whole
-(Q, .) stack of (prediction, truth) pairs in one call, and any other loss is
-called once per pair.  `loss_table` is the one tabulation; decoding, the
-finite embedding's V and the oracle risks all read their values from it.  A
-loss with a `table(rows, cols)` method tabulates itself: a `ScalarLoss`
-applies its formula to the (R, C) differences, and the finite losses
-`ZeroOne` and `FiniteTable` look each label up once and then compare or
-index the label indices, with no per-pair call.  Any other loss is tabulated
-through `loss_rows` over the R*C index pairs.
+One label identity keys every finite output: `_hashable` turns lists, tuples
+and arrays, at any depth, into tuples, so [0], (0,) and np.array([0]) are one
+label.  `zero_one`, `ZeroOne`, `FiniteTable`, `c_delta` and `group_outputs`
+(and so the Exhaustive decode) all key labels by it.
+
+`loss_rows` is the one paired evaluation and `loss_table` the one
+tabulation; decoding, CV scoring, the finite embedding's V and the oracle
+risks all read their values from them.  Every loss here has `rows(preds,
+truths)`, which scores a (Q, .) stack of (prediction, truth) pairs in one
+call, and `loss_rows` dispatches to it; a loss without one (a user's plain
+callable) is called once per pair.  `loss_table` dispatches to a loss's own
+`table(rows, cols)` where it has one, else to `loss_rows` over the R*C index
+pairs.  `ScalarLoss`, `ZeroOne` and `FiniteTable` encode each output
+sequence as one array (the floats, or each label's index) and evaluate the
+loss on the arrays, paired for `rows` and broadcast for `table`, with no
+per-pair call; a call on one pair is `rows` of that stack of one.
 
 Rank-loss conventions (the literature leaves both open):
   * ranks: y[i] is the rank of item i, 1 = best; sign(0) = 0, so tied ranks
@@ -33,7 +39,8 @@ SIMPLEX_ATOL = 1e-9
 
 
 def zero_one(y, y2):
-    return 0.0 if y == y2 else 1.0
+    """0 for two outputs of one label identity (`_hashable`), else 1."""
+    return 0.0 if _hashable(y) == _hashable(y2) else 1.0
 
 
 def _check_histogram_rows(Y, name):
@@ -141,20 +148,38 @@ def rank_loss_matrix(ranks, ratings, normalize=False):
     return _per_gain_mass(table, gains) if normalize else table
 
 
-class ScalarLoss:
-    """A loss of d = y - y' alone.  A call, `loss_rows` and `table` apply its
-    one formula `of_difference(d)`; `slope_curvature(a, d)` gives F' and F''
-    up to one positive factor, per row, of F(p) = sum_i a_i loss(p, y_i) at
-    d = p - y_i, for (Q, n) arrays a and d.  Neither method writes its
-    inputs; each works in place on the temporaries it allocates."""
+class _PairedLoss:
+    """A loss evaluated on arrays: `_operands(rows, cols)` encodes two output
+    sequences as two arrays, and `_of_operands(a, b)` is the loss of the
+    broadcast operands, paired by `rows` and (R, 1) against (1, C) by
+    `table`.  A call on one pair is `rows` of that stack of one."""
 
     def __call__(self, y, y2):
-        return self.of_difference(float(y) - float(y2))
+        return float(self.rows([y], [y2])[0])
+
+    def rows(self, preds, truths):
+        """(Q,) vector of the loss of preds[q] against truths[q]."""
+        return self._of_operands(*self._operands(preds, truths))
 
     def table(self, rows, cols):
-        """(R, C) table of the loss: the formula on rows[:, None] - cols[None, :]."""
-        return self.of_difference(np.asarray(rows, dtype=float)[:, None]
-                                  - np.asarray(cols, dtype=float)[None, :])
+        """(R, C) table of the loss of rows[a] against cols[b]."""
+        a, b = self._operands(rows, cols)
+        return self._of_operands(a[:, None], b[None, :])
+
+
+class ScalarLoss(_PairedLoss):
+    """A loss of d = y - y' alone.  A call, `rows` and `table` apply its one
+    formula `of_difference(d)` to the differences of the outputs as floats;
+    `slope_curvature(a, d)` gives F' and F'' up to one positive factor, per
+    row, of F(p) = sum_i a_i loss(p, y_i) at d = p - y_i, for (Q, n) arrays a
+    and d.  Neither method writes its inputs; each works in place on the
+    temporaries it allocates."""
+
+    def _operands(self, rows, cols):
+        return np.asarray(rows, dtype=float), np.asarray(cols, dtype=float)
+
+    def _of_operands(self, a, b):
+        return self.of_difference(a - b)
 
 
 class Cauchy(ScalarLoss):
@@ -211,43 +236,54 @@ class AbsoluteError(ScalarLoss):
         return s.sum(axis=1), np.zeros(d.shape[0])
 
 
+def _label_index(labels):
+    """{key: position} of a label set, each label keyed by `_hashable`, or a
+    ValueError if two labels have one key."""
+    index = {_hashable(y): i for i, y in enumerate(labels)}
+    if len(index) != len(labels):
+        raise ValueError("duplicate labels")
+    return index
+
+
 def _label_indices(index, labels):
-    """The (m,) index[y] of each label, or a ValueError naming the first
-    label that `index` does not hold."""
+    """The (m,) position in `index` (`_label_index`) of each label, or a
+    ValueError naming, as given, the first label that `index` does not hold."""
     try:
-        return np.array([index[y] for y in labels], dtype=np.intp)
-    except KeyError as e:
-        raise ValueError(f"unknown label {e.args[0]!r}") from None
+        return np.array([index[_hashable(y)] for y in labels], dtype=np.intp)
+    except KeyError:
+        y = next(y for y in labels if _hashable(y) not in index)
+        raise ValueError(f"unknown label {y!r}") from None
 
 
-class ZeroOne:
-    """Misclassification loss; validates labels when a label set is given."""
+class _LabelLoss(_PairedLoss):
+    """A loss of labels, encoded as indices: into the label set when one is
+    given (`_label_index`; an unknown label is a ValueError), else into the
+    `group_outputs` of the rows and then the columns."""
 
     def __init__(self, labels=None):
         self.labels = None if labels is None else list(labels)
-        self._index = None if labels is None else {lab: i for i, lab in enumerate(self.labels)}
+        self._index = None if labels is None else _label_index(self.labels)
 
-    def __call__(self, y, y2):
+    def _operands(self, rows, cols):
         if self._index is not None:
-            if y not in self._index or y2 not in self._index:
-                raise ValueError(f"unknown label in ({y!r}, {y2!r})")
-        return zero_one(y, y2)
+            return _label_indices(self._index, rows), _label_indices(self._index, cols)
+        _, index = group_outputs(list(rows) + list(cols))
+        return index[:len(rows)], index[len(rows):]
 
-    def table(self, rows, cols):
-        """(R, C) table of the loss: each label's index, from the label set or
-        else from `group_outputs` of the rows and then the columns, then one
-        comparison of the index arrays."""
-        if self._index is None:
-            _, index = group_outputs(list(rows) + list(cols))
-            r, c = index[:len(rows)], index[len(rows):]
-        else:
-            r, c = _label_indices(self._index, rows), _label_indices(self._index, cols)
-        return (r[:, None] != c[None, :]).astype(float)
+
+class ZeroOne(_LabelLoss):
+    """Misclassification loss; validates labels when a label set is given."""
+
+    def _of_operands(self, a, b):
+        return (a != b).astype(float)
 
 
 class SquaredHellinger:
     def __call__(self, y, y2):
         return squared_hellinger(y, y2)
+
+    def rows(self, preds, truths):
+        return squared_hellinger(preds, truths)
 
 
 class RankLoss:
@@ -259,30 +295,22 @@ class RankLoss:
     def __call__(self, ranks, ratings):
         return rank_loss(ranks, ratings, normalize=self.normalize)
 
+    def rows(self, preds, truths):
+        return rank_loss(preds, truths, normalize=self.normalize)
 
-class FiniteTable:
+
+class FiniteTable(_LabelLoss):
     """Arbitrary loss over a finite label set, given as a |Y| x |Y| table;
     `matrix` holds it as a float array in label order."""
 
     def __init__(self, labels, table):
-        self.labels = list(labels)
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("duplicate labels")
+        super().__init__(labels)
         self.matrix = np.asarray(table, dtype=float)
         if self.matrix.shape != (len(self.labels), len(self.labels)):
             raise ValueError("table shape does not match label count")
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
 
-    def __call__(self, y, y2):
-        try:
-            return float(self.matrix[self._index[y], self._index[y2]])
-        except KeyError as e:
-            raise ValueError(f"unknown label {e.args[0]!r}") from None
-
-    def table(self, rows, cols):
-        """(R, C) table of the loss: each label's index, then one fancy index."""
-        return self.matrix[np.ix_(_label_indices(self._index, rows),
-                                  _label_indices(self._index, cols))]
+    def _of_operands(self, a, b):
+        return self.matrix[a, b]
 
 
 def take_outputs(outputs, idx):
@@ -291,28 +319,21 @@ def take_outputs(outputs, idx):
 
 
 def loss_rows(loss, preds, truths):
-    """(Q,) vector of loss(preds[q], truths[q]).  SquaredHellinger and RankLoss
-    score the stacks in one call; any other loss that is not scalar is called
-    once per pair, in order, so a validating loss raises at the first pair it
-    rejects."""
+    """(Q,) vector of loss(preds[q], truths[q]): the loss's own `rows` where
+    it has one, else one call per pair, in order, so a validating loss raises
+    at the first pair it rejects."""
     if len(preds) != len(truths):
         raise ValueError(f"{len(preds)} predictions against {len(truths)} truths")
-    if isinstance(loss, ScalarLoss):
-        return loss.of_difference(np.asarray(preds, dtype=float)
-                                  - np.asarray(truths, dtype=float))
-    if isinstance(loss, SquaredHellinger):
-        return squared_hellinger(preds, truths)
-    if isinstance(loss, RankLoss):
-        return rank_loss(preds, truths, normalize=loss.normalize)
+    if hasattr(loss, "rows"):
+        return loss.rows(preds, truths)
     return np.array([loss(p, t) for p, t in zip(preds, truths)], dtype=float)
 
 
 def loss_table(loss, rows, cols):
     """(R, C) table of loss(rows[a], cols[b]): the loss's own `table` method
     where it has one, else `loss_rows` over the R*C index pairs, row by row."""
-    table = getattr(loss, "table", None)
-    if table is not None:
-        return table(rows, cols)
+    if hasattr(loss, "table"):
+        return loss.table(rows, cols)
     a, b = np.divmod(np.arange(len(rows) * len(cols)), len(cols))
     return loss_rows(loss, take_outputs(rows, a), take_outputs(cols, b)).reshape(
         len(rows), len(cols))
@@ -325,16 +346,17 @@ def c_delta(loss, labels):
     labels = list(labels)
     if len(labels) < 1:
         raise ValueError("need at least one label")
-    if len(group_outputs(labels)[0]) != len(labels):
-        raise ValueError("duplicate labels")
+    _label_index(labels)  # raises on duplicate labels
     return float(np.linalg.norm(loss_table(loss, labels, labels), 2))
 
 
 def _hashable(label):
+    """The one label identity: the label as a dict key, with every list,
+    tuple and array in it, at any depth, turned into a tuple."""
     if isinstance(label, np.ndarray):
-        return tuple(label.tolist())
-    if isinstance(label, list):
-        return tuple(label)
+        label = label.tolist()
+    if isinstance(label, (list, tuple)):
+        return tuple(map(_hashable, label))
     return label
 
 

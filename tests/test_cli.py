@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from surrloss import cli, decoders, experiments, kernels, surrogate
+from surrloss import cli, decoders, experiments, kernels, losses, surrogate
 
 
 def _write_csv(path, header, rows):
@@ -86,6 +86,24 @@ def test_train_without_input_columns_is_usage_error(tmp_path):
     code = cli.main(["train", "--in", str(tmp_path / "train.csv"),
                      "--out", str(tmp_path / "model.json"), "--kind", "scalar"])
     assert code == cli.EXIT_USAGE
+
+
+def test_cv_and_the_loss_checks_make_no_per_pair_loss_call(tmp_path, monkeypatch):
+    # every built-in loss scores CV folds through its `rows` and the check
+    # batteries tabulate through `table`, so no call on one pair is made
+    for cls in (losses.Cauchy, losses.SquaredError, losses.AbsoluteError, losses.ZeroOne,
+                losses.FiniteTable, losses.SquaredHellinger, losses.RankLoss):
+        monkeypatch.setattr(cls, "__call__", _raise(AssertionError(f"{cls.__name__} call")))
+    rng = np.random.default_rng(8)
+    for kind in ("scalar", "label", "simplex", "ratings"):
+        t_header, t_rows = _targets(kind, rng, 12)
+        _write_csv(tmp_path / f"{kind}.csv", ["x0", "x1"] + t_header,
+                   [list(x) + t for x, t in zip(rng.normal(size=(12, 2)).tolist(), t_rows)])
+        assert cli.main(["cv", "--in", str(tmp_path / f"{kind}.csv"), "--kind", kind,
+                         "--folds", "3", "--out", str(tmp_path / "cv.json")]) == cli.EXIT_OK
+    for which in ("fisher", "comparison"):
+        assert cli.main(["check", which, "--trials", "2",
+                         "--out", str(tmp_path / "check.json")]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("which", ["fisher", "comparison", "equivalence"])
@@ -858,7 +876,9 @@ def test_main_reports_each_failure_with_its_exit_code(tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("labels, message", [
     (["a", 1, "a", 1, "b", 2], "'<' not supported between instances of"),
     ([[1, 2], [3], [1, 2], [3], [1, 2], [3]], "unhashable type: 'list'"),
-], ids=["str-and-int", "lists"])
+    # nested lists: the blob, whose checksum matches, loads; then the labels fail the sort
+    ([[1, [2]], [3], [1, [2]], [3], [1, [2]], [3]], "unhashable type: 'list'"),
+], ids=["str-and-int", "lists", "nested-lists"])
 def test_predict_on_labels_the_cli_cannot_sort_is_usage_error(tmp_path, capsys, monkeypatch,
                                                               labels, message):
     # a model fitted through the library saves and loads with such labels; predict

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,36 @@ def test_zero_one_unknown_label():
     assert loss(0, 2) == 1.0
     with pytest.raises(ValueError):
         loss(0, 7)
+
+
+def test_labels_are_keyed_by_one_identity():
+    # lists, tuples and arrays, at any depth, are one label when their
+    # elements are, as `group_outputs` (and so the Exhaustive decode) keys them
+    assert losses.zero_one([0], (0,)) == 0.0
+    assert losses.zero_one(np.array([[1, 2]]), [(1, 2)]) == 0.0
+    assert losses.zero_one([0], [1]) == 1.0
+    assert losses.ZeroOne()(np.array([1, 2]), np.array([1, 2])) == 0.0
+    assert losses.ZeroOne()(np.array([1, 2]), [1, 3]) == 1.0
+    labelled = losses.ZeroOne([(0,), [1, [2]]])
+    assert labelled([0], np.array([0])) == 0.0
+    assert labelled((1, (2,)), (0,)) == 1.0
+
+
+def test_label_sets_reject_duplicate_and_unknown_labels_by_the_one_identity():
+    for labels in (["a", "a", "b"], [[0], (0,)], [np.array([1, 2]), (1, 2)]):
+        with pytest.raises(ValueError, match="duplicate labels"):
+            losses.ZeroOne(labels)
+        with pytest.raises(ValueError, match="duplicate labels"):
+            losses.FiniteTable(labels, np.zeros((len(labels), len(labels))))
+    # a list label gets the ValueError a hashable one gets, naming the label as given
+    with pytest.raises(ValueError, match=r"unknown label \[1\]"):
+        losses.ZeroOne(["a", "b"])([1], "a")
+    with pytest.raises(ValueError, match=r"unknown label \[1\]"):
+        losses.loss_table(losses.ZeroOne(["a", "b"]), [[1]], ["a"])
+    table = losses.FiniteTable([[1], [2]], [[0.0, 0.5], [0.25, 0.0]])
+    assert table((2,), np.array([1])) == 0.25
+    with pytest.raises(ValueError, match=r"unknown label \[3\]"):
+        table([1], [3])
 
 
 def test_squared_hellinger_examples():
@@ -194,6 +226,47 @@ def test_embedding_rejects_duplicates_and_empty():
 # ---------------------------------------------------------------------------
 # Tables and row-wise forms
 
+def _label_key(label):
+    return np.asarray(label).tolist()
+
+
+def _by_definition(loss, y, y2):
+    """loss(y, y2) from the loss's definition, through none of its methods;
+    labels are compared as the nested lists of `_label_key`."""
+    if isinstance(loss, losses.Cauchy):
+        return loss.gamma * math.log1p((float(y) - float(y2)) ** 2 / loss.gamma)
+    if isinstance(loss, losses.SquaredError):
+        return (float(y) - float(y2)) ** 2
+    if isinstance(loss, losses.AbsoluteError):
+        return abs(float(y) - float(y2))
+    if isinstance(loss, losses.ZeroOne):
+        return float(_label_key(y) != _label_key(y2))
+    if isinstance(loss, losses.FiniteTable):
+        keys = [_label_key(label) for label in loss.labels]
+        return float(loss.matrix[keys.index(_label_key(y)), keys.index(_label_key(y2))])
+    if isinstance(loss, losses.SquaredHellinger):
+        p, q = np.asarray(y) / np.sum(y), np.asarray(y2) / np.sum(y2)
+        return float(((np.sqrt(p) - np.sqrt(q)) ** 2).sum())
+    value = _oracles.rank_loss_double_loop(y, y2)
+    if not loss.normalize:
+        return value
+    mass = sum(max(0.0, b - a) for a in y2 for b in y2)
+    return value / mass if mass else 0.0
+
+
+# (loss, preds, truths) of list, tuple and array labels, some pairs one label in two forms
+_PAIRS = [(0, 1), (1, 0)]
+_PAIR_PREDS = [[0, 1], np.array([1, 0]), (1, 0)]
+_PAIR_TRUTHS = [np.array([0, 1]), [0, 1], [1, 0]]
+SEQUENCE_LABEL_CASES = {
+    "ZeroOne-sequences": (losses.ZeroOne(), [[0], (1,), np.array([2]), [3]],
+                          [(0,), [2], [2], np.array([3])]),
+    "ZeroOne-sequence-set": (losses.ZeroOne(_PAIRS), _PAIR_PREDS, _PAIR_TRUTHS),
+    "FiniteTable-sequences": (losses.FiniteTable(_PAIRS, [[0.0, 0.5], [0.25, 0.0]]),
+                              _PAIR_PREDS, _PAIR_TRUTHS),
+}
+
+
 def _loss_table_cases():
     """(loss, rows, cols) for every loss class, rows and cols overlapping, and
     the stacked losses at the sizes of a simplex fallback (30 training
@@ -215,6 +288,7 @@ def _loss_table_cases():
     ]
     _, Y = experiments.gen_histogram_data(8, 30, 5)
     return [pytest.param(*case, id=type(case[0]).__name__) for case in cases] + [
+        pytest.param(*case, id=name) for name, case in SEQUENCE_LABEL_CASES.items()] + [
         pytest.param(losses.SquaredHellinger(), list(Y), list(Y), id="SquaredHellinger-30x30"),
         pytest.param(losses.RankLoss(), np.array([rng.permutation(6) + 1 for _ in range(12)]),
                      rng.integers(1, 6, size=(10, 6)).astype(float), id="RankLoss-12x10")]
@@ -222,11 +296,12 @@ def _loss_table_cases():
 
 @pytest.mark.parametrize("loss, rows, cols", _loss_table_cases())
 def test_loss_table_equals_per_pair_calls(loss, rows, cols):
-    # the closed forms (Cauchy, squared, absolute error), the stacked calls
-    # (Hellinger, rank) and the per-pair loop reproduce the loss's own calls
-    # exactly
+    # the table equals the loss's definition, and the calls on one pair
+    # reproduce the table exactly
     table = losses.loss_table(loss, rows, cols)
     assert table.shape == (len(rows), len(cols))
+    np.testing.assert_allclose(table, [[_by_definition(loss, r, c) for c in cols] for r in rows],
+                               rtol=1e-13, atol=1e-15)
     np.testing.assert_array_equal(table, [[loss(r, c) for c in cols] for r in rows])
 
 
@@ -260,13 +335,13 @@ def test_a_300_label_loss_table_makes_no_per_pair_call(monkeypatch):
 
 
 def test_an_unlabelled_zero_one_table_equals_per_pair_calls():
-    # without a label set, labels are told apart as zero_one does, by ==,
-    # and list labels are keyed as `group_outputs` keys them
+    # without a label set, labels are told apart as zero_one tells them apart,
+    # by one `_hashable` key each, so 1, 1.0 and True are one label
     rows = ["a", 1, 2.0, [1, 2], True, "b"]
     cols = [2, "a", 1.0, [1, 2], "c", False, 0, [3, 4]]
     loss = losses.ZeroOne()
     np.testing.assert_array_equal(losses.loss_table(loss, rows, cols),
-                                  [[loss(r, c) for c in cols] for r in rows])
+                                  [[losses.zero_one(r, c) for c in cols] for r in rows])
     assert losses.loss_table(loss, [], cols).shape == (0, len(cols))
 
 
@@ -416,29 +491,38 @@ def _cli_loss_cases():
     return cases + [(table, preds, truths), (losses.RankLoss(normalize=True), *data["rank"])]
 
 
-LOSS_ROWS_CASES = _cli_loss_cases()
+_CLI_LOSS_CASES = _cli_loss_cases()
+LOSS_ROWS_CASES = _CLI_LOSS_CASES + list(SEQUENCE_LABEL_CASES.values())
+LOSS_ROWS_IDS = [type(case[0]).__name__ for case in _CLI_LOSS_CASES] + list(SEQUENCE_LABEL_CASES)
 
 
-@pytest.mark.parametrize("loss, preds, truths", LOSS_ROWS_CASES,
-                         ids=[type(case[0]).__name__ for case in LOSS_ROWS_CASES])
+@pytest.mark.parametrize("loss, preds, truths", LOSS_ROWS_CASES, ids=LOSS_ROWS_IDS)
 def test_loss_rows_equals_the_per_pair_calls(loss, preds, truths):
+    # the rows equal the loss's definition, and the calls on one pair
+    # reproduce them exactly
     rows = losses.loss_rows(loss, preds, truths)
     assert rows.shape == (len(preds),)
+    np.testing.assert_allclose(rows, [_by_definition(loss, p, t) for p, t in zip(preds, truths)],
+                               rtol=1e-13, atol=1e-15)
     np.testing.assert_array_equal(rows, [loss(p, t) for p, t in zip(preds, truths)])
 
 
 def test_loss_rows_validating_loss_raises_at_the_first_bad_pair():
+    # a loss without `rows` is called once per pair, in order
     calls = []
 
-    class Counting(losses.ZeroOne):
-        def __call__(self, y, y2):
-            calls.append((y, y2))
-            return super().__call__(y, y2)
+    def validating(y, y2):
+        calls.append((y, y2))
+        if "z" in (y, y2):
+            raise ValueError(f"unknown label in ({y!r}, {y2!r})")
+        return float(y != y2)
 
     preds, truths = ["a", "b", "a", "b"], ["b", "b", "z", "a"]
     with pytest.raises(ValueError, match="unknown label"):
-        losses.loss_rows(Counting(["a", "b"]), preds, truths)
+        losses.loss_rows(validating, preds, truths)
     assert calls == [("a", "b"), ("b", "b"), ("a", "z")]
+    with pytest.raises(ValueError, match="unknown label 'z'"):
+        losses.loss_rows(losses.ZeroOne(["a", "b"]), preds, truths)
 
 
 def test_loss_rows_rejects_stacks_of_different_lengths():

@@ -64,6 +64,19 @@ def test_cross_validate_labels_match_a_brute_force_sweep(seed):
     _assert_report_matches(report, rows, selected)
 
 
+def test_cross_validate_scores_labels_by_the_identity_the_decoder_groups_them_by():
+    # [0] and (0,) are one label to the decoder and to the scoring, so folds
+    # that the decoder gets right score 0 whichever form each truth takes
+    rng = np.random.default_rng(7)
+    cls = np.repeat([0, 1], 6)
+    X = (4.0 * cls - 2.0)[:, None] + 0.1 * rng.normal(size=(12, 1))
+    Y = [[c] if i % 2 else (c,) for i, c in enumerate(cls.tolist())]
+    report = model_selection.cross_validate(X, Y, [kernels.gaussian(1.0)], [0.01], FOLDS, 0,
+                                            decoders.Exhaustive([[0], [1]]), losses.ZeroOne(),
+                                            losses.ZeroOne())
+    assert [row.mean for row in report.rows] == [0.0]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_cross_validate_scalar_targets_match_a_brute_force_sweep(seed):
     # refine_iters=0 makes the decode a plain scan of the uniform grid, which

@@ -17,8 +17,11 @@ checkout's `src` first on its path runs seeds 0..N-1 (default N = 32):
 - cli: a matrix of `surrloss` commands, each run through `cli.main` in the
   one process on CSVs generated from the seed: train, predict and cv for
   every output kind with the Gaussian and the linear kernel, the scalar
-  decode options, usage errors, the three experiments with `--curve`,
-  `check equivalence` and `check fisher`, `--help` and `--version`.  Each
+  decode options, usage errors, the three experiments with `--curve`, the
+  four checks at 2 trials (the comparison and consistency batteries are the
+  main users of the labelled `ZeroOne` and of `FiniteTable`; consistency
+  fails at 2 trials, exit 3, and that result is compared too), `--help` and
+  `--version`.  Each
   gives its exit code (or the error it raised out of `cli.main`), its stdout
   and stderr (the temporary directory's path replaced by <tmp>) and the
   sha256 of each file it writes; an experiment report is hashed without its
@@ -179,7 +182,7 @@ def _cli_matrix(seed):
                   ["experiment", which, "--reps", "1", "--seed", str(seed), *size,
                    "--out", f"{{d}}/{which}.json", "--curve", f"{{d}}/{which}.curve.csv"],
                   [f"{which}.json", f"{which}.curve.csv"]))
-    for which in ("equivalence", "fisher"):
+    for which in ("equivalence", "fisher", "comparison", "consistency"):
         m.append((f"check {which}", ["check", which, "--trials", "2", "--seed", str(seed),
                                      "--out", f"{{d}}/{which}.json"], [f"{which}.json"]))
     return m + [(" ".join(argv), argv, [])
