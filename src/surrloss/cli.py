@@ -214,13 +214,25 @@ def _scalar_decoder(Y, options):
     return decoder
 
 
+def _label_order(label):
+    """Sort key of a label's identity (`losses._hashable`): numbers, then
+    strings, then sequences, element by element, then anything else (None)
+    by its repr.  On the labels a blob can hold (JSON values) it is a total
+    order, and sorted()'s order wherever sorted() can order them."""
+    key = losses._hashable(label)
+    if isinstance(key, tuple):
+        return 2, tuple(map(_label_order, key))
+    rank = 0 if isinstance(key, (int, float)) else 1 if isinstance(key, str) else 3
+    return rank, repr(key) if rank == 3 else key
+
+
 # Each kind's CSV target (y, or a numbered prefix) and prediction column, default --loss,
 # decoder of the training outputs and set scalar options, and CV scoring loss (None: --loss).
 _KINDS = {
     "scalar": dict(target="y", prediction="y", loss="cauchy", decoder=_scalar_decoder,
                    scoring=losses.AbsoluteError()),
-    "label": dict(target="y", prediction="y", loss="zero_one", scoring=None,
-                  decoder=lambda Y, _: decoders.Exhaustive(sorted(set(Y)))),
+    "label": dict(target="y", prediction="y", loss="zero_one", scoring=None, decoder=lambda Y, _:
+                  decoders.Exhaustive(sorted(losses.group_outputs(Y)[0], key=_label_order))),
     "simplex": dict(target="p", prediction="p", loss="hellinger", scoring=None,
                     decoder=lambda Y, _: decoders.SimplexHellinger()),
     "ratings": dict(target="r", prediction="rank", loss="rank",
@@ -229,10 +241,9 @@ _KINDS = {
 }
 
 
-def _decoder_and_loss(Y, kind, args, source):
+def _decoder_and_loss(Y, kind, args):
     """(decoder of the training outputs Y, decode loss: `--loss` or the kind's default);
-    a decoder option that neither the kind's decoder nor the loss reads is a ValueError, and
-    so are labels that cannot be sorted (a library-fitted model's), naming Y's file `source`."""
+    a decoder option that neither the kind's decoder nor the loss reads is a ValueError."""
     options = {dest: getattr(args, dest) for dest in _SCALAR_OPTIONS
                if getattr(args, dest) is not None}
     if options and kind != "scalar":
@@ -244,17 +255,13 @@ def _decoder_and_loss(Y, kind, args, source):
     if args.loss != "cauchy" and args.gamma is not None:
         raise ValueError(f"--gamma applies only to --loss cauchy, not {args.loss}")
     loss = _LOSSES[args.loss](args)
-    try:
-        return _KINDS[kind]["decoder"](Y, options), loss
-    except TypeError as e:  # raised by set() or sorted() of the labels
-        raise ValueError(f"{source}: the labels cannot be sorted into decode candidates "
-                         f"({e})") from None
+    return _KINDS[kind]["decoder"](Y, options), loss
 
 
 def cmd_predict(args):
     model, kind = surrogate.load_model(args.model)
     X, _ = read_dataset(args.data, kind)
-    decoder, loss = _decoder_and_loss(model.Y, kind, args, args.model)
+    decoder, loss = _decoder_and_loss(model.Y, kind, args)
     preds = decoders.predict_batch(model, decoder, loss, X)
     write_predictions(args.out, preds, kind)
     print(f"wrote {len(X)} predictions to {args.out}")
@@ -268,7 +275,7 @@ def cmd_cv(args):
     if not 2 <= args.folds <= len(X):
         raise ValueError(f"--folds must be between 2 and the {len(X)} data rows, "
                          f"got {args.folds}")
-    decoder, loss = _decoder_and_loss(Y, args.kind, args, args.data)
+    decoder, loss = _decoder_and_loss(Y, args.kind, args)
     report = model_selection.cross_validate(X, Y, kernel_grid, args.lambdas, args.folds,
                                             args.seed, decoder, loss,
                                             _KINDS[args.kind]["scoring"] or loss)

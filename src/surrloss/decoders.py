@@ -15,29 +15,35 @@ Four output spaces are supported:
   * SimplexHellinger -- histograms, closed-form square-root barycenter.
 
 Ties break to the lowest index.  All decoders are pure functions.
-RankingFas and SimplexHellinger minimise one fixed loss in closed form and
-ScalarGrid polishes with a ScalarLoss's own derivatives, so every route
-rejects any other loss given with them (`check_loss`).
 
-`decode_batch` is the one decode from an (n, Q) weight matrix: prediction
-and cross-validation both dispatch through it.  `predict` is a batch of one,
+Each decoder class states in one place which losses and training outputs
+it accepts and how it decodes, in three methods: `check_loss(loss)` rejects
+a loss it does not minimise (RankingFas and SimplexHellinger minimise one
+fixed loss in closed form, and ScalarGrid polishes with the derivatives a
+`losses.ScalarLoss` states; Exhaustive calls any loss), `check_outputs(Y)`
+returns the training outputs as the decoder reads them or raises a
+ValueError, and `decode(A, y_train, loss)` calls the class's `decode_*`
+function by its module name, which the benchmark's stage map traces.
+
+`decode_batch` is the one decode from an (n, Q) weight matrix, which
+prediction and cross-validation both go through: the decoder's `check_loss`,
+then its `decode` of the outputs its `check_outputs` returns.  Every
+`decode_*` function checks its weights in one place, `_weights`: one (n, Q)
+matrix or one ValueError that names both shapes.  `predict` is a batch of one,
 `predict_batch` on the one-row batch x[None, :], except for Exhaustive: a
 single Exhaustive query reads ghat(x) = C^T k_x from the model's cached
 coefficients (`TrainedSurrogate.output_coefficients`), with no solve and no
 regroup of the n training outputs (a label model loaded from a blob starts
 with C from it, so this route never builds its factor), and
-`decode_exhaustive`, the one Exhaustive decode, scores the candidates
-against the U distinct outputs weighted by ghat, one (U, 1) column.  The
-objective is the same,
+`Exhaustive.decode` scores the candidates against the U distinct outputs
+weighted by ghat, one (U, 1) column.  The objective is the same,
 sum_u ghat_u loss(c, y_u) = sum_i alpha_i loss(c, y_i), at C*U loss values.
-`predict_batch` stays on the (n, Q) weights, which
-cross-validation decodes from, because the benchmark's stage map
-(`bench/stages.py`) counts the weight solve (`surrogate.alpha_weights_batch`)
-on the label workload.  The two Exhaustive routes round differently, so
-`predict` and `predict_batch` agree exactly except where two candidates'
-objectives lie within rounding of each other.  Every batch decode checks
-its weights in one place, `_weights`: one (n, Q) matrix or one ValueError
-that names both shapes.
+`predict_batch` stays on the (n, Q) weights, which cross-validation decodes
+from, because the benchmark's stage map (`bench/stages.py`) counts the
+weight solve (`surrogate.alpha_weights_batch`) on the label workload.  The
+two Exhaustive routes round differently, so `predict` and `predict_batch`
+agree exactly except where two candidates' objectives lie within rounding
+of each other.
 
 Exhaustive and ScalarGrid read every loss value from `losses.loss_table`.
 `_loss_matrix`, a bare `loss_table` call, stays only because the stage map
@@ -64,6 +70,17 @@ class Exhaustive:
         if len(self.candidates) == 0:
             raise ValueError("candidate list must be non-empty")
 
+    def check_loss(self, loss):
+        """Any loss: the decode calls it on (candidate, training output) pairs."""
+
+    def check_outputs(self, Y):
+        """The training outputs as given; `losses._hashable` keys each label."""
+        return Y
+
+    def decode(self, A, y_train, loss):
+        best, _ = decode_exhaustive(self.candidates, A, loss, y_train)
+        return [self.candidates[c] for c in best]
+
 
 @dataclass(frozen=True)
 class RankingFas:
@@ -76,6 +93,21 @@ class RankingFas:
     def __post_init__(self):
         if self.items < 2:
             raise ValueError("need at least 2 items")
+
+    def check_loss(self, loss):
+        if not (isinstance(loss, losses.RankLoss) and not loss.normalize):
+            raise ValueError("the ranking decoder minimises RankLoss(normalize=False), "
+                             f"not {type(loss).__name__}")
+
+    def check_outputs(self, Y):
+        """The rating profiles as a float (T, items) array."""
+        Y = np.asarray(Y, dtype=float)
+        if Y.ndim != 2 or Y.shape[1] != self.items:
+            raise ValueError(f"ranking decoder needs (T, {self.items}) rating profiles")
+        return Y
+
+    def decode(self, A, y_train, loss):
+        return decode_ranking_fas(A, y_train, self.items)
 
 
 @dataclass(frozen=True)
@@ -99,10 +131,41 @@ class ScalarGrid:
         if not np.isfinite(self.bound) or self.bound <= 0:
             raise ValueError("bound must be positive and finite")
 
+    def check_loss(self, loss):
+        if not isinstance(loss, losses.ScalarLoss):
+            raise ValueError("the scalar decoder minimises Cauchy, SquaredError or "
+                             f"AbsoluteError, not {type(loss).__name__}")
+
+    def check_outputs(self, Y):
+        """The targets as a float (n,) array, whatever their range: a caller
+        that refuses targets beyond the bound says so itself."""
+        Y = np.asarray(Y, dtype=float)
+        if Y.ndim != 1:
+            raise ValueError("scalar decoder needs scalar training outputs")
+        return Y
+
+    def decode(self, A, y_train, loss):
+        return decode_scalar_grid_batch(A, y_train, loss, self)[0]
+
 
 @dataclass(frozen=True)
 class SimplexHellinger:
-    pass
+    def check_loss(self, loss):
+        if not isinstance(loss, losses.SquaredHellinger):
+            raise ValueError("the simplex decoder minimises SquaredHellinger, "
+                             f"not {type(loss).__name__}")
+
+    def check_outputs(self, Y):
+        """The training histograms as a float (n, d) array with n >= 1, each
+        row finite and non-negative (`losses._check_histogram_rows`)."""
+        Y = np.asarray(Y, dtype=float)
+        if Y.ndim != 2 or Y.shape[0] == 0:
+            raise ValueError("training outputs must be a non-empty (n, d) array")
+        losses._check_histogram_rows(Y, "training outputs")
+        return Y
+
+    def decode(self, A, y_train, loss):
+        return decode_simplex_hellinger_batch(A, y_train)
 
 
 def _weights(A, n):
@@ -157,19 +220,14 @@ def ranking_objective(W, ranks):
     return float((np.ravel(W) * losses.rank_step_rows(np.asarray(ranks)[None])[0]).sum())
 
 
-def _order_to_ranks(order):
-    """Rank vectors (1 = first) of the orders along the last axis."""
-    order = np.asarray(order)
+def profile_sort_ranks(ratings):
+    """Rank vector (1 = first) of the descending rating sort (stable, low index
+    on ties); for a (T, M) stack of profiles, the (T, M) rank vectors of their
+    sorts."""
+    order = np.argsort(-np.asarray(ratings, dtype=float), axis=-1, kind="stable")
     ranks = np.empty(order.shape, dtype=np.int64)
     np.put_along_axis(ranks, order, np.arange(1, order.shape[-1] + 1), axis=-1)
     return ranks
-
-
-def profile_sort_ranks(ratings):
-    """Rank vector of the descending rating sort (stable, low index on ties);
-    for a (T, M) stack of profiles, the (T, M) rank vectors of their sorts."""
-    order = np.argsort(-np.asarray(ratings, dtype=float), axis=-1, kind="stable")
-    return _order_to_ranks(order)
 
 
 def decode_ranking_fas(A, profiles, items):
@@ -185,9 +243,7 @@ def decode_ranking_fas(A, profiles, items):
     up to rounding.  A is the (T, Q) weight matrix; the result is the
     (Q, M) rank vectors.
     """
-    profiles = np.asarray(profiles, dtype=float)
-    if profiles.ndim != 2 or profiles.shape[1] != items:
-        raise ValueError(f"ranking decoder needs (T, {items}) rating profiles")
+    profiles = RankingFas(items).check_outputs(profiles)
     A = _weights(A, profiles.shape[0])
     return profile_sort_ranks(np.tensordot(A, profiles, axes=(0, 0)))
 
@@ -218,7 +274,7 @@ def decode_scalar_grid_batch(A, y_train, loss, spec):
     the (G, Q) and (n, Q) working tables; as with any batch width, BLAS may
     round a column's grid objectives differently.
     """
-    check_loss(spec, loss)
+    spec.check_loss(loss)
     y_train = np.asarray(y_train, dtype=float).ravel()
     A = _weights(A, y_train.shape[0])
     grid = np.linspace(-spec.bound, spec.bound, spec.grid_points)
@@ -291,16 +347,6 @@ def _newton_polish(A, y_train, loss, start, lo, hi, iters):
     return np.ldexp(np.rint(np.ldexp(p, NEWTON_SNAP)), -NEWTON_SNAP)
 
 
-def _histograms(y_train):
-    """The training histograms as a float (n, d) array with n >= 1, each row
-    finite and non-negative (`losses._check_histogram_rows`)."""
-    Y = np.asarray(y_train, dtype=float)
-    if Y.ndim != 2 or Y.shape[0] == 0:
-        raise ValueError("training outputs must be a non-empty (n, d) array")
-    losses._check_histogram_rows(Y, "training outputs")
-    return Y
-
-
 def decode_simplex_hellinger(alphas, y_train):
     """Closed-form minimizer of the alpha-weighted squared Hellinger sum for
     one query's (n,) weights.
@@ -313,7 +359,7 @@ def decode_simplex_hellinger(alphas, y_train):
     that is the row of largest sqrt(Y) @ b, ties to the lowest index.
     `decode_simplex_hellinger_batch` decodes its fallback columns here.
     """
-    Y = _histograms(y_train)
+    Y = SimplexHellinger().check_outputs(y_train)
     if np.shape(alphas) != (Y.shape[0],):
         raise ValueError(f"weights must be (n,) with n = {Y.shape[0]}, "
                          f"got shape {np.shape(alphas)}")
@@ -327,7 +373,7 @@ def decode_simplex_hellinger(alphas, y_train):
 
 def decode_simplex_hellinger_batch(A, y_train):
     """Closed-form simplex decode for Q queries; A is (n, Q)."""
-    Y = _histograms(y_train)
+    Y = SimplexHellinger().check_outputs(y_train)
     A = _weights(A, Y.shape[0])
     b = A.T @ np.sqrt(Y)  # (Q, d)
     pos = np.maximum(b, 0.0)
@@ -340,45 +386,16 @@ def decode_simplex_hellinger_batch(A, y_train):
     return out
 
 
-def check_loss(decoder, loss):
-    """Reject a loss the decoder does not minimise.  RankingFas and
-    SimplexHellinger never call the loss: each minimises one fixed loss in
-    closed form, so any other loss is rejected, not ignored.  ScalarGrid
-    polishes with the derivatives that a `losses.ScalarLoss` states."""
-    if isinstance(decoder, RankingFas) and not (
-            isinstance(loss, losses.RankLoss) and not loss.normalize):
-        raise ValueError("the ranking decoder minimises RankLoss(normalize=False), "
-                         f"not {type(loss).__name__}")
-    if isinstance(decoder, SimplexHellinger) and not isinstance(loss, losses.SquaredHellinger):
-        raise ValueError("the simplex decoder minimises SquaredHellinger, "
-                         f"not {type(loss).__name__}")
-    if isinstance(decoder, ScalarGrid) and not isinstance(loss, losses.ScalarLoss):
-        raise ValueError("the scalar decoder minimises Cauchy, SquaredError or "
-                         f"AbsoluteError, not {type(loss).__name__}")
-
-
 def decode_batch(decoder, loss, y_train, A):
-    """Decode Q queries from their (n, Q) weights A with the decoder matching
-    the output space: a list of candidates (Exhaustive), or an array of rank
+    """Decode Q queries from their (n, Q) weights A with the decoder of the
+    output space: a list of candidates (Exhaustive), or an array of rank
     vectors (RankingFas, (Q, M)), points (ScalarGrid, (Q,)) or histograms
-    (SimplexHellinger, (Q, d)).  Every decode from weights dispatches here,
-    and weights that are not one (n, Q) matrix are rejected before it does.
+    (SimplexHellinger, (Q, d)).  Every decode from weights goes through here:
+    the decoder checks the loss and the training outputs, and its `decode_*`
+    function rejects weights that are not one (n, Q) matrix (`_weights`).
     """
-    check_loss(decoder, loss)
-    A = _weights(A, len(y_train))
-    if isinstance(decoder, Exhaustive):
-        best, _ = decode_exhaustive(decoder.candidates, A, loss, y_train)
-        return [decoder.candidates[c] for c in best]
-    Y = np.asarray(y_train, dtype=float)
-    if isinstance(decoder, RankingFas):
-        return decode_ranking_fas(A, Y, decoder.items)
-    if isinstance(decoder, ScalarGrid):
-        if Y.ndim != 1:
-            raise ValueError("scalar decoder needs scalar training outputs")
-        return decode_scalar_grid_batch(A, Y, loss, decoder)[0]
-    if isinstance(decoder, SimplexHellinger):
-        return decode_simplex_hellinger_batch(A, Y)
-    raise ValueError(f"unknown decoder {decoder!r}")
+    decoder.check_loss(loss)
+    return decoder.decode(A, decoder.check_outputs(y_train), loss)
 
 
 def predict(model, decoder, loss, x):
@@ -388,14 +405,13 @@ def predict(model, decoder, loss, x):
     if isinstance(decoder, Exhaustive):
         distinct, C = model.output_coefficients
         g = C.T @ kernels.cross_kernel(model.kernel, model.X, x)
-        best, _ = decode_exhaustive(decoder.candidates, g[:, None], loss, distinct)
-        return decoder.candidates[best[0]]
+        return decoder.decode(g[:, None], distinct, loss)[0]
     y = predict_batch(model, decoder, loss, kernels._check_vector(x, "query")[None, :])[0]
-    return float(y) if isinstance(decoder, ScalarGrid) else y
+    return y.item() if isinstance(y, np.generic) else y  # a point as a Python float
 
 
 def predict_batch(model, decoder, loss, Xq):
     """Decode a batch of queries: `alpha_weights_batch`, then `decode_batch`.
     A loss the decoder does not minimise is refused before any kernel work."""
-    check_loss(decoder, loss)
+    decoder.check_loss(loss)
     return decode_batch(decoder, loss, model.Y, surrogate.alpha_weights_batch(model, Xq))

@@ -362,12 +362,16 @@ def _hashable(label):
 
 def group_outputs(outputs):
     """(distinct, group): the distinct outputs in order of first appearance,
-    keyed by `_hashable`, and the (n,) index into `distinct` of each output."""
+    keyed by `_hashable`, and the (n,) index into `distinct` of each output;
+    an output that no key names (a dict, from a crafted blob) is a ValueError."""
     slot, distinct, group = {}, [], []
     for y in outputs:
         key = _hashable(y)
-        if key not in slot:
-            slot[key] = len(distinct)
-            distinct.append(y)
+        try:
+            if key not in slot:
+                slot[key] = len(distinct)
+                distinct.append(y)
+        except TypeError as e:
+            raise ValueError(f"label {y!r} has no identity ({e})") from None
         group.append(slot[key])
     return distinct, np.asarray(group, dtype=np.intp)

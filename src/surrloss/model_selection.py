@@ -121,7 +121,7 @@ def cross_validate(X, Y, kernel_grid, lambdas, folds, seed, decoder, loss, scori
     `scoring` scores the validation predictions (`losses.loss_rows`).
     A loss the decoder does not minimise is a ValueError before any fold is fit.
     """
-    decoders.check_loss(decoder, loss)
+    decoder.check_loss(loss)
 
     def score(tr, cols, A):
         preds = decoders.decode_batch(decoder, loss, losses.take_outputs(Y, tr), A)

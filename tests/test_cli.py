@@ -873,27 +873,61 @@ def test_main_reports_each_failure_with_its_exit_code(tmp_path, capsys, monkeypa
     assert capsys.readouterr().err == f"{prefix}: {error}\n"
 
 
-@pytest.mark.parametrize("labels, message", [
-    (["a", 1, "a", 1, "b", 2], "'<' not supported between instances of"),
-    ([[1, 2], [3], [1, 2], [3], [1, 2], [3]], "unhashable type: 'list'"),
-    # nested lists: the blob, whose checksum matches, loads; then the labels fail the sort
-    ([[1, [2]], [3], [1, [2]], [3], [1, [2]], [3]], "unhashable type: 'list'"),
+@pytest.mark.parametrize("labels", [
+    ["a", 1, "a", 1, "b", 2],
+    [[1, 2], [3], [1, 2], [3], [1, 2], [3]],
+    [[1, [2]], [3], [1, [2]], [3], [1, [2]], [3]],
 ], ids=["str-and-int", "lists", "nested-lists"])
-def test_predict_on_labels_the_cli_cannot_sort_is_usage_error(tmp_path, capsys, monkeypatch,
-                                                              labels, message):
+def test_predict_decodes_labels_that_sorted_cannot_order(tmp_path, labels):
     # a model fitted through the library saves and loads with such labels; predict
-    # raised the TypeError of sorted(set(Y)) out of main
+    # refused them because sorted(set(Y)) raised on them
     rng = np.random.default_rng(17)
     model = tmp_path / "model.json"
     surrogate.save_model(surrogate.fit(rng.normal(size=(6, 2)), labels, kernels.gaussian(1.0),
                                        0.1), str(model), "label")
+    _write_csv(tmp_path / "query.csv", ["x0", "x1"], rng.normal(size=(4, 2)).tolist())
+    files = []
+    for _ in range(2):
+        assert cli.main(["predict", "--model", str(model), "--in", str(tmp_path / "query.csv"),
+                         "--out", str(tmp_path / "preds.csv")]) == cli.EXIT_OK
+        header, rows = _read_csv(tmp_path / "preds.csv")
+        assert header == ["y"] and len(rows) == 4
+        assert {row[0] for row in rows} <= {str(y) for y in labels}
+        files.append((tmp_path / "preds.csv").read_bytes())
+    assert files[0] == files[1]
+
+
+def test_label_candidates_follow_sorted_where_it_orders_them():
+    def candidates(Y):
+        return cli._KINDS["label"]["decoder"](Y, {}).candidates
+
+    rng = np.random.default_rng(19)
+    words = [str(w) for w in rng.choice(["b", "a", "c10", "c9", "B", ""], size=30)]
+    assert candidates(words) == sorted(set(words))
+    numbers = [float(v) for v in rng.integers(-3, 3, size=30)]
+    assert candidates(numbers) == sorted(set(numbers))
+    pairs = [tuple(map(int, p)) for p in rng.integers(0, 3, size=(30, 2))]
+    assert candidates(pairs) == sorted(set(pairs))
+    # one total order where sorted() has none: numbers, strings, then sequences
+    assert candidates([[1, [2]], "b", (0,), 2, None, "a", 1.5, [1, 2]]) == \
+        [1.5, 2, "a", "b", (0,), [1, 2], [1, [2]], None]
+
+
+@pytest.mark.parametrize("checksum", [False, True], ids=["refit", "coefficients"])
+def test_predict_on_labels_with_no_identity_is_usage_error(tmp_path, capsys, checksum):
+    # a dict keys no label: a crafted blob's dict raised a TypeError out of main,
+    # from the stored coefficients' regroup when the blob's checksum matched
+    rng = np.random.default_rng(17)
+    model = tmp_path / "model.json"
+    surrogate.save_model(surrogate.fit(rng.normal(size=(4, 2)), ["a", "b", "a", "b"],
+                                       kernels.gaussian(1.0), 0.1), str(model), "label")
+    blob = json.loads(model.read_text())
+    blob["y"]["values"] = [{"k": 1}, "b", {"k": 1}, "b"]
+    blob["checksum"] = surrogate._checksum(blob) if checksum else None
+    model.write_text(json.dumps(blob))
     _write_csv(tmp_path / "query.csv", ["x0", "x1"], rng.normal(size=(2, 2)).tolist())
-    for name in ("gram_matrix", "cross_kernel_batch", "factor_shifted"):  # no kernel work
-        monkeypatch.setattr(kernels, name, _refuse_fit)
-    code = cli.main(["predict", "--model", str(model), "--in", str(tmp_path / "query.csv"),
-                     "--out", str(tmp_path / "preds.csv")])
-    assert code == cli.EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {model}: the labels cannot be sorted into decode candidates")
-    assert message in err
+    assert cli.main(["predict", "--model", str(model), "--in", str(tmp_path / "query.csv"),
+                     "--out", str(tmp_path / "preds.csv")]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "error: label {'k': 1} has no identity (unhashable type: 'dict')\n"
     assert not (tmp_path / "preds.csv").exists()

@@ -3,8 +3,11 @@ position or name (`stages._arg`), so each must still sit where it reads it.
 
 `stages.resolve()` checks only that every target exists; a refactor that
 moved a parameter would make an observer read another argument, or none,
-and report a wrong or zero per-layer metric.  bench/stages.py is imported
-read-only, as tests/test_reference.py imports the harness.
+and report a wrong or zero per-layer metric.  The workloads' output checks
+(bench/workloads.py) likewise read the decoder of `decoders.predict_batch`
+by position and need the experiments to call the functions they wrap.
+bench/stages.py and bench/workloads.py are imported read-only, as
+tests/test_reference.py imports the harness.
 """
 
 import ast
@@ -12,10 +15,15 @@ import inspect
 import os
 import sys
 
+import pytest
+
+from surrloss import decoders, experiments
+
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 sys.path.insert(0, BENCH_DIR)
 
 import stages  # noqa: E402
+import workloads  # noqa: E402
 
 
 def _arg_reads(fn):
@@ -73,3 +81,33 @@ def test_each_observer_reads_its_arguments_where_the_target_takes_them():
         ("experiments._histogram_cv", 2, "sigmas"),
         ("experiments._histogram_cv", 3, "lambdas"),
     }
+
+
+def test_predict_batch_takes_the_decoder_second():
+    # the ranking output check (`workloads._check_rankings`) reads the decoder as
+    # args[1]; read from anywhere else it sees no RankingFas and checks nothing
+    assert list(inspect.signature(decoders.predict_batch).parameters)[1] == "decoder"
+
+
+@pytest.mark.parametrize("workload, run, attr, decoder", [
+    (workloads.RankingCv, experiments.run_ranking_experiment, "predict_batch",
+     decoders.RankingFas),
+    (workloads.HistogramCv, experiments.run_histogram_experiment,
+     "decode_simplex_hellinger_batch", None),
+], ids=["ranking", "histogram"])
+def test_the_experiment_calls_what_its_output_check_wraps(monkeypatch, workload, run, attr,
+                                                          decoder):
+    # the output checks wrap a module attribute of `decoders` and require one
+    # checked call (`OutputCheck.require_clean`), so the experiment must call it
+    # through the module
+    calls, fn = [], getattr(decoders, attr)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(decoders, attr, wrapper)
+    run(**workload.sizes["tiny"], repetitions=1, seed0=0)
+    assert calls
+    if decoder is not None:
+        assert any(isinstance(args[1], decoder) for args in calls)
