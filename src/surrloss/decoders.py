@@ -117,7 +117,12 @@ class ScalarGrid:
     neighbours by at most `refine_iters` safeguarded Newton or bisection
     steps, which stop early once converged.  refine_iters = 0 is a plain grid
     scan.  Points are never decoded outside the bound, whatever the training
-    outputs."""
+    outputs.
+
+    The polish stays inside the bracket [grid[b-1], grid[b+1]] of the grid
+    best b, and the snap to multiples of 2**-NEWTON_SNAP moves it by at most
+    2**-(NEWTON_SNAP+1); so every decoded point lies within `polish_radius()`
+    of the point that the same call at refine_iters = 0 returns."""
 
     bound: float = 3.0
     grid_points: int = 512
@@ -146,6 +151,14 @@ class ScalarGrid:
 
     def decode(self, A, y_train, loss):
         return decode_scalar_grid_batch(A, y_train, loss, self)[0]
+
+    def polish_radius(self):
+        """The largest distance between a decoded point and its grid best: the
+        widest grid step plus the snap's half-unit, or 0 without a polish."""
+        if self.refine_iters == 0:
+            return 0.0
+        grid = np.linspace(-self.bound, self.bound, self.grid_points)
+        return float(np.diff(grid).max()) + 2.0 ** -(NEWTON_SNAP + 1)
 
 
 @dataclass(frozen=True)

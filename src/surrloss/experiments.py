@@ -4,8 +4,10 @@ Three experiments, each against a baseline:
   * robust regression -- the sin(6 pi x) + noise + outliers setup at desk
     scale: Gaussian-kernel weights, Cauchy-loss grid decoding with
     cross-validated (sigma, lambda, gamma), against kernel ridge regression.
-    The metric is the mean absolute distance to the clean function on a
-    uniform ROBUST_TEST_POINTS-point test grid.
+    The CV scans every cell and polishes only the cells that the scan
+    cannot rule out (`_robust_cv`).  The metric is the mean absolute
+    distance to the clean function on a uniform ROBUST_TEST_POINTS-point
+    test grid.
   * ranking -- latent-utility rating profiles, linear kernel with
     cross-validated lambda, against the best constant training sort.
   * histograms -- the complementary half of a Dirichlet-mixture histogram,
@@ -22,7 +24,7 @@ a pure function of (parameters, seed).
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,8 +94,12 @@ def gen_robust_data(n, seed):
 
 
 def krr_predict_batch(model, Xq):
-    A = surrogate.alpha_weights_batch(model, Xq)
-    return np.asarray(model.Y, dtype=float) @ A
+    """KRR's predictions y^T (K + n*lambda*I)^-1 K_xq: one solve for the
+    coefficients c, then c @ K_xq, not the (n, Q) weights.  The factor is
+    read first, as in `surrogate.alpha_weights_batch`."""
+    factor = model.factor
+    c = kernels.solve_spd(factor, np.asarray(model.Y, dtype=float))
+    return c @ kernels.cross_kernel_batch(model.kernel, model.X, Xq)
 
 
 def _select_sigma_lambda(means, sigmas, lambdas):
@@ -106,44 +112,80 @@ def _select_sigma_lambda(means, sigmas, lambdas):
 
 
 def _robust_cv(X, y, sigmas, lambdas, gammas, folds, seed):
-    """Hyperparameters for both methods from one `model_selection.sweep`.
+    """Hyperparameters for both methods from two `model_selection.sweep`s: a
+    scan of every (sigma, lambda, gamma) cell, then a polish of the cells the
+    scan cannot rule out.
 
-    The sweep runs fold by fold and hands `score` each fold's weights for
-    every (sigma, lambda) as one (n_tr, S*L*n_va) block, sigma-major, while
-    it keeps the S Gaussian spectra (S*n*n floats) alive.  Every column is
-    scored by `CV_DECODER` with the Cauchy loss at each gamma, one decode
-    and so one grid loss table per (fold, gamma) for the whole block, and by
-    the KRR baseline, whose prediction is y_train @ A.  The decoder is
-    scored with absolute error, which stays comparable across gamma (raw
-    Cauchy values scale with it); KRR is scored with squared error, its own
-    criterion -- an outlier-robust scoring rule here would hand the baseline
-    exactly the robustness it is supposed to lack.
-    Selection follows `model_selection.select_best`, the decoder's grid in
-    (gamma, sigma, lambda) order and KRR's in (sigma, lambda) order.  A
-    failure of a sigma's spectrum or weights names that kernel and the fold; a
-    failure of a decode names the fold and every kernel of its block.
+    Each sweep runs fold by fold and hands `score` each fold's weights for
+    every (sigma, lambda) of its kernel grid as one (n_tr, S*L*n_va) block,
+    sigma-major, while it keeps the S Gaussian spectra (S*n*n floats) alive.
+    The decoder is scored with absolute error, which stays comparable across
+    gamma (raw Cauchy values scale with it); KRR is scored with squared
+    error, its own criterion -- an outlier-robust scoring rule here would
+    hand the baseline exactly the robustness it is supposed to lack.
+
+    Pass 1 sweeps every sigma.  It scores KRR, whose prediction is
+    y_train @ A, and decodes every column at each gamma with `CV_DECODER`'s
+    plain grid scan (refine_iters = 0): the same grid, block and chunking, so
+    the same grid bests as a polishing decode, one grid loss table per
+    (fold, gamma).  A polished point lies within r = `CV_DECODER.polish_radius()`
+    of its grid best, so a cell's polished mean of |yhat - y| lies within r
+    (plus rounding) of its scan mean.  A cell whose scan mean exceeds the
+    least scan mean by more than 2r + 1e-9 therefore has a polished mean
+    strictly above the winner's and cannot be selected, even on a tie.
+    Pass 2 sweeps only the sigmas that hold a surviving cell and decodes,
+    with `CV_DECODER`, only the surviving cells' columns, one decode and one
+    table per (fold, gamma) that has any; about a quarter of the cells
+    survive on the experiment's data.  Pass 2 takes its sigmas' spectra and
+    fold weights again: keeping pass 1's blocks for every fold instead would
+    hold folds times the sweep's buffer.
+
+    Selection follows `model_selection.select_best`, the decoder's pass-2
+    cells in (gamma, sigma, lambda) order, where a pruned cell scores inf,
+    and KRR's pass-1 grid in (sigma, lambda) order.  A failure of a sigma's
+    spectrum or weights names that kernel and the fold; a failure of a
+    decode names the fold and every kernel of its block.
 
     Returns ((kernel, lambda, gamma) for the decoder, (kernel, lambda) for
     KRR).
     """
     y = np.asarray(y, dtype=float)
+    scan = replace(CV_DECODER, refine_iters=0)
 
-    def score(tr, cols, A):
+    def scan_score(tr, cols, A):
         out = [(y[tr] @ A - y[cols]) ** 2]
         for gamma in gammas:
-            pred, _ = decoders.decode_scalar_grid_batch(A, y[tr], losses.Cauchy(gamma),
-                                                        CV_DECODER)
+            pred, _ = decoders.decode_scalar_grid_batch(A, y[tr], losses.Cauchy(gamma), scan)
             out.append(np.abs(pred - y[cols]))
         return out
 
     means = model_selection.sweep(X, [kernels.gaussian(s) for s in sigmas], lambdas,
-                                  folds, seed, score).mean(axis=2)
-    sigma, lam, gamma = model_selection.select_best(
-        (means[si, li, 1 + gi], lam, (sigma, lam, gamma))
-        for gi, gamma in enumerate(gammas)
-        for si, sigma in enumerate(sigmas)
-        for li, lam in enumerate(lambdas))
+                                  folds, seed, scan_score).mean(axis=2)
     k_sigma, k_lam = _select_sigma_lambda(means[:, :, 0], sigmas, lambdas)
+    scan_means = means[:, :, 1:]  # (S, L, G)
+    alive = scan_means <= scan_means.min() + 2 * CV_DECODER.polish_radius() + 1e-9
+    kept = np.flatnonzero(alive.any(axis=(1, 2)))
+    alive = alive[kept]  # (S2, L, G)
+
+    def polish_score(tr, cols, A):
+        out = []
+        for gi, gamma in enumerate(gammas):
+            keep = np.repeat(alive[:, :, gi].ravel(), cols.size // alive[:, :, gi].size)
+            err = np.full(cols.size, np.inf)  # a cell that cannot win scores inf
+            if keep.any():
+                pred, _ = decoders.decode_scalar_grid_batch(A[:, keep], y[tr],
+                                                            losses.Cauchy(gamma), CV_DECODER)
+                err[keep] = np.abs(pred - y[cols[keep]])
+            out.append(err)
+        return out
+
+    polished = model_selection.sweep(X, [kernels.gaussian(sigmas[si]) for si in kept],
+                                     lambdas, folds, seed, polish_score).mean(axis=2)
+    sigma, lam, gamma = model_selection.select_best(
+        (polished[ki, li, gi], lam, (sigmas[si], lam, gamma))
+        for gi, gamma in enumerate(gammas)
+        for ki, si in enumerate(kept)
+        for li, lam in enumerate(lambdas))
     return ((kernels.gaussian(sigma), lam, gamma), (kernels.gaussian(k_sigma), k_lam))
 
 

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles
 from surrloss import decoders, experiments, kernels, losses, surrogate
@@ -677,6 +679,43 @@ def test_newton_polish_of_a_batch_equals_each_column_polished_alone(loss, iters)
         one = decoders._newton_polish(A[:, j:j + 1], y_train, loss, start[j:j + 1],
                                       lo[j:j + 1], hi[j:j + 1], iters)
         assert one[0] == batch[j]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SCALAR_LOSSES), st.sampled_from(["positive", "mixed", "sum<=0"]),
+       st.integers(2, 80), st.integers(0, 10_000))
+def test_scalar_polish_stays_within_its_radius_of_the_grid_scan(loss, sign, grid_points,
+                                                                seed):
+    # A bound that is no dyadic number, so that the snap may step past it and
+    # the grid steps differ in their last bits.
+    rng = np.random.default_rng(seed)
+    spec = decoders.ScalarGrid(bound=2.7, grid_points=grid_points, refine_iters=40)
+    scan = dataclasses.replace(spec, refine_iters=0)
+    assert scan.polish_radius() == 0.0
+    n = int(rng.integers(1, 12))
+    y_train = rng.uniform(-3.5, 3.5, size=n)
+    A = np.stack([_weights(rng, n, sign) for _ in range(16)], axis=1)
+    scanned = decoders.decode_scalar_grid_batch(A, y_train, loss, scan)[0]
+    polished = decoders.decode_scalar_grid_batch(A, y_train, loss, spec)[0]
+    assert np.abs(polished - scanned).max() <= spec.polish_radius()
+
+
+def test_scalar_polish_can_move_most_of_a_grid_step():
+    # Absolute error with slopes -19 left of the kink a and +1 right of it:
+    # the grid best is 0.9 steps right of a, and the polish bisects to a.  So
+    # no radius below one grid step bounds the polish.
+    spec = decoders.ScalarGrid(bound=2.7, grid_points=40, refine_iters=40)
+    grid = np.linspace(-spec.bound, spec.bound, spec.grid_points)
+    h = grid[1] - grid[0]
+    a = grid[20] + 0.1 * h
+    y_train, A = np.array([a, a + 1.5 * h]), np.array([[10.0], [9.0]])
+    loss = losses.AbsoluteError()
+    (scanned,), _ = decoders.decode_scalar_grid_batch(
+        A, y_train, loss, dataclasses.replace(spec, refine_iters=0))
+    (polished,), _ = decoders.decode_scalar_grid_batch(A, y_train, loss, spec)
+    assert scanned == grid[21]
+    assert polished == pytest.approx(a, abs=2.0 ** -decoders.NEWTON_SNAP)
+    assert 0.85 * spec.polish_radius() < scanned - polished <= spec.polish_radius()
 
 
 # The tracemalloc peak of one Cauchy decode at robust-cv's final-predict

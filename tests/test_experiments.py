@@ -1,5 +1,6 @@
 """The experiments' CV sweeps against a brute-force dense-solve sweep."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -176,24 +177,97 @@ def test_each_runner_reports_its_methods_sizes_and_seeds(repetitions):
             assert r.wall_time == next(s.wall_time for s in rows if s.n == r.n)
 
 
+def _robust_cv_traced(monkeypatch, n, seed):
+    """Each sweep's kernel grid and result, each scalar decode's
+    (sweep, spec, gamma, columns) and each grid loss table's (sweep, gamma),
+    in call order, of `_robust_cv` on gen_robust_data(n, seed)."""
+    sweeps, decodes, tables = [], [], []
+    sweep, decode, table = (model_selection.sweep, decoders.decode_scalar_grid_batch,
+                            decoders._loss_matrix)
+
+    def traced_sweep(X, kernel_grid, *args):
+        out = sweep(X, kernel_grid, *args)
+        sweeps.append((list(kernel_grid), out))
+        return out
+
+    def traced_decode(A, y_train, loss, spec):
+        decodes.append((len(sweeps), spec, loss.gamma, A.shape[1]))
+        return decode(A, y_train, loss, spec)
+
+    def traced_table(points, y_train, loss):
+        tables.append((len(sweeps), loss.gamma))
+        return table(points, y_train, loss)
+
+    monkeypatch.setattr(model_selection, "sweep", traced_sweep)
+    monkeypatch.setattr(decoders, "decode_scalar_grid_batch", traced_decode)
+    monkeypatch.setattr(decoders, "_loss_matrix", traced_table)
+    X, y = experiments.gen_robust_data(n, seed)
+    experiments._robust_cv(X, y, experiments.ROBUST_SIGMAS, experiments.ROBUST_LAMBDAS,
+                           experiments.ROBUST_GAMMAS, FOLDS, seed)
+    return sweeps, decodes, tables
+
+
 def test_robust_cv_builds_one_cauchy_table_per_fold_and_gamma(monkeypatch):
-    # each fold decodes its whole (sigma, lambda) grid in one call per gamma,
-    # and each call builds its grid's loss table once: the table depends
-    # only on the fold's training outputs, not on sigma
-    tables = []
-    original = decoders._loss_matrix
+    # Pass 1 decodes each fold's whole (sigma, lambda) grid in one call per
+    # gamma, and each call builds its grid's loss table once: the table
+    # depends only on the fold's training outputs, not on sigma.  Pass 2
+    # builds at most one per (fold, gamma), in gamma order, and only for a
+    # gamma that has a surviving cell.
+    gammas = list(experiments.ROBUST_GAMMAS)
+    _, decodes, tables = _robust_cv_traced(monkeypatch, 30, 0)
+    assert [g for p, g in tables if p == 0] == gammas * FOLDS
+    second = [g for p, g in tables if p == 1]
+    assert len(tables) == FOLDS * len(gammas) + len(second)
+    assert second == [g for p, _, g, cols in decodes if p == 1 and cols > 0]
+    per_fold = second[:len(second) // FOLDS]
+    assert second == per_fold * FOLDS and sorted(set(per_fold)) == per_fold != []
 
-    def counted(points, y_train, loss):
-        tables.append(loss)
-        return original(points, y_train, loss)
 
-    monkeypatch.setattr(decoders, "_loss_matrix", counted)
-    X, y = experiments.gen_robust_data(30, 0)
-    experiments._robust_cv(X, y, experiments.ROBUST_SIGMAS,
-                           experiments.ROBUST_LAMBDAS, experiments.ROBUST_GAMMAS,
-                           FOLDS, 0)
-    assert all(isinstance(loss, losses.Cauchy) for loss in tables)
-    assert [loss.gamma for loss in tables] == list(experiments.ROBUST_GAMMAS) * FOLDS
+@pytest.mark.parametrize("seed", range(10))
+def test_robust_cv_polishes_only_the_cells_its_scan_keeps(monkeypatch, seed):
+    # Pass 1 scans every cell; pass 2 polishes, over the sigmas that hold
+    # one, exactly the cells whose scan mean is within twice the polish
+    # radius (and 1e-9 of rounding) of the least scan mean: fewer columns.
+    sweeps, decodes, _ = _robust_cv_traced(monkeypatch, 30, seed)
+    S, L, G = (len(experiments.ROBUST_SIGMAS), len(experiments.ROBUST_LAMBDAS),
+               len(experiments.ROBUST_GAMMAS))
+    (grid1, scanned), (grid2, polished) = sweeps
+    scan_means = scanned.mean(axis=2)[:, :, 1:]
+    alive = scan_means <= (scan_means.min()
+                           + 2 * experiments.CV_DECODER.polish_radius() + 1e-9)
+    kept = [si for si in range(S) if alive[si].any()]
+    assert [k.sigma for k in grid1] == list(experiments.ROBUST_SIGMAS)
+    assert [k.sigma for k in grid2] == [experiments.ROBUST_SIGMAS[si] for si in kept]
+    np.testing.assert_array_equal(np.isfinite(polished.mean(axis=2)), alive[kept])
+    cols = {p: sum(c for q, _, _, c in decodes if q == p) for p in (0, 1)}
+    assert {spec for p, spec, _, _ in decodes if p == 0} == {
+        dataclasses.replace(experiments.CV_DECODER, refine_iters=0)}
+    assert {spec for p, spec, _, _ in decodes if p == 1} == {experiments.CV_DECODER}
+    assert cols[0] == G * S * L * 30
+    assert cols[1] == alive.sum() * 30 < cols[0]
+
+
+def test_robust_cv_at_n_300_selects_what_an_unpruned_sweep_selects():
+    # The single-pass form of the CV: one sweep that polishes every cell.
+    X, y = experiments.gen_robust_data(300, 3)
+    sigmas, lambdas, gammas = (experiments.ROBUST_SIGMAS, experiments.ROBUST_LAMBDAS,
+                               experiments.ROBUST_GAMMAS)
+
+    def score(tr, cols, A):
+        return [np.abs(decoders.decode_scalar_grid_batch(
+                    A, y[tr], losses.Cauchy(g), experiments.CV_DECODER)[0] - y[cols])
+                for g in gammas]
+
+    means = model_selection.sweep(X, [kernels.gaussian(s) for s in sigmas], lambdas,
+                                  experiments.FOLDS, 3, score).mean(axis=2)
+    expected = model_selection.select_best(
+        (means[si, li, gi], lam, (sigma, lam, gamma))
+        for gi, gamma in enumerate(gammas)
+        for si, sigma in enumerate(sigmas)
+        for li, lam in enumerate(lambdas))
+    (kernel, lam, gamma), _ = experiments._robust_cv(X, y, sigmas, lambdas, gammas,
+                                                     experiments.FOLDS, 3)
+    assert (kernel.sigma, lam, gamma) == expected
 
 
 def test_histogram_cv_decodes_each_fold_once(monkeypatch):
