@@ -271,7 +271,7 @@ def _loss_matrix(points, y_train, loss):
     return losses.loss_table(loss, points, y_train)
 
 
-def decode_scalar_grid_batch(A, y_train, loss, spec):
+def decode_scalar_grid_batch(A, y_train, loss, spec, scan=None):
     """Grid scan + polish for Q queries at once.
 
     A is the (n, Q) matrix of per-query weights and `loss` a
@@ -286,21 +286,34 @@ def decode_scalar_grid_batch(A, y_train, loss, spec):
     fold.  Queries are decoded SCALAR_CHUNK columns at a time, which bounds
     the (G, Q) and (n, Q) working tables; as with any batch width, BLAS may
     round a column's grid objectives differently.
+
+    `scan`, when given, is the (points, objectives) of a call at
+    refine_iters = 0 on the same columns: one of each per column, every point
+    on the grid; anything else is a ValueError.  The call then builds no
+    table and takes no grid product: it polishes from those grid bests and
+    keeps a polished point only where its objective is below theirs.  Given
+    the scan of this very A, it returns bitwise what the plain call returns.
     """
     spec.check_loss(loss)
     y_train = np.asarray(y_train, dtype=float).ravel()
     A = _weights(A, y_train.shape[0])
     grid = np.linspace(-spec.bound, spec.bound, spec.grid_points)
-    L = _loss_matrix(grid, y_train, loss)
+    if scan is None:
+        L = _loss_matrix(grid, y_train, loss)
+    else:
+        scan_best, scan_f = _check_scan(scan, grid, A.shape[1])
     points, values = np.empty(A.shape[1]), np.empty(A.shape[1])
     for start in range(0, A.shape[1], SCALAR_CHUNK):
         cols = slice(start, start + SCALAR_CHUNK)
         Ac = A[:, cols]
-        F = L @ Ac  # (G, Q)
-        best = np.argmin(F, axis=0)
+        if scan is None:
+            F = L @ Ac  # (G, Q)
+            best = np.argmin(F, axis=0)
+            best_f = F[best, np.arange(Ac.shape[1])]
+            del F  # freed before the polish and before the next chunk's table is built
+        else:
+            best, best_f = scan_best[cols], scan_f[cols]
         best_x = grid[best]
-        best_f = F[best, np.arange(Ac.shape[1])]
-        del F  # freed before the polish and before the next chunk's table is built
         if spec.refine_iters > 0:
             lo = grid[np.maximum(best - 1, 0)]
             hi = grid[np.minimum(best + 1, spec.grid_points - 1)]
@@ -313,6 +326,19 @@ def decode_scalar_grid_batch(A, y_train, loss, spec):
             best_f = np.where(improve, f_ref, best_f)
         points[cols], values[cols] = best_x, best_f
     return points, values
+
+
+def _check_scan(scan, grid, Q):
+    """The grid indices and objectives of a scan-only decode's (points,
+    objectives) of Q columns, or a ValueError."""
+    points, values = (np.asarray(v, dtype=float) for v in scan)
+    if points.shape != (Q,) or values.shape != (Q,):
+        raise ValueError(f"a scan needs one point and one objective per column: {Q} columns, "
+                         f"shapes {points.shape} and {values.shape}")
+    best = np.minimum(np.searchsorted(grid, points), grid.size - 1)
+    if not np.array_equal(grid[best], points):
+        raise ValueError("a scan's points must lie on the decoder's grid")
+    return best, values
 
 
 def _newton_polish(A, y_train, loss, start, lo, hi, iters):

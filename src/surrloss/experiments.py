@@ -118,27 +118,39 @@ def _robust_cv(X, y, sigmas, lambdas, gammas, folds, seed):
 
     Each sweep runs fold by fold and hands `score` each fold's weights for
     every (sigma, lambda) of its kernel grid as one (n_tr, S*L*n_va) block,
-    sigma-major, while it keeps the S Gaussian spectra (S*n*n floats) alive.
-    The decoder is scored with absolute error, which stays comparable across
-    gamma (raw Cauchy values scale with it); KRR is scored with squared
-    error, its own criterion -- an outlier-robust scoring rule here would
-    hand the baseline exactly the robustness it is supposed to lack.
+    sigma-major.  Each sigma's spectrum is taken once, up front
+    (`model_selection.fold_spectra`), and both sweeps read it; the S
+    Gaussian spectra (S*n*n floats) are alive through pass 1, and only the
+    surviving sigmas' through pass 2.  The decoder is scored with absolute
+    error, which stays comparable across gamma (raw Cauchy values scale with
+    it); KRR is scored with squared error, its own criterion -- an
+    outlier-robust scoring rule here would hand the baseline exactly the
+    robustness it is supposed to lack.
 
     Pass 1 sweeps every sigma.  It scores KRR, whose prediction is
     y_train @ A, and decodes every column at each gamma with `CV_DECODER`'s
     plain grid scan (refine_iters = 0): the same grid, block and chunking, so
     the same grid bests as a polishing decode, one grid loss table per
-    (fold, gamma).  A polished point lies within r = `CV_DECODER.polish_radius()`
-    of its grid best, so a cell's polished mean of |yhat - y| lies within r
-    (plus rounding) of its scan mean.  A cell whose scan mean exceeds the
-    least scan mean by more than 2r + 1e-9 therefore has a polished mean
-    strictly above the winner's and cannot be selected, even on a tie.
-    Pass 2 sweeps only the sigmas that hold a surviving cell and decodes,
-    with `CV_DECODER`, only the surviving cells' columns, one decode and one
-    table per (fold, gamma) that has any; about a quarter of the cells
-    survive on the experiment's data.  Pass 2 takes its sigmas' spectra and
-    fold weights again: keeping pass 1's blocks for every fold instead would
-    hold folds times the sweep's buffer.
+    (fold, gamma).  It keeps each column's grid best and objective, folds *
+    G * S*L*n_va pairs of floats.  A polished point lies within
+    r = `CV_DECODER.polish_radius()` of its grid best, so a cell's polished
+    mean of |yhat - y| lies within r (plus rounding) of its scan mean.  A
+    cell whose scan mean exceeds the least scan mean by more than 2r + 1e-9
+    therefore has a polished mean strictly above the winner's and cannot be
+    selected, even on a tie.
+
+    Pass 2 sweeps only the sigmas and the lambdas that hold a surviving cell,
+    with the sigmas' pass-1 spectra, and decodes, with `CV_DECODER`, only the
+    surviving cells' columns, one decode per (fold, gamma) that has any;
+    about a quarter of the cells survive on the experiment's data.  Each
+    decode polishes from pass 1's grid bests, so it builds no table and takes
+    no grid product.  Pass 2 still solves its fold weights again: keeping
+    pass 1's blocks for every fold instead would hold folds times the
+    sweep's buffer.  At a subset of the lambdas a block's weights may round
+    apart from pass 1's in the last bits (the product that forms them runs
+    over fewer columns), so a polished point's objective may be compared
+    with a grid objective from pass 1's weights; the decoded point still
+    lies within r of its grid best, which is all the prune needs.
 
     Selection follows `model_selection.select_best`, the decoder's pass-2
     cells in (gamma, sigma, lambda) order, where a pruned cell scores inf,
@@ -151,41 +163,49 @@ def _robust_cv(X, y, sigmas, lambdas, gammas, folds, seed):
     """
     y = np.asarray(y, dtype=float)
     scan = replace(CV_DECODER, refine_iters=0)
+    grid = [kernels.gaussian(s) for s in sigmas]
+    spectra = model_selection.fold_spectra(X, grid)
+    scans = []  # per fold, per gamma: each column's grid best and its objective
 
     def scan_score(tr, cols, A):
-        out = [(y[tr] @ A - y[cols]) ** 2]
-        for gamma in gammas:
-            pred, _ = decoders.decode_scalar_grid_batch(A, y[tr], losses.Cauchy(gamma), scan)
-            out.append(np.abs(pred - y[cols]))
-        return out
+        scans.append([decoders.decode_scalar_grid_batch(A, y[tr], losses.Cauchy(gamma), scan)
+                      for gamma in gammas])
+        return [(y[tr] @ A - y[cols]) ** 2] + [np.abs(pred - y[cols]) for pred, _ in scans[-1]]
 
-    means = model_selection.sweep(X, [kernels.gaussian(s) for s in sigmas], lambdas,
-                                  folds, seed, scan_score).mean(axis=2)
+    means = model_selection.sweep(X, grid, lambdas, folds, seed, scan_score,
+                                  spectra).mean(axis=2)
     k_sigma, k_lam = _select_sigma_lambda(means[:, :, 0], sigmas, lambdas)
     scan_means = means[:, :, 1:]  # (S, L, G)
     alive = scan_means <= scan_means.min() + 2 * CV_DECODER.polish_radius() + 1e-9
-    kept = np.flatnonzero(alive.any(axis=(1, 2)))
-    alive = alive[kept]  # (S2, L, G)
+    kept_s = np.flatnonzero(alive.any(axis=(1, 2)))
+    kept_l = np.flatnonzero(alive.any(axis=(0, 2)))
+    kept_lambdas = [lambdas[li] for li in kept_l]
+    spectra = [spectra[si] for si in kept_s]  # the pruned sigmas' are freed here
+    fold_scans = iter(scans)
 
     def polish_score(tr, cols, A):
+        n_va = cols.size // (kept_s.size * kept_l.size)
         out = []
-        for gi, gamma in enumerate(gammas):
-            keep = np.repeat(alive[:, :, gi].ravel(), cols.size // alive[:, :, gi].size)
+        for (points, values), gamma, cells in zip(next(fold_scans), gammas,
+                                                  np.moveaxis(alive, 2, 0)):
+            keep = np.repeat(cells[np.ix_(kept_s, kept_l)].ravel(), n_va)
             err = np.full(cols.size, np.inf)  # a cell that cannot win scores inf
             if keep.any():
-                pred, _ = decoders.decode_scalar_grid_batch(A[:, keep], y[tr],
-                                                            losses.Cauchy(gamma), CV_DECODER)
+                was = np.repeat(cells.ravel(), n_va)  # the same columns in pass 1's block
+                pred, _ = decoders.decode_scalar_grid_batch(
+                    A[:, keep], y[tr], losses.Cauchy(gamma), CV_DECODER,
+                    (points[was], values[was]))
                 err[keep] = np.abs(pred - y[cols[keep]])
             out.append(err)
         return out
 
-    polished = model_selection.sweep(X, [kernels.gaussian(sigmas[si]) for si in kept],
-                                     lambdas, folds, seed, polish_score).mean(axis=2)
+    polished = model_selection.sweep(X, [grid[si] for si in kept_s], kept_lambdas, folds,
+                                     seed, polish_score, spectra).mean(axis=2)
     sigma, lam, gamma = model_selection.select_best(
         (polished[ki, li, gi], lam, (sigmas[si], lam, gamma))
         for gi, gamma in enumerate(gammas)
-        for ki, si in enumerate(kept)
-        for li, lam in enumerate(lambdas))
+        for ki, si in enumerate(kept_s)
+        for li, lam in enumerate(kept_lambdas))
     return ((kernels.gaussian(sigma), lam, gamma), (kernels.gaussian(k_sigma), k_lam))
 
 

@@ -700,6 +700,39 @@ def test_scalar_polish_stays_within_its_radius_of_the_grid_scan(loss, sign, grid
     assert np.abs(polished - scanned).max() <= spec.polish_radius()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SCALAR_LOSSES), st.sampled_from(["positive", "mixed"]),
+       st.integers(2, 80), st.integers(0, 10_000))
+def test_a_decode_from_a_scan_returns_what_the_plain_decode_returns(loss, sign, grid_points,
+                                                                   seed):
+    # Given a scan-only call's (points, objectives) on the same columns, the
+    # decode skips the table and the grid product and returns the same bits;
+    # 300 columns cross the SCALAR_CHUNK boundary.
+    rng = np.random.default_rng(seed)
+    spec = decoders.ScalarGrid(bound=2.7, grid_points=grid_points, refine_iters=40)
+    n = int(rng.integers(1, 12))
+    y_train = rng.uniform(-3.5, 3.5, size=n)
+    A = np.stack([_weights(rng, n, sign) for _ in range(300)], axis=1)
+    scan = decoders.decode_scalar_grid_batch(A, y_train, loss,
+                                             dataclasses.replace(spec, refine_iters=0))
+    plain = decoders.decode_scalar_grid_batch(A, y_train, loss, spec)
+    given_scan = decoders.decode_scalar_grid_batch(A, y_train, loss, spec, scan)
+    for got, want in zip(given_scan, plain):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_a_decode_from_a_scan_rejects_a_wrong_length_or_an_off_grid_point():
+    spec = decoders.ScalarGrid(bound=2.0, grid_points=5, refine_iters=3)
+    A, y_train, loss = np.ones((2, 3)), np.array([0.1, 0.4]), losses.SquaredError()
+    points, values = np.array([-1.0, 0.0, 2.0]), np.zeros(3)
+    decoders.decode_scalar_grid_batch(A, y_train, loss, spec, (points, values))
+    for bad in ((points[:2], values), (points, values[:2]), (points[:, None], values),
+                (np.array([-1.0, 0.5, 2.0]), values), (np.array([-1.0, 0.0, 2.5]), values),
+                (np.array([-1.0, np.nan, 2.0]), values)):
+        with pytest.raises(ValueError, match="scan"):
+            decoders.decode_scalar_grid_batch(A, y_train, loss, spec, bad)
+
+
 def test_scalar_polish_can_move_most_of_a_grid_step():
     # Absolute error with slopes -19 left of the kink a and +1 right of it:
     # the grid best is 0.9 steps right of a, and the polish bisects to a.  So

@@ -178,73 +178,123 @@ def test_each_runner_reports_its_methods_sizes_and_seeds(repetitions):
 
 
 def _robust_cv_traced(monkeypatch, n, seed):
-    """Each sweep's kernel grid and result, each scalar decode's
-    (sweep, spec, gamma, columns) and each grid loss table's (sweep, gamma),
-    in call order, of `_robust_cv` on gen_robust_data(n, seed)."""
-    sweeps, decodes, tables = [], [], []
-    sweep, decode, table = (model_selection.sweep, decoders.decode_scalar_grid_batch,
-                            decoders._loss_matrix)
+    """Each sweep's kernel grid, lambdas and result, each scalar decode's
+    (sweep, spec, gamma, columns, whether a scan was given), each grid loss
+    table's (sweep, gamma) and the number of `kernels.fold_spectrum` and
+    `kernels.gram_matrix` calls, in call order, of `_robust_cv` on
+    gen_robust_data(n, seed).  The tracers take positional arguments only,
+    as `_robust_cv` passes them."""
+    sweeps, decodes, tables, spectra, grams = [], [], [], [], []
+    sweep, decode, table, spectrum, gram = (
+        model_selection.sweep, decoders.decode_scalar_grid_batch, decoders._loss_matrix,
+        kernels.fold_spectrum, kernels.gram_matrix)
 
-    def traced_sweep(X, kernel_grid, *args):
-        out = sweep(X, kernel_grid, *args)
-        sweeps.append((list(kernel_grid), out))
+    def traced_sweep(X, kernel_grid, lambdas, *args):
+        out = sweep(X, kernel_grid, lambdas, *args)
+        sweeps.append((list(kernel_grid), list(lambdas), out))
         return out
 
-    def traced_decode(A, y_train, loss, spec):
-        decodes.append((len(sweeps), spec, loss.gamma, A.shape[1]))
-        return decode(A, y_train, loss, spec)
+    def traced_decode(A, y_train, loss, spec, *scan):
+        decodes.append((len(sweeps), spec, loss.gamma, A.shape[1], scan != ()))
+        return decode(A, y_train, loss, spec, *scan)
 
     def traced_table(points, y_train, loss):
         tables.append((len(sweeps), loss.gamma))
         return table(points, y_train, loss)
 
+    def traced_spectrum(spec, X):
+        spectra.append(spec)
+        return spectrum(spec, X)
+
+    def traced_gram(spec, X):
+        grams.append(spec)
+        return gram(spec, X)
+
     monkeypatch.setattr(model_selection, "sweep", traced_sweep)
     monkeypatch.setattr(decoders, "decode_scalar_grid_batch", traced_decode)
     monkeypatch.setattr(decoders, "_loss_matrix", traced_table)
+    monkeypatch.setattr(kernels, "fold_spectrum", traced_spectrum)
+    monkeypatch.setattr(kernels, "gram_matrix", traced_gram)
     X, y = experiments.gen_robust_data(n, seed)
     experiments._robust_cv(X, y, experiments.ROBUST_SIGMAS, experiments.ROBUST_LAMBDAS,
                            experiments.ROBUST_GAMMAS, FOLDS, seed)
-    return sweeps, decodes, tables
+    return sweeps, decodes, tables, len(spectra), len(grams)
+
+
+def _alive(scanned):
+    """The cells that the robust CV's prune keeps, from pass 1's result."""
+    scan_means = scanned.mean(axis=2)[:, :, 1:]
+    return scan_means <= (scan_means.min()
+                          + 2 * experiments.CV_DECODER.polish_radius() + 1e-9)
 
 
 def test_robust_cv_builds_one_cauchy_table_per_fold_and_gamma(monkeypatch):
     # Pass 1 decodes each fold's whole (sigma, lambda) grid in one call per
     # gamma, and each call builds its grid's loss table once: the table
     # depends only on the fold's training outputs, not on sigma.  Pass 2
-    # builds at most one per (fold, gamma), in gamma order, and only for a
-    # gamma that has a surviving cell.
+    # builds none: each of its decodes polishes from pass 1's grid bests.
     gammas = list(experiments.ROBUST_GAMMAS)
-    _, decodes, tables = _robust_cv_traced(monkeypatch, 30, 0)
-    assert [g for p, g in tables if p == 0] == gammas * FOLDS
-    second = [g for p, g in tables if p == 1]
-    assert len(tables) == FOLDS * len(gammas) + len(second)
-    assert second == [g for p, _, g, cols in decodes if p == 1 and cols > 0]
-    per_fold = second[:len(second) // FOLDS]
-    assert second == per_fold * FOLDS and sorted(set(per_fold)) == per_fold != []
+    _, decodes, tables, _, _ = _robust_cv_traced(monkeypatch, 30, 0)
+    assert tables == [(0, g) for g in gammas] * FOLDS
+    assert [scan for p, *_, scan in decodes if p == 0] == [False] * FOLDS * len(gammas)
+    second = [scan for p, *_, scan in decodes if p == 1]
+    assert second != [] and all(second)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_robust_cv_polishes_only_the_cells_its_scan_keeps(monkeypatch, seed):
-    # Pass 1 scans every cell; pass 2 polishes, over the sigmas that hold
-    # one, exactly the cells whose scan mean is within twice the polish
-    # radius (and 1e-9 of rounding) of the least scan mean: fewer columns.
-    sweeps, decodes, _ = _robust_cv_traced(monkeypatch, 30, seed)
+    # Pass 1 scans every cell; pass 2 polishes, over the sigmas and the
+    # lambdas that hold one, exactly the cells whose scan mean is within
+    # twice the polish radius (and 1e-9 of rounding) of the least scan mean:
+    # fewer columns.
+    sweeps, decodes, _, _, _ = _robust_cv_traced(monkeypatch, 30, seed)
     S, L, G = (len(experiments.ROBUST_SIGMAS), len(experiments.ROBUST_LAMBDAS),
                len(experiments.ROBUST_GAMMAS))
-    (grid1, scanned), (grid2, polished) = sweeps
-    scan_means = scanned.mean(axis=2)[:, :, 1:]
-    alive = scan_means <= (scan_means.min()
-                           + 2 * experiments.CV_DECODER.polish_radius() + 1e-9)
-    kept = [si for si in range(S) if alive[si].any()]
+    (grid1, lambdas1, scanned), (grid2, lambdas2, polished) = sweeps
+    alive = _alive(scanned)
+    kept_s = [si for si in range(S) if alive[si].any()]
+    kept_l = [li for li in range(L) if alive[:, li].any()]
     assert [k.sigma for k in grid1] == list(experiments.ROBUST_SIGMAS)
-    assert [k.sigma for k in grid2] == [experiments.ROBUST_SIGMAS[si] for si in kept]
-    np.testing.assert_array_equal(np.isfinite(polished.mean(axis=2)), alive[kept])
-    cols = {p: sum(c for q, _, _, c in decodes if q == p) for p in (0, 1)}
-    assert {spec for p, spec, _, _ in decodes if p == 0} == {
+    assert lambdas1 == list(experiments.ROBUST_LAMBDAS)
+    assert [k.sigma for k in grid2] == [experiments.ROBUST_SIGMAS[si] for si in kept_s]
+    assert lambdas2 == [experiments.ROBUST_LAMBDAS[li] for li in kept_l]
+    np.testing.assert_array_equal(np.isfinite(polished.mean(axis=2)),
+                                  alive[np.ix_(kept_s, kept_l)])
+    cols = {p: sum(c for q, _, _, c, _ in decodes if q == p) for p in (0, 1)}
+    assert {spec for p, spec, *_ in decodes if p == 0} == {
         dataclasses.replace(experiments.CV_DECODER, refine_iters=0)}
-    assert {spec for p, spec, _, _ in decodes if p == 1} == {experiments.CV_DECODER}
+    assert {spec for p, spec, *_ in decodes if p == 1} == {experiments.CV_DECODER}
     assert cols[0] == G * S * L * 30
     assert cols[1] == alive.sum() * 30 < cols[0]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_robust_cv_takes_each_spectrum_once_and_polishes_as_an_unpruned_sweep(monkeypatch,
+                                                                             seed):
+    # Pass 2 reuses pass 1's spectra and grid bests: S spectra and S Grams in
+    # all, no grid table in pass 2, and every surviving cell's pass-2 mean is
+    # bitwise the mean of one sweep that polishes every cell.
+    sweeps, _, tables, spectra, grams = _robust_cv_traced(monkeypatch, 30, seed)
+    monkeypatch.undo()
+    S = len(experiments.ROBUST_SIGMAS)
+    assert spectra == grams == S
+    assert {p for p, _ in tables} == {0}
+    (_, _, scanned), (grid2, lambdas2, polished) = sweeps
+    X, y = experiments.gen_robust_data(30, seed)
+
+    def score(tr, cols, A):
+        return [np.abs(decoders.decode_scalar_grid_batch(
+                    A, y[tr], losses.Cauchy(g), experiments.CV_DECODER)[0] - y[cols])
+                for g in experiments.ROBUST_GAMMAS]
+
+    full = model_selection.sweep(X, [kernels.gaussian(s) for s in experiments.ROBUST_SIGMAS],
+                                 experiments.ROBUST_LAMBDAS, FOLDS, seed, score).mean(axis=2)
+    kept_s = [experiments.ROBUST_SIGMAS.index(k.sigma) for k in grid2]
+    kept_l = [experiments.ROBUST_LAMBDAS.index(lam) for lam in lambdas2]
+    alive = _alive(scanned)[np.ix_(kept_s, kept_l)]
+    means = polished.mean(axis=2)
+    assert alive.any()
+    assert means[alive].tolist() == full[np.ix_(kept_s, kept_l)][alive].tolist()
 
 
 def test_robust_cv_at_n_300_selects_what_an_unpruned_sweep_selects():

@@ -297,29 +297,40 @@ def _refuse_fold(*args):
 
 GAUSS = (kernels.gaussian(1.0),)
 X12 = np.random.default_rng(8).normal(size=(12, 2))
+LINEAR = (kernels.linear(),)
+SPECTRUM = (np.ones(12), np.eye(12))  # the shape of a Gaussian kernel's on X12
 
 
-@pytest.mark.parametrize("X, kernel_grid, lambdas, folds, match", [
-    (X12, (), LAMBDAS, FOLDS, "kernel grid must be non-empty"),
-    (X12, GAUSS, (), FOLDS, "lambdas must be a non-empty list"),
-    (X12, GAUSS, (1e-2, np.inf), FOLDS, "lambdas must be a non-empty list"),
-    (X12, GAUSS, (0.0,), FOLDS, "lambdas must be a non-empty list"),
-    (X12, GAUSS, (-1.0,), FOLDS, "lambdas must be a non-empty list"),
-    (X12, GAUSS, (np.nan,), FOLDS, "lambdas must be a non-empty list"),
-    (X12, GAUSS, LAMBDAS, 1, "need 2 <= k <= n"),
-    (X12, GAUSS, LAMBDAS, 13, "need 2 <= k <= n"),
-    (np.ones((0, 2)), GAUSS, LAMBDAS, FOLDS, "X must be a non-empty list"),
-    (np.ones((12, 2, 1)), GAUSS, LAMBDAS, FOLDS, "X must be a non-empty list"),
-    (np.vstack([X12[:-1], [[0.0, np.nan]]]), GAUSS, LAMBDAS, FOLDS, "non-finite"),
+@pytest.mark.parametrize("X, kernel_grid, lambdas, folds, spectra, match", [
+    (X12, (), LAMBDAS, FOLDS, None, "kernel grid must be non-empty"),
+    (X12, GAUSS, (), FOLDS, None, "lambdas must be a non-empty list"),
+    (X12, GAUSS, (1e-2, np.inf), FOLDS, None, "lambdas must be a non-empty list"),
+    (X12, GAUSS, (0.0,), FOLDS, None, "lambdas must be a non-empty list"),
+    (X12, GAUSS, (-1.0,), FOLDS, None, "lambdas must be a non-empty list"),
+    (X12, GAUSS, (np.nan,), FOLDS, None, "lambdas must be a non-empty list"),
+    (X12, GAUSS, LAMBDAS, 1, None, "need 2 <= k <= n"),
+    (X12, GAUSS, LAMBDAS, 13, None, "need 2 <= k <= n"),
+    (np.ones((0, 2)), GAUSS, LAMBDAS, FOLDS, None, "X must be a non-empty list"),
+    (np.ones((12, 2, 1)), GAUSS, LAMBDAS, FOLDS, None, "X must be a non-empty list"),
+    (np.vstack([X12[:-1], [[0.0, np.nan]]]), GAUSS, LAMBDAS, FOLDS, None, "non-finite"),
+    (X12, GAUSS, LAMBDAS, FOLDS, [], "one spectrum per kernel"),
+    (X12, GAUSS, LAMBDAS, FOLDS, [SPECTRUM, SPECTRUM], "one spectrum per kernel"),
+    (X12, GAUSS, LAMBDAS, FOLDS, [None], "an \\(evals, U\\) pair with 12 rows"),
+    (X12, LINEAR, LAMBDAS, FOLDS, [SPECTRUM], "must be None"),
+    (X12, GAUSS, LAMBDAS, FOLDS, [(np.ones(11), np.eye(11))], "with 12 rows in U"),
+    (X12, GAUSS, LAMBDAS, FOLDS, [np.eye(12)], "with 12 rows in U"),
+    (X12, GAUSS, LAMBDAS, FOLDS, [(np.ones(12), np.ones(12))], "with 12 rows in U"),
 ], ids=["no-kernel", "no-lambda", "inf-lambda", "zero-lambda", "negative-lambda",
-        "nan-lambda", "one-fold", "13-folds", "empty-X", "3-d-X", "nan-X"])
+        "nan-lambda", "one-fold", "13-folds", "empty-X", "3-d-X", "nan-X", "no-spectrum",
+        "two-spectra", "gaussian-none", "linear-spectrum", "11-row-U", "not-a-pair",
+        "1-d-U"])
 def test_sweep_rejects_a_bad_grid_before_any_fold(monkeypatch, X, kernel_grid, lambdas, folds,
-                                                  match):
+                                                  spectra, match):
     # one ValueError from the sweep itself, not a RuntimeError from a fold
     monkeypatch.setattr(kernels, "fold_spectrum", _refuse_fold)
     monkeypatch.setattr(kernels, "fold_weights", _refuse_fold)
     with pytest.raises(ValueError, match=match):
-        model_selection.sweep(X, kernel_grid, lambdas, folds, 0, _refuse_fold)
+        model_selection.sweep(X, kernel_grid, lambdas, folds, 0, _refuse_fold, spectra)
 
 
 @pytest.mark.parametrize("empty", ["kernels", "lambdas"])

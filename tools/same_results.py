@@ -10,7 +10,10 @@ checkout's `src` first on its path runs seeds 0..N-1 (default N = 32):
 
 - robust, ranking, histogram: the experiment at the sizes of the benchmark's
   full-size session (`bench/workloads.py`, read-only), one repetition from
-  seed0 = seed, and every method's `per_seed` values;
+  seed0 = seed, and every method's `per_seed` values; robust also records,
+  under "selections", what each `experiments._robust_cv` call of the run
+  returned: [sigma, lambda, gamma] for the decoder and [sigma, lambda] for
+  KRR;
 - sweep: `model_selection.sweep` over the robust, ranking and histogram
   experiments' kernel and lambda grids on their generated inputs, with a
   scorer that hashes every fold's training indices, columns and weight block;
@@ -68,8 +71,20 @@ def _full_size(name):
 def _experiment(job, seed):
     from surrloss import experiments
     run = getattr(experiments, f"run_{job}_experiment")
-    return {r.method: r.per_seed
-            for r in run(**_full_size(job), repetitions=1, seed0=seed)}
+    selections, robust_cv = [], experiments._robust_cv
+
+    def recording(*args):
+        (kernel, lam, gamma), (k_kernel, k_lam) = out = robust_cv(*args)
+        selections.append([[kernel.sigma, lam, gamma], [k_kernel.sigma, k_lam]])
+        return out
+
+    experiments._robust_cv = recording
+    try:
+        result = {r.method: r.per_seed
+                  for r in run(**_full_size(job), repetitions=1, seed0=seed)}
+    finally:
+        experiments._robust_cv = robust_cv
+    return dict(result, selections=selections) if selections else result
 
 
 def _sweep_hashes(job, seed):
