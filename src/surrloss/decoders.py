@@ -17,24 +17,27 @@ Four output spaces are supported:
 Ties break to the lowest index.  All decoders are pure functions.
 
 Each decoder class states in one place which losses and training outputs
-it accepts and how it decodes, in three methods: `check_loss(loss)` rejects
-a loss it does not minimise (RankingFas and SimplexHellinger minimise one
-fixed loss in closed form, and ScalarGrid polishes with the derivatives a
-`losses.ScalarLoss` states; Exhaustive calls any loss), `check_outputs(Y)`
-returns the training outputs as the decoder reads them or raises a
-ValueError, and `decode(A, y_train, loss)` calls the class's `decode_*`
-function by its module name, which the benchmark's stage map traces.
+it accepts and how it decodes.  `check_loss(loss)` rejects a loss it does not
+minimise (RankingFas and SimplexHellinger minimise one fixed loss in closed
+form, and ScalarGrid polishes with the derivatives a `losses.ScalarLoss`
+states; Exhaustive calls any loss).  `decode(A, y_train, loss)` is the one
+checked decode from an (n, Q) weight matrix, which prediction and
+cross-validation both call: it refuses a loss that `check_loss` refuses, then
+calls the class's `decode_*` function by its module name, which the
+benchmark's stage map traces.  That function checks the training outputs
+once, through the class's `check_outputs(Y)` (RankingFas, ScalarGrid and
+SimplexHellinger; Exhaustive keys any label through `losses._hashable`), and
+its weights in one place, `_weights`: one (n, Q) matrix or one ValueError
+that names both shapes.  Only a simplex column with no positive mass checks
+the outputs again, in the single-query `decode_simplex_hellinger` that
+decodes it.
 
-`decode_batch` is the one decode from an (n, Q) weight matrix, which
-prediction and cross-validation both go through: the decoder's `check_loss`,
-then its `decode` of the outputs its `check_outputs` returns.  Every
-`decode_*` function checks its weights in one place, `_weights`: one (n, Q)
-matrix or one ValueError that names both shapes.  `predict` is a batch of one,
-`predict_batch` on the one-row batch x[None, :], except for Exhaustive: a
-single Exhaustive query reads ghat(x) = C^T k_x from the model's cached
-coefficients (`TrainedSurrogate.output_coefficients`), with no solve and no
-regroup of the n training outputs (a label model loaded from a blob starts
-with C from it, so this route never builds its factor), and
+`predict` is a batch of one, `predict_batch` on the one-row batch
+x[None, :], except for Exhaustive: a single Exhaustive query reads
+ghat(x) = C^T k_x from the model's cached coefficients
+(`TrainedSurrogate.output_coefficients`), with no solve and no regroup of the
+n training outputs (a label model loaded from a blob starts with C from it,
+so this route never builds its factor), and
 `Exhaustive.decode` scores the candidates against the U distinct outputs
 weighted by ghat, one (U, 1) column.  The objective is the same,
 sum_u ghat_u loss(c, y_u) = sum_i alpha_i loss(c, y_i), at C*U loss values.
@@ -73,10 +76,6 @@ class Exhaustive:
     def check_loss(self, loss):
         """Any loss: the decode calls it on (candidate, training output) pairs."""
 
-    def check_outputs(self, Y):
-        """The training outputs as given; `losses._hashable` keys each label."""
-        return Y
-
     def decode(self, A, y_train, loss):
         best, _ = decode_exhaustive(self.candidates, A, loss, y_train)
         return [self.candidates[c] for c in best]
@@ -107,6 +106,7 @@ class RankingFas:
         return Y
 
     def decode(self, A, y_train, loss):
+        self.check_loss(loss)
         return decode_ranking_fas(A, y_train, self.items)
 
 
@@ -143,7 +143,9 @@ class ScalarGrid:
 
     def check_outputs(self, Y):
         """The targets as a float (n,) array, whatever their range: a caller
-        that refuses targets beyond the bound says so itself."""
+        that refuses targets beyond the bound says so itself.  Every scalar
+        decode takes its targets through here (`decode_scalar_grid_batch`), so
+        an (n, 1) or (1, n) array is refused on every route, never flattened."""
         Y = np.asarray(Y, dtype=float)
         if Y.ndim != 1:
             raise ValueError("scalar decoder needs scalar training outputs")
@@ -178,6 +180,7 @@ class SimplexHellinger:
         return Y
 
     def decode(self, A, y_train, loss):
+        self.check_loss(loss)
         return decode_simplex_hellinger_batch(A, y_train)
 
 
@@ -295,7 +298,7 @@ def decode_scalar_grid_batch(A, y_train, loss, spec, scan=None):
     the scan of this very A, it returns bitwise what the plain call returns.
     """
     spec.check_loss(loss)
-    y_train = np.asarray(y_train, dtype=float).ravel()
+    y_train = spec.check_outputs(y_train)
     A = _weights(A, y_train.shape[0])
     grid = np.linspace(-spec.bound, spec.bound, spec.grid_points)
     if scan is None:
@@ -425,18 +428,6 @@ def decode_simplex_hellinger_batch(A, y_train):
     return out
 
 
-def decode_batch(decoder, loss, y_train, A):
-    """Decode Q queries from their (n, Q) weights A with the decoder of the
-    output space: a list of candidates (Exhaustive), or an array of rank
-    vectors (RankingFas, (Q, M)), points (ScalarGrid, (Q,)) or histograms
-    (SimplexHellinger, (Q, d)).  Every decode from weights goes through here:
-    the decoder checks the loss and the training outputs, and its `decode_*`
-    function rejects weights that are not one (n, Q) matrix (`_weights`).
-    """
-    decoder.check_loss(loss)
-    return decoder.decode(A, decoder.check_outputs(y_train), loss)
-
-
 def predict(model, decoder, loss, x):
     """Decode one query: `predict_batch` on the batch x[None, :], except that
     Exhaustive decodes ghat(x) = C^T k_x over the distinct training outputs
@@ -450,7 +441,10 @@ def predict(model, decoder, loss, x):
 
 
 def predict_batch(model, decoder, loss, Xq):
-    """Decode a batch of queries: `alpha_weights_batch`, then `decode_batch`.
-    A loss the decoder does not minimise is refused before any kernel work."""
+    """Decode a batch of queries: `alpha_weights_batch`, then the decoder's
+    `decode`, a list of candidates (Exhaustive) or an array of rank vectors
+    (RankingFas, (Q, M)), points (ScalarGrid, (Q,)) or histograms
+    (SimplexHellinger, (Q, d)).  A loss the decoder does not minimise is
+    refused before any kernel work."""
     decoder.check_loss(loss)
-    return decode_batch(decoder, loss, model.Y, surrogate.alpha_weights_batch(model, Xq))
+    return decoder.decode(surrogate.alpha_weights_batch(model, Xq), model.Y, loss)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import decoders, kernels, losses
+from . import kernels, losses
 
 
 @dataclass(frozen=True)
@@ -152,13 +152,15 @@ def cross_validate(X, Y, kernel_grid, lambdas, folds, seed, decoder, loss, scori
     `sweep` over (kernel_grid, lambdas, folds, seed).
 
     `loss` parameterizes the decoder (it is what `predict` minimizes);
-    `scoring` scores the validation predictions (`losses.loss_rows`).
-    A loss the decoder does not minimise is a ValueError before any fold is fit.
+    `scoring` scores the validation predictions (`losses.loss_rows`).  Each
+    fold is one `decoder.decode` of its whole weight block, which checks the
+    fold's training outputs once.  A loss the decoder does not minimise is a
+    ValueError before any fold is fit.
     """
     decoder.check_loss(loss)
 
     def score(tr, cols, A):
-        preds = decoders.decode_batch(decoder, loss, losses.take_outputs(Y, tr), A)
+        preds = decoder.decode(A, losses.take_outputs(Y, tr), loss)
         return losses.loss_rows(scoring, preds, losses.take_outputs(Y, cols))
 
     s = sweep(X, kernel_grid, lambdas, folds, seed, score)[..., 0]

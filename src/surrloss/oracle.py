@@ -133,8 +133,9 @@ def sample_classification_dataset(rng, n, n_labels):
 
 def check_ls_equivalence(X, Y, kernel, lam, X_test=None):
     """Exact agreement of argmax ghat, ghat = C^T k_x from the model's cached
-    coefficients (the single-query route), and the classifier decoded from
-    the batch weights (the `predict_batch` route)."""
+    coefficients (the single-query route), and the classifier that
+    `Exhaustive.decode` decodes from the batch weights (the `predict_batch`
+    route)."""
     label_set = sorted(set(Y))
     loss = losses.ZeroOne(label_set)
     model = surrogate.fit(X, Y, kernel, lam)
@@ -145,7 +146,7 @@ def check_ls_equivalence(X, Y, kernel, lam, X_test=None):
     G = G[[distinct.index(y) for y in label_set]]  # rows in label order: ties go low
     c_hat = [label_set[i] for i in np.argmax(G, axis=0)]
     A = surrogate.alpha_weights_batch(model, X_test)
-    f_hat = decoders.decode_batch(decoders.Exhaustive(label_set), loss, model.Y, A)
+    f_hat = decoders.Exhaustive(label_set).decode(A, model.Y, loss)
     mismatches = sum(c != f for c, f in zip(c_hat, f_hat))
     return {"checked": len(f_hat), "mismatches": mismatches, "ok": mismatches == 0}
 

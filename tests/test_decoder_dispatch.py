@@ -103,6 +103,11 @@ REJECTIONS = {
                          "AbsoluteError, not SquaredHellinger"),
     "scalar-2d": (decoders.ScalarGrid(), losses.Cauchy(1.0), _RATINGS,
                   "scalar decoder needs scalar training outputs"),
+    # not flattened to (n,) on any route; `test_decoders.py` sends the (1, n)
+    # row, one training output, through the decode function, `decode` and
+    # `predict_batch`
+    "scalar-column": (decoders.ScalarGrid(), losses.Cauchy(1.0), _TARGETS[:, None],
+                      "scalar decoder needs scalar training outputs"),
     "simplex-squared": (decoders.SimplexHellinger(), losses.SquaredError(), _HISTOGRAMS,
                         "the simplex decoder minimises SquaredHellinger, not SquaredError"),
     "simplex-absolute": (decoders.SimplexHellinger(), losses.AbsoluteError(), _HISTOGRAMS,
@@ -119,8 +124,8 @@ REJECTIONS = {
     "scalar-beyond-bound": (decoders.ScalarGrid(bound=1.0), losses.Cauchy(1.0), _TARGETS, None),
 }
 ROUTES = {
-    "decode_batch": lambda decoder, loss, Y: decoders.decode_batch(
-        decoder, loss, Y, np.full((len(Y), 3), 1.0 / len(Y))),
+    "decode": lambda decoder, loss, Y: decoder.decode(
+        np.full((len(Y), 3), 1.0 / len(Y)), Y, loss),
     "predict": lambda decoder, loss, Y: decoders.predict(
         surrogate.fit(_X, Y, kernels.gaussian(1.0), 0.1), decoder, loss, _X[0]),
     "predict_batch": lambda decoder, loss, Y: decoders.predict_batch(
@@ -141,3 +146,36 @@ def test_every_route_rejects_what_the_decoder_does_not_accept(case, route):
         return
     with pytest.raises((ValueError, RuntimeError), match=re.escape(message)):
         ROUTES[route](decoder, loss, Y)
+
+
+# (decoder, decode loss, training outputs) of each decoder that checks its outputs
+CHECKED = {
+    "ranking": (decoders.RankingFas(items=3), losses.RankLoss(), _RATINGS),
+    "scalar": (decoders.ScalarGrid(), losses.Cauchy(1.0), _TARGETS),
+    "simplex": (decoders.SimplexHellinger(), losses.SquaredHellinger(), _HISTOGRAMS),
+}
+
+
+@pytest.mark.parametrize("case", list(CHECKED))
+def test_each_decode_checks_its_training_outputs_once(case, monkeypatch):
+    # no simplex column here lacks positive mass: the single-query decode of
+    # such a column checks the outputs once more
+    decoder, loss, Y = CHECKED[case]
+    real = type(decoder).check_outputs
+    checked = []
+
+    def counted(self, outputs):
+        checked.append(len(outputs))
+        return real(self, outputs)
+
+    monkeypatch.setattr(type(decoder), "check_outputs", counted)
+    decoder.decode(np.full((8, 3), 1.0 / 8), Y, loss)
+    assert checked == [8]
+    del checked[:]
+    decoders.predict_batch(surrogate.fit(_X, Y, kernels.gaussian(1.0), 0.1), decoder, loss,
+                           _X[:3])
+    assert checked == [8]
+    del checked[:]
+    model_selection.cross_validate(_X, Y, (kernels.gaussian(1.0),), (0.1,), 2, 0, decoder,
+                                   loss, loss)
+    assert checked == [8 - va.size for va in model_selection.kfold_split(8, 2, 0)]

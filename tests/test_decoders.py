@@ -336,7 +336,7 @@ def test_fas_batch_ties_go_to_the_lowest_index():
             np.testing.assert_array_equal(batch[q], _oracles.descending_sort_ranks(s))
 
 
-def test_decode_batch_decodes_a_ranking_batch_in_one_call(monkeypatch):
+def test_decode_decodes_a_ranking_batch_in_one_call(monkeypatch):
     calls = []
     real = decoders.decode_ranking_fas
 
@@ -347,8 +347,7 @@ def test_decode_batch_decodes_a_ranking_batch_in_one_call(monkeypatch):
     monkeypatch.setattr(decoders, "decode_ranking_fas", counted)
     rng = np.random.default_rng(45)
     R = rng.integers(1, 6, size=(10, 4)).astype(float)
-    out = decoders.decode_batch(decoders.RankingFas(items=4), losses.RankLoss(), R,
-                                rng.normal(size=(10, 6)))
+    out = decoders.RankingFas(items=4).decode(rng.normal(size=(10, 6)), R, losses.RankLoss())
     assert calls == [(10, 6)] and out.shape == (6, 4)
 
 
@@ -380,8 +379,8 @@ SCALAR_LOSSES = [losses.Cauchy(0.7), losses.SquaredError(), losses.AbsoluteError
 
 
 def _decode_one(alphas, y_train, loss, spec=SPEC):
-    """The scalar decode of one query: a batch of one through `decode_batch`."""
-    return float(decoders.decode_batch(spec, loss, y_train, np.asarray(alphas)[:, None])[0])
+    """The scalar decode of one query: a batch of one through `ScalarGrid.decode`."""
+    return float(spec.decode(np.asarray(alphas)[:, None], y_train, loss)[0])
 
 
 def test_scalar_single_training_point():
@@ -530,7 +529,33 @@ def test_scalar_decode_rejects_a_loss_it_does_not_polish(refine_iters):
         with pytest.raises(ValueError, match="scalar decoder minimises"):
             decoders.decode_scalar_grid_batch(A, y_train, loss, spec)
         with pytest.raises(ValueError, match="scalar decoder minimises"):
-            decoders.decode_batch(spec, loss, y_train, A)
+            spec.decode(A, y_train, loss)
+
+
+_FLAT_TARGETS = np.array([-0.5, 0.25, 1.0])
+# Scalar targets that are not (n,): every route refuses them, none flattens
+# them.  A (1, n) row is one training output, so the fitted routes see it on a
+# one-point model; `test_decoder_dispatch.py` also sends the column through
+# `predict` and `cross_validate`.
+_UNFLAT_TARGETS = {"column": _FLAT_TARGETS[:, None], "row": _FLAT_TARGETS[None, :]}
+_SCALAR_TARGET_ROUTES = {
+    "function": lambda Y: decoders.decode_scalar_grid_batch(
+        np.ones((3, 2)), Y, losses.Cauchy(1.0), SPEC),
+    "decode": lambda Y: SPEC.decode(np.ones((3, 2)), Y, losses.Cauchy(1.0)),
+    "predict_batch": lambda Y: decoders.predict_batch(
+        surrogate.fit(np.arange(len(Y), dtype=float)[:, None], Y, kernels.gaussian(1.0), 0.1),
+        SPEC, losses.Cauchy(1.0), np.zeros((2, 1))),
+}
+
+
+@pytest.mark.parametrize("route", list(_SCALAR_TARGET_ROUTES))
+@pytest.mark.parametrize("shape", list(_UNFLAT_TARGETS))
+def test_scalar_targets_have_one_rule_on_every_route(shape, route):
+    # the decode function flattened both to the three targets that the
+    # (3, Q) weights fit, and decoded them
+    with pytest.raises(ValueError, match="scalar decoder needs scalar training outputs"):
+        _SCALAR_TARGET_ROUTES[route](_UNFLAT_TARGETS[shape])
+    _SCALAR_TARGET_ROUTES[route](_FLAT_TARGETS)  # the (n,) targets decode
 
 
 def _assert_matches_dense_oracle(got, alphas, y_train, gamma):
@@ -908,7 +933,7 @@ def test_simplex_batch_checks_its_inputs_as_the_single_query_form(A, Y, message)
     with pytest.raises(ValueError, match=message):
         decoders.decode_simplex_hellinger_batch(A, Y)
     with pytest.raises(ValueError, match=message):
-        decoders.decode_batch(decoders.SimplexHellinger(), losses.SquaredHellinger(), Y, A)
+        decoders.SimplexHellinger().decode(A, Y, losses.SquaredHellinger())
 
 
 def test_predict_batch_rejects_negative_histograms_of_a_fitted_model():
@@ -1003,17 +1028,16 @@ def test_predict_rejects_a_loss_the_decoder_does_not_minimise(decoder, loss, out
 
 
 _PROFILES = np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [2.0, 2.0, 1.0]])
-# Every public decode from weights, over n = 3 training outputs: `decode_batch`
-# with each decoder, and (fn-) each decoder's own function.
+# Every public decode from weights, over n = 3 training outputs: each
+# decoder's `decode`, and (fn-) each decoder's own function.
 _WEIGHT_DECODES = {
-    "exhaustive": lambda A: decoders.decode_batch(
-        decoders.Exhaustive(["a", "b"]), losses.ZeroOne(), ["a", "b", "a"], A),
-    "ranking": lambda A: decoders.decode_batch(
-        decoders.RankingFas(items=3), losses.RankLoss(), _PROFILES, A),
-    "scalar": lambda A: decoders.decode_batch(
-        decoders.ScalarGrid(), losses.Cauchy(1.0), np.array([-0.5, 0.25, 1.0]), A),
-    "simplex": lambda A: decoders.decode_batch(
-        decoders.SimplexHellinger(), losses.SquaredHellinger(), np.full((3, 2), 0.5), A),
+    "exhaustive": lambda A: decoders.Exhaustive(["a", "b"]).decode(
+        A, ["a", "b", "a"], losses.ZeroOne()),
+    "ranking": lambda A: decoders.RankingFas(items=3).decode(A, _PROFILES, losses.RankLoss()),
+    "scalar": lambda A: decoders.ScalarGrid().decode(
+        A, np.array([-0.5, 0.25, 1.0]), losses.Cauchy(1.0)),
+    "simplex": lambda A: decoders.SimplexHellinger().decode(
+        A, np.full((3, 2), 0.5), losses.SquaredHellinger()),
     "fn-exhaustive": lambda A: decoders.decode_exhaustive(
         ["a", "b"], A, losses.ZeroOne(), ["a", "b", "a"]),
     "fn-ranking": lambda A: decoders.decode_ranking_fas(A, _PROFILES, 3),
@@ -1027,7 +1051,7 @@ _WEIGHT_DECODES = {
 @pytest.mark.parametrize("A", [np.ones(3), np.ones((3, 2, 1)), np.float64(1.0), np.ones((4, 2))],
                          ids=["vector", "3-d", "scalar", "rows"])
 @pytest.mark.parametrize("decode", list(_WEIGHT_DECODES.values()), ids=list(_WEIGHT_DECODES))
-def test_decode_batch_rejects_weights_that_are_not_a_matrix(decode, A):
+def test_decode_rejects_weights_that_are_not_a_matrix(decode, A):
     # one rule and one message for every decode from weights: a ranking
     # decode of one (n,) vector returned one (M,) ranking, and a wrong row
     # count had a message of its own in each decoder

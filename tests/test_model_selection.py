@@ -241,7 +241,7 @@ def test_a_failing_decoder_names_its_kernel_and_fold(monkeypatch):
     def fail(*args, **kwargs):
         raise ValueError("decoder broke")
 
-    monkeypatch.setattr(decoders, "decode_batch", fail)
+    monkeypatch.setattr(decoders.Exhaustive, "decode", fail)
     X = np.random.default_rng(8).normal(size=(12, 2))
     Y = ["a", "b"] * 6
     with pytest.raises(RuntimeError) as info:
